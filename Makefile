@@ -127,8 +127,12 @@ cover-ratchet:
 # suite plus fgvet, the repo's own analyzers (oracle import isolation,
 # fail-closed verdict handling, hot-path allocation, stats lockstep,
 # lock discipline). fgvet exits non-zero on any unsuppressed finding.
+# The end-to-end benchmark is its own module (./... stops at its
+# boundary), so it is vetted separately: an API break it depends on
+# fails here instead of only when the benchmark runs.
 vet: fgvet
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 
 fgvet:
 	$(GO) run ./cmd/fgvet -quiet ./...

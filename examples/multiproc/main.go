@@ -73,7 +73,7 @@ func main() {
 		for _, p := range []*kernelsim.Process{pA, pB} {
 			p.CPU.Branch = tr
 		}
-		k.OnSwitch = func(p *kernelsim.Process) { tr.SetCR3(p.CR3) }
+		k.OnCoreSwitch = func(_ int, p *kernelsim.Process, _ *kernelsim.Thread) { tr.SetCR3(p.CR3) }
 
 		g := guard.New(pA.AS, ocfg, ig, tr, guard.DefaultPolicy())
 		for _, sysno := range guard.DefaultEndpoints() {
@@ -91,7 +91,7 @@ func main() {
 			})
 		}
 
-		sts, err := k.RunInterleaved([]*kernelsim.Process{pA, pB}, 512, 500_000_000)
+		sts, err := k.RunMulticore([]*kernelsim.Process{pA, pB}, 1, 512, 500_000_000)
 		if err != nil {
 			log.Fatal(err)
 		}

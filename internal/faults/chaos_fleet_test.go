@@ -137,7 +137,7 @@ func TestChaosFleetForkStorm(t *testing.T) {
 			procs = append(procs, p)
 		}
 
-		sts, err := k.RunInterleaved(procs, 200, 50_000_000)
+		sts, err := k.RunMulticore(procs, 1, 200, 50_000_000)
 		km.Shutdown()
 		if err != nil {
 			t.Fatalf("seed %d mode %v: storm aborted: %v", seed, pol.OnDegraded, err)

@@ -5,9 +5,12 @@ package guard
 // syscall's critical path; Griffin-style offloading moves the decode off
 // it: every time a ToPA region fills, the filled span is captured (copied
 // out while still resident) and handed to a background worker pool that
-// advances the guard's incremental window decoder between endpoints. The
-// endpoint gate then only waits for the pipeline to catch up to the
-// staleness bound and decodes the residual tail itself.
+// advances the stream's incremental window decoder between endpoints.
+// The pipeline is bound to a stream, not to a process: it captures from
+// the stream's ToPA and feeds the stream's window cache, which is the
+// one the stream's checks read. The endpoint gate then only waits for
+// the pipeline to catch up to the staleness bound and decodes the
+// residual tail itself.
 //
 // The pipeline is verdict-transparent by construction: workers feed the
 // same winState the synchronous path feeds, chunk boundaries do not
@@ -78,6 +81,10 @@ type asyncState struct {
 	// out; producer-goroutine-confined.
 	cursor uint64
 
+	// Drain outcomes, guarded by the guard's mutex: captured chunks fed
+	// into the stream's decoder, and chunks dropped as stale.
+	fed, stale uint64
+
 	mu      sync.Mutex
 	pending []asyncChunk
 	free    [][]byte // recycled chunk buffers
@@ -92,26 +99,26 @@ type asyncState struct {
 	crashes uint64
 }
 
-// EnableAsync attaches the guard to an asynchronous checking pool: ToPA
-// region-full events start capturing filled windows for the pool's
-// workers, and Check becomes "wait until checked-lag <= MaxLagWindows or
-// deadline, then verdict". Call it after the guard's tracer is wired and
-// before the workload runs; requires Policy.Async semantics but does not
-// consult the flag (KernelModule does).
+// EnableAsync attaches the guard's process stream — in multicore mode
+// the main thread's demuxed stream — to an asynchronous checking pool:
+// region-full events of the stream's ToPA start capturing filled windows
+// for the pool's workers, and checks of the stream become "wait until
+// checked-lag <= MaxLagWindows or deadline, then verdict". Call it after
+// the guard's tracer is wired and before the workload runs; requires
+// Policy.Async semantics but does not consult the flag (KernelModule
+// does).
 func (g *Guard) EnableAsync(p *AsyncPool) {
+	s := &g.main
 	g.mu.Lock()
-	g.async = &asyncState{pool: p, cursor: g.Tracer.Out.TotalWritten()}
+	s.async = &asyncState{pool: p, cursor: s.tr.Out.TotalWritten()}
 	g.mu.Unlock()
-	g.Tracer.Out.OnRegionFull = g.asyncOnRegionFull
+	s.tr.Out.OnRegionFull = g.asyncOnRegionFull
 	p.register(g)
 }
 
-// AsyncEnabled reports whether the guard is attached to an AsyncPool.
-func (g *Guard) AsyncEnabled() bool { return g.async != nil }
-
 // AsyncPending returns the number of captured windows not yet drained.
 func (g *Guard) AsyncPending() int {
-	a := g.async
+	a := g.main.async
 	if a == nil {
 		return 0
 	}
@@ -138,26 +145,26 @@ func (a *asyncState) grabBuf() []byte {
 	return buf
 }
 
-// asyncOnRegionFull is the capture point, invoked by the ToPA at every
-// region boundary on the producer's goroutine with no buffer lock held.
-// It copies the span since the last capture out of the ToPA (the span is
-// at most one region deep, so it is always still resident), enqueues it,
-// and wakes the pool.
+// asyncOnRegionFull is the capture point, invoked by the process
+// stream's ToPA at every region boundary on the producer's goroutine
+// with no buffer lock held. It copies the span since the last capture
+// out of the ToPA (the span is at most one region deep, so it is always
+// still resident), enqueues it, and wakes the pool.
 //
 //fg:hotpath runs at every filled trace region
 func (g *Guard) asyncOnRegionFull(ev ipt.RegionFull) {
-	a := g.async
+	a, topa := g.main.async, g.main.tr.Out
 	buf := a.grabBuf()
 	if buf == nil {
 		buf = g.asyncNewBuf()
 	}
-	nb, ok := g.Tracer.Out.AppendSince(buf[:0], a.cursor)
+	nb, ok := topa.AppendSince(buf[:0], a.cursor)
 	if !ok {
 		// The cursor itself was outrun — only reachable if capture was
 		// re-aligned across a reset. Skip this span; the gate's
 		// AppendSince/loss classification covers it.
 		a.recycle(buf)
-		a.cursor = g.Tracer.Out.TotalWritten()
+		a.cursor = topa.TotalWritten()
 		return
 	}
 	if len(nb) == 0 {
@@ -225,7 +232,7 @@ func (a *asyncState) recycle(buf []byte) {
 // classification (a wrap loss still only happens when the stream really
 // outruns the buffer, exactly as in synchronous mode).
 func (g *Guard) asyncNotify(full bool) {
-	a := g.async
+	a := g.main.async
 	select {
 	case a.pool.wake <- g:
 	default: // a wake is already queued; the backlog will be seen
@@ -310,19 +317,19 @@ func (a *asyncState) gateWait(g *Guard) {
 	}
 }
 
-// AsyncDrainOne feeds the oldest captured window into the guard's
-// incremental decoder, exactly as the synchronous path would have fed
-// it. It returns false when nothing was pending. Safe to call from any
-// goroutine (workers, watchdog, producer backpressure).
+// AsyncDrainOne feeds the oldest captured window into the process
+// stream's incremental decoder, exactly as the synchronous path would
+// have fed it. It returns false when nothing was pending. Safe to call
+// from any goroutine (workers, watchdog, producer backpressure).
 func (g *Guard) AsyncDrainOne() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.asyncDrainOneLocked()
+	return asyncDrainOneLocked(&g.main)
 }
 
 //fg:hotpath the worker side of every captured window
-func (g *Guard) asyncDrainOneLocked() bool {
-	a := g.async
+func asyncDrainOneLocked(s *stream) bool {
+	a := s.async
 	a.mu.Lock()
 	if len(a.pending) == 0 {
 		a.mu.Unlock()
@@ -336,15 +343,17 @@ func (g *Guard) asyncDrainOneLocked() bool {
 	}
 	a.mu.Unlock()
 
-	w := &g.win
-	if w.src != g.Tracer.Out || w.asyncErr != nil || c.start != w.total {
+	w := &s.win
+	if w.src != s.tr.Out || w.asyncErr != nil || c.start != w.total {
 		// Stale capture: the window was reset, resynchronized, or
 		// poisoned since this span was captured (or no check has
 		// initialized the window yet). The gate's own snapshot covers
 		// the stream; feeding this chunk would corrupt decoder state.
+		a.stale++
 		a.recycle(c.buf)
 		return true
 	}
+	a.fed++
 	old := len(w.buf)
 	w.buf = append(w.buf, c.buf...)
 	w.total += uint64(len(c.buf))
@@ -355,7 +364,7 @@ func (g *Guard) asyncDrainOneLocked() bool {
 		w.asyncErr = ferr
 		return true
 	}
-	g.asyncTrimLocked()
+	asyncTrimLocked(s)
 	return true
 }
 
@@ -366,9 +375,8 @@ func (g *Guard) asyncDrainOneLocked() bool {
 // state stays identical to the synchronous schedule.
 //
 //fg:hotpath
-func (g *Guard) asyncTrimLocked() {
-	w := &g.win
-	topa := g.Tracer.Out
+func asyncTrimLocked(s *stream) {
+	w, topa := &s.win, s.tr.Out
 	if lo := topa.TotalWritten() - uint64(topa.Held()); lo > w.base && lo <= w.total {
 		n := copy(w.buf, w.buf[lo-w.base:])
 		w.buf = w.buf[:n]
@@ -383,8 +391,7 @@ func (g *Guard) asyncTrimLocked() {
 // ToPA (otherwise the checkedTotal loss rule resyncs), so window()'s
 // incremental AppendSince covers them with identical content and the
 // copies are redundant.
-func (g *Guard) asyncBeforeCheckLocked() {
-	a := g.async
+func (g *Guard) asyncBeforeCheckLocked(a *asyncState) {
 	a.mu.Lock()
 	g.Stats.AsyncWindows += a.windows
 	a.windows = 0
@@ -397,40 +404,42 @@ func (g *Guard) asyncBeforeCheckLocked() {
 	a.sheds = 0
 	g.Stats.WorkerCrashes += a.crashes
 	a.crashes = 0
-	for _, c := range a.pending {
-		if len(a.free) < 64 {
-			a.free = append(a.free, c.buf[:0])
-		}
-	}
-	a.pending = a.pending[:0]
+	a.dropPendingLocked()
 	a.mu.Unlock()
 }
 
-// asyncAfterCheckLocked re-aligns the capture cursor with the verdict:
-// everything up to w.total has been checked, and captures made while the
-// check itself flushed trace are superseded by it.
-func (g *Guard) asyncAfterCheckLocked() {
-	a := g.async
+// asyncAfterCheckLocked re-aligns the stream's capture cursor with the
+// verdict: everything up to s.win.total has been checked, and captures
+// made while the check itself flushed trace are superseded by it.
+func asyncAfterCheckLocked(s *stream) {
+	a := s.async
 	a.mu.Lock()
+	a.dropPendingLocked()
+	a.mu.Unlock()
+	a.cursor = s.win.total
+}
+
+// dropPendingLocked empties the captured-window queue, recycling the
+// chunk buffers. Caller holds a.mu.
+func (a *asyncState) dropPendingLocked() {
 	for _, c := range a.pending {
 		if len(a.free) < 64 {
 			a.free = append(a.free, c.buf[:0])
 		}
 	}
 	a.pending = a.pending[:0]
-	a.mu.Unlock()
-	a.cursor = g.win.total
 }
 
 // AsyncFlushStats folds any pipeline counters accumulated since the last
 // gate into Stats (end-of-run accounting; KernelModule.Shutdown calls
 // it for every guard).
 func (g *Guard) AsyncFlushStats() {
-	if g.async == nil {
+	a := g.main.async
+	if a == nil {
 		return
 	}
 	g.mu.Lock()
-	g.asyncBeforeCheckLocked()
+	g.asyncBeforeCheckLocked(a)
 	g.mu.Unlock()
 }
 
@@ -442,12 +451,12 @@ func (g *Guard) AsyncFlushStats() {
 func (g *Guard) asyncMarkPanicked(err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	a := g.async
+	a := g.main.async
 	a.mu.Lock()
 	a.crashes++
 	a.mu.Unlock()
-	if g.win.asyncErr == nil {
-		g.win.asyncErr = err
+	if g.main.win.asyncErr == nil {
+		g.main.win.asyncErr = err
 	}
 }
 
@@ -456,7 +465,7 @@ func (g *Guard) asyncMarkPanicked(err error) {
 // stays queued and is re-drained by a sibling, the watchdog, or the
 // gate — containment with zero verdict effect.
 func (g *Guard) asyncNoteCrash() {
-	a := g.async
+	a := g.main.async
 	a.mu.Lock()
 	a.crashes++
 	a.mu.Unlock()

@@ -81,12 +81,12 @@ func TestAsyncDrainFeedsSharedWindow(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		f.emitTIP(f.exec)
 	}
-	if _, _, _, h, err := f.g.window(); err != nil || h != HealthClean {
+	if _, _, _, h, err := f.g.window(&f.g.main); err != nil || h != HealthClean {
 		t.Fatalf("establishing window: health %v, err %v", h, err)
 	}
 	// Re-align capture with the verdict, as the gate does.
 	f.g.mu.Lock()
-	f.g.asyncAfterCheckLocked()
+	asyncAfterCheckLocked(&f.g.main)
 	f.g.mu.Unlock()
 
 	for i := 0; i < 700; i++ {
@@ -104,12 +104,12 @@ func TestAsyncDrainFeedsSharedWindow(t *testing.T) {
 		t.Fatal("AsyncDrainOne drained nothing")
 	}
 	wantTotal := f.tr.Out.TotalWritten()
-	fed := f.g.win.total
+	fed := f.g.main.win.total
 	if fed <= 0 || fed > wantTotal {
 		t.Fatalf("drains advanced window to %d of %d written", fed, wantTotal)
 	}
-	checkedBefore := f.g.win.checkedTotal
-	tips, _, scanned, h, err := f.g.window()
+	checkedBefore := f.g.main.win.checkedTotal
+	tips, _, scanned, h, err := f.g.window(&f.g.main)
 	if err != nil || h != HealthClean {
 		t.Fatalf("post-drain window: health %v, err %v", h, err)
 	}
@@ -138,7 +138,7 @@ func TestAsyncGateDeadlineSheds(t *testing.T) {
 		t.Fatalf("backlog = %d, need > MaxLagWindows to force a wait", n)
 	}
 	start := time.Now()
-	f.g.async.gateWait(f.g)
+	f.g.main.async.gateWait(f.g)
 	if el := time.Since(start); el > 100*time.Millisecond {
 		t.Fatalf("gate wait was not bounded: %v", el)
 	}
@@ -166,7 +166,7 @@ func TestAsyncBackpressureStallsProducer(t *testing.T) {
 	}
 	// Stall, not drop: the stream is fully intact — a fresh window over
 	// the resident buffer decodes cleanly with records in it.
-	tips, _, _, h, err := f.g.window()
+	tips, _, _, h, err := f.g.window(&f.g.main)
 	if err != nil || h != HealthClean {
 		t.Fatalf("window after backpressure: health %v, err %v", h, err)
 	}
@@ -187,13 +187,13 @@ func TestAsyncPoisonedWindowReplaysMalformedPath(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f.emitTIP(f.exec)
 	}
-	if _, _, _, h, err := f.g.window(); err != nil || h != HealthClean {
+	if _, _, _, h, err := f.g.window(&f.g.main); err != nil || h != HealthClean {
 		t.Fatalf("establishing window: health %v, err %v", h, err)
 	}
 
 	f.g.asyncMarkPanicked(errors.New("worker died mid-feed"))
 	f.emitTIP(f.exec)
-	_, _, _, h, err := f.g.window()
+	_, _, _, h, err := f.g.window(&f.g.main)
 	if h != HealthMalformed {
 		t.Fatalf("poisoned window health = %v, want malformed", h)
 	}
@@ -203,7 +203,7 @@ func TestAsyncPoisonedWindowReplaysMalformedPath(t *testing.T) {
 	if f.g.Stats.Malformed != 1 {
 		t.Fatalf("Stats.Malformed = %d, want 1", f.g.Stats.Malformed)
 	}
-	if f.g.win.src != nil {
+	if f.g.main.win.src != nil {
 		t.Fatal("poisoned window cache was retained")
 	}
 	f.g.AsyncFlushStats()
@@ -214,7 +214,7 @@ func TestAsyncPoisonedWindowReplaysMalformedPath(t *testing.T) {
 	// Recovery: the trace itself is intact, so a fresh snapshot decodes
 	// clean — the poison does not stick past one resolution.
 	f.emitTIP(f.exec)
-	if _, _, _, h, err := f.g.window(); err != nil || h != HealthClean {
+	if _, _, _, h, err := f.g.window(&f.g.main); err != nil || h != HealthClean {
 		t.Fatalf("recovery window: health %v, err %v", h, err)
 	}
 }
@@ -243,13 +243,13 @@ func TestAsyncWrapLossMatchesSyncClassification(t *testing.T) {
 			f.tr.Flush()
 		}
 		check := func() {
-			if _, _, _, _, err := f.g.window(); err != nil {
+			if _, _, _, _, err := f.g.window(&f.g.main); err != nil {
 				t.Fatalf("window (async=%v): %v", async, err)
 			}
 			if async {
 				f.g.mu.Lock()
-				f.g.asyncBeforeCheckLocked()
-				f.g.asyncAfterCheckLocked()
+				f.g.asyncBeforeCheckLocked(f.g.main.async)
+				asyncAfterCheckLocked(&f.g.main)
 				f.g.mu.Unlock()
 			}
 		}

@@ -198,7 +198,7 @@ func (p *AsyncPool) watchdog() {
 			guards := append([]*Guard(nil), p.guards...)
 			p.mu.Unlock()
 			for _, g := range guards {
-				a := g.async
+				a := g.main.async
 				a.mu.Lock()
 				stale := len(a.pending) > 0 && time.Since(a.oldestAt) > watchdogStallAfter
 				if stale {

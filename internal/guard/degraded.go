@@ -87,14 +87,12 @@ const DefaultRetryMax = 3
 // re-snapshot stall as interception-class overhead).
 const CyclesPerRetryBackoff = 2000
 
-// resolveDegradedOn turns an unhealthy window into a policy-governed
-// verdict. Called with the guard's mutex held, after windowOn()
-// classified res.Health (never HealthClean here). The window cache and
-// trace source are explicit so the same policy serves the process-level
-// stream and each per-thread stream.
+// resolveDegraded turns an unhealthy window of stream s into a
+// policy-governed verdict. Called with the guard's mutex held, after
+// window() classified res.Health (never HealthClean here).
 //
 //fg:cold runs only on unhealthy windows, never on the clean steady state
-func (g *Guard) resolveDegradedOn(res *Result, w *winState, topa *ipt.ToPA, tips []ipt.TIPRecord, region []byte, decodeErr error) {
+func (g *Guard) resolveDegraded(res *Result, s *stream, tips []ipt.TIPRecord, region []byte, decodeErr error) {
 	res.Degraded = true
 	g.Stats.DegradedChecks++
 	detail := res.Health.String()
@@ -116,7 +114,7 @@ func (g *Guard) resolveDegradedOn(res *Result, w *winState, topa *ipt.ToPA, tips
 		res.Verdict = VerdictClean
 		res.Reason = "degraded trace (" + detail + "): fail open"
 	case SlowPathRetry:
-		if res.Health == HealthResynced && w.dec.Synced() && g.tailCovered(w, tips) {
+		if res.Health == HealthResynced && s.win.dec.Synced() && g.tailCovered(&s.win, tips) {
 			// The stream resynchronized on its own and the surviving
 			// window still vouches for the flow reaching the endpoint:
 			// verify it with full precision instead of the credit
@@ -124,7 +122,7 @@ func (g *Guard) resolveDegradedOn(res *Result, w *winState, topa *ipt.ToPA, tips
 			g.runChecks(res, tips, region, true)
 			return
 		}
-		g.retrySlowPath(res, w, topa, detail)
+		g.retrySlowPath(res, s, detail)
 	default: // FailClosed
 		g.Stats.FailClosures++
 		res.Verdict = VerdictViolation
@@ -139,14 +137,14 @@ func (g *Guard) resolveDegradedOn(res *Result, w *winState, topa *ipt.ToPA, tips
 // from a forced slow path over that window; if every attempt fails, the
 // check fails closed: no verifiable evidence reaches the endpoint, and
 // the guard refuses to vouch for it.
-func (g *Guard) retrySlowPath(res *Result, w *winState, topa *ipt.ToPA, detail string) {
+func (g *Guard) retrySlowPath(res *Result, s *stream, detail string) {
 	max := g.Policy.RetryMax
 	if max <= 0 {
 		max = DefaultRetryMax
 	}
-	wrapLoss := w.wrapLoss
-	w.src = nil // recovery always restarts from a fresh snapshot
-	buf := topa.Snapshot()
+	wrapLoss := s.win.wrapLoss
+	s.win.src = nil // recovery always restarts from a fresh snapshot
+	buf := s.tr.Out.Snapshot()
 	pts := ipt.SyncPoints(buf)
 	attempts := len(pts)
 	if attempts > max {

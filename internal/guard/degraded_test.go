@@ -37,14 +37,14 @@ func TestWindowHealthResyncedOnOVF(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f.emitTIP(f.exec)
 	}
-	if _, _, _, health, err := f.g.window(); err != nil || health != HealthClean {
+	if _, _, _, health, err := f.g.window(&f.g.main); err != nil || health != HealthClean {
 		t.Fatalf("pre-fault window: health %v, err %v", health, err)
 	}
 
 	f.tr.Fault = &onceFault{extra: ovfBytes}
 	f.emitTIP(f.exec) // this write carries the injected OVF
 	f.emitTIP(f.exec)
-	_, _, _, health, err := f.g.window()
+	_, _, _, health, err := f.g.window(&f.g.main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestWindowHealthResyncedOnOVF(t *testing.T) {
 	// until the next PSB; the default period is 2048 bytes, so a couple
 	// more records do not clear it.
 	f.emitTIP(f.exec)
-	if _, _, _, health, _ := f.g.window(); health != HealthResynced {
+	if _, _, _, health, _ := f.g.window(&f.g.main); health != HealthResynced {
 		t.Fatalf("health before resynchronizing PSB = %v, want resynced", health)
 	}
 
@@ -69,7 +69,7 @@ func TestWindowHealthResyncedOnOVF(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		f.emitTIP(f.exec)
 	}
-	_, _, _, health, err = f.g.window()
+	_, _, _, health, err = f.g.window(&f.g.main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestWindowHealthGapWhenWrapOutrunsSyncPoints(t *testing.T) {
 	if !f.tr.Out.Wrapped() {
 		t.Fatal("setup: buffer did not wrap")
 	}
-	tips, _, _, health, err := f.g.window()
+	tips, _, _, health, err := f.g.window(&f.g.main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,12 +119,12 @@ func TestWindowHealthMalformedDropsCache(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f.emitTIP(f.exec)
 	}
-	if _, _, _, _, err := f.g.window(); err != nil {
+	if _, _, _, _, err := f.g.window(&f.g.main); err != nil {
 		t.Fatal(err)
 	}
 	f.tr.Fault = &onceFault{extra: []byte{0x02, 0xFF}} // unknown extended opcode
 	f.emitTIP(f.exec)
-	_, _, _, health, err := f.g.window()
+	_, _, _, health, err := f.g.window(&f.g.main)
 	if health != HealthMalformed {
 		t.Fatalf("health = %v, want malformed", health)
 	}
@@ -134,7 +134,7 @@ func TestWindowHealthMalformedDropsCache(t *testing.T) {
 	if f.g.Stats.Malformed != 1 {
 		t.Fatalf("Stats.Malformed = %d, want 1", f.g.Stats.Malformed)
 	}
-	if f.g.win.src != nil {
+	if f.g.main.win.src != nil {
 		t.Fatal("poisoned window cache was retained")
 	}
 }

@@ -55,21 +55,22 @@ func NewBinary(as *module.AddressSpace, ocfg *cfg.Graph, art *itc.Artifact) *Bin
 // own — so its marginal footprint is the Guard struct plus the lazily
 // grown window buffer.
 func (b *Binary) NewGuard(tr *ipt.Tracer, pol Policy) *Guard {
-	return &Guard{
-		AS: b.AS, OCFG: b.OCFG, Tracer: tr, Policy: pol,
-		art:  b.Art,
-		appr: b.Appr,
-	}
+	return newGuard(b.AS, b.OCFG, nil, b.Art, b.Appr, tr, pol)
 }
 
-// UseArtifact switches an existing guard's fast path to a shared
-// immutable artifact (tests and migration paths; fleet guards get one
-// from Binary.NewGuard). Call before checking starts.
-func (g *Guard) UseArtifact(a *itc.Artifact) { g.art = a }
+// UseArtifact pins an existing guard to a fixed shared artifact (tests
+// and migration paths; fleet guards get one from Binary.NewGuard): the
+// guard stops adopting labels from a live graph. Call before checking
+// starts.
+func (g *Guard) UseArtifact(a *itc.Artifact) { g.art, g.ITC = a, nil }
 
-// Artifact returns the shared artifact the guard probes, or nil for a
-// live-graph guard.
-func (g *Guard) Artifact() *itc.Artifact { return g.art }
+// Artifact returns the label artifact the guard probes: the fixed one,
+// or for a live-graph guard the one its latest check adopted.
+func (g *Guard) Artifact() *itc.Artifact {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.art
+}
 
 // ForkGuard builds the guard of a forked child: it inherits the
 // parent's trained credit (the shared artifact or live graph, by
@@ -87,43 +88,7 @@ func ForkGuard(parent *Guard, as *module.AddressSpace, tr *ipt.Tracer) *Guard {
 	if as == nil {
 		as = parent.AS
 	}
-	g := &Guard{
-		AS: as, OCFG: parent.OCFG, ITC: parent.ITC, Tracer: tr,
-		Policy: parent.Policy,
-		art:    parent.art,
-		appr:   parent.appr,
-	}
+	g := newGuard(as, parent.OCFG, parent.ITC, parent.Artifact(), parent.appr, tr, parent.Policy)
 	g.Stats.ForkInherits = 1
 	return g
-}
-
-// lookupEdge dispatches the full fast-path edge check to the shared
-// artifact when the guard has one, else to the live graph.
-//
-//fg:hotpath
-func (g *Guard) lookupEdge(src, dst, sig uint64) itc.EdgeLabel {
-	if g.art != nil {
-		return g.art.Lookup(src, dst, sig)
-	}
-	return g.ITC.Lookup(src, dst, sig)
-}
-
-// cacheLookup dispatches the high-credit cache probe.
-//
-//fg:hotpath
-func (g *Guard) cacheLookup(src, dst, sig uint64) (hit, sigMatch bool) {
-	if g.art != nil {
-		return g.art.CacheLookup(src, dst, sig)
-	}
-	return g.ITC.CacheLookup(src, dst, sig)
-}
-
-// pathTrained dispatches the path-sensitive probe.
-//
-//fg:hotpath
-func (g *Guard) pathTrained(a, b, c uint64) bool {
-	if g.art != nil {
-		return g.art.PathTrained(itc.PathKey(a, b, c))
-	}
-	return g.ITC.PathTrained(a, b, c)
 }

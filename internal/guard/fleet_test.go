@@ -137,7 +137,7 @@ func TestKernelModuleForkInheritance(t *testing.T) {
 	}
 	parent.UseArtifact(art)
 
-	sts, err := k.RunInterleaved([]*kernelsim.Process{p}, 200, 50_000_000)
+	sts, err := k.RunMulticore([]*kernelsim.Process{p}, 1, 200, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

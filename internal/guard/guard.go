@@ -16,14 +16,22 @@
 // shadow stack for returns. Clean slow-path verdicts are cached so
 // subsequent fast paths accept the same edges (§7.1.1).
 //
-// Checking is amortized-incremental: the guard keeps the decoded TIP
-// tail of the ToPA stream between checks, keyed by the buffer's write
-// generation, so each check fast-decodes only the bytes appended since
-// the previous one instead of re-scanning the buffered suffix. The
-// steady-state check path performs no allocations. Guards for different
-// processes may run checks concurrently (see CheckPool); slow-path
-// verdict caches are striped for that purpose and may be shared between
-// the guards of processes running the same binaries.
+// Every check is one routine over one stream against one label
+// artifact. A stream is a trace unit's ToPA plus the window cache over
+// it (and the async pipeline, when attached): the guard's process
+// stream, or in multicore mode one demuxed stream per thread, the main
+// thread's being the process stream. The labels are one immutable
+// itc.Artifact — fixed for fleet guards, adopted from the live graph's
+// latest publication at every check otherwise.
+//
+// Checking is amortized-incremental: each stream keeps its decoded TIP
+// tail between checks, keyed by the buffer's write offset, so each
+// check fast-decodes only the bytes appended since the previous one
+// instead of re-scanning the buffered suffix. The steady-state check
+// path performs no allocations. Guards for different processes may run
+// checks concurrently (see CheckPool); slow-path verdict caches are
+// striped for that purpose and may be shared between the guards of
+// processes running the same binaries.
 package guard
 
 import (
@@ -376,21 +384,24 @@ func (m *modScratch) ok() bool { return m.inExec && len(m.mods) > 1 }
 //
 // Check is safe for concurrent use (calls on the same guard serialize on
 // an internal mutex; the window cache and tracer are single streams).
-// Guards of *different* processes check fully in parallel: the ITC-CFG
-// is read lock-free after training and the approval cache is striped.
+// Guards of *different* processes check fully in parallel: the label
+// artifact is immutable and the approval cache is striped.
 type Guard struct {
-	AS     *module.AddressSpace
-	OCFG   *cfg.Graph
-	ITC    *itc.Graph
+	AS   *module.AddressSpace
+	OCFG *cfg.Graph
+	// ITC, when non-nil, is the live graph the guard takes its labels
+	// from: every check adopts the graph's currently published artifact
+	// (Graph.Artifact, one atomic load). Guards with a fixed artifact —
+	// fleet guards built by Binary.NewGuard, or UseArtifact — leave it
+	// nil.
+	ITC *itc.Graph
+	// Tracer is the process's trace unit; its ToPA is the sink of the
+	// guard's process stream. Set at construction.
 	Tracer *ipt.Tracer
 	Policy Policy
 
-	// art, when non-nil, is the shared immutable label artifact the fast
-	// path probes instead of the live ITC graph — the fleet configuration
-	// (DESIGN.md §10), where thousands of per-process guards reference
-	// one itc.Artifact per binary by pointer. The slow path still uses
-	// ITC for approval labeling when both are set; fleet guards built by
-	// Binary.NewGuard carry only the artifact.
+	// art is the one label artifact the fast path and the slow path's
+	// approval step probe (DESIGN.md §10).
 	art *itc.Artifact
 
 	// appr caches slow-path "no attack" verdicts; it may be shared
@@ -404,7 +415,10 @@ type Guard struct {
 	// buffer-full hook must not recurse when its own reads flush packets.
 	inCheck bool
 
-	win     winState
+	// main is the process stream: the window cache over Tracer's ToPA,
+	// and the async pipeline attachment when EnableAsync ran. In
+	// multicore mode it is also the main thread's demuxed stream.
+	main    stream
 	scratch modScratch
 
 	// streamLoss is set by NoteStreamLoss when the multicore demux
@@ -413,21 +427,40 @@ type Guard struct {
 	// unmarked loss (wrap-loss shape: no OVF packet marks the hole).
 	streamLoss bool
 
-	// async, when non-nil, is the guard's attachment to an AsyncPool
-	// (EnableAsync): captured-window queue, cursor, and pipeline
-	// counters. nil guards check fully synchronously.
-	async *asyncState
-
 	Stats Stats
+}
+
+// stream is one checked trace stream: a trace unit whose ToPA is the
+// sink, the incremental window cache over that sink, and — when the
+// stream is attached to an AsyncPool — the captured-window pipeline. The
+// guard's process stream is one; in multicore mode each further thread
+// of the process has its own, fed by the demux through an unprogrammed
+// tracer (Flush is then a no-op). All streams of a process share the
+// guard's labels, approval cache, policy and Stats; verdicts stay
+// deterministic under preemption because each check reads only its own
+// stream, never a sibling's interleaved bytes.
+type stream struct {
+	tr    *ipt.Tracer
+	win   winState
+	async *asyncState // nil: checked synchronously
+}
+
+// newGuard is the one constructor behind New, Binary.NewGuard and
+// ForkGuard.
+func newGuard(as *module.AddressSpace, ocfg *cfg.Graph, ig *itc.Graph, art *itc.Artifact, appr *ApprovalCache, tr *ipt.Tracer, pol Policy) *Guard {
+	if ig != nil {
+		art = ig.Artifact()
+	}
+	return &Guard{
+		AS: as, OCFG: ocfg, ITC: ig, Tracer: tr, Policy: pol,
+		art: art, appr: appr, main: stream{tr: tr},
+	}
 }
 
 // New builds a guard over a loaded image, its O-CFG and trained ITC-CFG,
 // and the tracer observing the process.
 func New(as *module.AddressSpace, ocfg *cfg.Graph, ig *itc.Graph, tr *ipt.Tracer, pol Policy) *Guard {
-	return &Guard{
-		AS: as, OCFG: ocfg, ITC: ig, Tracer: tr, Policy: pol,
-		appr: NewApprovalCache(),
-	}
+	return newGuard(as, ocfg, ig, nil, NewApprovalCache(), tr, pol)
 }
 
 // ShareApprovals replaces the guard's slow-path verdict cache, letting
@@ -444,40 +477,31 @@ func (g *Guard) Approvals() *ApprovalCache { return g.appr }
 // use this to measure the non-amortized path).
 func (g *Guard) InvalidateWindow() {
 	g.mu.Lock()
-	g.win.src = nil
+	g.main.win.src = nil
 	g.mu.Unlock()
 }
 
-// window collects the TIP records to check. The underlying rule is the
-// paper's (§5.3: walk the PSB sync points backwards until the policy's
-// packet count and module-stride requirements hold — "it is not required
-// to decode the whole ToPA buffer"), but decoding is incremental: only
-// bytes appended since the previous check are copied out of the ToPA and
-// fast-decoded; the decoded TIP tail and sync points are retained. It
-// also returns the window region so a slow-path re-check decodes the
-// same bounded span, the number of newly scanned bytes for the cost
-// model, and the trace-health classification Policy.OnDegraded responds
-// to: overflow since the last check (or an unresynchronized overflow at
-// the tail) is HealthResynced, a wrapped buffer with no resident sync
-// point is HealthGap, and grammar-level corruption is HealthMalformed
-// alongside the error. On a decode error the window cache is dropped —
-// the decoder state is unusable — so a later check restarts from a
-// fresh snapshot.
+// window collects the TIP records to check from stream s. The
+// underlying rule is the paper's (§5.3: walk the PSB sync points
+// backwards until the policy's packet count and module-stride
+// requirements hold — "it is not required to decode the whole ToPA
+// buffer"), but decoding is incremental: the stream's tracer is flushed,
+// and only bytes appended since the previous check are copied out of
+// the ToPA and fast-decoded; the decoded TIP tail and sync points are
+// retained. It also returns the window region so a slow-path re-check
+// decodes the same bounded span, the number of newly scanned bytes for
+// the cost model, and the trace-health classification Policy.OnDegraded
+// responds to: overflow since the last check (or an unresynchronized
+// overflow at the tail) is HealthResynced, a wrapped buffer with no
+// resident sync point is HealthGap, and grammar-level corruption is
+// HealthMalformed alongside the error. On a decode error the window
+// cache is dropped — the decoder state is unusable — so a later check
+// restarts from a fresh snapshot.
 //
 //fg:hotpath steady-state window maintenance must not allocate
-func (g *Guard) window() (tips []ipt.TIPRecord, region []byte, scanned uint64, health TraceHealth, err error) {
-	g.Tracer.Flush()
-	return g.windowOn(&g.win, g.Tracer.Out)
-}
-
-// windowOn is window() over an explicit window cache and trace source —
-// the same routine serves the guard's own process stream (g.win over the
-// tracer's ToPA) and each per-thread stream (ThreadState.win over the
-// thread's demux sink). The caller is responsible for the source being
-// flushed/pumped up to date.
-//
-//fg:hotpath steady-state window maintenance must not allocate
-func (g *Guard) windowOn(w *winState, topa *ipt.ToPA) (tips []ipt.TIPRecord, region []byte, scanned uint64, health TraceHealth, err error) {
+func (g *Guard) window(s *stream) (tips []ipt.TIPRecord, region []byte, scanned uint64, health TraceHealth, err error) {
+	s.tr.Flush()
+	w, topa := &s.win, s.tr.Out
 	// Whatever this call classifies is "checked" for the next call's
 	// loss rule: synchronously checkedTotal therefore always equals
 	// total between calls, reducing the rule to the classic
@@ -663,15 +687,21 @@ func (g *Guard) strideOK(tips []ipt.TIPRecord) bool {
 	return s.ok()
 }
 
-// Check runs the hybrid flow check: fast path always, slow path when the
-// fast path finds the window suspicious. It is the routine the kernel
-// module invokes at every intercepted endpoint (§5.2 step 5). A window
-// that is not HealthClean — overflowed, gapped, or corrupt — is resolved
-// under Policy.OnDegraded instead of the normal hybrid path.
+// Check runs the hybrid flow check over the guard's process stream. It
+// is the routine the kernel module invokes at every intercepted endpoint
+// (§5.2 step 5).
+func (g *Guard) Check() Result { return g.check(&g.main) }
+
+// check is the one check routine, over one stream against one label
+// artifact: fast path always, slow path when the fast path finds the
+// window suspicious. A window that is not HealthClean — overflowed,
+// gapped, or corrupt — is resolved under Policy.OnDegraded instead of
+// the normal hybrid path. Streams of one process serialize on the
+// guard's mutex.
 //
 //fg:hotpath invoked at every intercepted endpoint
-func (g *Guard) Check() Result {
-	if a := g.async; a != nil {
+func (g *Guard) check(s *stream) Result {
+	if a := s.async; a != nil {
 		// Bounded-staleness gate: wait (lock-free) for the pipeline to
 		// drain to Policy.MaxLagWindows before taking the residual decode
 		// onto the syscall's critical path.
@@ -681,31 +711,28 @@ func (g *Guard) Check() Result {
 	defer g.mu.Unlock()
 	g.inCheck = true
 	defer g.endCheck()
-	if g.async != nil {
-		g.asyncBeforeCheckLocked()
+	if a := s.async; a != nil {
+		g.asyncBeforeCheckLocked(a)
 	}
-	if g.art != nil {
-		// A shared artifact is a fixed point-in-time label snapshot: its
-		// generation never advances, so this is a one-time adoption.
-		g.appr.SyncGen(g.art.Gen())
-	} else if g.ITC != nil {
-		// Approvals earned against a superseded label snapshot must be
-		// re-earned (mid-run retraining relabels edges).
-		g.appr.SyncGen(g.ITC.LabelGen())
+	if g.ITC != nil {
+		g.art = g.ITC.Artifact()
 	}
+	// Approvals earned against a superseded label generation must be
+	// re-earned (mid-run retraining relabels edges).
+	g.appr.SyncGen(g.art.Gen())
 	g.Stats.Checks++
-	tips, region, scanned, health, err := g.window()
+	tips, region, scanned, health, err := g.window(s)
 	res := Result{TIPs: len(tips), Health: health, OtherCycles: CyclesPerInterception}
 	res.DecodeCycles = uint64(float64(scanned) * g.fastDecodeCost())
 	g.Stats.BytesScanned += scanned
 	if err != nil || health != HealthClean {
-		g.resolveDegradedOn(&res, &g.win, g.Tracer.Out, tips, region, err)
+		g.resolveDegraded(&res, s, tips, region, err)
 	} else if len(tips) >= 2 {
 		g.runChecks(&res, tips, region, g.Policy.NaiveFullDecode)
 	}
 	g.finish(&res)
-	if g.async != nil {
-		g.asyncAfterCheckLocked()
+	if s.async != nil {
+		asyncAfterCheckLocked(s)
 	}
 	return res
 }
@@ -717,7 +744,7 @@ func (g *Guard) endCheck() { g.inCheck = false }
 // NoteStreamLoss records that the multicore demux lost or misattributed
 // spans of this process's trace in a shared per-core stream (grammar
 // damage inside a span, or an unmarked context switch detected at a
-// PSB). The next check — on any of the process's threads — classifies
+// PSB). The next check — on any of the process's streams — classifies
 // its window as following an unmarked loss, exactly like a wrap that
 // outran the cache. Safe to call concurrently with checks.
 func (g *Guard) NoteStreamLoss() {
@@ -726,56 +753,7 @@ func (g *Guard) NoteStreamLoss() {
 	g.mu.Unlock()
 }
 
-// ThreadState is one thread's private check state: an incremental window
-// cache over the thread's own trace sink. All threads of a process share
-// the guard's graphs, approval cache, policy, and Stats; verdicts stay
-// deterministic under preemption because each thread's checks read only
-// its own demuxed stream, never a sibling's interleaved bytes.
-type ThreadState struct {
-	// Out is the thread's trace sink (the demux binding for the
-	// process's CR3 while this thread runs).
-	Out *ipt.ToPA
-	win winState
-}
-
-// NewThreadState returns fresh per-thread check state over sink.
-func NewThreadState(out *ipt.ToPA) *ThreadState { return &ThreadState{Out: out} }
-
-// CheckThread runs the hybrid flow check over one thread's stream — the
-// per-thread form of Check. Threads of the same process serialize on the
-// guard's mutex (the approval cache and Stats are shared), but each
-// check's evidence is the calling thread's private window, so racing
-// syscall checks from sibling threads cannot perturb each other's
-// verdicts. The caller must have pumped the demux up to date.
-//
-// The asynchronous pipeline is not consulted: per-thread streams are
-// checked synchronously (the async capture hooks are bound to the
-// process-level ToPA).
-func (g *Guard) CheckThread(ts *ThreadState) Result {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.inCheck = true
-	defer g.endCheck()
-	if g.art != nil {
-		g.appr.SyncGen(g.art.Gen())
-	} else if g.ITC != nil {
-		g.appr.SyncGen(g.ITC.LabelGen())
-	}
-	g.Stats.Checks++
-	tips, region, scanned, health, err := g.windowOn(&ts.win, ts.Out)
-	res := Result{TIPs: len(tips), Health: health, OtherCycles: CyclesPerInterception}
-	res.DecodeCycles = uint64(float64(scanned) * g.fastDecodeCost())
-	g.Stats.BytesScanned += scanned
-	if err != nil || health != HealthClean {
-		g.resolveDegradedOn(&res, &ts.win, ts.Out, tips, region, err)
-	} else if len(tips) >= 2 {
-		g.runChecks(&res, tips, region, g.Policy.NaiveFullDecode)
-	}
-	g.finish(&res)
-	return res
-}
-
-// noteWindowed is windowOn()'s exit bookkeeping (named method: no
+// noteWindowed is window()'s exit bookkeeping (named method: no
 // closure on the hot path).
 func (w *winState) noteWindowed() { w.checkedTotal = w.total }
 
@@ -794,6 +772,7 @@ func (g *Guard) runChecks(res *Result, tips []ipt.TIPRecord, region []byte, forc
 	}
 
 	res.CheckCycles += uint64(len(tips)) * CyclesPerTIPCheck
+	art := g.art
 	minCount := g.Policy.CredMinCount
 	if minCount == 0 {
 		minCount = 1
@@ -815,13 +794,13 @@ func (g *Guard) runChecks(res *Result, tips []ipt.TIPRecord, region []byte, forc
 		if minCount <= 1 {
 			// The separate high-credit cache holds count >= 1 edges, so
 			// it is only a shortcut under binary labeling.
-			if hit, sigOK := g.cacheLookup(src, dst, sig); hit && sigOK {
+			if hit, sigOK := art.CacheLookup(src, dst, sig); hit && sigOK {
 				g.Stats.CacheHits++
 				g.Stats.HighEdges++
 				continue
 			}
 		}
-		l := g.lookupEdge(src, dst, sig)
+		l := art.Lookup(src, dst, sig)
 		if !l.Exists {
 			// Out of the conservative graph: no legitimate execution can
 			// produce this pair (§4.2), so this is a definite violation.
@@ -851,7 +830,7 @@ func (g *Guard) runChecks(res *Result, tips []ipt.TIPRecord, region []byte, forc
 				continue
 			}
 			a, b, c := tips[i].IP, tips[i+1].IP, tips[i+2].IP
-			if g.pathTrained(a, b, c) || g.appr.ApprovedPath(itc.PathKey(a, b, c)) {
+			if k := itc.PathKey(a, b, c); art.PathTrained(k) || g.appr.ApprovedPath(k) {
 				continue
 			}
 			g.Stats.LowEdges++

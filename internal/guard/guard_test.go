@@ -40,8 +40,16 @@ func analyze(t *testing.T, app *apps.App) *analyzed {
 }
 
 // train replays inputs under the IPT model and labels the ITC-CFG
-// (§4.3 step 3).
+// (§4.3 step 3), publishing the labels.
 func (a *analyzed) train(t *testing.T, inputs ...[]byte) {
+	t.Helper()
+	a.observe(t, inputs...)
+	a.ig.RebuildCache()
+}
+
+// observe is train without the publication: the labels change only on
+// the training side of the graph.
+func (a *analyzed) observe(t *testing.T, inputs ...[]byte) {
 	t.Helper()
 	for _, in := range inputs {
 		k := kernelsim.New()
@@ -66,7 +74,6 @@ func (a *analyzed) train(t *testing.T, inputs ...[]byte) {
 			t.Fatal("training observed an edge outside the ITC-CFG")
 		}
 	}
-	a.ig.RebuildCache()
 }
 
 // protectAndRun spawns the app under full FlowGuard protection and runs

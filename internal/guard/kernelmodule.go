@@ -128,8 +128,13 @@ func (m *KernelModule) Shutdown() {
 	}
 }
 
-// check runs one flow check, through the pool when one is attached.
+// check runs one endpoint flow check of g's process: in multicore mode
+// over the calling thread's demuxed stream (mcCheck), otherwise over the
+// process stream, through the pool when one is attached.
 func (m *KernelModule) check(g *Guard) Result {
+	if m.mc != nil {
+		return m.mcCheck(g)
+	}
 	if m.pool != nil {
 		return m.pool.Do(g)
 	}
@@ -155,6 +160,48 @@ func (m *KernelModule) ReportsSnapshot() []ViolationReport {
 // to the process's CPU, installs the endpoint interceptors, and registers
 // the checking engine. The returned Guard exposes statistics.
 func (m *KernelModule) Protect(p *kernelsim.Process, ocfg *cfg.Graph, ig *itc.Graph, pol Policy) (*Guard, error) {
+	g, err := m.protectTraced(p, func(tr *ipt.Tracer) *Guard { return New(p.AS, ocfg, ig, tr, pol) })
+	if err != nil {
+		return nil, err
+	}
+	m.installEndpoints(pol)
+	return g, nil
+}
+
+// onFork is the kernel's fork hook: an unprotected parent's child stays
+// unprotected; a protected parent's child inherits protection before it
+// is scheduled. A failure vetoes the fork in the kernel (the child must
+// never run unguarded).
+func (m *KernelModule) onFork(parent, child *kernelsim.Process) error {
+	m.mu.Lock()
+	pg, ok := m.guards[parent.CR3]
+	m.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	var err error
+	if m.mc != nil {
+		_, err = m.protectDemuxed(child, func(tr *ipt.Tracer) *Guard { return ForkGuard(pg, child.AS, tr) })
+	} else {
+		_, err = m.ProtectForked(pg, child)
+	}
+	return err
+}
+
+// ProtectForked configures tracing and checking for a forked child of an
+// already-protected process (§5.1 per-core trace setup, fleet fork
+// semantics of DESIGN.md §10): a fresh ToPA and tracer filtered on the
+// child's CR3, and a guard built by ForkGuard — the child inherits the
+// parent's trained credit (shared artifact or live graph, by pointer)
+// and its live approval cache, with a fresh window cursor and stats.
+func (m *KernelModule) ProtectForked(parent *Guard, child *kernelsim.Process) (*Guard, error) {
+	return m.protectTraced(child, func(tr *ipt.Tracer) *Guard { return ForkGuard(parent, child.AS, tr) })
+}
+
+// protectTraced gives p a dedicated CR3-filtered trace unit, builds its
+// guard over that tracer with mk, registers it, and wires the
+// CheckOnPMI fallback.
+func (m *KernelModule) protectTraced(p *kernelsim.Process, mk func(*ipt.Tracer) *Guard) (*Guard, error) {
 	topa := ipt.NewToPA(regionSizes()...)
 	tr := ipt.NewTracer(topa)
 	// IA32_RTIT_CTL: TraceEn+BranchEn on, OS clear / User set (trace
@@ -174,19 +221,9 @@ func (m *KernelModule) Protect(p *kernelsim.Process, ocfg *cfg.Graph, ig *itc.Gr
 		p.CPU.Branch = tr
 	}
 
-	g := New(p.AS, ocfg, ig, tr, pol)
-	m.mu.Lock()
-	m.guards[p.CR3] = g
-	if pol.Async && m.apool == nil {
-		m.apool = NewAsyncPool(pol.AsyncWorkers, pol.AsyncQueue)
-		m.ownsAPool = true
-	}
-	apool := m.apool
-	m.mu.Unlock()
-	if pol.Async && apool != nil {
-		g.EnableAsync(apool)
-	}
-	if pol.CheckOnPMI {
+	g := mk(tr)
+	m.register(p, g)
+	if g.Policy.CheckOnPMI {
 		// The worst-case endpoint of §7.1.2: a buffer-full PMI triggers
 		// a flow check even when the process avoids every sensitive
 		// syscall (endpoint pruning). The hook must not recurse into a
@@ -206,6 +243,30 @@ func (m *KernelModule) Protect(p *kernelsim.Process, ocfg *cfg.Graph, ig *itc.Gr
 			}
 		}
 	}
+	return g, nil
+}
+
+// register records g as the checking engine of p's CR3 and, under
+// Policy.Async, attaches its process stream to the module's async pool
+// (created on first use).
+func (m *KernelModule) register(p *kernelsim.Process, g *Guard) {
+	pol := g.Policy
+	m.mu.Lock()
+	m.guards[p.CR3] = g
+	if pol.Async && m.apool == nil {
+		m.apool = NewAsyncPool(pol.AsyncWorkers, pol.AsyncQueue)
+		m.ownsAPool = true
+	}
+	apool := m.apool
+	m.mu.Unlock()
+	if pol.Async {
+		g.EnableAsync(apool)
+	}
+}
+
+// installEndpoints replaces the syscall-table entries of the policy's
+// endpoints with the module's interceptor (once per syscall).
+func (m *KernelModule) installEndpoints(pol Policy) {
 	for _, sysno := range pol.Endpoints {
 		if m.installed[sysno] {
 			continue
@@ -213,77 +274,6 @@ func (m *KernelModule) Protect(p *kernelsim.Process, ocfg *cfg.Graph, ig *itc.Gr
 		m.installed[sysno] = true
 		m.K.Intercept(sysno, m.onEndpoint)
 	}
-	return g, nil
-}
-
-// onFork is the kernel's fork hook: an unprotected parent's child stays
-// unprotected; a protected parent's child inherits protection before it
-// is scheduled. A failure vetoes the fork in the kernel (the child must
-// never run unguarded).
-func (m *KernelModule) onFork(parent, child *kernelsim.Process) error {
-	m.mu.Lock()
-	pg, ok := m.guards[parent.CR3]
-	m.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	if m.mc != nil {
-		_, err := m.mcProtectForked(pg, child)
-		return err
-	}
-	_, err := m.ProtectForked(pg, child)
-	return err
-}
-
-// ProtectForked configures tracing and checking for a forked child of an
-// already-protected process (§5.1 per-core trace setup, fleet fork
-// semantics of DESIGN.md §10): a fresh ToPA and tracer filtered on the
-// child's CR3, and a guard built by ForkGuard — the child inherits the
-// parent's trained credit (shared artifact or live graph, by pointer)
-// and its live approval cache, with a fresh window cursor and stats.
-func (m *KernelModule) ProtectForked(parent *Guard, child *kernelsim.Process) (*Guard, error) {
-	pol := parent.Policy
-	topa := ipt.NewToPA(regionSizes()...)
-	tr := ipt.NewTracer(topa)
-	ctl := ipt.CtlTraceEn | ipt.CtlBranchEn | ipt.CtlUser | ipt.CtlCR3Filter | ipt.CtlToPA
-	if err := tr.WriteMSR(ipt.MSRRTITCtl, ctl); err != nil {
-		return nil, err
-	}
-	if err := tr.WriteMSR(ipt.MSRRTITCR3Match, child.CR3); err != nil {
-		return nil, err
-	}
-	tr.SetCR3(child.CR3)
-
-	if child.CPU.Branch != nil {
-		child.CPU.Branch = trace.MultiSink{child.CPU.Branch, tr}
-	} else {
-		child.CPU.Branch = tr
-	}
-
-	g := ForkGuard(parent, child.AS, tr)
-	m.mu.Lock()
-	m.guards[child.CR3] = g
-	apool := m.apool
-	m.mu.Unlock()
-	if pol.Async && apool != nil {
-		g.EnableAsync(apool)
-	}
-	if pol.CheckOnPMI {
-		topa.OnFull = func() {
-			if g.inCheck {
-				return
-			}
-			res := m.check(g)
-			if res.Verdict == VerdictViolation {
-				m.report(ViolationReport{
-					PID: child.PID, Process: child.Name, Syscall: pmiPseudoSyscall, Reason: res.Reason,
-				})
-				m.K.Kill(child, kernelsim.SIGKILL)
-				child.CPU.PendingTrap = kernelsim.ErrKilled
-			}
-		}
-	}
-	return g, nil
 }
 
 // Guards returns every registered guard (fleet stats aggregation).
@@ -315,12 +305,7 @@ func (m *KernelModule) onEndpoint(p *kernelsim.Process, sysno uint64) error {
 	if !ok {
 		return nil // not the protected process: forward
 	}
-	var res Result
-	if m.mc != nil {
-		res = m.mcCheck(p, g)
-	} else {
-		res = m.check(g)
-	}
+	res := m.check(g)
 	if res.Verdict == VerdictViolation {
 		m.report(ViolationReport{
 			PID: p.PID, Process: p.Name, Syscall: sysno, Reason: res.Reason,

@@ -33,13 +33,13 @@ const mcMode = 1
 
 // taskTrace is the module's per-task trace bookkeeping: the saved
 // packetization context while the task is off-core, and — for tasks of
-// protected processes — the per-thread check state whose ToPA is the
+// protected processes — the thread's checked stream, whose ToPA is the
 // demux binding for the process's CR3 while this task runs.
 type taskTrace struct {
 	ctx ipt.TraceContext
 	cr3 uint64
-	g   *Guard       // nil for unprotected processes
-	ts  *ThreadState // nil for unprotected processes
+	g   *Guard  // nil for unprotected processes
+	s   *stream // nil for unprotected processes
 }
 
 // coreTrace is one simulated core's trace unit: the shared tracer, its
@@ -105,64 +105,35 @@ func (m *KernelModule) EnableMulticore(cores int) error {
 // tracer is virtual — its MSRs are never programmed, so it emits nothing
 // and Flush is a no-op; the process's packets reach the guard through
 // the demux, which routes the shared per-core streams into the bound
-// per-thread ToPAs. The guard's own ToPA doubles as the main thread's
-// sink. CheckOnPMI is not wired: the shared core buffers are pumped
+// per-thread ToPAs. The guard's process stream is the main thread's
+// stream. CheckOnPMI is not wired: the shared core buffers are pumped
 // every slice, so the per-process buffer-full fallback has no analogue.
 func (m *KernelModule) ProtectMulticore(p *kernelsim.Process, ocfg *cfg.Graph, ig *itc.Graph, pol Policy) (*Guard, error) {
 	if m.mc == nil {
 		return nil, errors.New("guard: ProtectMulticore before EnableMulticore")
 	}
-	topa := ipt.NewToPA(regionSizes()...)
-	tr := ipt.NewTracer(topa)
-	g := New(p.AS, ocfg, ig, tr, pol)
-	m.mu.Lock()
-	m.guards[p.CR3] = g
-	if pol.Async && m.apool == nil {
-		m.apool = NewAsyncPool(pol.AsyncWorkers, pol.AsyncQueue)
-		m.ownsAPool = true
+	g, err := m.protectDemuxed(p, func(tr *ipt.Tracer) *Guard { return New(p.AS, ocfg, ig, tr, pol) })
+	if err != nil {
+		return nil, err
 	}
-	apool := m.apool
-	m.mu.Unlock()
-	if pol.Async && apool != nil {
-		g.EnableAsync(apool)
-	}
-	main := p.CurrentThread()
-	if main == nil {
-		return nil, errors.New("guard: ProtectMulticore on an unspawned process")
-	}
-	m.mc.tasks[main] = &taskTrace{cr3: p.CR3, g: g, ts: NewThreadState(topa)}
-	m.mc.demux.Bind(p.CR3, topa)
-	for _, sysno := range pol.Endpoints {
-		if m.installed[sysno] {
-			continue
-		}
-		m.installed[sysno] = true
-		m.K.Intercept(sysno, m.onEndpoint)
-	}
+	m.installEndpoints(pol)
 	return g, nil
 }
 
-// mcProtectForked is ProtectForked's multicore form: the child inherits
-// the parent's trained credit and approvals via ForkGuard, but its
-// tracer is virtual and its main thread's sink is registered with the
-// demux instead of a dedicated trace unit.
-func (m *KernelModule) mcProtectForked(parent *Guard, child *kernelsim.Process) (*Guard, error) {
-	topa := ipt.NewToPA(regionSizes()...)
-	tr := ipt.NewTracer(topa)
-	g := ForkGuard(parent, child.AS, tr)
-	m.mu.Lock()
-	m.guards[child.CR3] = g
-	apool := m.apool
-	m.mu.Unlock()
-	if parent.Policy.Async && apool != nil {
-		g.EnableAsync(apool)
-	}
-	main := child.CurrentThread()
+// protectDemuxed builds p's guard with mk over a virtual tracer,
+// registers it, and binds the guard's process stream as the main
+// thread's demux sink — the multicore form of protectTraced, shared by
+// ProtectMulticore and fork inheritance.
+func (m *KernelModule) protectDemuxed(p *kernelsim.Process, mk func(*ipt.Tracer) *Guard) (*Guard, error) {
+	main := p.CurrentThread()
 	if main == nil {
-		return nil, errors.New("guard: fork of an unspawned process")
+		return nil, errors.New("guard: multicore protection of an unspawned process")
 	}
-	m.mc.tasks[main] = &taskTrace{cr3: child.CR3, g: g, ts: NewThreadState(topa)}
-	m.mc.demux.Bind(child.CR3, topa)
+	tr := ipt.NewTracer(ipt.NewToPA(regionSizes()...))
+	g := mk(tr)
+	m.register(p, g)
+	m.mc.tasks[main] = &taskTrace{cr3: p.CR3, g: g, s: &g.main}
+	m.mc.demux.Bind(p.CR3, tr.Out)
 	return g, nil
 }
 
@@ -212,15 +183,14 @@ func (m *KernelModule) onCoreSwitch(core int, p *kernelsim.Process, t *kernelsim
 		m.mu.Unlock()
 		if g != nil {
 			// A clone of a protected process seen for the first time:
-			// it gets its own stream state, checked against the shared
-			// guard.
+			// it gets its own stream, checked against the shared guard.
 			tt.g = g
-			tt.ts = NewThreadState(ipt.NewToPA(regionSizes()...))
+			tt.s = &stream{tr: ipt.NewTracer(ipt.NewToPA(regionSizes()...))}
 		}
 		mc.tasks[t] = tt
 	}
-	if tt.ts != nil {
-		mc.demux.Bind(tt.cr3, tt.ts.Out)
+	if tt.s != nil {
+		mc.demux.Bind(tt.cr3, tt.s.tr.Out)
 	}
 	ct := &mc.cores[core]
 	if ct.cur != tt {
@@ -257,37 +227,32 @@ func (m *KernelModule) onAsyncFlow(p *kernelsim.Process, from, to uint64) {
 
 // mcCheck runs an endpoint check in multicore mode: flush the running
 // core's pending TNT bits, route every core's bytes, then check the
-// calling thread's reconstructed window. The CheckPool is bypassed —
-// the scheduler is serial, so there is no concurrency to bound.
-func (m *KernelModule) mcCheck(p *kernelsim.Process, g *Guard) Result {
+// calling thread's stream — the process stream when no slice of g is
+// on-core (an endpoint outside RunMulticore). The CheckPool is bypassed
+// — the scheduler is serial, so there is no concurrency to bound.
+func (m *KernelModule) mcCheck(g *Guard) Result {
 	mc := m.mc
 	ct := &mc.cores[mc.curCore]
 	ct.tr.Flush()
 	m.pumpAll()
-	tt := ct.cur
-	if tt == nil || tt.ts == nil || tt.g != g {
-		// No slice context (endpoint outside RunMulticore): fall back to
-		// the process-level check over the virtual tracer.
-		return g.Check()
+	s := &g.main
+	if tt := ct.cur; tt != nil && tt.g == g {
+		s = tt.s
 	}
-	return g.CheckThread(tt.ts)
+	return g.check(s)
 }
 
 // CheckCurrent runs one flow check for the process exactly as the
-// module's own endpoint interceptor would — through mcCheck in multicore
-// mode, through the pool otherwise. It exists for harness diff runners
-// that install their own interceptors (Policy.Endpoints left empty) so
-// they can compare the module verdict against an oracle at each
-// endpoint. The bool is false when the process is unprotected.
+// module's own endpoint interceptor would. It exists for harness diff
+// runners that install their own interceptors (Policy.Endpoints left
+// empty) so they can compare the module verdict against an oracle at
+// each endpoint. The bool is false when the process is unprotected.
 func (m *KernelModule) CheckCurrent(p *kernelsim.Process) (Result, bool) {
 	m.mu.Lock()
 	g, ok := m.guards[p.CR3]
 	m.mu.Unlock()
 	if !ok {
 		return Result{}, false
-	}
-	if m.mc != nil {
-		return m.mcCheck(p, g), true
 	}
 	return m.check(g), true
 }
@@ -300,10 +265,10 @@ func (m *KernelModule) ThreadSink(t *kernelsim.Thread) *ipt.ToPA {
 		return nil
 	}
 	tt := m.mc.tasks[t]
-	if tt == nil || tt.ts == nil {
+	if tt == nil || tt.s == nil {
 		return nil
 	}
-	return tt.ts.Out
+	return tt.s.tr.Out
 }
 
 // InjectCoreFaults wires a write-fault injector into every shared

@@ -277,3 +277,41 @@ func TestMulticoreMarkerLossSurfacesInGuards(t *testing.T) {
 		t.Error("unmarked losses never charged to any guard's StreamLosses")
 	}
 }
+
+// TestMulticoreAsyncFeedsThreadStream pins the async pipeline's binding
+// to a stream in multicore mode: the region-full captures land on the
+// main thread's demux sink, and worker drains must advance that same
+// stream's decoder — the one the main thread's checks read — instead of
+// being dropped as stale. Verdicts and every non-async counter must
+// match the synchronous multicore run.
+func TestMulticoreAsyncFeedsThreadStream(t *testing.T) {
+	an := analyze(t, apps.Vulnd())
+	an.train(t, benignTraffic(), []byte("G /x\nP 32\nH /h\n"))
+	syncPol := guard.DefaultPolicy()
+	asyncPol := syncPol
+	asyncPol.Async = true
+	asyncPol.AsyncWorkers = 1
+
+	sSts, sKM, sGuards, _ := runMulticoreProcs(t, an, [][]byte{heavyTraffic()}, 2, 300, syncPol)
+	aSts, aKM, aGuards, _ := runMulticoreProcs(t, an, [][]byte{heavyTraffic()}, 2, 300, asyncPol)
+	if sSts[0] != aSts[0] {
+		t.Fatalf("exit status diverged: sync %+v, async %+v", sSts[0], aSts[0])
+	}
+	if !aSts[0].Exited || len(aKM.Reports) != 0 || len(sKM.Reports) != 0 {
+		t.Fatalf("benign run: %+v; reports sync %v, async %v", aSts[0], sKM.Reports, aKM.Reports)
+	}
+	if divs := diffRunStats(&sGuards[0].Stats, &aGuards[0].Stats); len(divs) != 0 {
+		t.Fatalf("stats diverged:\n  %v", divs)
+	}
+	st := &aGuards[0].Stats
+	if st.AsyncWindows == 0 {
+		t.Fatal("no region-full captures; test is vacuous")
+	}
+	fed, stale := guard.AsyncDrainCounts(aGuards[0])
+	if st.Resyncs == 0 && stale != 0 {
+		t.Errorf("%d of %d captured windows dropped as stale without a resync", stale, st.AsyncWindows)
+	}
+	if fed == 0 {
+		t.Errorf("none of %d captured windows reached the checked stream's decoder", st.AsyncWindows)
+	}
+}

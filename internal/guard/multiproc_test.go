@@ -23,7 +23,7 @@ func sharedCore(k *kernelsim.Kernel, tr *ipt.Tracer, procs ...*kernelsim.Process
 			p.CPU.Branch = tr
 		}
 	}
-	k.OnSwitch = func(p *kernelsim.Process) { tr.SetCR3(p.CR3) }
+	k.OnCoreSwitch = func(_ int, p *kernelsim.Process, _ *kernelsim.Thread) { tr.SetCR3(p.CR3) }
 }
 
 // TestCR3FilterIsolatesInterleavedProcesses: with the filter set to A's
@@ -67,7 +67,7 @@ func TestCR3FilterIsolatesInterleavedProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	sharedCore(k, tr, pA, pB)
-	sts, err := k.RunInterleaved([]*kernelsim.Process{pA, pB}, 512, 200_000_000)
+	sts, err := k.RunMulticore([]*kernelsim.Process{pA, pB}, 1, 512, 200_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCR3FilterIsolatesInterleavedProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	sharedCore(k2, tr2, pA2, pB2)
-	if _, err := k2.RunInterleaved([]*kernelsim.Process{pA2, pB2}, 512, 200_000_000); err != nil {
+	if _, err := k2.RunMulticore([]*kernelsim.Process{pA2, pB2}, 1, 512, 200_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if tr2.TIPCount <= refTIPs {
@@ -154,7 +154,7 @@ func TestSingleCR3FilterLimitation(t *testing.T) {
 				return nil
 			})
 		}
-		sts, err := k.RunInterleaved([]*kernelsim.Process{pA, pB}, 512, 500_000_000)
+		sts, err := k.RunMulticore([]*kernelsim.Process{pA, pB}, 1, 512, 500_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}

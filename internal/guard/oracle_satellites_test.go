@@ -24,10 +24,11 @@ import (
 // so a third run must re-earn every verdict from scratch.
 func TestSlowPathApprovalReuseAndInvalidation(t *testing.T) {
 	a := analyze(t, apps.Vulnd())
-	a.train(t, []byte("G /x\n")) // sparse: benign traffic leaves low-credit edges
+	sparse := []byte("G /x\n")
+	a.train(t, sparse) // sparse: benign traffic leaves low-credit edges
 
 	shared := guard.NewApprovalCache()
-	run := func() uint64 {
+	run := func() (uint64, *guard.Guard) {
 		k := kernelsim.New()
 		km := guard.InstallModule(k)
 		p, err := a.app.Spawn(k, benignTraffic())
@@ -46,10 +47,10 @@ func TestSlowPathApprovalReuseAndInvalidation(t *testing.T) {
 		if g.Stats.Violations != 0 {
 			t.Fatalf("false positives: %+v", g.Stats)
 		}
-		return g.Stats.SlowChecks
+		return g.Stats.SlowChecks, g
 	}
 
-	s1 := run()
+	s1, _ := run()
 	if s1 == 0 {
 		t.Fatal("sparse training produced no slow paths; test is vacuous")
 	}
@@ -57,22 +58,39 @@ func TestSlowPathApprovalReuseAndInvalidation(t *testing.T) {
 		t.Fatal("clean slow-path verdicts were not cached")
 	}
 
-	s2 := run()
+	s2, _ := run()
 	if s2 >= s1 {
 		t.Fatalf("cached approvals not reused: %d slow checks (warm) vs %d (cold)", s2, s1)
 	}
 
-	// RebuildCache republishes the label snapshot; the flush is lazy —
-	// it happens at the first check of the next run, not here.
-	before := shared.Len()
+	// An Observe between runs publishes nothing: the next run checks
+	// against the same artifact, keeps every approval, and takes exactly
+	// the warm run's slow paths.
+	pub, before := a.ig.Artifact(), shared.Len()
+	a.observe(t, sparse)
+	sObs, gObs := run()
+	if sObs != s2 {
+		t.Fatalf("after an unpublished Observe, slow checks = %d, want the warm count %d", sObs, s2)
+	}
+	if gObs.Artifact() != pub || shared.Len() != before {
+		t.Fatalf("an unpublished Observe changed the checked labels (artifact moved: %v, approvals %d -> %d)",
+			gObs.Artifact() != pub, before, shared.Len())
+	}
+
+	// RebuildCache publishes a new artifact; the flush is lazy — it
+	// happens at the first check of the next run, not here.
 	a.ig.RebuildCache()
 	if shared.Len() != before {
 		t.Fatalf("approval cache flushed eagerly (%d -> %d); SyncGen is a check-time sync", before, shared.Len())
 	}
 
-	// With the cache invalidated, the deterministic workload retraces
-	// run 1 exactly: every approval is re-earned on the slow path.
-	s3 := run()
+	// The next check adopts the new generation, and with the cache
+	// invalidated the deterministic workload retraces run 1 exactly:
+	// every approval is re-earned on the slow path.
+	s3, g3 := run()
+	if g3.Artifact() != a.ig.Artifact() || g3.Artifact().Gen() == pub.Gen() {
+		t.Fatal("the run after RebuildCache did not adopt the newly published artifact")
+	}
 	if s3 != s1 {
 		t.Fatalf("after label-generation advance, slow checks = %d, want the cold count %d", s3, s1)
 	}

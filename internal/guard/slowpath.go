@@ -91,7 +91,7 @@ func (g *Guard) slowPath(res *Result, tips []ipt.TIPRecord, region []byte) {
 			continue
 		}
 		src, dst, sig := tips[i].IP, tips[i+1].IP, tips[i+1].TNTSig
-		l := g.lookupEdge(src, dst, sig)
+		l := g.art.Lookup(src, dst, sig)
 		if l.Exists && !(l.HighCredit && l.SigMatch) {
 			g.appr.ApproveEdge(edgeKey{src, dst, sig})
 		}

@@ -38,7 +38,7 @@ func BenchmarkIncrementalWindow(b *testing.B) {
 			if invalidate {
 				f.g.InvalidateWindow()
 			}
-			if _, _, _, _, err := f.g.window(); err != nil {
+			if _, _, _, _, err := f.g.window(&f.g.main); err != nil {
 				b.Fatal(err)
 			}
 		}

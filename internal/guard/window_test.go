@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"flowguard/internal/asm"
+	"flowguard/internal/cfg"
 	"flowguard/internal/isa"
+	"flowguard/internal/itc"
 	"flowguard/internal/module"
 	"flowguard/internal/trace"
 	"flowguard/internal/trace/ipt"
@@ -57,8 +59,9 @@ func newWindowFixture(t testing.TB, pol Policy) *windowFixture {
 	if err := tr.WriteMSR(ipt.MSRRTITCtl, ipt.CtlTraceEn|ipt.CtlBranchEn|ipt.CtlUser|ipt.CtlToPA); err != nil {
 		t.Fatal(err)
 	}
-	// The guard under test does not need real graphs for window logic.
-	g := New(as, nil, nil, tr, pol)
+	// The guard under test does not need real graphs for window logic;
+	// an empty ITC-CFG still gives checks a label artifact to adopt.
+	g := New(as, nil, itc.FromCFG(&cfg.Graph{}), tr, pol)
 	return &windowFixture{
 		as:   as,
 		tr:   tr,
@@ -75,7 +78,7 @@ func (w *windowFixture) emitTIP(addr uint64) {
 
 func tipsOf(t *testing.T, g *Guard) []ipt.TIPRecord {
 	t.Helper()
-	tips, _, _, _, err := g.window()
+	tips, _, _, _, err := g.window(&g.main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +171,13 @@ func TestIncrementalWindowMatchesFullRescan(t *testing.T) {
 				}
 				f.emitTIP(addr)
 			}
-			inc, incRegion, scanned, _, err := f.g.window()
+			inc, incRegion, scanned, _, err := f.g.window(&f.g.main)
 			if err != nil {
 				t.Fatalf("wrap=%v round %d: %v", wrap, round, err)
 			}
 			scannedSum += scanned
 			full.InvalidateWindow()
-			ref, refRegion, _, _, err := full.window()
+			ref, refRegion, _, _, err := full.window(&full.main)
 			if err != nil {
 				t.Fatalf("wrap=%v round %d (rescan): %v", wrap, round, err)
 			}
@@ -227,7 +230,7 @@ func TestWrapPastWindowResyncs(t *testing.T) {
 	for i := 0; i < 6000; i++ {
 		f.emitTIP(f.exec)
 	}
-	inc, incRegion, _, health, err := f.g.window()
+	inc, incRegion, _, health, err := f.g.window(&f.g.main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +244,7 @@ func TestWrapPastWindowResyncs(t *testing.T) {
 		t.Fatalf("post-resync window = %d TIPs, want pkt_count 8", len(inc))
 	}
 	ref := New(f.as, nil, nil, f.tr, pol)
-	refTips, refRegion, _, refHealth, err := ref.window()
+	refTips, refRegion, _, refHealth, err := ref.window(&ref.main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +260,7 @@ func TestWrapPastWindowResyncs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		f.emitTIP(f.exec)
 	}
-	if _, _, _, health, err := f.g.window(); err != nil || health != HealthClean {
+	if _, _, _, health, err := f.g.window(&f.g.main); err != nil || health != HealthClean {
 		t.Fatalf("after a servable delta: health %v, err %v", health, err)
 	}
 	if f.g.Stats.Resyncs != 1 {
@@ -282,7 +285,6 @@ func TestWindowSurvivesToPAWrap(t *testing.T) {
 	f := newWindowFixture(t, pol)
 	// Swap in a tiny two-region ToPA and overfill it several times.
 	f.tr.Out = ipt.NewToPA(2048, 2048)
-	f.g.Tracer = f.tr
 	for i := 0; i < 8000; i++ {
 		f.emitTIP(f.exec)
 	}

@@ -88,7 +88,8 @@ func randSig(rng *rand.Rand) uint64 {
 
 // TestFlatITCMatchesOracleRef cross-checks the production flat tables
 // against the oracle reference on randomized graphs through a full
-// train / rebuild / re-train cycle.
+// train / rebuild / re-train cycle. Both sides answer from their last
+// published labels, so they must agree between publications too.
 func TestFlatITCMatchesOracleRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 30; round++ {
@@ -132,7 +133,7 @@ func TestFlatITCMatchesOracleRef(t *testing.T) {
 				}
 			}
 		}
-		check := func(stage string, cacheFresh bool) {
+		check := func(stage string) {
 			for k := 0; k < 200; k++ {
 				src, dst, sig := pick(), pick(), randSig(rng)
 				if len(refEdges) > 0 && rng.Intn(2) == 0 {
@@ -146,15 +147,8 @@ func TestFlatITCMatchesOracleRef(t *testing.T) {
 						round, stage, src, dst, sig, l, exists, count, sigOK)
 				}
 				hit, sm := g.CacheLookup(src, dst, sig)
-				if hit && (!l.Exists || !l.HighCredit) {
-					// Credit counts only grow, so even a stale cache can
-					// never claim credit Lookup denies.
-					t.Fatalf("round %d %s: cache hit on unlabeled edge %#x->%#x", round, stage, src, dst)
-				}
-				if cacheFresh && hit && sm != l.SigMatch {
-					// Signature verdicts agree only while the snapshot is
-					// current; a stale cache serves the last rebuilt sets.
-					t.Fatalf("round %d %s: cache sig %v vs lookup sig %v", round, stage, sm, l.SigMatch)
+				if hit != (l.Exists && l.HighCredit) || (hit && sm != l.SigMatch) {
+					t.Fatalf("round %d %s: cache (%v,%v) vs lookup %+v", round, stage, hit, sm, l)
 				}
 				a, b, c := pick(), pick(), pick()
 				if got, want := g.PathTrained(a, b, c), ref.PathObserved(a, b, c); got != want {
@@ -163,32 +157,35 @@ func TestFlatITCMatchesOracleRef(t *testing.T) {
 			}
 		}
 
+		rebuild := func() {
+			g.RebuildCache()
+			ref.Rebuild()
+		}
 		train(60)
-		check("pre-rebuild (locked fallback)", false)
+		check("pre-rebuild (construction's labels)")
 		gen := g.LabelGen()
-		g.RebuildCache()
+		rebuild()
 		if g.LabelGen() != gen+1 {
 			t.Fatalf("round %d: LabelGen did not advance on RebuildCache", round)
 		}
-		check("post-rebuild (lock-free snapshot)", true)
+		check("post-rebuild")
 
-		// Post-snapshot training must invalidate the snapshot: new labels
-		// are visible immediately through the locked fallback, and the
-		// cache, rebuilt again, reflects them.
+		// Training after a publication stays invisible on both sides
+		// until the next one.
 		train(30)
-		check("post-snapshot-invalidation", false)
-		g.RebuildCache()
-		check("second generation", true)
+		check("unpublished retraining")
+		rebuild()
+		check("second generation")
 		if g.LabelGen() != gen+2 {
 			t.Fatalf("round %d: LabelGen %d after two rebuilds, want %d", round, g.LabelGen(), gen+2)
 		}
 	}
 }
 
-// TestFlatCacheLookupStaleUntilRebuild pins the §5.3 cache refresh
-// contract the guard depends on: CacheLookup serves the last *rebuilt*
-// labels — observations after a rebuild do not leak into the cache until
-// the next RebuildCache, while Lookup sees them immediately.
+// TestFlatCacheLookupStaleUntilRebuild pins the label-publication
+// contract the guard depends on: Lookup and CacheLookup both serve the
+// last *published* labels — observations after a rebuild reach neither
+// until the next RebuildCache publishes them to both at once.
 func TestFlatCacheLookupStaleUntilRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for round := 0; round < 20; round++ {
@@ -202,20 +199,23 @@ func TestFlatCacheLookupStaleUntilRebuild(t *testing.T) {
 		e := refEdges[rng.Intn(len(refEdges))]
 		sig := randSig(rng)
 
-		g.RebuildCache() // empty-label generation
+		// FromCFG published the empty-label generation.
 		if hit, _ := g.CacheLookup(e[0], e[1], sig); hit {
 			t.Fatalf("round %d: cache hit before any training", round)
 		}
 		if !g.Observe(e[0], e[1], sig) {
 			t.Fatalf("round %d: edge %#x->%#x not in graph", round, e[0], e[1])
 		}
-		if l := g.Lookup(e[0], e[1], sig); !l.HighCredit || !l.SigMatch {
-			t.Fatalf("round %d: Lookup missed fresh observation: %+v", round, l)
+		if l := g.Lookup(e[0], e[1], sig); !l.Exists || l.HighCredit {
+			t.Fatalf("round %d: unrebuilt observation leaked into Lookup: %+v", round, l)
 		}
 		if hit, _ := g.CacheLookup(e[0], e[1], sig); hit {
 			t.Fatalf("round %d: unrebuilt observation leaked into the cache", round)
 		}
 		g.RebuildCache()
+		if l := g.Lookup(e[0], e[1], sig); !l.HighCredit || !l.SigMatch {
+			t.Fatalf("round %d: Lookup missed the published observation: %+v", round, l)
+		}
 		hit, sm := g.CacheLookup(e[0], e[1], sig)
 		if !hit || !sm {
 			t.Fatalf("round %d: cache missed trained edge after rebuild (%v,%v)", round, hit, sm)

@@ -7,7 +7,7 @@ package harness
 // against a reference oracle reading the very same reconstructed sink.
 // The oracle side is per thread: the first thread's oracle owns the
 // approval store and later threads adopt it, mirroring how the guard
-// shares one approval cache across its ThreadStates.
+// shares one approval cache across its per-thread streams.
 
 import (
 	"flowguard/internal/guard"

@@ -80,8 +80,8 @@ func (r *Runner) MultiProc(workers int) (MultiProcResult, error) {
 				p.CPU.Branch = tr
 			}
 		}
-		k.OnSwitch = func(p *kernelsim.Process) { tr.SetCR3(p.CR3) }
-		sts, err := k.RunInterleaved(procs, 1024, 2_000_000_000)
+		k.OnCoreSwitch = func(_ int, p *kernelsim.Process, _ *kernelsim.Thread) { tr.SetCR3(p.CR3) }
+		sts, err := k.RunMulticore(procs, 1, 1024, 2_000_000_000)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -9,8 +9,8 @@ package itc
 // {window cursor, approval generation, stats}, all of which live in the
 // guard, none of which duplicate the graph.
 //
-// An Artifact is obtained either from a trained Graph (Graph.Artifact,
-// which shares the flat arenas the label snapshot already owns) or from
+// An Artifact is obtained either from a Graph (Graph.Artifact returns
+// the one its last RebuildCache published) or from
 // serialized FGITCFL1 bytes (ArtifactFromFlat over LoadFlat): the PR 6
 // wire format doubles as the zero-copy in-memory form, so a fleet
 // controller can mmap one trained artifact per binary and hand the same
@@ -22,25 +22,17 @@ type Artifact struct {
 	// then derives the cache verdict from the full arena (see below).
 	high *Flat
 	// gen is the label generation the artifact was published at. It is
-	// fixed for the artifact's lifetime — sharing guards key their
-	// approval-cache validity on it exactly as they would on a live
-	// graph's LabelGen.
+	// fixed for the artifact's lifetime; guards key their approval-cache
+	// validity on it.
 	gen uint64
 }
 
-// Artifact publishes the graph's current label snapshot as a shared
-// immutable artifact. The flat arenas are the snapshot's own (zero
-// copies); if training touched the labels since the last RebuildCache,
-// the snapshot is rebuilt first. Subsequent training does not affect an
-// already-returned Artifact — it is a fixed point-in-time view.
-func (g *Graph) Artifact() *Artifact {
-	s := g.snap.Load()
-	if s == nil {
-		g.RebuildCache()
-		s = g.snap.Load()
-	}
-	return &Artifact{full: s.full, high: s.high, gen: g.labelGen.Load()}
-}
+// Artifact returns the graph's currently published artifact: one atomic
+// load, never a rebuild. Labels observed since the last RebuildCache are
+// not in it. Later training does not affect an already-returned
+// Artifact — it is a fixed point-in-time view — while the next
+// RebuildCache makes Artifact return a new one of a later generation.
+func (g *Graph) Artifact() *Artifact { return g.art.Load() }
 
 // ArtifactFromFlat adopts a loaded full-graph arena (LoadFlat over
 // FGITCFL1 bytes) as a shared artifact. The serialized format carries

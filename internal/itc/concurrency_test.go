@@ -77,32 +77,50 @@ func TestConcurrentLookupsDuringTraining(t *testing.T) {
 	}
 }
 
-// TestObserveVisibleWithoutRebuild pins the fallback semantics: an
-// Observe after RebuildCache must be visible to Lookup immediately, even
-// though it invalidates the lock-free snapshot.
-func TestObserveVisibleWithoutRebuild(t *testing.T) {
+// TestObserveVisibleAtRebuild pins the label-publication rule: an
+// Observe changes only the training labels. Lookup, CacheLookup and
+// PathTrained keep answering from the published artifact — including its
+// generation — until the next RebuildCache publishes the observation to
+// all three at once.
+func TestObserveVisibleAtRebuild(t *testing.T) {
 	as := figure4Program(t)
 	_, ig := buildBoth(t, as)
 	edges := graphEdges(ig)
 	e := edges[0]
-	ig.RebuildCache() // publish an (untrained) snapshot
+	pub := ig.Artifact()
+	gen := ig.LabelGen()
 
-	if l := ig.Lookup(e[0], e[1], 7); l.HighCredit {
-		t.Fatalf("untrained edge already high-credit: %+v", l)
-	}
 	if !ig.Observe(e[0], e[1], 7) {
 		t.Fatal("Observe rejected a graph edge")
 	}
-	l := ig.Lookup(e[0], e[1], 7)
-	if !l.HighCredit || !l.SigMatch || l.Count != 1 {
-		t.Fatalf("Observe not visible without RebuildCache: %+v", l)
+	ig.ObservePath(e[0], e[1], e[0])
+	if l := ig.Lookup(e[0], e[1], 7); !l.Exists || l.HighCredit || l.Count != 0 {
+		t.Fatalf("unpublished observation visible to Lookup: %+v", l)
 	}
-	// The high-credit cache, by §5.3 design, lags until the rebuild.
 	if hit, _ := ig.CacheLookup(e[0], e[1], 7); hit {
-		t.Fatal("high-credit cache updated without RebuildCache")
+		t.Fatal("unpublished observation visible to CacheLookup")
 	}
+	if ig.PathTrained(e[0], e[1], e[0]) {
+		t.Fatal("unpublished path visible to PathTrained")
+	}
+	if ig.Artifact() != pub || ig.LabelGen() != gen {
+		t.Fatal("Observe published a new artifact")
+	}
+
 	ig.RebuildCache()
+	if ig.LabelGen() != gen+1 {
+		t.Fatalf("LabelGen = %d after RebuildCache, want %d", ig.LabelGen(), gen+1)
+	}
+	if l := ig.Lookup(e[0], e[1], 7); !l.HighCredit || !l.SigMatch || l.Count != 1 {
+		t.Fatalf("observation not published by RebuildCache: %+v", l)
+	}
 	if hit, sigOK := ig.CacheLookup(e[0], e[1], 7); !hit || !sigOK {
 		t.Fatal("high-credit cache missing the edge after RebuildCache")
+	}
+	if !ig.PathTrained(e[0], e[1], e[0]) {
+		t.Fatal("path not published by RebuildCache")
+	}
+	if l := pub.Lookup(e[0], e[1], 7); l.HighCredit {
+		t.Fatalf("RebuildCache mutated the previously published artifact: %+v", l)
 	}
 }

@@ -134,8 +134,13 @@ func (f *Flat) findEdge(src, dst uint64) (int, bool) {
 // which the flat lookups scan forward instead of binary-searching.
 const flatLinearScanMax = 8
 
-// sigMatch checks sig against the trained signature set of edge e,
-// honoring the long-run wildcard (see sigMatches).
+// sigMatch checks sig against the trained signature set of edge e. An
+// edge trained with the long-run wildcard is TNT-polymorphic: its
+// conditional runs are data-dependent loop trip counts, which TNT
+// labeling cannot disambiguate (the ITC-CFG deliberately avoids path
+// explosion, §4.2), so any presented run is accepted for it. Short-run
+// edges — the Figure 4 forks the labels exist for — still require an
+// exact match.
 //
 //fg:hotpath
 func (f *Flat) sigMatch(e int, sig uint64) bool {
@@ -492,7 +497,7 @@ func LoadFlat(data []byte) (*Flat, error) {
 }
 
 // graphFromFlat reconstructs the mutable training-side Graph from a
-// validated arena.
+// validated arena and publishes its labels.
 func graphFromFlat(f *Flat) *Graph {
 	n := f.nNodes
 	g := &Graph{
@@ -528,6 +533,7 @@ func graphFromFlat(f *Flat) *Graph {
 			g.paths[p] = struct{}{}
 		}
 	}
+	g.RebuildCache()
 	return g
 }
 

@@ -72,15 +72,35 @@ func randomTrainedGraph(rng *rand.Rand, nNodes int) *Graph {
 	return g
 }
 
-// TestFlatAgreesWithMeta drives randomized graphs through both the flat
-// snapshot path and the locked meta path and requires identical answers
-// from Lookup, CacheLookup and PathTrained for hits and misses alike.
+// metaLookup answers a lookup straight from the training-side labels —
+// the reference the published flat arenas must agree with.
+func metaLookup(g *Graph, src, dst, sig uint64) EdgeLabel {
+	i, ok := g.nodeIndex(src)
+	if !ok {
+		return EdgeLabel{}
+	}
+	j, ok := g.edgeIndex(i, dst)
+	if !ok {
+		return EdgeLabel{}
+	}
+	m := &g.meta[i][j]
+	l := EdgeLabel{Exists: true, HighCredit: m.count > 0, Count: m.count}
+	for _, s := range m.sigs {
+		l.SigMatch = l.SigMatch || (l.HighCredit && (s == sig || s == ipt.TNTSigLongRun))
+	}
+	return l
+}
+
+// TestFlatAgreesWithMeta drives randomized graphs through the published
+// flat arenas and the training-side meta labels and requires identical
+// answers from Lookup, CacheLookup and PathTrained for hits and misses
+// alike.
 func TestFlatAgreesWithMeta(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 50; round++ {
 		g := randomTrainedGraph(rng, 2+rng.Intn(40))
 
-		// Collect locked-path answers before the snapshot exists.
+		// Collect the reference answers from the training labels.
 		type probe struct {
 			src, dst, sig   uint64
 			want            EdgeLabel
@@ -88,9 +108,7 @@ func TestFlatAgreesWithMeta(t *testing.T) {
 		}
 		var probes []probe
 		addProbe := func(src, dst, sig uint64) {
-			l := g.Lookup(src, dst, sig)
-			// Pre-rebuild the high cache is empty, so record only the
-			// label; CacheLookup is probed post-rebuild against it.
+			l := metaLookup(g, src, dst, sig)
 			probes = append(probes, probe{src: src, dst: dst, sig: sig, want: l})
 		}
 		for i := range g.succs {
@@ -123,12 +141,11 @@ func TestFlatAgreesWithMeta(t *testing.T) {
 		}
 		// Path probes: trained keys hit, a fresh key misses.
 		for p := range g.paths {
-			s := g.snap.Load()
-			if !s.full.PathTrained(p) {
+			if !g.Artifact().PathTrained(p) {
 				t.Fatalf("round %d: trained path key %#x not found in flat", round, p)
 			}
 		}
-		if g.snap.Load().full.PathTrained(0x1234) == (func() bool { _, ok := g.paths[0x1234]; return ok }()) == false {
+		if g.Artifact().PathTrained(0x1234) == (func() bool { _, ok := g.paths[0x1234]; return ok }()) == false {
 			t.Fatalf("round %d: flat PathTrained(0x1234) disagrees with map", round)
 		}
 	}
@@ -175,26 +192,45 @@ func TestFlatRoundTripCanonical(t *testing.T) {
 	}
 }
 
-// TestFlatEncodeWithoutSnapshot exercises the Encode fallback that builds
-// the arena under the read lock when training invalidated the snapshot.
+// TestFlatEncodeWithoutSnapshot pins what Encode writes when labels were
+// observed after the last RebuildCache: the published artifact's arena,
+// verbatim. The unpublished observation reaches the wire only with the
+// next RebuildCache, exactly as it reaches the lookups.
 func TestFlatEncodeWithoutSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomTrainedGraph(rng, 10)
-	// No RebuildCache: snap is nil.
-	if g.snap.Load() != nil {
-		t.Fatal("expected nil snapshot before RebuildCache")
-	}
+	g.RebuildCache()
 	var a bytes.Buffer
 	if err := g.Encode(&a); err != nil {
 		t.Fatal(err)
 	}
-	g.RebuildCache()
+	if !bytes.Equal(a.Bytes(), g.Artifact().Bytes()) {
+		t.Fatal("Encode did not write the published arena")
+	}
+	src, dst := g.nodes[0], uint64(0)
+	for i := range g.succs {
+		if len(g.succs[i]) > 0 {
+			src, dst = g.nodes[i], g.succs[i][0]
+			break
+		}
+	}
+	if !g.Observe(src, dst, 0xfeed) {
+		t.Fatal("fixture graph has no edge to observe")
+	}
 	var b bytes.Buffer
 	if err := g.Encode(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("locked-path Encode differs from snapshot Encode")
+		t.Fatal("an unpublished observation reached the encoded artifact")
+	}
+	g.RebuildCache()
+	var c bytes.Buffer
+	if err := g.Encode(&c); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(a.Bytes(), c.Bytes()) {
+		t.Fatal("RebuildCache did not publish the new observation to Encode")
 	}
 }
 
@@ -287,7 +323,6 @@ func FuzzFlatITCRoundTrip(f *testing.F) {
 			return
 		}
 		g := graphFromFlat(fl)
-		g.RebuildCache()
 		var out bytes.Buffer
 		if err := g.Encode(&out); err != nil {
 			t.Fatal(err)

@@ -48,13 +48,14 @@ type edgeMeta struct {
 // Graph is the credit-labeled ITC-CFG.
 //
 // Concurrency: the graph topology (nodes, succs) is immutable after
-// construction. The training labels are mutable; RebuildCache publishes
-// an immutable snapshot of them, after which Lookup, CacheLookup and
-// PathTrained are lock-free — the checker-facing hot path never contends
-// even with many guards checking in parallel (the §6 offloaded-checking
-// shape). Any further Observe invalidates the snapshot and readers fall
-// back to RLock-guarded access until the next RebuildCache, preserving
-// the train-then-lookup-without-rebuild semantics.
+// construction. The training labels are mutable and private to training:
+// checkers never read them. RebuildCache publishes them as an immutable
+// Artifact, and Lookup, CacheLookup and PathTrained answer from the
+// currently published artifact, lock-free — the checker-facing hot path
+// never contends even with many guards checking in parallel (the §6
+// offloaded-checking shape). A label therefore becomes visible to
+// checkers when it is published, not when it is observed. Every graph
+// starts with a published artifact of its (untrained) labels.
 type Graph struct {
 	// nodes holds the IT-BB entry addresses, sorted ascending.
 	// Immutable after construction.
@@ -68,41 +69,16 @@ type Graph struct {
 	// Edges is the total edge count (|E| of Table 4).
 	Edges int
 
-	// mu guards meta, paths and the high* arrays. The hot read paths
-	// take it only when snap is nil (labels changed since the last
-	// RebuildCache).
+	// mu guards meta and paths (the training side).
 	mu sync.RWMutex
 
-	// snap is the immutable label snapshot read lock-free by the
-	// checkers; nil whenever training has touched the labels since the
-	// last RebuildCache.
-	snap atomic.Pointer[labelSnap]
-
-	// high is the separate high-credit cache §5.3 describes ("preserves
-	// separate memory to store the source nodes and their targets
-	// connected by edges with high credits"), in flat form. Rebuilt by
-	// RebuildCache after training; read under mu when snap is nil.
-	high *Flat
+	// art is the published label artifact the checker-facing lookups
+	// read; RebuildCache replaces it. Never nil after construction.
+	art atomic.Pointer[Artifact]
 
 	// paths holds the trained consecutive-edge pairs for the optional
 	// path-sensitive fast path (see paths.go).
 	paths map[uint64]struct{}
-
-	// labelGen counts label-snapshot publications (RebuildCache calls).
-	// A rebuilt snapshot may relabel edges, so consumers caching
-	// verdicts derived from the labels — the guard's approval cache —
-	// key their validity on this generation and re-earn verdicts after
-	// it advances.
-	labelGen atomic.Uint64
-}
-
-// labelSnap is an immutable flat rendering of the training labels: the
-// full labeled graph plus the high-credit subset. Immutable by
-// construction — the flat arenas own their storage, so later Observe
-// calls (which mutate meta in place) cannot reach them.
-type labelSnap struct {
-	full *Flat
-	high *Flat
 }
 
 // FromCFG builds the unlabeled ITC-CFG from a conservative O-CFG by
@@ -183,6 +159,7 @@ func FromCFG(g *cfg.Graph) *Graph {
 	for i := range out.succs {
 		out.Edges += len(out.succs[i])
 	}
+	out.RebuildCache()
 	return out
 }
 
@@ -266,31 +243,12 @@ type EdgeLabel struct {
 	Count uint32
 }
 
-// Lookup performs the full fast-path edge check: membership, credit, and
-// TNT-signature match. After RebuildCache it is lock-free (and stays so
-// until labels change again); otherwise it takes a read lock.
+// Lookup performs the full fast-path edge check against the published
+// labels: membership, credit, and TNT-signature match. Lock-free.
 //
 //fg:hotpath per-TIP-pair on every check
 func (g *Graph) Lookup(src, dst uint64, sig uint64) EdgeLabel {
-	if s := g.snap.Load(); s != nil {
-		return s.full.Lookup(src, dst, sig)
-	}
-	i, ok := g.nodeIndex(src)
-	if !ok {
-		return EdgeLabel{}
-	}
-	j, ok := g.edgeIndex(i, dst)
-	if !ok {
-		return EdgeLabel{}
-	}
-	g.mu.RLock()
-	m := &g.meta[i][j]
-	l := EdgeLabel{Exists: true, HighCredit: m.count > 0, Count: m.count}
-	if l.HighCredit {
-		l.SigMatch = sigMatches(m.sigs, sig)
-	}
-	g.mu.RUnlock()
-	return l
+	return g.art.Load().Lookup(src, dst, sig)
 }
 
 // Observe marks the edge as trained with the given TNT-run signature,
@@ -309,7 +267,6 @@ func (g *Graph) Observe(src, dst uint64, sig uint64) bool {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.snap.Store(nil) // labels changed: invalidate the lock-free snapshot
 	m := &g.meta[i][j]
 	m.count++
 	k := sort.Search(len(m.sigs), func(k int) bool { return m.sigs[k] >= sig })
@@ -340,59 +297,36 @@ func (g *Graph) ObserveWindow(tips []ipt.TIPRecord) bool {
 	return ok
 }
 
-// RebuildCache regenerates the flat lookup tables after training — the
-// full labeled graph and the §5.3 separate high-credit memory — and
-// publishes them as the immutable label snapshot that makes subsequent
-// lookups lock-free. The flat arenas own their storage, so later
-// in-place label mutation cannot alias into a published snapshot.
+// RebuildCache publishes the training labels: it regenerates the flat
+// lookup tables — the full labeled graph and the §5.3 separate
+// high-credit memory — and stores them as the graph's new Artifact, one
+// label generation after the previous one. The flat arenas own their
+// storage, so later in-place label mutation cannot alias into a
+// published artifact.
 func (g *Graph) RebuildCache() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	s := &labelSnap{
+	var gen uint64
+	if prev := g.art.Load(); prev != nil {
+		gen = prev.gen
+	}
+	g.art.Store(&Artifact{
 		full: g.buildFlatLocked(false),
 		high: g.buildFlatLocked(true),
-	}
-	g.high = s.high
-	g.snap.Store(s)
-	g.labelGen.Add(1)
+		gen:  gen + 1,
+	})
 }
 
-// LabelGen returns the label-snapshot generation: the number of
-// RebuildCache publications so far. Lock-free.
-func (g *Graph) LabelGen() uint64 { return g.labelGen.Load() }
+// LabelGen returns the label generation: the number of RebuildCache
+// publications so far, construction's included. Lock-free.
+func (g *Graph) LabelGen() uint64 { return g.art.Load().gen }
 
-// CacheLookup checks the high-credit cache only; a miss does not imply a
-// violation (fall back to Lookup). Lock-free after RebuildCache.
+// CacheLookup probes the published high-credit cache only; a miss does
+// not imply a violation (fall back to Lookup). Lock-free.
 //
 //fg:hotpath
 func (g *Graph) CacheLookup(src, dst uint64, sig uint64) (hit, sigMatch bool) {
-	if s := g.snap.Load(); s != nil {
-		return s.high.CacheLookup(src, dst, sig)
-	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if g.high == nil {
-		return false, false
-	}
-	return g.high.CacheLookup(src, dst, sig)
-}
-
-// sigMatches checks a TNT-run signature against an edge's trained set.
-// An edge trained with the long-run wildcard is TNT-polymorphic: its
-// conditional runs are data-dependent loop trip counts, which TNT
-// labeling cannot disambiguate (the ITC-CFG deliberately avoids path
-// explosion, §4.2), so any presented run is accepted for it. Short-run
-// edges — the Figure 4 forks the labels exist for — still require an
-// exact match.
-//
-//fg:hotpath
-func sigMatches(sigs []uint64, sig uint64) bool {
-	k := searchU64(sigs, sig)
-	if k < len(sigs) && sigs[k] == sig {
-		return true
-	}
-	k = searchU64(sigs, ipt.TNTSigLongRun)
-	return k < len(sigs) && sigs[k] == ipt.TNTSigLongRun
+	return g.art.Load().CacheLookup(src, dst, sig)
 }
 
 // CredStats summarizes credit labeling after training.
@@ -517,9 +451,7 @@ func (g *Graph) MemoryBytes() uint64 {
 			b += uint64(len(g.meta[i][j].sigs)) * 8
 		}
 	}
-	if g.high != nil {
-		b += uint64(g.high.Size())
-	}
+	b += uint64(g.art.Load().high.Size())
 	return b
 }
 

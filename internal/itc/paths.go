@@ -26,7 +26,6 @@ func PathKey(a, b, c uint64) uint64 {
 func (g *Graph) ObservePath(a, b, c uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.snap.Store(nil) // labels changed: invalidate the lock-free snapshot
 	if g.paths == nil {
 		g.paths = make(map[uint64]struct{})
 	}
@@ -34,18 +33,11 @@ func (g *Graph) ObservePath(a, b, c uint64) {
 }
 
 // PathTrained reports whether the consecutive-edge pair was observed in
-// training. Lock-free after RebuildCache, like Lookup.
+// training and published. Lock-free, like Lookup.
 //
 //fg:hotpath
 func (g *Graph) PathTrained(a, b, c uint64) bool {
-	k := PathKey(a, b, c)
-	if s := g.snap.Load(); s != nil {
-		return s.full.PathTrained(k)
-	}
-	g.mu.RLock()
-	_, ok := g.paths[k]
-	g.mu.RUnlock()
-	return ok
+	return g.art.Load().PathTrained(PathKey(a, b, c))
 }
 
 // NumPaths returns the number of distinct trained edge pairs.

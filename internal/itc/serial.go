@@ -10,27 +10,19 @@ import (
 // distribution of the protected software", §3.3, so the labeled ITC-CFG
 // ships alongside the binary and loads at protection time).
 //
-// The wire format IS the flat in-memory form (flat.go): when the label
-// snapshot is current, Encode writes the already-built arena verbatim,
-// and Decode adopts the validated bytes as the lookup tables without
-// copying — the artifact is mapped, not unmarshaled.
+// The wire format IS the flat in-memory form (flat.go): Encode writes
+// the published artifact's arena verbatim, and Decode validates the
+// bytes in one pass — the artifact is mapped, not unmarshaled.
 
-// Encode writes the labeled graph (including path training) to w.
+// Encode writes the published labeled graph (including path training)
+// to w: the labels as of the last RebuildCache, like every lookup.
 func (g *Graph) Encode(w io.Writer) error {
-	var f *Flat
-	if s := g.snap.Load(); s != nil {
-		f = s.full
-	} else {
-		g.mu.RLock()
-		f = g.buildFlatLocked(false)
-		g.mu.RUnlock()
-	}
-	_, err := w.Write(f.Bytes())
+	_, err := w.Write(g.art.Load().Bytes())
 	return err
 }
 
-// Decode reads a labeled graph written by Encode and rebuilds the
-// high-credit cache. The input must be a complete, valid artifact;
+// Decode reads a labeled graph written by Encode and publishes its
+// labels. The input must be a complete, valid artifact;
 // LoadFlat's strict validation makes accepted bytes canonical, so
 // re-encoding the result reproduces them exactly.
 func Decode(r io.Reader) (*Graph, error) {
@@ -42,7 +34,5 @@ func Decode(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("itc: decode: %w", err)
 	}
-	g := graphFromFlat(f)
-	g.RebuildCache()
-	return g, nil
+	return graphFromFlat(f), nil
 }

@@ -96,7 +96,7 @@ func TestCreditLevels(t *testing.T) {
 }
 
 // Property: Observe/Lookup are consistent for arbitrary (edge, sig)
-// probes — observed pairs match, unobserved signatures don't (unless the
+// probes once published — observed pairs match, unobserved signatures don't (unless the
 // long-run wildcard was trained on that edge).
 func TestQuickObserveLookup(t *testing.T) {
 	as := figure4Program(t)
@@ -116,6 +116,7 @@ func TestQuickObserveLookup(t *testing.T) {
 			if got := ig.Observe(src, dst, sig); got != exists {
 				return false
 			}
+			ig.RebuildCache()
 		}
 		l := ig.Lookup(src, dst, sig)
 		if l.Exists != exists {

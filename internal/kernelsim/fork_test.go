@@ -59,7 +59,7 @@ func TestForkBothSidesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sts, err := k.RunInterleaved([]*kernelsim.Process{p}, 50, 0)
+	sts, err := k.RunMulticore([]*kernelsim.Process{p}, 1, 50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestForkCopiesStdinCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sts, err := k.RunInterleaved([]*kernelsim.Process{p}, 50, 0)
+	sts, err := k.RunMulticore([]*kernelsim.Process{p}, 1, 50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestForkVetoedByHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sts, err := k.RunInterleaved([]*kernelsim.Process{p}, 50, 0)
+	sts, err := k.RunMulticore([]*kernelsim.Process{p}, 1, 50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

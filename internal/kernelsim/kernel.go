@@ -202,10 +202,6 @@ type Kernel struct {
 	errMu sync.Mutex
 	// interceptErrs records interceptor failures (see InterceptError).
 	interceptErrs []*InterceptError
-	// OnSwitch, if set, runs at every context switch of RunInterleaved
-	// with the process about to execute — where the kernel reprograms
-	// the per-core trace unit's CR3 state (paper §5.1/§6).
-	OnSwitch func(p *Process)
 	// OnFork, if set, runs inside fork dispatch after the child is
 	// built but before either side resumes — where the kernel module
 	// inherits protection onto the child (guard.KernelModule wires
@@ -217,7 +213,8 @@ type Kernel struct {
 	// with the core about to execute the task — where the kernel
 	// reprograms the core's trace unit: save the outgoing task's trace
 	// context, restore the incoming one's, and emit the PIP/MODE
-	// context-switch marker into the core's shared stream (§5.1/§6).
+	// context-switch marker into the core's shared stream; on one core
+	// with a CR3-filtered unit, just retarget the filter (§5.1/§6).
 	OnCoreSwitch func(core int, p *Process, t *Thread)
 	// OnAsyncFlow, if set, observes every kernel-performed control
 	// transfer invisible to the CPU's branch retirement: signal delivery
@@ -231,7 +228,7 @@ type Kernel struct {
 	// from several processes at once under RunParallel.
 	forkMu sync.Mutex
 	// forked accumulates children created since the last TakeForked
-	// drain; RunInterleaved picks them up at every sweep.
+	// drain; RunMulticore picks them up at every sweep.
 	forked []*Process
 	// cloned accumulates threads created by clone since the last
 	// TakeCloned drain; RunMulticore picks them up at every sweep.
@@ -331,7 +328,7 @@ func (k *Kernel) Spawn(name string, exec *module.Module, libs map[string]*module
 //
 // Fork is safe to call from syscall dispatch during RunParallel: the
 // process table is locked for the insertion, and the child is queued
-// for TakeForked / RunInterleaved pickup.
+// for TakeForked / RunMulticore pickup.
 func (k *Kernel) Fork(parent *Process) (*Process, error) {
 	if parent.AS == nil || parent.CPU == nil {
 		return nil, errors.New("kernelsim: fork of an unspawned process")
@@ -379,7 +376,7 @@ func (k *Kernel) Fork(parent *Process) (*Process, error) {
 // TakeForked drains the queue of children created by fork since the
 // last drain. Schedulers that run a fixed process set (RunParallel)
 // call this after the run — or concurrently, to schedule children as
-// they appear; RunInterleaved drains it automatically every sweep.
+// they appear; RunMulticore drains it automatically every sweep.
 func (k *Kernel) TakeForked() []*Process {
 	k.forkMu.Lock()
 	out := k.forked
@@ -512,63 +509,6 @@ func (k *Kernel) RunParallel(procs []*Process, maxInstrs uint64, maxConcurrent i
 		}
 	}
 	return statuses, nil
-}
-
-// RunInterleaved schedules the processes round-robin on one core with
-// the given instruction quantum, until every process has stopped or the
-// total budget is exhausted. It models the paper's single-core
-// multi-process scenario: one trace unit, one CR3 filter, many address
-// spaces (§6 suggestion 2 exists because this is limiting).
-//
-// Children created by fork join the rotation at the next sweep; their
-// exit statuses are appended after the initial processes', so callers
-// that forked may receive a longer status slice than they passed in
-// (initial indices are preserved).
-func (k *Kernel) RunInterleaved(procs []*Process, quantum, maxTotal uint64) ([]ExitStatus, error) {
-	procs = append([]*Process(nil), procs...)
-	statuses := make([]ExitStatus, len(procs))
-	done := make([]bool, len(procs))
-	remaining := len(procs)
-	var total uint64
-	for {
-		if kids := k.TakeForked(); len(kids) > 0 {
-			procs = append(procs, kids...)
-			statuses = append(statuses, make([]ExitStatus, len(kids))...)
-			done = append(done, make([]bool, len(kids))...)
-			remaining += len(kids)
-		}
-		if remaining == 0 {
-			return statuses, nil
-		}
-		for i, p := range procs {
-			if done[i] {
-				continue
-			}
-			if k.OnSwitch != nil {
-				k.OnSwitch(p)
-			}
-			var err error
-			for n := uint64(0); n < quantum; n++ {
-				if err = p.CPU.Step(); err != nil {
-					break
-				}
-				total++
-				if maxTotal > 0 && total >= maxTotal {
-					return statuses, fmt.Errorf("kernelsim: interleaved budget %d exhausted", maxTotal)
-				}
-			}
-			if err == nil {
-				continue
-			}
-			done[i] = true
-			remaining--
-			st, cerr := k.classify(p, err)
-			if cerr != nil {
-				return statuses, cerr
-			}
-			statuses[i] = st
-		}
-	}
 }
 
 // procSyscalls binds the kernel's syscall dispatch to one thread of one
@@ -796,7 +736,7 @@ func (k *Kernel) dispatch(p *Process, t *Thread, c *cpu.CPU, sysno uint64) error
 		}
 		// Child resumes at the same PC with fork's child-side return
 		// value; it is queued for the scheduler (TakeForked /
-		// RunInterleaved pickup) only once protection is inherited.
+		// RunMulticore pickup) only once protection is inherited.
 		child.CPU.Regs[isa.R0] = 0
 		k.forkMu.Lock()
 		k.forked = append(k.forked, child)

@@ -413,7 +413,10 @@ func TestErrSentinelsAreDistinct(t *testing.T) {
 	}
 }
 
-func TestRunInterleaved(t *testing.T) {
+// TestRunMulticoreOneCoreRoundRobin pins the single-core multi-process
+// schedule: one core, round-robin slices of the quantum, every slice
+// start announced through OnCoreSwitch on core 0.
+func TestRunMulticoreOneCoreRoundRobin(t *testing.T) {
 	k := kernelsim.New()
 	p1, err := k.Spawn("a", helloModule(t), nil, nil, nil)
 	if err != nil {
@@ -424,8 +427,13 @@ func TestRunInterleaved(t *testing.T) {
 		t.Fatal(err)
 	}
 	var switches []int
-	k.OnSwitch = func(p *kernelsim.Process) { switches = append(switches, p.PID) }
-	sts, err := k.RunInterleaved([]*kernelsim.Process{p1, p2}, 4, 100000)
+	k.OnCoreSwitch = func(core int, p *kernelsim.Process, _ *kernelsim.Thread) {
+		if core != 0 {
+			t.Errorf("one-core schedule ran a slice on core %d", core)
+		}
+		switches = append(switches, p.PID)
+	}
+	sts, err := k.RunMulticore([]*kernelsim.Process{p1, p2}, 1, 4, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +460,7 @@ func TestRunInterleaved(t *testing.T) {
 	}
 }
 
-func TestRunInterleavedBudget(t *testing.T) {
+func TestRunMulticoreOneCoreBudget(t *testing.T) {
 	// An infinite-loop module must trip the total budget.
 	b := asm.NewModule("spin")
 	f := b.Func("main", 0, true)
@@ -465,7 +473,7 @@ func TestRunInterleavedBudget(t *testing.T) {
 	}
 	k := kernelsim.New()
 	p, _ := k.Spawn("spin", m, nil, nil, nil)
-	if _, err := k.RunInterleaved([]*kernelsim.Process{p}, 16, 1000); err == nil {
+	if _, err := k.RunMulticore([]*kernelsim.Process{p}, 1, 16, 1000); err == nil {
 		t.Fatal("budget not enforced")
 	}
 }

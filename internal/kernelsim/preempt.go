@@ -159,8 +159,13 @@ type task struct {
 // context-switch marker) and then delivers any pending cross-process
 // signals onto the thread about to run. Forked children and cloned
 // threads join the rotation at the next sweep. Statuses are reported
-// per process in RunInterleaved's convention: initial indices preserved,
-// forked children appended.
+// per process: initial indices preserved, forked children appended, so
+// callers that forked may receive a longer status slice than they
+// passed in.
+//
+// With cores = 1 this is the paper's single-core multi-process scenario:
+// one trace unit, one CR3 filter, many address spaces (§6 suggestion 2
+// exists because this is limiting).
 func (k *Kernel) RunMulticore(procs []*Process, cores int, quantum, maxTotal uint64) ([]ExitStatus, error) {
 	if cores < 1 {
 		cores = 1

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"maps"
 	"sort"
 
 	"flowguard/internal/cfg"
@@ -13,17 +14,41 @@ type edge struct{ src, dst uint64 }
 // itc.FromCFG derives, rebuilt here with maps, per-query scans, and a
 // sequential breadth-first search. Training labels (credit counts and
 // TNT signature sets) live in plain maps, and path-sensitive triples are
-// stored as exact 3-tuples rather than hashes.
+// stored as exact 3-tuples rather than hashes. Like the production
+// graph, lookups answer from the labels as of the last Rebuild: an
+// observation becomes visible when it is published.
 type Ref struct {
-	nodes  map[uint64]bool
-	edges  map[edge]bool
-	counts map[edge]uint32
-	sigs   map[edge]map[uint64]bool
-	paths  map[[3]uint64]bool
+	nodes map[uint64]bool
+	edges map[edge]bool
+	// trained accumulates observations; pub is the copy Rebuild last
+	// published, the one lookups read.
+	trained, pub labels
 
 	// gen counts label rebuilds; the oracle's approval store keys its
 	// validity on it, mirroring the production generation counter.
 	gen uint64
+}
+
+// labels is one set of training labels.
+type labels struct {
+	counts map[edge]uint32
+	sigs   map[edge]map[uint64]bool
+	paths  map[[3]uint64]bool
+}
+
+// clone deep-copies the labels (nil maps come back empty).
+func (l labels) clone() labels {
+	out := labels{
+		counts: make(map[edge]uint32, len(l.counts)),
+		sigs:   make(map[edge]map[uint64]bool, len(l.sigs)),
+		paths:  make(map[[3]uint64]bool, len(l.paths)),
+	}
+	maps.Copy(out.counts, l.counts)
+	maps.Copy(out.paths, l.paths)
+	for e, set := range l.sigs {
+		out.sigs[e] = maps.Clone(set)
+	}
+	return out
 }
 
 // NewRef derives the reference ITC-CFG from the static O-CFG: the nodes
@@ -32,12 +57,11 @@ type Ref struct {
 // only.
 func NewRef(g *cfg.Graph) *Ref {
 	r := &Ref{
-		nodes:  make(map[uint64]bool),
-		edges:  make(map[edge]bool),
-		counts: make(map[edge]uint32),
-		sigs:   make(map[edge]map[uint64]bool),
-		paths:  make(map[[3]uint64]bool),
+		nodes: make(map[uint64]bool),
+		edges: make(map[edge]bool),
 	}
+	r.trained = r.trained.clone()
+	r.pub = r.trained.clone()
 	for _, b := range g.Blocks {
 		for _, t := range b.IndTargets {
 			r.nodes[t] = true
@@ -120,26 +144,19 @@ func (r *Ref) ObserveTrace(raw []byte) error {
 
 func (r *Ref) observeRecords(recs []tipRec) {
 	for i := 0; i+1 < len(recs); i++ {
-		src, dst, sig := recs[i].IP, recs[i+1].IP, recs[i+1].Sig
-		e := edge{src, dst}
-		if r.edges[e] {
-			r.counts[e]++
-			set := r.sigs[e]
-			if set == nil {
-				set = make(map[uint64]bool)
-				r.sigs[e] = set
-			}
-			set[sig] = true
-		}
+		r.Observe(recs[i].IP, recs[i+1].IP, recs[i+1].Sig)
 		if i+2 < len(recs) {
-			r.paths[[3]uint64{src, dst, recs[i+2].IP}] = true
+			r.ObservePath(recs[i].IP, recs[i+1].IP, recs[i+2].IP)
 		}
 	}
 }
 
-// Rebuild publishes the trained labels: in the reference there is
-// nothing to snapshot, only the generation to advance.
-func (r *Ref) Rebuild() { r.gen++ }
+// Rebuild publishes the trained labels — a copy, so later observations
+// stay invisible until the next Rebuild — and advances the generation.
+func (r *Ref) Rebuild() {
+	r.pub = r.trained.clone()
+	r.gen++
+}
 
 // Gen returns the label generation.
 func (r *Ref) Gen() uint64 { return r.gen }
@@ -160,11 +177,11 @@ func (r *Ref) Observe(src, dst, sig uint64) bool {
 	if !r.edges[e] {
 		return false
 	}
-	r.counts[e]++
-	set := r.sigs[e]
+	r.trained.counts[e]++
+	set := r.trained.sigs[e]
 	if set == nil {
 		set = make(map[uint64]bool)
-		r.sigs[e] = set
+		r.trained.sigs[e] = set
 	}
 	set[sig] = true
 	return true
@@ -172,10 +189,10 @@ func (r *Ref) Observe(src, dst, sig uint64) bool {
 
 // ObservePath trains one consecutive-edge triple.
 func (r *Ref) ObservePath(a, b, c uint64) {
-	r.paths[[3]uint64{a, b, c}] = true
+	r.trained.paths[[3]uint64{a, b, c}] = true
 }
 
-// PathObserved reports whether the triple was trained.
+// PathObserved reports whether the triple was trained and published.
 func (r *Ref) PathObserved(a, b, c uint64) bool { return r.pathTrained(a, b, c) }
 
 // lookup classifies one observed transfer: whether the edge is in the
@@ -186,16 +203,16 @@ func (r *Ref) lookup(src, dst, sig uint64) (exists bool, count uint32, sigOK boo
 	if !r.edges[e] {
 		return false, 0, false
 	}
-	count = r.counts[e]
+	count = r.pub.counts[e]
 	if count > 0 {
-		set := r.sigs[e]
+		set := r.pub.sigs[e]
 		sigOK = set[sig] || set[tntSigLongRun]
 	}
 	return true, count, sigOK
 }
 
 // pathTrained reports whether the consecutive-edge triple was observed
-// in training.
+// in training and published.
 func (r *Ref) pathTrained(a, b, c uint64) bool {
-	return r.paths[[3]uint64{a, b, c}]
+	return r.pub.paths[[3]uint64{a, b, c}]
 }
