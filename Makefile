@@ -85,6 +85,7 @@ fuzz-smoke:
 fuzz:
 	$(GO) test -fuzz FuzzTNTAnnotations -fuzztime 30s ./internal/trace/ipt/
 	$(GO) test -fuzz FuzzWindowDecoder -fuzztime 30s ./internal/trace/ipt/
+	$(GO) test -fuzz FuzzDecodeFullMatchesReference -fuzztime 30s ./internal/trace/ipt/
 	$(GO) test -fuzz FuzzHybridVsOracle -fuzztime 60s ./internal/harness/
 
 # Long differential soak of the optimized hybrid pipeline against the

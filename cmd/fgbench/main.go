@@ -24,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"flowguard/internal/apps"
 	"flowguard/internal/harness"
 	"flowguard/internal/perfstat"
 )
@@ -107,8 +108,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		for name, x := range per {
-			fmt.Printf("  %-12s %.0fx\n", name, x)
+		for _, a := range apps.SpecApps() {
+			fmt.Printf("  %-12s %.0fx\n", a.Name, per[a.Name])
 		}
 		fmt.Printf("  geomean: %.0fx (paper: ~230x)\n", geo)
 	}

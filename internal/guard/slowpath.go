@@ -25,61 +25,75 @@ func (g *Guard) slowPath(res *Result, tips []ipt.TIPRecord, region []byte) {
 	if len(region) == 0 {
 		return // nothing decodable; fast-path verdict stands
 	}
-	ft, err := ipt.DecodeFull(g.AS, region, 0)
-	if ft != nil {
-		res.SlowCycles += ft.Cycles()
+	evs, err := ipt.DecodeFast(region)
+	var w ipt.FlowWalk
+	if err == nil {
+		w, err = ipt.NewFlowWalk(g.AS, evs, 0)
 	}
 	if err != nil {
-		// The reconstructed flow left mapped executable memory: only a
-		// hijacked control flow does that.
 		res.Verdict = VerdictViolation
 		res.Reason = fmt.Sprintf("slow path: flow reconstruction failed: %v", err)
 		return
 	}
 
-	// Shadow stack over the reconstructed window. The window may begin
-	// mid-execution, so returns that underflow the window-local stack
-	// fall back to the O-CFG return-matching check only. At each
-	// overflow-resynchronization seam the walk restarted from a PSB with
-	// an unknown call depth, so the stack is cleared: popping frames
-	// pushed before the seam would fault legitimate returns.
-	var shadow []uint64
-	nextResync := 0
-	for fi, b := range ft.Flow {
-		for nextResync < len(ft.ResyncPoints) && ft.ResyncPoints[nextResync] <= fi {
-			shadow = shadow[:0]
-			nextResync++
+	// Check every edge as the walk reconstructs it, with a shadow stack
+	// over the window. The window may begin mid-execution, so returns
+	// that underflow the window-local stack fall back to the O-CFG
+	// return-matching check only. At each overflow-resynchronization
+	// seam the walk restarted from a PSB with an unknown call depth, so
+	// the stack is cleared: popping frames pushed before the seam would
+	// fault legitimate returns. After the first violation the walk still
+	// runs to its end: a flow that cannot be reconstructed is reported
+	// as such, and the decode is charged in full either way.
+	var frames [32]uint64
+	shadow := frames[:0]
+	resyncs := 0
+	violation := ""
+	for w.Next() {
+		if violation != "" {
+			continue
 		}
-		if !g.OCFG.ContainsEdge(b.Source, b.Target, b.Class) {
-			res.Verdict = VerdictViolation
-			res.Reason = fmt.Sprintf("slow path: O-CFG mismatch: %v %s -> %s",
-				b.Class, g.AS.SymbolFor(b.Source), g.AS.SymbolFor(b.Target))
-			return
+		e := w.Edge()
+		if n := w.Resyncs(); n != resyncs {
+			shadow, resyncs = shadow[:0], n
 		}
-		op := g.opAt(b.Source)
-		switch op {
+		if !g.OCFG.ContainsEdge(e.Source, e.Target, e.Class) {
+			violation = fmt.Sprintf("slow path: O-CFG mismatch: %v %s -> %s",
+				e.Class, g.AS.SymbolFor(e.Source), g.AS.SymbolFor(e.Target))
+			continue
+		}
+		switch e.Op {
 		case isa.CALL, isa.CALLR:
-			shadow = append(shadow, b.Source+isa.InstrSize)
+			shadow = append(shadow, e.Source+isa.InstrSize)
 		case isa.RET:
 			if len(shadow) == 0 {
 				continue // truncated prologue: matching already checked
 			}
 			want := shadow[len(shadow)-1]
 			shadow = shadow[:len(shadow)-1]
-			if b.Target != want {
-				res.Verdict = VerdictViolation
-				res.Reason = fmt.Sprintf("slow path: shadow stack: ret %s -> %s, want %s",
-					g.AS.SymbolFor(b.Source), g.AS.SymbolFor(b.Target), g.AS.SymbolFor(want))
-				return
+			if e.Target != want {
+				violation = fmt.Sprintf("slow path: shadow stack: ret %s -> %s, want %s",
+					g.AS.SymbolFor(e.Source), g.AS.SymbolFor(e.Target), g.AS.SymbolFor(want))
 			}
 		case isa.SYSCALL:
-			if b.Target != b.Source+isa.InstrSize {
-				res.Verdict = VerdictViolation
-				res.Reason = fmt.Sprintf("slow path: far transfer resumed at %s",
-					g.AS.SymbolFor(b.Target))
-				return
+			if e.Target != e.Source+isa.InstrSize {
+				violation = fmt.Sprintf("slow path: far transfer resumed at %s",
+					g.AS.SymbolFor(e.Target))
 			}
 		}
+	}
+	res.SlowCycles += w.Instrs() * ipt.CyclesPerDecodedInstr
+	if err := w.Err(); err != nil {
+		// The reconstructed flow left mapped executable memory: only a
+		// hijacked control flow does that.
+		res.Verdict = VerdictViolation
+		res.Reason = fmt.Sprintf("slow path: flow reconstruction failed: %v", err)
+		return
+	}
+	if violation != "" {
+		res.Verdict = VerdictViolation
+		res.Reason = violation
+		return
 	}
 
 	// No attack: remember the suspicious edges (and, in path-sensitive
@@ -99,18 +113,4 @@ func (g *Guard) slowPath(res *Result, tips []ipt.TIPRecord, region []byte) {
 			g.appr.ApprovePath(itc.PathKey(src, dst, tips[i+2].IP))
 		}
 	}
-}
-
-// opAt decodes the opcode at a code address (0 instruction count cost:
-// already charged through the full decode).
-func (g *Guard) opAt(addr uint64) isa.Op {
-	raw, err := g.AS.FetchInstr(addr)
-	if err != nil {
-		return isa.NOP
-	}
-	in, err := isa.Decode(raw)
-	if err != nil {
-		return isa.NOP
-	}
-	return in.Op
 }

@@ -152,6 +152,9 @@ func compareResults(check int, g guard.Result, o oracle.Result) (divs []string) 
 	if g.Retries != o.Retries {
 		add("retries", g.Retries, o.Retries)
 	}
+	if want := o.FlowInstrs * ipt.CyclesPerDecodedInstr; g.SlowCycles != want {
+		add("slow-cycles", g.SlowCycles, want)
+	}
 	return divs
 }
 

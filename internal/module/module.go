@@ -17,6 +17,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
+
+	"flowguard/internal/isa"
 )
 
 // SymKind distinguishes function symbols from data objects.
@@ -212,6 +216,11 @@ type Segment struct {
 	// IsCode marks the code segment of a module.
 	IsCode bool
 	Name   string
+
+	// code is the segment's code map once built (see CodeMapAt); codeMu
+	// serializes building it against Mprotect.
+	codeMu sync.Mutex
+	code   atomic.Pointer[CodeMap]
 }
 
 // End returns the first address past the segment.
@@ -285,6 +294,9 @@ type AddressSpace struct {
 	VDSO *Loaded
 	// InitialSP is the stack pointer at process start.
 	InitialSP uint64
+
+	// mapsBuilt counts the code maps built in this address space.
+	mapsBuilt atomic.Uint64
 }
 
 // LoadOption customizes Load.
@@ -596,16 +608,25 @@ func (as *AddressSpace) Mmap(size uint64, perm Perm) (uint64, error) {
 	return base, nil
 }
 
-// Mprotect changes the permissions of the segment containing addr. It
-// refuses to make a code segment writable or a data segment executable
-// unless force is set; the threat model keeps W^X intact, and the syscall
-// itself is a guarded endpoint.
+// Mprotect sets the permissions of the whole segment containing addr to
+// perm. It enforces no W^X policy: any combination is accepted, for code
+// and data segments alike, because the syscall itself is a guarded
+// endpoint (the threat model puts the check there, not in the loader).
+//
+// Mprotect also drops the segment's code map. A map is built only for a
+// segment that is executable and not writable, and nothing can change
+// such a segment's bytes, so the map stays exact until the next
+// Mprotect; the walk rebuilds it on first use after the segment is
+// executable and read-only again.
 func (as *AddressSpace) Mprotect(addr uint64, perm Perm) error {
 	seg := as.FindSegment(addr)
 	if seg == nil {
 		return &Fault{Kind: FaultUnmapped, Addr: addr, Op: "mprotect"}
 	}
+	seg.codeMu.Lock()
 	seg.Perm = perm
+	seg.code.Store(nil)
+	seg.codeMu.Unlock()
 	return nil
 }
 
@@ -628,9 +649,14 @@ func (as *AddressSpace) Clone() *AddressSpace {
 	}
 	out.segs = make([]*Segment, len(as.segs))
 	for i, s := range as.segs {
-		ns := *s
-		ns.Data = append([]byte(nil), s.Data...)
-		out.segs[i] = &ns
+		ns := &Segment{
+			Base: s.Base, Perm: s.Perm, Data: append([]byte(nil), s.Data...),
+			Mod: s.Mod, IsCode: s.IsCode, Name: s.Name,
+		}
+		// The child's bytes equal the parent's and a map is immutable,
+		// so the child shares the parent's map until its own Mprotect.
+		ns.code.Store(s.code.Load())
+		out.segs[i] = ns
 	}
 	return out
 }
@@ -660,5 +686,98 @@ func (as *AddressSpace) SymbolFor(addr uint64) string {
 	}
 	return fmt.Sprintf("%s+%#x", l.Mod.Name, off)
 }
+
+// CodeMap is the predecoded view of one executable, non-writable
+// segment: the decoded instruction of every 8-byte slot and, for each
+// slot, how many straight-line instructions follow before the next stop.
+// A stop is a change-of-flow instruction, HALT, an undecodable slot or
+// the segment end. The instruction-flow walk uses it to step whole basic
+// blocks instead of fetching and decoding one instruction at a time (the
+// analogue of Griffin's mirror pages and of libipt's block decoder). A
+// map is immutable once built.
+type CodeMap struct {
+	base  uint64 // address of slot 0 (the segment base)
+	slots []CodeSlot
+}
+
+// CodeSlot is one instruction slot of a CodeMap.
+type CodeSlot struct {
+	// Instr is the decoded instruction. At an undecodable slot it is the
+	// zero value, whose opcode (NOP) is never a stop; a stop slot holding
+	// neither a change-of-flow instruction nor HALT is therefore
+	// undecodable.
+	Instr isa.Instr
+	// Run is the number of consecutive instructions from this slot on
+	// that are not stops: 0 at a stop, and at most the slots left before
+	// the segment end.
+	Run uint32
+}
+
+// Slot returns the slot at pc, or nil when pc lies outside the map or is
+// not on an instruction boundary.
+func (m *CodeMap) Slot(pc uint64) *CodeSlot {
+	off := pc - m.base
+	if pc < m.base || off%isa.InstrSize != 0 || off/isa.InstrSize >= uint64(len(m.slots)) {
+		return nil
+	}
+	return &m.slots[off/isa.InstrSize]
+}
+
+// buildCodeMap decodes every slot of data and links each slot to the
+// next stop.
+func buildCodeMap(base uint64, data []byte) *CodeMap {
+	n := len(data) / isa.InstrSize
+	m := &CodeMap{base: base, slots: make([]CodeSlot, n)}
+	var run uint32
+	for i := n - 1; i >= 0; i-- {
+		in, err := isa.Decode(data[i*isa.InstrSize:])
+		switch {
+		case err != nil:
+			in, run = isa.Instr{}, 0
+		case in.Op.IsCoFI() || in.Op == isa.HALT:
+			run = 0
+		default:
+			run++
+		}
+		m.slots[i] = CodeSlot{Instr: in, Run: run}
+	}
+	return m
+}
+
+// CodeMapAt returns the code map of the segment containing pc, building
+// and publishing it on first use. It returns nil when pc is unmapped or
+// its segment is not executable, or is writable: the bytes of a
+// writable segment can change under the map, so such code is only ever
+// fetched and decoded instruction by instruction. Concurrent callers
+// build a segment's map once.
+func (as *AddressSpace) CodeMapAt(pc uint64) *CodeMap {
+	seg := as.FindSegment(pc)
+	if seg == nil {
+		return nil
+	}
+	if m := seg.code.Load(); m != nil {
+		return m
+	}
+	if seg.Perm&(PermW|PermX) != PermX {
+		return nil
+	}
+	seg.codeMu.Lock()
+	defer seg.codeMu.Unlock()
+	if seg.Perm&(PermW|PermX) != PermX {
+		return nil
+	}
+	m := seg.code.Load()
+	if m == nil {
+		m = buildCodeMap(seg.Base, seg.Data)
+		seg.code.Store(m)
+		as.mapsBuilt.Add(1)
+	}
+	return m
+}
+
+// CodeMapsBuilt returns how many code maps CodeMapAt has built in this
+// address space: one per executable segment used, plus one per rebuild
+// after an Mprotect. Maps a Clone inherits are not counted again.
+func (as *AddressSpace) CodeMapsBuilt() uint64 { return as.mapsBuilt.Load() }
 
 func align(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }

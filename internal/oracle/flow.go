@@ -136,12 +136,14 @@ func (c *pktCursor) seekPSB() (uint64, bool) {
 // packets by walking the binaries: fetch, decode, consume a TNT bit at
 // each conditional and a TIP at each indirect transfer. resyncPts marks
 // flow indices where reconstruction resumed at a later PSB (stateful
-// consumers reset across the seam).
-func (o *Oracle) walkFlow(pkts []Packet) (flow []flowEdge, resyncPts []int, err error) {
+// consumers reset across the seam). instrs counts the instructions
+// fetched and decoded, up to a fetch or decode error: the input of the
+// production cycle model, which charges every retired instruction.
+func (o *Oracle) walkFlow(pkts []Packet) (flow []flowEdge, resyncPts []int, instrs uint64, err error) {
 	cur := &pktCursor{pkts: pkts}
 	ip, ok := cur.seekPSB()
 	if !ok {
-		return nil, nil, errNoSync
+		return nil, nil, 0, errNoSync
 	}
 	resync := func() bool {
 		nip, ok := cur.seekPSB()
@@ -163,12 +165,13 @@ func (o *Oracle) walkFlow(pkts []Packet) (flow []flowEdge, resyncPts []int, err 
 		}
 		raw, ferr := o.AS.FetchInstr(ip)
 		if ferr != nil {
-			return flow, resyncPts, fmt.Errorf("oracle: flow fetch at %#x: %w", ip, ferr)
+			return flow, resyncPts, instrs, fmt.Errorf("oracle: flow fetch at %#x: %w", ip, ferr)
 		}
 		in, derr := isa.Decode(raw)
 		if derr != nil {
-			return flow, resyncPts, fmt.Errorf("oracle: flow decode at %#x: %w", ip, derr)
+			return flow, resyncPts, instrs, fmt.Errorf("oracle: flow decode at %#x: %w", ip, derr)
 		}
+		instrs++
 		next := ip + isa.InstrSize
 		switch in.Op {
 		case isa.JMP, isa.CALL:
@@ -178,13 +181,13 @@ func (o *Oracle) walkFlow(pkts []Packet) (flow []flowEdge, resyncPts []int, err 
 		case isa.JCC:
 			taken, terr := cur.nextTNT()
 			if errors.Is(terr, errExhausted) {
-				return flow, resyncPts, nil
+				return flow, resyncPts, instrs, nil
 			}
 			if terr != nil {
 				if resync() {
 					continue
 				}
-				return flow, resyncPts, nil
+				return flow, resyncPts, instrs, nil
 			}
 			t := next
 			if taken {
@@ -199,37 +202,37 @@ func (o *Oracle) walkFlow(pkts []Packet) (flow []flowEdge, resyncPts []int, err 
 			}
 			p, perr := cur.nextIP(PkTIP)
 			if errors.Is(perr, errExhausted) {
-				return flow, resyncPts, nil
+				return flow, resyncPts, instrs, nil
 			}
 			if perr != nil {
 				if resync() {
 					continue
 				}
-				return flow, resyncPts, nil
+				return flow, resyncPts, instrs, nil
 			}
 			flow = append(flow, flowEdge{class, ip, p.IP, true})
 			ip = p.IP
 		case isa.SYSCALL:
 			if _, perr := cur.nextIP(PkFUP); perr != nil {
 				if errors.Is(perr, errExhausted) {
-					return flow, resyncPts, nil
+					return flow, resyncPts, instrs, nil
 				}
 				if resync() {
 					continue
 				}
-				return flow, resyncPts, nil
+				return flow, resyncPts, instrs, nil
 			}
 			if _, perr := cur.nextIP(PkTIPPGD); perr != nil {
-				return flow, resyncPts, nil
+				return flow, resyncPts, instrs, nil
 			}
 			pge, perr := cur.nextIP(PkTIPPGE)
 			if perr != nil {
-				return flow, resyncPts, nil
+				return flow, resyncPts, instrs, nil
 			}
 			flow = append(flow, flowEdge{isa.CoFIFarTransfer, ip, pge.IP, true})
 			ip = pge.IP
 		case isa.HALT:
-			return flow, resyncPts, nil
+			return flow, resyncPts, instrs, nil
 		default:
 			ip = next
 		}
@@ -302,7 +305,9 @@ func (o *Oracle) slowPath(res *Result, recs []tipRec, region []byte) {
 	if perr == nil {
 		var flow []flowEdge
 		var resyncPts []int
-		flow, resyncPts, perr = o.walkFlow(pkts)
+		var instrs uint64
+		flow, resyncPts, instrs, perr = o.walkFlow(pkts)
+		res.FlowInstrs += instrs
 		if perr == nil {
 			var shadow []uint64
 			nextResync := 0

@@ -80,6 +80,10 @@ type Result struct {
 	Health       Health
 	Degraded     bool
 	Retries      int
+	// FlowInstrs is the number of instructions the slow path's flow walk
+	// fetched and decoded, summed over the check's slow paths: the
+	// production cycle model charges each one.
+	FlowInstrs uint64
 }
 
 // Stats accumulates the checking counters whose values the production

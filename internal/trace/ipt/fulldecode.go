@@ -54,30 +54,33 @@ type tokenCursor struct {
 var errExhausted = errors.New("ipt: trace data exhausted")
 var errDesync = errors.New("ipt: decoder desynchronized")
 
-func (c *tokenCursor) skipMeta() {
-	for c.i < len(c.evs) {
-		switch e := c.evs[c.i]; e.Kind {
-		case KindPAD, KindPIP, KindPSBEND, KindMODE:
-			c.i++
-		case KindPSB:
-			c.i++
+func (c *tokenCursor) skipMeta() { c.i, c.bit = c.skipFrom(c.i, c.bit) }
+
+// skipFrom returns the position of the first event at or after (i, bit)
+// that is not synchronization-only, without moving the cursor.
+func (c *tokenCursor) skipFrom(i, bit int) (int, int) {
+	for i < len(c.evs) {
+		switch e := &c.evs[i]; e.Kind {
+		case KindPAD, KindPIP, KindPSBEND, KindMODE, KindPSB:
+			i++
 		case KindFUP:
 			if e.Ctx {
-				c.i++ // PSB+ context, redundant with walk state
+				i++ // PSB+ context, redundant with walk state
 				continue
 			}
-			return
+			return i, bit
 		case KindTNT:
-			if c.bit >= e.TNTCount {
-				c.i++
-				c.bit = 0
+			if bit >= e.TNTCount {
+				i++
+				bit = 0
 				continue
 			}
-			return
+			return i, bit
 		default:
-			return
+			return i, bit
 		}
 	}
+	return i, bit
 }
 
 // nextTNT pops the oldest pending conditional outcome.
@@ -86,7 +89,7 @@ func (c *tokenCursor) nextTNT() (bool, error) {
 	if c.i >= len(c.evs) {
 		return false, errExhausted
 	}
-	e := c.evs[c.i]
+	e := &c.evs[c.i]
 	if e.Kind != KindTNT {
 		if e.Kind == KindOVF {
 			return false, errDesync
@@ -116,38 +119,36 @@ func (c *tokenCursor) nextIP(want Kind) (Event, error) {
 	return e, nil
 }
 
-// nextAsync consumes an asynchronous-transfer pair — a non-context FUP
-// whose IP matches the current walk position, immediately followed by a
-// TIP — and returns the TIP target. The kernel emits this shape at signal
-// delivery (FUP = interrupted PC, TIP = handler entry) and at sigreturn
-// (FUP = resume point of the handler, TIP = restored context). The jump
-// is performed by the kernel, not by a retired branch, so the walker
-// relocates without recording a flow edge: async edges are not part of
-// the on-disk CFG and must not feed edge checks. On any mismatch the
-// cursor is restored and (0, false) is returned.
-func (c *tokenCursor) nextAsync(ip uint64) (uint64, bool) {
-	si, sbit := c.i, c.bit
+// pendingAsync reports whether an asynchronous-transfer pair is
+// pending — a non-context FUP immediately followed by a TIP — and the
+// FUP's IP, without moving the cursor. The kernel emits this shape at
+// signal delivery (FUP = interrupted PC, TIP = handler entry) and at
+// sigreturn (FUP = resume point of the handler, TIP = restored
+// context). The jump is performed by the kernel, not by a retired
+// branch, so the walker relocates without recording a flow edge: async
+// edges are not part of the on-disk CFG and must not feed edge checks.
+func (c *tokenCursor) pendingAsync() (fup uint64, ok bool) {
+	i, _ := c.skipFrom(c.i, c.bit)
+	if i >= len(c.evs) || c.evs[i].Kind != KindFUP || c.evs[i].Ctx {
+		return 0, false
+	}
+	j, _ := c.skipFrom(i+1, 0)
+	if j >= len(c.evs) || c.evs[j].Kind != KindTIP {
+		return 0, false
+	}
+	return c.evs[i].IP, true
+}
+
+// takeAsync consumes the pending asynchronous-transfer pair that
+// pendingAsync reported and returns the TIP target.
+func (c *tokenCursor) takeAsync() uint64 {
 	c.skipMeta()
-	if c.i >= len(c.evs) {
-		c.i, c.bit = si, sbit
-		return 0, false
-	}
-	e := c.evs[c.i]
-	if e.Kind != KindFUP || e.Ctx || e.IP != ip {
-		c.i, c.bit = si, sbit
-		return 0, false
-	}
 	c.i++
 	c.bit = 0
 	c.skipMeta()
-	if c.i >= len(c.evs) || c.evs[c.i].Kind != KindTIP {
-		c.i, c.bit = si, sbit
-		return 0, false
-	}
 	t := c.evs[c.i].IP
 	c.i++
-	c.bit = 0
-	return t, true
+	return t
 }
 
 // seekPSB advances to the next PSB and returns its context IP, used for
@@ -176,10 +177,9 @@ func (c *tokenCursor) seekPSB() (uint64, bool) {
 
 // DecodeFull is the instruction-flow-layer decoder (the Intel reference
 // library analogue, §2/§5.3): it synchronizes at a PSB, then walks the
-// program binaries instruction by instruction, consuming TNT bits at
-// conditional branches and TIP targets at indirect branches/returns to
-// reconstruct the complete control flow. maxInstrs bounds the walk
-// (0 = unlimited).
+// program binaries, consuming TNT bits at conditional branches and TIP
+// targets at indirect branches/returns to reconstruct the complete
+// control flow. maxInstrs bounds the walk (0 = unlimited).
 func DecodeFull(as *module.AddressSpace, buf []byte, maxInstrs uint64) (*FullTrace, error) {
 	evs, err := DecodeFast(buf)
 	if err != nil {
@@ -189,29 +189,154 @@ func DecodeFull(as *module.AddressSpace, buf []byte, maxInstrs uint64) (*FullTra
 }
 
 // DecodeFullEvents runs the instruction-flow walk over already
-// fast-decoded events.
+// fast-decoded events and collects its output.
 func DecodeFullEvents(as *module.AddressSpace, evs []Event, maxInstrs uint64) (*FullTrace, error) {
-	cur := &tokenCursor{evs: evs}
-	ip, ok := cur.seekPSB()
+	w, err := NewFlowWalk(as, evs, maxInstrs)
+	if err != nil {
+		return nil, err
+	}
+	ft := &FullTrace{StartIP: w.StartIP()}
+	for w.Next() {
+		ft.noteResyncs(w.Resyncs())
+		ft.Flow = append(ft.Flow, w.Edge().Branch)
+	}
+	ft.noteResyncs(w.Resyncs())
+	ft.Instrs, ft.EndIP = w.Instrs(), w.EndIP()
+	return ft, w.Err()
+}
+
+// noteResyncs records a resynchronization point at the current end of
+// Flow for each resync the walk made since the last call.
+func (t *FullTrace) noteResyncs(n int) {
+	for ; t.Resyncs < n; t.Resyncs++ {
+		t.ResyncPoints = append(t.ResyncPoints, len(t.Flow))
+	}
+}
+
+// FlowEdge is one reconstructed change-of-flow event together with the
+// opcode of the instruction that made it.
+type FlowEdge struct {
+	trace.Branch
+	Op isa.Op
+}
+
+// FlowWalk is the instruction-flow walk as an iterator: Next advances to
+// the next reconstructed edge, so a consumer can check edges as they are
+// found without collecting them. DecodeFullEvents is the collecting
+// consumer.
+//
+// The walk steps basic blocks, not instructions. Inside an executable,
+// read-only segment it reads the segment's code map (module.CodeMap): a
+// straight-line run adds its instruction count in one step, clamped by
+// maxInstrs and by a pending asynchronous FUP inside the run, and only
+// the run's stop instruction is taken from the map. Where no map applies
+// — a misaligned IP, a writable or unmapped page — it fetches and
+// decodes each instruction. Either way the walk retires, counts and
+// reports exactly what an instruction-by-instruction walk would.
+type FlowWalk struct {
+	as        *module.AddressSpace
+	cur       tokenCursor
+	maxInstrs uint64
+	cm        *module.CodeMap // map of the segment last stepped in
+
+	// The pending async FUP as last probed at cursor position
+	// (pkI, pkBit): the cursor stands still across a straight-line run,
+	// so the probe is redone only after it moved.
+	pkI, pkBit       int
+	pkFUP            uint64
+	pkAsync, pkValid bool
+
+	startIP, ip uint64
+	instrs      uint64
+	resyncs     int
+	edge        FlowEdge
+	err         error
+	done        bool
+}
+
+// NewFlowWalk synchronizes at the first PSB of evs and returns a walk
+// positioned there, or ErrNoSync. maxInstrs bounds the walk (0 =
+// unlimited).
+func NewFlowWalk(as *module.AddressSpace, evs []Event, maxInstrs uint64) (FlowWalk, error) {
+	w := FlowWalk{as: as, cur: tokenCursor{evs: evs}, maxInstrs: maxInstrs}
+	ip, ok := w.cur.seekPSB()
 	if !ok {
-		return nil, ErrNoSync
+		return FlowWalk{}, ErrNoSync
 	}
-	ft := &FullTrace{StartIP: ip}
+	w.startIP, w.ip = ip, ip
+	return w, nil
+}
 
-	resync := func() bool {
-		nip, ok := cur.seekPSB()
-		if !ok {
-			return false
+// Edge returns the edge the last successful Next found.
+func (w *FlowWalk) Edge() FlowEdge { return w.edge }
+
+// Resyncs returns how many overflow resynchronizations the walk has made
+// so far: between the previous edge and the current one the flow is not
+// control-flow-adjacent when this count grew.
+func (w *FlowWalk) Resyncs() int { return w.resyncs }
+
+// Instrs returns the number of instructions walked so far (the decode
+// cost driver).
+func (w *FlowWalk) Instrs() uint64 { return w.instrs }
+
+// StartIP returns the synchronization address.
+func (w *FlowWalk) StartIP() uint64 { return w.startIP }
+
+// EndIP returns the instruction pointer where the walk ended.
+func (w *FlowWalk) EndIP() uint64 { return w.ip }
+
+// Err returns the fetch or decode error that ended the walk, if any. Trace
+// data running out is not an error.
+func (w *FlowWalk) Err() error { return w.err }
+
+// finish ends the walk with err.
+func (w *FlowWalk) finish(err error) bool {
+	w.done, w.err = true, err
+	return false
+}
+
+// emit reports one edge and moves the walk to its target.
+func (w *FlowWalk) emit(class isa.CoFIClass, op isa.Op, target uint64, taken bool) bool {
+	w.edge = FlowEdge{Branch: trace.Branch{Class: class, Source: w.ip, Target: target, Taken: taken}, Op: op}
+	w.ip = target
+	return true
+}
+
+// resync relocates the walk to the next PSB after an overflow or a
+// desynchronization.
+func (w *FlowWalk) resync() bool {
+	nip, ok := w.cur.seekPSB()
+	if !ok {
+		return false
+	}
+	w.resyncs++
+	w.ip = nip
+	return true
+}
+
+// slot returns the code-map slot at the walk's IP, or nil where no map
+// applies.
+func (w *FlowWalk) slot() *module.CodeSlot {
+	if w.cm != nil {
+		if s := w.cm.Slot(w.ip); s != nil {
+			return s
 		}
-		ft.Resyncs++
-		ft.ResyncPoints = append(ft.ResyncPoints, len(ft.Flow))
-		ip = nip
-		return true
 	}
+	if w.cm = w.as.CodeMapAt(w.ip); w.cm == nil {
+		return nil
+	}
+	return w.cm.Slot(w.ip)
+}
 
+// Next walks to the next change-of-flow edge and reports whether it found
+// one; at false the walk is over (see Err, EndIP and Instrs).
+func (w *FlowWalk) Next() bool {
+	if w.done {
+		return false
+	}
 	for {
-		if maxInstrs > 0 && ft.Instrs >= maxInstrs {
-			break
+		if w.maxInstrs > 0 && w.instrs >= w.maxInstrs {
+			return w.finish(nil)
 		}
 		// A pending FUP(ip)+TIP pair is a kernel-performed asynchronous
 		// transfer (signal delivery or sigreturn): relocate the walk
@@ -219,100 +344,103 @@ func DecodeFullEvents(as *module.AddressSpace, evs []Event, maxInstrs uint64) (*
 		// shadow-stack state of stateful consumers stays intact — the
 		// handler runs on the same stack discipline and sigreturn brings
 		// the flow back.
-		if t, ok := cur.nextAsync(ip); ok {
-			ip = t
+		if !w.pkValid || w.pkI != w.cur.i || w.pkBit != w.cur.bit {
+			w.pkFUP, w.pkAsync = w.cur.pendingAsync()
+			w.pkI, w.pkBit, w.pkValid = w.cur.i, w.cur.bit, true
+		}
+		fup, async := w.pkFUP, w.pkAsync
+		if async && fup == w.ip {
+			w.ip = w.cur.takeAsync()
 			continue
 		}
-		raw, err := as.FetchInstr(ip)
-		if err != nil {
-			// The trace claims execution at an unfetchable address; give
-			// the caller what was reconstructed so far. (A hijacked flow
-			// can leave the window pointing at the stack, which is
-			// itself a violation the slow path reports.)
-			ft.EndIP = ip
-			return ft, fmt.Errorf("ipt: flow reconstruction fetch at %#x: %w", ip, err)
+		s := w.slot()
+		if s != nil && s.Run > 0 {
+			// Straight-line run: retire it in one step, stopping short
+			// at a pending asynchronous FUP inside it and at maxInstrs.
+			n := uint64(s.Run)
+			if d := fup - w.ip; async && fup > w.ip && d%isa.InstrSize == 0 && d/isa.InstrSize <= n {
+				n = d / isa.InstrSize
+			}
+			if w.maxInstrs > 0 && w.maxInstrs-w.instrs < n {
+				n = w.maxInstrs - w.instrs
+			}
+			w.instrs += n
+			w.ip += n * isa.InstrSize
+			continue
 		}
-		in, err := isa.Decode(raw)
-		if err != nil {
-			ft.EndIP = ip
-			return ft, fmt.Errorf("ipt: flow reconstruction decode at %#x: %w", ip, err)
+		var in isa.Instr
+		if s != nil && (s.Instr.Op.IsCoFI() || s.Instr.Op == isa.HALT) {
+			in = s.Instr
+		} else {
+			raw, err := w.as.FetchInstr(w.ip)
+			if err != nil {
+				// The trace claims execution at an unfetchable address;
+				// the caller keeps what was reconstructed so far. (A
+				// hijacked flow can leave the window pointing at the
+				// stack, which is itself a violation the slow path
+				// reports.)
+				return w.finish(fmt.Errorf("ipt: flow reconstruction fetch at %#x: %w", w.ip, err))
+			}
+			if in, err = isa.Decode(raw); err != nil {
+				return w.finish(fmt.Errorf("ipt: flow reconstruction decode at %#x: %w", w.ip, err))
+			}
 		}
-		ft.Instrs++
-		next := ip + isa.InstrSize
+		w.instrs++
 
 		switch in.Op {
 		case isa.JMP, isa.CALL:
-			t := in.BranchTarget(ip)
-			ft.Flow = append(ft.Flow, trace.Branch{Class: isa.CoFIDirect, Source: ip, Target: t, Taken: true})
-			ip = t
+			return w.emit(isa.CoFIDirect, in.Op, in.BranchTarget(w.ip), true)
 		case isa.JCC:
-			taken, err := cur.nextTNT()
+			taken, err := w.cur.nextTNT()
 			if errors.Is(err, errExhausted) {
-				ft.EndIP = ip
-				return ft, nil
+				return w.finish(nil)
 			}
 			if err != nil {
-				if resync() {
+				if w.resync() {
 					continue
 				}
-				ft.EndIP = ip
-				return ft, nil
+				return w.finish(nil)
 			}
-			t := next
+			t := w.ip + isa.InstrSize
 			if taken {
-				t = in.BranchTarget(ip)
+				t = in.BranchTarget(w.ip)
 			}
-			ft.Flow = append(ft.Flow, trace.Branch{Class: isa.CoFICond, Source: ip, Target: t, Taken: taken})
-			ip = t
+			return w.emit(isa.CoFICond, in.Op, t, taken)
 		case isa.JMPR, isa.CALLR, isa.RET:
 			class := isa.CoFIIndirect
 			if in.Op == isa.RET {
 				class = isa.CoFIRet
 			}
-			e, err := cur.nextIP(KindTIP)
+			e, err := w.cur.nextIP(KindTIP)
 			if errors.Is(err, errExhausted) {
-				ft.EndIP = ip
-				return ft, nil
+				return w.finish(nil)
 			}
 			if err != nil {
-				if resync() {
+				if w.resync() {
 					continue
 				}
-				ft.EndIP = ip
-				return ft, nil
+				return w.finish(nil)
 			}
-			ft.Flow = append(ft.Flow, trace.Branch{Class: class, Source: ip, Target: e.IP, Taken: true})
-			ip = e.IP
+			return w.emit(class, in.Op, e.IP, true)
 		case isa.SYSCALL:
-			if _, err := cur.nextIP(KindFUP); err != nil {
-				if errors.Is(err, errExhausted) {
-					ft.EndIP = ip
-					return ft, nil
-				}
-				if resync() {
+			if _, err := w.cur.nextIP(KindFUP); err != nil {
+				if !errors.Is(err, errExhausted) && w.resync() {
 					continue
 				}
-				ft.EndIP = ip
-				return ft, nil
+				return w.finish(nil)
 			}
-			if _, err := cur.nextIP(KindTIPPGD); err != nil {
-				ft.EndIP = ip
-				return ft, nil
+			if _, err := w.cur.nextIP(KindTIPPGD); err != nil {
+				return w.finish(nil)
 			}
-			pge, err := cur.nextIP(KindTIPPGE)
+			pge, err := w.cur.nextIP(KindTIPPGE)
 			if err != nil {
-				ft.EndIP = ip
-				return ft, nil
+				return w.finish(nil)
 			}
-			ft.Flow = append(ft.Flow, trace.Branch{Class: isa.CoFIFarTransfer, Source: ip, Target: pge.IP, Taken: true})
-			ip = pge.IP
+			return w.emit(isa.CoFIFarTransfer, in.Op, pge.IP, true)
 		case isa.HALT:
-			ft.EndIP = ip
-			return ft, nil
+			return w.finish(nil)
 		default:
-			ip = next
+			w.ip += isa.InstrSize
 		}
 	}
-	ft.EndIP = ip
-	return ft, nil
 }

@@ -1,8 +1,11 @@
 package ipt
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
+
+	"flowguard/internal/module"
 )
 
 func mustTNT(t *testing.F, bits uint8, n int) []byte {
@@ -377,4 +380,74 @@ func TestIPCompressionRolloverAcrossRegions(t *testing.T) {
 	if got := d.Tips(); !reflect.DeepEqual(got, batch) {
 		t.Fatalf("incremental decode across the region seam diverges from batch:\n got  %+v\n want %+v", got, batch)
 	}
+}
+
+// psbWindow is a synthetic window: a PSB whose context FUP puts the walk
+// at start, then the given packet bytes.
+func psbWindow(start uint64, rest []byte) []byte {
+	s := appendPSB(nil)
+	var last uint64
+	s = appendIPPacket(s, opFUP, start, &last)
+	s = append(s, 0x02, extPSBEND)
+	return append(s, rest...)
+}
+
+// asyncPair encodes a kernel-performed transfer from -> to (FUP+TIP).
+func asyncPair(from, to uint64) []byte {
+	var last uint64
+	s := appendIPPacket(nil, opFUP, from, &last)
+	return appendIPPacket(s, opTIP, to, &last)
+}
+
+// straightRun finds a straight-line run of at least n instructions in
+// the executable's code map and returns its first address.
+func straightRun(tb testing.TB, fx walkFixture, n uint32) uint64 {
+	tb.Helper()
+	base := fx.as.Exec.CodeBase
+	m := fx.as.CodeMapAt(base)
+	for pc := base; m.Slot(pc) != nil; pc += 8 {
+		if m.Slot(pc).Run >= n {
+			return pc
+		}
+	}
+	tb.Fatalf("%s: no straight-line run of %d instructions", fx.name, n)
+	return 0
+}
+
+// TestFlowWalkAsyncInsideRun pins the one case the recorded fixtures
+// never reach: an asynchronous transfer interrupting a straight-line
+// run mid-block, with every instruction cap around it.
+func TestFlowWalkAsyncInsideRun(t *testing.T) {
+	fx := progenFixture(t, 1)
+	pc := straightRun(t, fx, 4)
+	for _, w := range [][]byte{
+		psbWindow(pc, asyncPair(pc+16, pc)),
+		psbWindow(pc, asyncPair(pc+24, pc+8)),
+		psbWindow(pc, append(asyncPair(pc+8, pc+16), asyncPair(pc+24, pc)...)),
+		psbWindow(pc, asyncPair(pc+12, pc)), // misaligned FUP: never taken
+	} {
+		for maxInstrs := range uint64(8) {
+			checkWalkMatchesReference(t, fx.as, w, maxInstrs)
+		}
+	}
+}
+
+// FuzzDecodeFullMatchesReference drives the block-stepping walk and the
+// instruction-by-instruction reference over arbitrary windows of one
+// traced program: they must agree on the whole FullTrace and the error
+// text. The cap keeps a walk over a corrupted window that never
+// consumes a packet finite.
+func FuzzDecodeFullMatchesReference(f *testing.F) {
+	fx := progenFixture(f, 4)
+	rng := rand.New(rand.NewSource(4))
+	for i, w := range walkWindows(rng, fx.buf, 6) {
+		f.Add(w, uint16(i*97))
+	}
+	pc := straightRun(f, fx, 4)
+	f.Add(psbWindow(pc, asyncPair(pc+16, pc)), uint16(6))
+	f.Add(psbWindow(pc+4, nil), uint16(50))              // misaligned start
+	f.Add(psbWindow(module.StackTop-64, nil), uint16(3)) // non-executable start
+	f.Fuzz(func(t *testing.T, data []byte, maxInstrs uint16) {
+		checkWalkMatchesReference(t, fx.as, data, 1+uint64(maxInstrs))
+	})
 }
