@@ -73,19 +73,21 @@ fleet-smoke:
 # sched-smoke races the preemptive multi-core world end to end: the
 # time-sliced scheduler (threads, signals, core affinity), the PIP/CR3
 # trace demux, the multicore guard conformance tests, the slice-boundary
-# chaos scenarios, and the demux round-trip property (bounded seed count
-# under -short; the full 1000-seed sweep runs in the oracle wall).
+# chaos scenarios, the demux round-trip property (bounded seed count
+# under -short; the full 1000-seed sweep runs in the oracle wall), and
+# one thread's Mprotect invalidating another thread's CPU fetch cursor.
 sched-smoke:
-	$(GO) test -race -short -run 'Multicore|Demux|Preempt|Clone|Thread|Signal|SIGKILL|Slice|Gettid' ./internal/kernelsim/ ./internal/trace/ipt/ ./internal/guard/ ./internal/faults/ ./internal/harness/ -count=1
+	$(GO) test -race -short -run 'Multicore|Demux|Preempt|Clone|Thread|Signal|SIGKILL|Slice|Gettid' ./internal/kernelsim/ ./internal/trace/ipt/ ./internal/guard/ ./internal/faults/ ./internal/harness/ ./internal/cpu/ -count=1
 
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' ./internal/trace/ipt/ ./internal/harness/ ./internal/perfstat/ ./internal/itc/ -count=1
+	$(GO) test -run 'Fuzz' ./internal/trace/ipt/ ./internal/harness/ ./internal/perfstat/ ./internal/itc/ ./internal/cpu/ -count=1
 
 # Short real fuzzing campaigns (one -fuzz pattern per go test invocation).
 fuzz:
 	$(GO) test -fuzz FuzzTNTAnnotations -fuzztime 30s ./internal/trace/ipt/
 	$(GO) test -fuzz FuzzWindowDecoder -fuzztime 30s ./internal/trace/ipt/
 	$(GO) test -fuzz FuzzDecodeFullMatchesReference -fuzztime 30s ./internal/trace/ipt/
+	$(GO) test -fuzz FuzzStepMatchesReference -fuzztime 30s ./internal/cpu/
 	$(GO) test -fuzz FuzzHybridVsOracle -fuzztime 60s ./internal/harness/
 
 # Long differential soak of the optimized hybrid pipeline against the

@@ -602,6 +602,45 @@ func BenchmarkCPUEmulation(b *testing.B) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
+// BenchmarkCPURun reports the emulator's cost per retired instruction
+// over one nginx session, untraced and under the IPT tracer. The kernel
+// model services the session's syscalls; spawning the process is
+// outside the timer.
+func BenchmarkCPURun(b *testing.B) {
+	setup(b)
+	for _, traced := range []bool{false, true} {
+		name := "untraced"
+		if traced {
+			name = "ipt"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var instrs uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				k := kernelsim.New()
+				p, err := fx.nginx.Spawn(k, fx.nginxIn)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if traced {
+					tr := ipt.NewTracer(ipt.NewToPA())
+					if err := tr.WriteMSR(ipt.MSRRTITCtl, ctlTrace); err != nil {
+						b.Fatal(err)
+					}
+					p.CPU.Branch = tr
+				}
+				b.StartTimer()
+				if st, err := k.Run(p, 500_000_000); err != nil || !st.Exited {
+					b.Fatalf("run: %v %v", st, err)
+				}
+				instrs += p.CPU.Instrs
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+		})
+	}
+}
+
 type nopSyscalls struct{}
 
 func (nopSyscalls) Syscall(c *cpu.CPU) error { return nil }

@@ -11,6 +11,12 @@
 // The emulator also charges each retired instruction to a calibrated
 // cycle model so experiments can report deterministic overheads next to
 // wall-clock measurements (see EXPERIMENTS.md for calibration).
+//
+// Instructions come from the predecoded code map of their segment, the
+// same module.CodeMap the instruction-flow walk steps; code the map does
+// not cover (writable segments, misaligned or undecodable slots) is
+// fetched and decoded one instruction at a time. Either way Step
+// retires, charges and reports exactly the same thing.
 package cpu
 
 import (
@@ -84,6 +90,11 @@ type CPU struct {
 	PendingTrap error
 
 	halted bool
+	// code serves instruction fetches from the predecoded code maps and
+	// data serves loads, stores and stack operations; both rebind when AS
+	// changes.
+	code module.FetchCursor
+	data module.DataHint
 }
 
 // New returns a CPU ready to run the address space from its entry point:
@@ -117,7 +128,7 @@ func (c *CPU) fault(pc uint64, err error) error { return &Fault{PC: pc, Err: err
 
 func (c *CPU) push(pc, v uint64) error {
 	sp := c.Regs[isa.SP] - 8
-	if err := c.AS.WriteU64(sp, v); err != nil {
+	if err := c.data.WriteU64(c.AS, sp, v); err != nil {
 		return c.fault(pc, err)
 	}
 	c.Regs[isa.SP] = sp
@@ -125,7 +136,7 @@ func (c *CPU) push(pc, v uint64) error {
 }
 
 func (c *CPU) pop(pc uint64) (uint64, error) {
-	v, err := c.AS.ReadU64(c.Regs[isa.SP])
+	v, err := c.data.ReadU64(c.AS, c.Regs[isa.SP])
 	if err != nil {
 		return 0, c.fault(pc, err)
 	}
@@ -163,6 +174,25 @@ func (c *CPU) emit(b trace.Branch) {
 	}
 }
 
+// fetch returns the instruction at pc where the fetch cursor's cached
+// map does not hold it: from the code map of pc's segment where one
+// applies, otherwise fetched and decoded, which raises the exact fault
+// of an unfetchable or undecodable pc.
+func (c *CPU) fetch(pc uint64) (isa.Instr, error) {
+	if s := c.code.Slot(c.AS, pc); s != nil {
+		return s.Instr, nil
+	}
+	raw, err := c.AS.FetchInstr(pc)
+	if err != nil {
+		return isa.Instr{}, c.fault(pc, err)
+	}
+	in, err := isa.Decode(raw)
+	if err != nil {
+		return isa.Instr{}, c.fault(pc, err)
+	}
+	return in, nil
+}
+
 // Step retires one instruction.
 func (c *CPU) Step() error {
 	if c.halted {
@@ -174,13 +204,14 @@ func (c *CPU) Step() error {
 		return err
 	}
 	pc := c.PC
-	raw, err := c.AS.FetchInstr(pc)
-	if err != nil {
-		return c.fault(pc, err)
-	}
-	in, err := isa.Decode(raw)
-	if err != nil {
-		return c.fault(pc, err)
+	var in isa.Instr
+	if s := c.code.Cached(c.AS, pc); s != nil {
+		in = s.Instr
+	} else {
+		var err error
+		if in, err = c.fetch(pc); err != nil {
+			return err
+		}
 	}
 	c.Instrs++
 	c.CycleCount += opCycles[in.Op]
@@ -234,23 +265,23 @@ func (c *CPU) Step() error {
 	case isa.CMPI:
 		c.setFlags(r[in.Rd], uint64(int64(in.Imm)))
 	case isa.LD:
-		v, err := c.AS.ReadU64(r[in.Rs] + uint64(int64(in.Imm)))
+		v, err := c.data.ReadU64(c.AS, r[in.Rs]+uint64(int64(in.Imm)))
 		if err != nil {
 			return c.fault(pc, err)
 		}
 		r[in.Rd] = v
 	case isa.ST:
-		if err := c.AS.WriteU64(r[in.Rd]+uint64(int64(in.Imm)), r[in.Rs]); err != nil {
+		if err := c.data.WriteU64(c.AS, r[in.Rd]+uint64(int64(in.Imm)), r[in.Rs]); err != nil {
 			return c.fault(pc, err)
 		}
 	case isa.LDB:
-		v, err := c.AS.ReadU8(r[in.Rs] + uint64(int64(in.Imm)))
+		v, err := c.data.ReadU8(c.AS, r[in.Rs]+uint64(int64(in.Imm)))
 		if err != nil {
 			return c.fault(pc, err)
 		}
 		r[in.Rd] = uint64(v)
 	case isa.STB:
-		if err := c.AS.WriteU8(r[in.Rd]+uint64(int64(in.Imm)), byte(r[in.Rs])); err != nil {
+		if err := c.data.WriteU8(c.AS, r[in.Rd]+uint64(int64(in.Imm)), byte(r[in.Rs])); err != nil {
 			return c.fault(pc, err)
 		}
 	case isa.PUSH:

@@ -206,6 +206,13 @@ func (p Perm) String() string {
 }
 
 // Segment is one contiguous mapped region.
+//
+// Segments are never unmapped, moved or resized: once an address space
+// maps a segment, its Base and the Data slice header stay fixed for the
+// address space's lifetime, and only Perm (Mprotect) and the bytes in
+// Data change. A cached *Segment therefore never goes stale as a range;
+// a cache only has to re-check Perm on every use (see DataHint) or, for
+// a code map, whether Mprotect has dropped it (see FetchCursor).
 type Segment struct {
 	Base uint64
 	Perm Perm
@@ -497,6 +504,16 @@ func (as *AddressSpace) FindModule(addr uint64) *Loaded {
 }
 
 func (as *AddressSpace) access(addr uint64, n int, perm Perm, op string) ([]byte, error) {
+	seg, err := as.accessSegment(addr, uint64(n), perm, op)
+	if err != nil {
+		return nil, err
+	}
+	return seg.Data[addr-seg.Base : addr-seg.Base+uint64(n)], nil
+}
+
+// accessSegment returns the segment an n-byte access at addr with perm
+// touches, or the fault the access raises.
+func (as *AddressSpace) accessSegment(addr, n uint64, perm Perm, op string) (*Segment, error) {
 	seg := as.FindSegment(addr)
 	if seg == nil {
 		return nil, &Fault{Kind: FaultUnmapped, Addr: addr, Op: op}
@@ -504,10 +521,10 @@ func (as *AddressSpace) access(addr uint64, n int, perm Perm, op string) ([]byte
 	if seg.Perm&perm != perm {
 		return nil, &Fault{Kind: FaultPerm, Addr: addr, Op: op}
 	}
-	if addr+uint64(n) > seg.End() {
+	if addr+n > seg.End() {
 		return nil, &Fault{Kind: FaultUnmapped, Addr: addr, Op: op}
 	}
-	return seg.Data[addr-seg.Base : addr-seg.Base+uint64(n)], nil
+	return seg, nil
 }
 
 // ReadU64 loads a 64-bit little-endian word.
@@ -616,8 +633,11 @@ func (as *AddressSpace) Mmap(size uint64, perm Perm) (uint64, error) {
 // Mprotect also drops the segment's code map. A map is built only for a
 // segment that is executable and not writable, and nothing can change
 // such a segment's bytes, so the map stays exact until the next
-// Mprotect; the walk rebuilds it on first use after the segment is
-// executable and read-only again.
+// Mprotect. Every FetchCursor over the segment — the CPUs executing the
+// address space, including other threads' CPUs, and the flow walks
+// decoding its trace — sees the drop on its next fetch, and the first
+// fetch after the segment is executable and read-only again rebuilds
+// the map.
 func (as *AddressSpace) Mprotect(addr uint64, perm Perm) error {
 	seg := as.FindSegment(addr)
 	if seg == nil {
@@ -691,10 +711,10 @@ func (as *AddressSpace) SymbolFor(addr uint64) string {
 // segment: the decoded instruction of every 8-byte slot and, for each
 // slot, how many straight-line instructions follow before the next stop.
 // A stop is a change-of-flow instruction, HALT, an undecodable slot or
-// the segment end. The instruction-flow walk uses it to step whole basic
-// blocks instead of fetching and decoding one instruction at a time (the
-// analogue of Griffin's mirror pages and of libipt's block decoder). A
-// map is immutable once built.
+// the segment end. The CPU executes from it and the instruction-flow
+// walk steps whole basic blocks over it instead of fetching and decoding
+// one instruction at a time (the analogue of Griffin's mirror pages and
+// of libipt's block decoder). A map is immutable once built.
 type CodeMap struct {
 	base  uint64 // address of slot 0 (the segment base)
 	slots []CodeSlot
@@ -702,10 +722,8 @@ type CodeMap struct {
 
 // CodeSlot is one instruction slot of a CodeMap.
 type CodeSlot struct {
-	// Instr is the decoded instruction. At an undecodable slot it is the
-	// zero value, whose opcode (NOP) is never a stop; a stop slot holding
-	// neither a change-of-flow instruction nor HALT is therefore
-	// undecodable.
+	// Instr is the decoded instruction. At an undecodable slot its Op is
+	// undecodable, which is not a valid opcode.
 	Instr isa.Instr
 	// Run is the number of consecutive instructions from this slot on
 	// that are not stops: 0 at a stop, and at most the slots left before
@@ -723,6 +741,9 @@ func (m *CodeMap) Slot(pc uint64) *CodeSlot {
 	return &m.slots[off/isa.InstrSize]
 }
 
+// undecodable is the Op of an undecodable slot: no opcode has it.
+const undecodable = ^isa.Op(0)
+
 // buildCodeMap decodes every slot of data and links each slot to the
 // next stop.
 func buildCodeMap(base uint64, data []byte) *CodeMap {
@@ -733,7 +754,7 @@ func buildCodeMap(base uint64, data []byte) *CodeMap {
 		in, err := isa.Decode(data[i*isa.InstrSize:])
 		switch {
 		case err != nil:
-			in, run = isa.Instr{}, 0
+			in, run = isa.Instr{Op: undecodable}, 0
 		case in.Op.IsCoFI() || in.Op == isa.HALT:
 			run = 0
 		default:
@@ -755,6 +776,12 @@ func (as *AddressSpace) CodeMapAt(pc uint64) *CodeMap {
 	if seg == nil {
 		return nil
 	}
+	return as.codeMap(seg)
+}
+
+// codeMap returns seg's code map, building it on first use (see
+// CodeMapAt).
+func (as *AddressSpace) codeMap(seg *Segment) *CodeMap {
 	if m := seg.code.Load(); m != nil {
 		return m
 	}
@@ -775,9 +802,12 @@ func (as *AddressSpace) CodeMapAt(pc uint64) *CodeMap {
 	return m
 }
 
-// CodeMapsBuilt returns how many code maps CodeMapAt has built in this
-// address space: one per executable segment used, plus one per rebuild
-// after an Mprotect. Maps a Clone inherits are not counted again.
+// CodeMapsBuilt returns how many code maps this address space has
+// built: one per executable, read-only segment that a CPU executed in or
+// a flow walk decoded, plus one per rebuild after an Mprotect. The CPU
+// and the walk share each map, so a trace decoded over the address
+// space that produced it builds none. Maps a Clone inherits are not
+// counted again.
 func (as *AddressSpace) CodeMapsBuilt() uint64 { return as.mapsBuilt.Load() }
 
 func align(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }

@@ -226,7 +226,8 @@ type FlowEdge struct {
 // consumer.
 //
 // The walk steps basic blocks, not instructions. Inside an executable,
-// read-only segment it reads the segment's code map (module.CodeMap): a
+// read-only segment it reads the segment's code map (module.CodeMap),
+// through the same kind of fetch cursor the CPU executes from: a
 // straight-line run adds its instruction count in one step, clamped by
 // maxInstrs and by a pending asynchronous FUP inside the run, and only
 // the run's stop instruction is taken from the map. Where no map applies
@@ -237,7 +238,7 @@ type FlowWalk struct {
 	as        *module.AddressSpace
 	cur       tokenCursor
 	maxInstrs uint64
-	cm        *module.CodeMap // map of the segment last stepped in
+	code      module.FetchCursor
 
 	// The pending async FUP as last probed at cursor position
 	// (pkI, pkBit): the cursor stands still across a straight-line run,
@@ -314,20 +315,6 @@ func (w *FlowWalk) resync() bool {
 	return true
 }
 
-// slot returns the code-map slot at the walk's IP, or nil where no map
-// applies.
-func (w *FlowWalk) slot() *module.CodeSlot {
-	if w.cm != nil {
-		if s := w.cm.Slot(w.ip); s != nil {
-			return s
-		}
-	}
-	if w.cm = w.as.CodeMapAt(w.ip); w.cm == nil {
-		return nil
-	}
-	return w.cm.Slot(w.ip)
-}
-
 // Next walks to the next change-of-flow edge and reports whether it found
 // one; at false the walk is over (see Err, EndIP and Instrs).
 func (w *FlowWalk) Next() bool {
@@ -353,7 +340,10 @@ func (w *FlowWalk) Next() bool {
 			w.ip = w.cur.takeAsync()
 			continue
 		}
-		s := w.slot()
+		s := w.code.Cached(w.as, w.ip)
+		if s == nil {
+			s = w.code.Slot(w.as, w.ip)
+		}
 		if s != nil && s.Run > 0 {
 			// Straight-line run: retire it in one step, stopping short
 			// at a pending asynchronous FUP inside it and at maxInstrs.
@@ -369,7 +359,7 @@ func (w *FlowWalk) Next() bool {
 			continue
 		}
 		var in isa.Instr
-		if s != nil && (s.Instr.Op.IsCoFI() || s.Instr.Op == isa.HALT) {
+		if s != nil {
 			in = s.Instr
 		} else {
 			raw, err := w.as.FetchInstr(w.ip)

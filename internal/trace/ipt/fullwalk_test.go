@@ -198,6 +198,18 @@ func TestFlowWalkMatchesReference(t *testing.T) {
 func TestFlowWalkSharedMapRace(t *testing.T) {
 	fx := progenFixture(t, 3)
 	solo, shared := fx.as.Clone(), fx.as.Clone()
+	// The fixture's CPU built maps while producing the trace and the
+	// clones inherit them; a same-permission Mprotect of every code
+	// segment starts both clones map-free.
+	for _, as := range []*module.AddressSpace{solo, shared} {
+		for _, seg := range as.Segments() {
+			if seg.IsCode {
+				if err := as.Mprotect(seg.Base, seg.Perm); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
 	want, err := DecodeFull(solo, fx.buf, 0)
 	if err != nil {
 		t.Fatal(err)
