@@ -80,7 +80,7 @@ sched-smoke:
 	$(GO) test -race -short -run 'Multicore|Demux|Preempt|Clone|Thread|Signal|SIGKILL|Slice|Gettid' ./internal/kernelsim/ ./internal/trace/ipt/ ./internal/guard/ ./internal/faults/ ./internal/harness/ ./internal/cpu/ -count=1
 
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' ./internal/trace/ipt/ ./internal/harness/ ./internal/perfstat/ ./internal/itc/ ./internal/cpu/ -count=1
+	$(GO) test -run 'Fuzz' ./internal/trace/ipt/ ./internal/harness/ ./internal/perfstat/ ./internal/itc/ ./internal/cpu/ ./internal/guard/ -count=1
 
 # Short real fuzzing campaigns (one -fuzz pattern per go test invocation).
 fuzz:
@@ -88,6 +88,7 @@ fuzz:
 	$(GO) test -fuzz FuzzWindowDecoder -fuzztime 30s ./internal/trace/ipt/
 	$(GO) test -fuzz FuzzDecodeFullMatchesReference -fuzztime 30s ./internal/trace/ipt/
 	$(GO) test -fuzz FuzzStepMatchesReference -fuzztime 30s ./internal/cpu/
+	$(GO) test -fuzz FuzzWindowSelectMatchesReference -fuzztime 30s ./internal/guard/
 	$(GO) test -fuzz FuzzHybridVsOracle -fuzztime 60s ./internal/harness/
 
 # Long differential soak of the optimized hybrid pipeline against the

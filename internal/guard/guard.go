@@ -635,56 +635,54 @@ func (g *Guard) window(s *stream) (tips []ipt.TIPRecord, region []byte, scanned 
 			health = HealthResynced
 		}
 	}
-	all := w.dec.Tips()
-	for k := len(pts) - 1; k >= 0; k-- {
-		sub := ipt.TipsFrom(all, pts[k])
-		if (len(sub) >= g.Policy.PktCount && g.strideOK(sub)) || k == 0 {
-			// k == 0: whole retained buffer, best effort.
-			return g.trim(sub), w.buf[uint64(pts[k])-w.base:], scanned, health, nil
+	tips, psb := g.selectWindow(w.dec.Tips(), pts)
+	return tips, w.buf[uint64(psb)-w.base:], scanned, health, nil
+}
+
+// selectWindow picks the checked window from the retained records all
+// and the resident sync points pts (ascending, non-empty) in one
+// backward pass. It returns the shortest suffix of all that holds at
+// least PktCount records and satisfies the module-stride rule, and the
+// offset of the latest sync point at or before that suffix (the last one
+// for an empty window), where the window region opens. Records before
+// pts[0] belong to no resident sync point and are never checked; when no
+// suffix of the rest qualifies, the window is best effort: everything
+// from pts[0] on.
+//
+// This is the paper's rule (§5.3: walk the PSB sync points backwards
+// until the packet-count and module-stride requirements hold, then keep
+// the tail that meets them) without the per-sync-point re-walk: whether
+// a suffix spans the modules only grows with its length, so the walk
+// back from the tail meets the shortest qualifying suffix first, and the
+// sync point the per-PSB walk would stop at is the latest one at or
+// before that suffix.
+//
+//fg:hotpath
+func (g *Guard) selectWindow(all []ipt.TIPRecord, pts []int) ([]ipt.TIPRecord, int) {
+	lo := len(all) - len(ipt.TipsFrom(all, pts[0]))
+	start := len(all) - g.Policy.PktCount
+	if start < lo {
+		return all[lo:], pts[0]
+	}
+	if g.Policy.RequireModuleStride {
+		s := &g.scratch
+		s.reset()
+		for _, t := range all[start:] {
+			s.add(g.AS, t.IP)
+		}
+		for !s.ok() {
+			if start == lo {
+				return all[lo:], pts[0]
+			}
+			start--
+			s.add(g.AS, all[start].IP)
 		}
 	}
-	return nil, nil, scanned, health, nil
-}
-
-// trim keeps the window tail: at least PktCount records, extended
-// backwards only as far as the module-stride rule demands. Module
-// membership is maintained incrementally while extending, so trim is
-// O(window) rather than quadratic.
-//
-//fg:hotpath
-func (g *Guard) trim(tips []ipt.TIPRecord) []ipt.TIPRecord {
-	if len(tips) <= g.Policy.PktCount {
-		return tips
+	k := len(pts) - 1
+	for start < len(all) && pts[k] > all[start].Off {
+		k--
 	}
-	start := len(tips) - g.Policy.PktCount
-	if !g.Policy.RequireModuleStride {
-		return tips[start:]
-	}
-	s := &g.scratch
-	s.reset()
-	for _, t := range tips[start:] {
-		s.add(g.AS, t.IP)
-	}
-	for start > 0 && !s.ok() {
-		start--
-		s.add(g.AS, tips[start].IP)
-	}
-	return tips[start:]
-}
-
-// strideOK checks the multi-module requirement.
-//
-//fg:hotpath
-func (g *Guard) strideOK(tips []ipt.TIPRecord) bool {
-	if !g.Policy.RequireModuleStride {
-		return true
-	}
-	s := &g.scratch
-	s.reset()
-	for _, t := range tips {
-		s.add(g.AS, t.IP)
-	}
-	return s.ok()
+	return all[start:], pts[k]
 }
 
 // Check runs the hybrid flow check over the guard's process stream. It

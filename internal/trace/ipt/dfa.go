@@ -104,8 +104,8 @@ func classifyHeader(b byte) uint16 {
 
 // Word-at-a-time probes: the scanners load 8 stream bytes as one uint64
 // and classify the whole word with branch-free bit tricks, so PAD gaps
-// and long TNT runs cost one probe per 8 bytes instead of one dispatch
-// per byte.
+// and TNT runs cost one probe per 8 bytes instead of one dispatch per
+// byte.
 
 const (
 	wordLSBs = 0x0101010101010101 // bit 0 of every byte
@@ -118,30 +118,51 @@ const (
 //fg:hotpath
 func leUint64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
-// isTNTWord reports whether all 8 bytes of w are short-TNT headers: bit 0
-// clear (even) and at least one bit above bit 1 set (the stop bit of a
-// 1..6-outcome payload). Any byte failing either test — PAD, the 0x02
-// escape, or a TIP-family header — rejects the word.
+// isTNTHeader reports whether b is a short-TNT header: even, with its
+// stop bit in 2..7 (pktTab class pcTNT).
 //
 //fg:hotpath
-func isTNTWord(w uint64) bool {
-	if w&wordLSBs != 0 {
-		return false // some byte is odd: TIP family
-	}
-	// Every byte needs a bit in 2..7; isolate those bits and reject if
-	// any byte of the result is zero (the classic subtract/borrow probe).
+func isTNTHeader(b byte) bool { return b&1 == 0 && b >= 4 }
+
+// tntPrefixLen returns how many bytes (0..8) at the low end of w — the
+// lowest stream offsets — are short-TNT headers. A short-TNT header is
+// even and has a bit set in 2..7 (the stop bit of a 1..6-outcome
+// payload); PAD, the 0x02 escape and every TIP-family header fail.
+// The stop mask flags each failing byte at its bit 7: odd bytes
+// directly, bytes with no bit in 2..7 through the subtract/borrow
+// zero-byte probe. The borrow can flag bytes above the first zero byte
+// spuriously, but never below it, so the lowest flag is exact and the
+// trailing-zero count locates it.
+//
+//fg:hotpath
+func tntPrefixLen(w uint64) int {
 	m := w & wordTNT
-	return (m-wordLSBs)&^m&wordMSBs == 0
+	stop := (m-wordLSBs)&^m&wordMSBs | (w&wordLSBs)<<7
+	return bits.TrailingZeros64(stop) >> 3
 }
 
-// tntWordBits sums the payload bit counts of a word of 8 short-TNT bytes
-// (each byte carries bits.Len8(b)-2 outcomes below its stop bit).
+// tntPrefixBits returns the number of TNT outcomes carried by the low n
+// bytes of w, which must all be short-TNT headers: each byte carries
+// bits.Len8(b)-2 outcomes below its stop bit. Smearing every byte's stop
+// bit down to bit 0 (within the byte) leaves exactly bits.Len8(b) bits
+// set per byte, so one population count over the prefix sums them.
 //
 //fg:hotpath
-func tntWordBits(w uint64) int {
-	n := 0
-	for k := 0; k < 8; k++ {
-		n += bits.Len8(byte(w>>(8*k))) - 2
+func tntPrefixBits(w uint64, n int) int {
+	s := w | w>>1&0x7f7f7f7f7f7f7f7f
+	s |= s >> 2 & 0x3f3f3f3f3f3f3f3f
+	s |= s >> 4 & 0x0f0f0f0f0f0f0f0f
+	return bits.OnesCount64(s&(1<<(8*uint(n))-1)) - 2*n
+}
+
+// tntFold folds the outcomes of short-TNT header b, oldest first, into
+// the running signature sig.
+//
+//fg:hotpath
+func tntFold(sig uint64, b byte) uint64 {
+	n := int(pktTab[b] >> 8)
+	for t := 1; t <= n; t++ {
+		sig = TNTSigAppend(sig, b>>t&1 != 0)
 	}
-	return n
+	return sig
 }

@@ -2,6 +2,7 @@ package ipt
 
 import (
 	"math/bits"
+	"math/rand"
 	"testing"
 )
 
@@ -92,24 +93,86 @@ func TestTIPRegisterDispatch(t *testing.T) {
 	}
 }
 
-// TestTNTWordProbe pins the word classifier: a word is a TNT run iff all
-// 8 bytes individually classify as pcTNT, and the summed bit count
-// matches the per-byte grammar.
-func TestTNTWordProbe(t *testing.T) {
-	isTNTByte := func(b byte) bool { return pktTab[b]&pcClassMask == pcTNT }
-	// Exhaustive over single differing bytes in an otherwise-TNT word.
-	for hb := 0; hb < 256; hb++ {
-		b := byte(hb)
-		var w uint64
-		for k := 0; k < 8; k++ {
-			w |= uint64(0x06) << (8 * k) // one-outcome TNT filler
+// tntPrefixRef is the per-byte grammar the word probes must agree with:
+// the number of leading bytes of w the DFA classifies as short TNT, and
+// the outcomes they carry (bits.Len8(b)-2 each).
+func tntPrefixRef(w uint64) (n, outcomes int) {
+	for ; n < 8; n++ {
+		b := byte(w >> (8 * n))
+		if pktTab[b]&pcClassMask != pcTNT {
+			break
 		}
-		w = w&^0xff | uint64(b) // byte 0 varies
-		if got, want := isTNTWord(w), isTNTByte(b); got != want {
-			t.Errorf("word with byte %#02x: isTNTWord = %v, want %v", b, got, want)
+		outcomes += bits.Len8(b) - 2
+	}
+	return n, outcomes
+}
+
+// checkTNTProbe compares tntPrefixLen against the per-byte grammar on w,
+// and tntPrefixBits on every prefix of w's TNT prefix.
+func checkTNTProbe(t *testing.T, w uint64) {
+	t.Helper()
+	n, _ := tntPrefixRef(w)
+	if got := tntPrefixLen(w); got != n {
+		t.Fatalf("tntPrefixLen(%#016x) = %d, want %d", w, got, n)
+	}
+	for k := 0; k <= n; k++ {
+		_, want := tntPrefixRef(w & (1<<(8*uint(k)) - 1))
+		if got := tntPrefixBits(w, k); got != want {
+			t.Fatalf("tntPrefixBits(%#016x, %d) = %d, want %d", w, k, got, want)
 		}
 	}
-	// Bit counts: a few mixed-width words.
+}
+
+// TestTNTWordProbe pins the TNT probes against the per-byte grammar:
+// isTNTHeader on all 256 bytes, then the word probes on every header
+// value at every byte position, inside words whose other bytes are
+// short-TNT fillers of both extreme widths or — above the varied byte —
+// zero, odd or random bytes (the borrow probe flags bytes above the
+// first zero byte spuriously, so only its lowest flag may decide the
+// prefix), plus random words biased towards TNT bytes.
+func TestTNTWordProbe(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		if got, want := isTNTHeader(byte(b)), pktTab[b]&pcClassMask == pcTNT; got != want {
+			t.Fatalf("isTNTHeader(%#02x) = %v, want %v", b, got, want)
+		}
+	}
+	fillers := []byte{0x04, 0x06, 0x7e, 0xfe, 0x80}
+	above := []uint64{0, 0x0101010101010101, 0x0202020202020202, 0x0d0d0d0d0d0d0d0d}
+	rng := rand.New(rand.NewSource(1))
+	for pos := 0; pos < 8; pos++ {
+		low := uint64(1)<<(8*uint(pos)) - 1
+		for v := 0; v < 256; v++ {
+			for _, f := range fillers {
+				w := uint64(f) * wordLSBs
+				w = w&^(0xff<<(8*uint(pos))) | uint64(v)<<(8*uint(pos))
+				checkTNTProbe(t, w)
+				for _, hi := range append(above, rng.Uint64()) {
+					checkTNTProbe(t, w&(low|0xff<<(8*uint(pos)))|hi&^(low|0xff<<(8*uint(pos))))
+				}
+			}
+		}
+	}
+	tntByte := func() byte {
+		for {
+			b := byte(rng.Intn(256))
+			if pktTab[b]&pcClassMask == pcTNT {
+				return b
+			}
+		}
+	}
+	for it := 0; it < 100000; it++ {
+		var w uint64
+		for k := 0; k < 8; k++ {
+			b := byte(rng.Intn(256))
+			if rng.Intn(8) != 0 {
+				b = tntByte()
+			}
+			w |= uint64(b) << (8 * k)
+		}
+		checkTNTProbe(t, w)
+	}
+	// All-TNT words of mixed widths: the full-word count the long-run
+	// lane adds per probe.
 	words := [][8]byte{
 		{0x06, 0x06, 0x06, 0x06, 0x06, 0x06, 0x06, 0x06},
 		{0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe},
@@ -122,11 +185,11 @@ func TestTNTWordProbe(t *testing.T) {
 			w |= uint64(b) << (8 * k)
 			want += bits.Len8(b) - 2
 		}
-		if !isTNTWord(w) {
-			t.Fatalf("word % x not recognized as TNT run", bs)
+		if got := tntPrefixLen(w); got != 8 {
+			t.Fatalf("tntPrefixLen(% x) = %d, want 8", bs, got)
 		}
-		if got := tntWordBits(w); got != want {
-			t.Errorf("tntWordBits(% x) = %d, want %d", bs, got, want)
+		if got := tntPrefixBits(w, 8); got != want {
+			t.Errorf("tntPrefixBits(% x, 8) = %d, want %d", bs, got, want)
 		}
 	}
 }

@@ -147,11 +147,11 @@ func FuzzWindowDecoder(f *testing.F) {
 		f.Add(s, 3)
 	}
 	{
-		// A TNT run long enough that the word-at-a-time probe both enters
-		// (below TNTRunCap) and re-enters (above it, count-only) batching,
-		// with chunk sizes of 7 and 9 so the uint64 probe window never
-		// aligns with the feed seams: the incremental scan must fold the
-		// same signature the batch scan does across every split.
+		// A TNT run that passes TNTRunCap only across several feeds, with
+		// chunk sizes of 7 and 9 so the uint64 probe window never aligns
+		// with the feed seams: the run's head is folded while it is still
+		// under the cap, and the incremental scan must reach the same
+		// signature and count the batch scan does across every split.
 		var last uint64
 		s := appendIPPacket(nil, opTIP, 0x400000, &last)
 		for i := 0; i < 24; i++ {
@@ -188,6 +188,63 @@ func FuzzWindowDecoder(f *testing.F) {
 		s = appendIPPacket(s, opTIP, 0x4b0002, &last)
 		f.Add(s, 5)
 		f.Add(s, 16)
+	}
+	{
+		// Long runs (past TNTRunCap) of mixed-width TNT bytes whose
+		// length is no multiple of 8, so every run ends mid-word in the
+		// prefix probe's long-run lane, right before each packet that
+		// can end a run: a TIP, a PSB, an OVF and PAD. The last run sits
+		// inside an OVF→PSB skip, whose discarded outcomes go through
+		// the same prefix step. Chunk sizes 1..9 put the feed seams at
+		// every position of the probe word and of the truncation carry.
+		run := func(s []byte, n int) []byte {
+			widths := []byte{0x06, 0xfe, 0x0a, 0x72, 0x34}
+			for i := 0; i < n; i++ {
+				s = append(s, widths[i%len(widths)])
+			}
+			return s
+		}
+		var last uint64
+		s := appendIPPacket(nil, opTIP, 0x400000, &last)
+		s = run(s, 21)
+		s = appendIPPacket(s, opTIP, 0x400040, &last)
+		s = run(s, 13)
+		s = appendPSB(s)
+		last = 0
+		s = appendIPPacket(s, opTIP, 0x400080, &last)
+		s = run(s, 19)
+		s = append(s, 0, 0, 0) // PAD
+		s = run(s, 11)
+		s = appendIPPacket(s, opTIP, 0x4000c0, &last)
+		s = run(s, 29)
+		s = append(s, 0x02, extOVF)
+		s = run(s, 27)
+		s = appendPSB(s)
+		last = 0
+		s = appendIPPacket(s, opTIP, 0x400100, &last)
+		for chunk := 1; chunk <= 9; chunk++ {
+			f.Add(s, chunk)
+		}
+	}
+	{
+		// Runs of exactly TNTRunCap outcomes and one more, each long
+		// enough (in bytes) to be counted by the prefix probe before it
+		// is folded: the first must keep its folded signature, the
+		// second must collapse to the wildcard.
+		var last uint64
+		s := appendIPPacket(nil, opTIP, 0x400000, &last)
+		for _, n := range []int{TNTRunCap, TNTRunCap + 1} {
+			for i := 0; i < n; i++ {
+				s = append(s, 0x04|byte(i&1)<<1) // one outcome each
+			}
+			s = appendIPPacket(s, opTIP, 0x400040+uint64(n), &last)
+		}
+		for i := 0; i < TNTRunCap/2; i++ {
+			s = append(s, 0x0a|byte(i&1)<<2) // two outcomes each
+		}
+		s = appendIPPacket(s, opTIP, 0x400080, &last)
+		f.Add(s, 64)
+		f.Add(s, 5)
 	}
 	f.Fuzz(func(t *testing.T, body []byte, chunk int) {
 		if chunk <= 0 {

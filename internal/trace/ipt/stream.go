@@ -170,10 +170,12 @@ func (d *WindowDecoder) Feed(chunk []byte) error {
 // This is the throughput-critical loop of the fast path: the TIP family
 // (every odd header byte, the dense class of a record-bearing window) is
 // dispatched entirely in registers, the even classes in one pktTab load
-// per packet (no per-byte branch ladder), PAD gaps and TNT runs are
-// skipped word-at-a-time with uint64 probes, and the last-IP / TNT-run
-// state lives in locals across the whole window — the decoder fields are
-// read once on entry and stored once per exit instead of per packet.
+// per packet (no per-byte branch ladder), PAD gaps are skipped and TNT
+// runs counted word-at-a-time with uint64 probes (a run's outcomes are
+// folded into its signature only while it stays under TNTRunCap), and
+// the last-IP / TNT-run state lives in locals across the whole window —
+// the decoder fields are read once on entry and stored once per exit
+// instead of per packet.
 //
 //fg:hotpath
 func (d *WindowDecoder) scan(buf []byte, base int) (int, error) {
@@ -254,54 +256,51 @@ func (d *WindowDecoder) scan(buf []byte, base int) (int, error) {
 		e := pktTab[b]
 		c := e & pcClassMask
 		if c == pcTNT {
+			// The header's own outcomes are folded on the spot (counted
+			// only, past the cap): a one-byte run, the common case
+			// between TIPs, costs no probe.
 			prevFUP = false
-			if skipping {
-				// Resynchronizing after OVF: outcomes are discarded, so
-				// whole TNT words are skipped with one probe each.
-				i++
-				for i+8 <= n && isTNTWord(leUint64(buf[i:])) {
-					i += 8
-				}
-				continue
-			}
-			nb := int(e >> 8)
-			if sigN <= TNTRunCap {
-				payload := (b >> 1) & (1<<nb - 1)
-				for k := 0; k < nb; k++ {
-					sig = TNTSigAppend(sig, payload&(1<<k) != 0)
-				}
-			}
-			sigN += nb
 			i++
-			// Batch the rest of the run: while the next 8 bytes are all
-			// short-TNT headers, fold them without re-dispatching. Once
-			// the run exceeds TNTRunCap the folded value is dead (the
-			// record collapses to TNTSigLongRun below) and only the exact
-			// outcome count still matters.
-			for i+8 <= n {
-				w := leUint64(buf[i:])
-				if !isTNTWord(w) {
-					break
+			if !skipping {
+				if sigN <= TNTRunCap {
+					sig = tntFold(sig, b)
 				}
-				if sigN > TNTRunCap {
-					sigN += tntWordBits(w)
-				} else {
-					for k := 0; k < 8; k++ {
-						tb := byte(w >> (8 * k))
-						tn := int(pktTab[tb] >> 8)
-						tp := (tb >> 1) & (1<<tn - 1)
-						for t := 0; t < tn; t++ {
-							sig = TNTSigAppend(sig, tp&(1<<t) != 0)
-						}
-						sigN += tn
+				sigN += int(e >> 8)
+			}
+			if i+8 <= n && isTNTHeader(buf[i]) {
+				// The run goes on: count the rest of it first, a word at
+				// a time. Each probe finds the word's TNT prefix and its
+				// outcome count, so a run's mixed last word is consumed
+				// here too and the next dispatch lands on the packet
+				// that ends the run.
+				p := i
+				cnt := 0
+				for i+8 <= n {
+					w := leUint64(buf[i:])
+					k := tntPrefixLen(w)
+					cnt += tntPrefixBits(w, k)
+					i += k
+					if k < 8 {
+						break
 					}
 				}
-				i += 8
+				// Outcomes are discarded while resynchronizing after OVF.
+				// Below the cap the counted bytes (at most TNTRunCap of
+				// them) are folded byte-serially; a run that passes the
+				// cap is never folded past its header.
+				if !skipping {
+					if sigN+cnt <= TNTRunCap {
+						for ; p < i; p++ {
+							sig = tntFold(sig, buf[p])
+						}
+					}
+					sigN += cnt
+				}
 			}
 			// Maintain the emit invariant: once the run overruns the cap,
 			// sig IS the long-run wildcard, so the TIP case never has to
-			// re-check the length. (Bits folded past the cap above were
-			// already dead — sig is reset at every emit and every OVF.)
+			// re-check the length (sig is reset at every emit and every
+			// OVF).
 			if sigN > TNTRunCap {
 				sig = TNTSigLongRun
 			}
