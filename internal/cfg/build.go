@@ -25,9 +25,10 @@ func Build(as *module.AddressSpace) (*Graph, error) {
 	b.discoverFunctions()
 	b.markAddressTaken()
 	b.buildBlocks()
-	// BlockContaining binary-searches g.Blocks; establish the invariant
-	// before the analyses that depend on it.
+	// BlockContaining binary-searches the sorted blocks; establish
+	// the invariant before the analyses that depend on it.
 	sort.Slice(b.g.Blocks, func(i, j int) bool { return b.g.Blocks[i].Start < b.g.Blocks[j].Start })
+	b.g.indexEnds()
 	b.computeArities()
 	b.resolveCallSites()
 	b.tailClosure()

@@ -188,6 +188,17 @@ type Graph struct {
 
 	funcAt  map[uint64]*Function
 	blockAt map[uint64]*Block
+	// ends holds Blocks[i].End at i, so BlockContaining binary-searches
+	// one contiguous array instead of loading a *Block per probe.
+	ends []uint64
+}
+
+// indexEnds builds ends over the sorted Blocks.
+func (g *Graph) indexEnds() {
+	g.ends = make([]uint64, len(g.Blocks))
+	for i, b := range g.Blocks {
+		g.ends[i] = b.End
+	}
 }
 
 // Synthetic assembles a Graph directly from hand- or generator-built
@@ -205,6 +216,7 @@ func Synthetic(blocks []*Block) *Graph {
 	for _, b := range g.Blocks {
 		g.blockAt[b.Start] = b
 	}
+	g.indexEnds()
 	return g
 }
 
@@ -222,8 +234,8 @@ func (g *Graph) BlockAt(addr uint64) (*Block, bool) {
 
 // BlockContaining returns the block covering addr.
 func (g *Graph) BlockContaining(addr uint64) (*Block, bool) {
-	i := sort.Search(len(g.Blocks), func(i int) bool { return g.Blocks[i].End > addr })
-	if i < len(g.Blocks) && g.Blocks[i].Start <= addr {
+	i := sort.Search(len(g.ends), func(i int) bool { return g.ends[i] > addr })
+	if i < len(g.ends) && g.Blocks[i].Start <= addr {
 		return g.Blocks[i], true
 	}
 	return nil, false

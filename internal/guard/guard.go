@@ -428,6 +428,10 @@ type Guard struct {
 	streamLoss bool
 
 	Stats Stats
+
+	// slowEvs is the slow path's event buffer, reused from check to
+	// check (checks serialize on mu).
+	slowEvs []ipt.Event
 }
 
 // stream is one checked trace stream: a trace unit whose ToPA is the

@@ -25,7 +25,8 @@ func (g *Guard) slowPath(res *Result, tips []ipt.TIPRecord, region []byte) {
 	if len(region) == 0 {
 		return // nothing decodable; fast-path verdict stands
 	}
-	evs, err := ipt.DecodeFast(region)
+	evs, err := ipt.AppendEvents(g.slowEvs[:0], region)
+	g.slowEvs = evs
 	var w ipt.FlowWalk
 	if err == nil {
 		w, err = ipt.NewFlowWalk(g.AS, evs, 0)
@@ -36,10 +37,14 @@ func (g *Guard) slowPath(res *Result, tips []ipt.TIPRecord, region []byte) {
 		return
 	}
 
-	// Check every edge as the walk reconstructs it, with a shadow stack
-	// over the window. The window may begin mid-execution, so returns
-	// that underflow the window-local stack fall back to the O-CFG
-	// return-matching check only. At each overflow-resynchronization
+	// The walk decides direct and conditional edges with the O-CFG
+	// itself and yields only those it rejects, plus every other edge.
+	w.CheckDirect(g.OCFG)
+
+	// Check every yielded edge as the walk reconstructs it, with a
+	// shadow stack over the window. The window may begin mid-execution,
+	// so returns that underflow the window-local stack fall back to the
+	// O-CFG return-matching check only. At each overflow-resynchronization
 	// seam the walk restarted from a PSB with an unknown call depth, so
 	// the stack is cleared: popping frames pushed before the seam would
 	// fault legitimate returns. After the first violation the walk still

@@ -6,8 +6,10 @@ package guard
 // each op re-runs the slow path over the next of them — fast decode, the
 // block-stepping flow walk, O-CFG edge checks, the shadow stack and the
 // approval step. instrs/op is the number of instructions the walk
-// retires per check, the input of the cycle model. In fgperf's full
-// suite only (not a tier-1 benchmark).
+// retires per check, the input of the cycle model; yields/op is the
+// number of edges the walk hands the slow path's own checks, every edge
+// but the direct and conditional ones the O-CFG accepted inside the
+// walk. In fgperf's full suite only (not a tier-1 benchmark).
 
 import (
 	"fmt"
@@ -20,30 +22,36 @@ import (
 	"flowguard/internal/trace/ipt"
 )
 
-func BenchmarkGuardSlowPath(b *testing.B) {
+// slowWindow is one window an endpoint check forwarded to the slow path.
+type slowWindow struct {
+	tips   []ipt.TIPRecord
+	region []byte
+}
+
+// recordSlowWindows drives an untrained nginx guard through one session
+// of the given input scale and returns the guard with the windows its
+// endpoint checks forwarded to the slow path.
+func recordSlowWindows(tb testing.TB, scale int) (*Guard, []slowWindow) {
+	tb.Helper()
 	app := apps.Nginx()
 	k := kernelsim.New()
-	p, err := app.Spawn(k, app.MakeInput(30, 1))
+	p, err := app.Spawn(k, app.MakeInput(scale, 1))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tr := ipt.NewTracer(ipt.NewToPA(16 << 20))
 	if err := tr.WriteMSR(ipt.MSRRTITCtl, ipt.CtlTraceEn|ipt.CtlBranchEn|ipt.CtlUser|ipt.CtlToPA); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	p.CPU.Branch = tr
 	ocfg, err := cfg.Build(p.AS)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	// The untrained static ITC-CFG: every label is low-credit, so the
 	// windows are the kind cold-start forwards to the slow path.
 	g := New(p.AS, ocfg, itc.FromCFG(ocfg), tr, DefaultPolicy())
-	type window struct {
-		tips   []ipt.TIPRecord
-		region []byte
-	}
-	var slow []window
+	var slow []slowWindow
 	for _, sysno := range g.Policy.Endpoints {
 		k.Intercept(sysno, func(*kernelsim.Process, uint64) error {
 			tips, region, _, _, err := g.window(&g.main)
@@ -56,21 +64,49 @@ func BenchmarkGuardSlowPath(b *testing.B) {
 				return fmt.Errorf("benign window judged %v: %s", res.Verdict, res.Reason)
 			}
 			if res.UsedSlowPath {
-				slow = append(slow, window{append([]ipt.TIPRecord(nil), tips...), append([]byte(nil), region...)})
+				slow = append(slow, slowWindow{append([]ipt.TIPRecord(nil), tips...), append([]byte(nil), region...)})
 			}
 			return nil
 		})
 	}
 	if st, err := k.Run(p, 50_000_000); err != nil || !st.Exited {
-		b.Fatalf("run: %v %v %v", st, err, k.InterceptErrors())
+		tb.Fatalf("run: %v %v %v", st, err, k.InterceptErrors())
 	}
 	if len(slow) == 0 {
-		b.Fatal("no endpoint check took the slow path")
+		tb.Fatal("no endpoint check took the slow path")
+	}
+	return g, slow
+}
+
+// yields returns the number of edges the flow walk hands slowPath over
+// w: every edge but the direct and conditional ones the O-CFG accepts.
+func yields(tb testing.TB, g *Guard, w slowWindow) uint64 {
+	evs, err := ipt.DecodeFast(w.region)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	wk, err := ipt.NewFlowWalk(g.AS, evs, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	wk.CheckDirect(g.OCFG)
+	n := uint64(0)
+	for wk.Next() {
+		n++
+	}
+	return n
+}
+
+func BenchmarkGuardSlowPath(b *testing.B) {
+	g, slow := recordSlowWindows(b, 30)
+	ys := make([]uint64, len(slow))
+	for i, w := range slow {
+		ys[i] = yields(b, g, w)
 	}
 
 	b.ReportAllocs()
 	b.ResetTimer()
-	var instrs uint64
+	var instrs, yielded uint64
 	for i := 0; i < b.N; i++ {
 		w := slow[i%len(slow)]
 		var res Result
@@ -79,6 +115,32 @@ func BenchmarkGuardSlowPath(b *testing.B) {
 			b.Fatalf("benign window judged %v: %s", res.Verdict, res.Reason)
 		}
 		instrs += res.SlowCycles / ipt.CyclesPerDecodedInstr
+		yielded += ys[i%len(slow)]
 	}
 	b.ReportMetric(float64(instrs)/float64(b.N), "instrs/op")
+	b.ReportMetric(float64(yielded)/float64(b.N), "yields/op")
+}
+
+// TestSlowPathReusesEventBuffer: once the guard's event buffer has grown
+// to the largest window, the slow path over clean windows allocates
+// nothing — neither the decoded events nor anything per edge.
+func TestSlowPathReusesEventBuffer(t *testing.T) {
+	g, slow := recordSlowWindows(t, 5)
+	for _, w := range slow {
+		var res Result
+		g.slowPath(&res, w.tips, w.region)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(2*len(slow), func() {
+		w := slow[i%len(slow)]
+		i++
+		var res Result
+		g.slowPath(&res, w.tips, w.region)
+		if res.Verdict != VerdictClean {
+			t.Fatalf("benign window judged %v: %s", res.Verdict, res.Reason)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("slow path over %d clean windows: %.1f allocations per check, want 0", len(slow), allocs)
+	}
 }

@@ -52,6 +52,22 @@ func (c *FetchCursor) Cached(as *AddressSpace, pc uint64) *CodeSlot {
 	return nil
 }
 
+// Span returns the slots of the code map holding pc and the address of
+// slot 0, refilling the cursor as Slot does; ok is false where Slot
+// returns nil. A caller that steps the slots itself, by index, keeps the
+// cursor's contract by checking Live before every step.
+func (c *FetchCursor) Span(as *AddressSpace, pc uint64) (slots []CodeSlot, base uint64, ok bool) {
+	if c.Slot(as, pc) == nil {
+		return nil, 0, false
+	}
+	return c.m.slots, c.m.base, true
+}
+
+// Live reports whether the map the last successful Span returned is
+// still its segment's published map, that is, Mprotect has not dropped
+// it since. Call it only after a Span that returned ok.
+func (c *FetchCursor) Live() bool { return c.seg.code.Load() == c.m }
+
 // refill points the cursor at the map of pc's segment.
 func (c *FetchCursor) refill(as *AddressSpace, pc uint64) *CodeSlot {
 	c.as, c.seg, c.m = as, as.FindSegment(pc), nil

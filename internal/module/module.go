@@ -785,9 +785,8 @@ func (as *AddressSpace) codeMap(seg *Segment) *CodeMap {
 	if m := seg.code.Load(); m != nil {
 		return m
 	}
-	if seg.Perm&(PermW|PermX) != PermX {
-		return nil
-	}
+	// Perm is read under codeMu only: Mprotect writes it there, and may
+	// run on another goroutine sharing the address space.
 	seg.codeMu.Lock()
 	defer seg.codeMu.Unlock()
 	if seg.Perm&(PermW|PermX) != PermX {

@@ -6,22 +6,24 @@ import (
 )
 
 // Event is one decoded packet from the fast (packet-grammar-only) layer.
+// The one-byte fields come first so that they share one word: the slow
+// path keeps a whole window's events.
 type Event struct {
 	Kind Kind
-	// IP is the reconstructed instruction pointer for TIP/TIP.PGE/
-	// TIP.PGD/FUP packets.
-	IP uint64
 	// Suppressed marks a TIP-family packet whose IP payload was
 	// suppressed (ipbytes = 0 for TIP.PGD at far transfers).
 	Suppressed bool
-	// TNTBits holds up to 6 outcomes, oldest in bit 0.
-	TNTBits  uint8
-	TNTCount int
-	// CR3 carries the PIP payload.
-	CR3 uint64
 	// Ctx marks FUP packets inside a PSB+ region: decoder
 	// synchronization context rather than an asynchronous event.
 	Ctx bool
+	// TNTBits holds up to 6 outcomes, oldest in bit 0.
+	TNTBits  uint8
+	TNTCount int
+	// IP is the reconstructed instruction pointer for TIP/TIP.PGE/
+	// TIP.PGD/FUP packets.
+	IP uint64
+	// CR3 carries the PIP payload.
+	CR3 uint64
 	// Off is the byte offset of the packet header in the stream.
 	Off int
 }
@@ -72,11 +74,17 @@ func SyncPoints(buf []byte) []int {
 // is built on. A packet truncated by the end of the buffer terminates the
 // scan without error, matching a circular buffer cut mid-packet.
 func DecodeFast(buf []byte) ([]Event, error) {
-	return decodeFastFrom(buf, 0)
+	return decodeFastFrom(nil, buf, 0)
 }
 
-func decodeFastFrom(buf []byte, base int) ([]Event, error) {
-	var evs []Event
+// AppendEvents is DecodeFast appending to evs: a caller that decodes
+// window after window passes the previous result back, truncated to
+// length zero, and reuses its storage.
+func AppendEvents(evs []Event, buf []byte) ([]Event, error) {
+	return decodeFastFrom(evs, buf, 0)
+}
+
+func decodeFastFrom(evs []Event, buf []byte, base int) ([]Event, error) {
 	lastIP := uint64(0)
 	inPSB := false
 	i := 0
@@ -199,7 +207,7 @@ func DecodeFastParallel(buf []byte, workers int) ([]Event, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[si], errs[si] = decodeFastFrom(buf[lo:hi], lo)
+			results[si], errs[si] = decodeFastFrom(nil, buf[lo:hi], lo)
 		}(si, s[0], s[1])
 	}
 	wg.Wait()

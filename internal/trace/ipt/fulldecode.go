@@ -119,6 +119,16 @@ func (c *tokenCursor) nextIP(want Kind) (Event, error) {
 	return e, nil
 }
 
+// tntReady reports whether the next event that is not
+// synchronization-only is a TNT packet with an outcome left, moving the
+// cursor to it. While it holds no asynchronous FUP+TIP pair can be
+// pending: a pair pends only when a non-context FUP is the next such
+// event.
+func (c *tokenCursor) tntReady() bool {
+	c.skipMeta()
+	return c.i < len(c.evs) && c.evs[c.i].Kind == KindTNT
+}
+
 // pendingAsync reports whether an asynchronous-transfer pair is
 // pending — a non-context FUP immediately followed by a TIP — and the
 // FUP's IP, without moving the cursor. The kernel emits this shape at
@@ -195,6 +205,11 @@ func DecodeFullEvents(as *module.AddressSpace, evs []Event, maxInstrs uint64) (*
 	if err != nil {
 		return nil, err
 	}
+	return collect(&w)
+}
+
+// collect runs w to its end and collects what it yields.
+func collect(w *FlowWalk) (*FullTrace, error) {
 	ft := &FullTrace{StartIP: w.StartIP()}
 	for w.Next() {
 		ft.noteResyncs(w.Resyncs())
@@ -211,6 +226,12 @@ func (t *FullTrace) noteResyncs(n int) {
 	for ; t.Resyncs < n; t.Resyncs++ {
 		t.ResyncPoints = append(t.ResyncPoints, len(t.Flow))
 	}
+}
+
+// EdgeChecker decides whether a direct edge belongs to the program's
+// control-flow graph; *cfg.Graph satisfies it.
+type EdgeChecker interface {
+	ContainsEdge(src, dst uint64, class isa.CoFIClass) bool
 }
 
 // FlowEdge is one reconstructed change-of-flow event together with the
@@ -234,11 +255,19 @@ type FlowEdge struct {
 // — a misaligned IP, a writable or unmapped page — it fetches and
 // decodes each instruction. Either way the walk retires, counts and
 // reports exactly what an instruction-by-instruction walk would.
+//
+// With an EdgeChecker set (CheckDirect), the walk asks the checker about
+// every direct JMP and conditional JCC edge and yields only those it
+// rejects; every other edge is yielded as before. Chains of such edges
+// are then walked in the chain lane: one loop over the code map's slots
+// that pops TNT outcomes in place and asks the checker, without a
+// round trip through Next per edge.
 type FlowWalk struct {
 	as        *module.AddressSpace
 	cur       tokenCursor
 	maxInstrs uint64
 	code      module.FetchCursor
+	check     EdgeChecker
 
 	// The pending async FUP as last probed at cursor position
 	// (pkI, pkBit): the cursor stands still across a straight-line run,
@@ -267,6 +296,11 @@ func NewFlowWalk(as *module.AddressSpace, evs []Event, maxInstrs uint64) (FlowWa
 	w.startIP, w.ip = ip, ip
 	return w, nil
 }
+
+// CheckDirect makes the walk decide direct JMP and conditional JCC edges
+// with c, yielding only the edges c rejects (see FlowWalk). Call it
+// before the first Next.
+func (w *FlowWalk) CheckDirect(c EdgeChecker) { w.check = c }
 
 // Edge returns the edge the last successful Next found.
 func (w *FlowWalk) Edge() FlowEdge { return w.edge }
@@ -303,6 +337,90 @@ func (w *FlowWalk) emit(class isa.CoFIClass, op isa.Op, target uint64, taken boo
 	return true
 }
 
+// accepts reports whether a checker is set and accepts the edge from the
+// current IP to target: such an edge is walked past, not yielded.
+func (w *FlowWalk) accepts(class isa.CoFIClass, target uint64) bool {
+	return w.check != nil && w.check.ContainsEdge(w.ip, target, class)
+}
+
+// lane is the chain lane: it steps straight-line runs, JMPs and JCCs by
+// slot index over the code map holding the IP, asking the checker about
+// each edge, for as long as the token cursor stands at a TNT packet —
+// then no asynchronous FUP can be pending, so nothing needs probing
+// between steps. It leaves the lane, without retiring the instruction
+// at the IP, at any other instruction, an undecodable slot, an IP
+// outside the map, a map Mprotect has dropped, the instruction cap, and
+// the TNT outcomes' end; Next's general path takes over from there. An
+// edge the checker rejects is retired and yielded, and lane reports
+// true.
+func (w *FlowWalk) lane() bool {
+	c := &w.cur
+	if !c.tntReady() {
+		return false
+	}
+	slots, base, ok := w.code.Span(w.as, w.ip)
+	if !ok {
+		return false
+	}
+	// The walk state lives in locals until the lane leaves. budget is
+	// what the instruction cap leaves (all of uint64 without a cap).
+	n := uint64(len(slots))
+	ip, budget := w.ip, ^uint64(0)
+	if w.maxInstrs > 0 {
+		budget = w.maxInstrs - w.instrs
+	}
+	left := budget
+	tnt := &c.evs[c.i]
+	for left > 0 && w.code.Live() {
+		off := ip - base
+		if off%isa.InstrSize != 0 || off/isa.InstrSize >= n {
+			break
+		}
+		j := off / isa.InstrSize
+		s := &slots[j]
+		if r := uint64(s.Run); r > 0 {
+			// A straight-line run ends at a stop, or at the map's end.
+			if r >= left || j+r >= n {
+				r = min(r, left)
+				left -= r
+				ip += r * isa.InstrSize
+				continue
+			}
+			left -= r
+			ip += r * isa.InstrSize
+			s = &slots[j+r]
+		}
+		in := &s.Instr
+		class, target, taken := isa.CoFIDirect, in.BranchTarget(ip), true
+		switch in.Op {
+		case isa.JMP:
+		case isa.JCC:
+			class, taken = isa.CoFICond, tnt.TNTBits&(1<<c.bit) != 0
+			c.bit++
+			if !taken {
+				target = ip + isa.InstrSize
+			}
+		default:
+			w.ip, w.instrs = ip, w.instrs+budget-left
+			return false
+		}
+		left--
+		if !w.check.ContainsEdge(ip, target, class) {
+			w.ip, w.instrs = ip, w.instrs+budget-left
+			return w.emit(class, in.Op, target, taken)
+		}
+		ip = target
+		if c.bit >= tnt.TNTCount {
+			if !c.tntReady() {
+				break
+			}
+			tnt = &c.evs[c.i]
+		}
+	}
+	w.ip, w.instrs = ip, w.instrs+budget-left
+	return false
+}
+
 // resync relocates the walk to the next PSB after an overflow or a
 // desynchronization.
 func (w *FlowWalk) resync() bool {
@@ -322,6 +440,9 @@ func (w *FlowWalk) Next() bool {
 		return false
 	}
 	for {
+		if w.check != nil && w.lane() {
+			return true
+		}
 		if w.maxInstrs > 0 && w.instrs >= w.maxInstrs {
 			return w.finish(nil)
 		}
@@ -379,7 +500,12 @@ func (w *FlowWalk) Next() bool {
 
 		switch in.Op {
 		case isa.JMP, isa.CALL:
-			return w.emit(isa.CoFIDirect, in.Op, in.BranchTarget(w.ip), true)
+			t := in.BranchTarget(w.ip)
+			if in.Op == isa.JMP && w.accepts(isa.CoFIDirect, t) {
+				w.ip = t
+				continue
+			}
+			return w.emit(isa.CoFIDirect, in.Op, t, true)
 		case isa.JCC:
 			taken, err := w.cur.nextTNT()
 			if errors.Is(err, errExhausted) {
@@ -394,6 +520,10 @@ func (w *FlowWalk) Next() bool {
 			t := w.ip + isa.InstrSize
 			if taken {
 				t = in.BranchTarget(w.ip)
+			}
+			if w.accepts(isa.CoFICond, t) {
+				w.ip = t
+				continue
 			}
 			return w.emit(isa.CoFICond, in.Op, t, taken)
 		case isa.JMPR, isa.CALLR, isa.RET:

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"flowguard/internal/asm"
 	"flowguard/internal/module"
 )
 
@@ -484,7 +485,38 @@ func TestFlowWalkAsyncInsideRun(t *testing.T) {
 		psbWindow(pc, asyncPair(pc+12, pc)), // misaligned FUP: never taken
 	} {
 		for maxInstrs := range uint64(8) {
-			checkWalkMatchesReference(t, fx.as, w, maxInstrs)
+			checkWalkMatchesReference(t, fx.as, w, maxInstrs, hashChecker{}, hashChecker{every: 1})
+		}
+	}
+}
+
+// TestFlowWalkRunToMapEnd pins the lane's other way out of a map: a
+// straight-line run that reaches the end of its segment, in a module
+// whose code ends without a stop. The walk must leave the map there and
+// fail the fetch past it exactly as the reference does, for every cap.
+func TestFlowWalkRunToMapEnd(t *testing.T) {
+	b := asm.NewModule("tail")
+	main := b.Func("main", 0, true)
+	b.SetEntry("main")
+	main.Jmp("run")
+	main.Label("run")
+	main.Nop().Nop().Nop()
+	m, err := b.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	as, err := module.Load(m, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, _ := as.Exec.SymbolAddr("main")
+	tnt, err := appendTNT(nil, 0b101, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, start := range []uint64{pc, pc + 8, pc + 16} {
+		for maxInstrs := range uint64(6) {
+			checkWalkMatchesReference(t, as, psbWindow(start, tnt), maxInstrs, hashChecker{}, hashChecker{every: 1})
 		}
 	}
 }
@@ -492,19 +524,23 @@ func TestFlowWalkAsyncInsideRun(t *testing.T) {
 // FuzzDecodeFullMatchesReference drives the block-stepping walk and the
 // instruction-by-instruction reference over arbitrary windows of one
 // traced program: they must agree on the whole FullTrace and the error
-// text. The cap keeps a walk over a corrupted window that never
-// consumes a packet finite.
+// text. The walk run with an edge checker picked by reject — one that
+// accepts every edge, one that rejects every edge, or one rejecting a
+// seeded random subset — must yield the reference flow less the JMP and
+// JCC edges the checker accepts. The cap keeps a walk over a corrupted
+// window that never consumes a packet finite.
 func FuzzDecodeFullMatchesReference(f *testing.F) {
 	fx := progenFixture(f, 4)
 	rng := rand.New(rand.NewSource(4))
 	for i, w := range walkWindows(rng, fx.buf, 6) {
-		f.Add(w, uint16(i*97))
+		f.Add(w, uint16(i*97), uint8(i))
 	}
 	pc := straightRun(f, fx, 4)
-	f.Add(psbWindow(pc, asyncPair(pc+16, pc)), uint16(6))
-	f.Add(psbWindow(pc+4, nil), uint16(50))              // misaligned start
-	f.Add(psbWindow(module.StackTop-64, nil), uint16(3)) // non-executable start
-	f.Fuzz(func(t *testing.T, data []byte, maxInstrs uint16) {
-		checkWalkMatchesReference(t, fx.as, data, 1+uint64(maxInstrs))
+	f.Add(psbWindow(pc, asyncPair(pc+16, pc)), uint16(6), uint8(2))
+	f.Add(psbWindow(pc+4, nil), uint16(50), uint8(0))              // misaligned start
+	f.Add(psbWindow(module.StackTop-64, nil), uint16(3), uint8(1)) // non-executable start
+	f.Fuzz(func(t *testing.T, data []byte, maxInstrs uint16, reject uint8) {
+		chk := hashChecker{seed: uint64(reject), every: uint64(reject % 5)}
+		checkWalkMatchesReference(t, fx.as, data, 1+uint64(maxInstrs), chk)
 	})
 }
