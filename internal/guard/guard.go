@@ -432,6 +432,9 @@ type Guard struct {
 	// slowEvs is the slow path's event buffer, reused from check to
 	// check (checks serialize on mu).
 	slowEvs []ipt.Event
+	// slowMemo is the slow path's chain memo over OCFG, built at the
+	// first slow path and reused from check to check like slowEvs.
+	slowMemo *ipt.ChainMemo
 }
 
 // stream is one checked trace stream: a trace unit whose ToPA is the

@@ -39,7 +39,12 @@ func (g *Guard) slowPath(res *Result, tips []ipt.TIPRecord, region []byte) {
 
 	// The walk decides direct and conditional edges with the O-CFG
 	// itself and yields only those it rejects, plus every other edge.
-	w.CheckDirect(g.OCFG)
+	// Its memo of the chains it crossed serves every later check over
+	// the same O-CFG.
+	if g.slowMemo == nil || g.slowMemo.Checker() != g.OCFG {
+		g.slowMemo = ipt.NewChainMemo(g.OCFG)
+	}
+	w.CheckDirect(g.slowMemo)
 
 	// Check every yielded edge as the walk reconstructs it, with a
 	// shadow stack over the window. The window may begin mid-execution,

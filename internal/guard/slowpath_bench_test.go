@@ -5,11 +5,14 @@ package guard
 // windows its endpoint checks forward to the slow path are recorded, and
 // each op re-runs the slow path over the next of them — fast decode, the
 // block-stepping flow walk, O-CFG edge checks, the shadow stack and the
-// approval step. instrs/op is the number of instructions the walk
-// retires per check, the input of the cycle model; yields/op is the
-// number of edges the walk hands the slow path's own checks, every edge
-// but the direct and conditional ones the O-CFG accepted inside the
-// walk. In fgperf's full suite only (not a tier-1 benchmark).
+// approval step. The guard's chain memo is warm from the session;
+// BenchmarkGuardSlowPathColdMemo gives every op a fresh one, as the
+// first check of a new guard has. instrs/op is the number of
+// instructions the walk retires per check, the input of the cycle
+// model; yields/op is the number of edges the walk hands the slow
+// path's own checks, every edge but the direct and conditional ones the
+// O-CFG accepted inside the walk. Both are in fgperf's full suite only
+// (not tier-1 benchmarks).
 
 import (
 	"fmt"
@@ -89,7 +92,7 @@ func yields(tb testing.TB, g *Guard, w slowWindow) uint64 {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	wk.CheckDirect(g.OCFG)
+	wk.CheckDirect(ipt.NewChainMemo(g.OCFG))
 	n := uint64(0)
 	for wk.Next() {
 		n++
@@ -97,7 +100,12 @@ func yields(tb testing.TB, g *Guard, w slowWindow) uint64 {
 	return n
 }
 
-func BenchmarkGuardSlowPath(b *testing.B) {
+func BenchmarkGuardSlowPath(b *testing.B)         { benchSlowPath(b, false) }
+func BenchmarkGuardSlowPathColdMemo(b *testing.B) { benchSlowPath(b, true) }
+
+// benchSlowPath runs the slow path over recorded windows, with a fresh
+// chain memo for every op when coldMemo is set.
+func benchSlowPath(b *testing.B, coldMemo bool) {
 	g, slow := recordSlowWindows(b, 30)
 	ys := make([]uint64, len(slow))
 	for i, w := range slow {
@@ -109,6 +117,9 @@ func BenchmarkGuardSlowPath(b *testing.B) {
 	var instrs, yielded uint64
 	for i := 0; i < b.N; i++ {
 		w := slow[i%len(slow)]
+		if coldMemo {
+			g.slowMemo = nil
+		}
 		var res Result
 		g.slowPath(&res, w.tips, w.region)
 		if res.Verdict != VerdictClean {
@@ -122,8 +133,9 @@ func BenchmarkGuardSlowPath(b *testing.B) {
 }
 
 // TestSlowPathReusesEventBuffer: once the guard's event buffer has grown
-// to the largest window, the slow path over clean windows allocates
-// nothing — neither the decoded events nor anything per edge.
+// to the largest window and its chain memo has seen every window, the
+// slow path over clean windows allocates nothing — neither the decoded
+// events nor memo rows nor anything per edge.
 func TestSlowPathReusesEventBuffer(t *testing.T) {
 	g, slow := recordSlowWindows(t, 5)
 	for _, w := range slow {

@@ -68,6 +68,11 @@ func (c *FetchCursor) Span(as *AddressSpace, pc uint64) (slots []CodeSlot, base 
 // it since. Call it only after a Span that returned ok.
 func (c *FetchCursor) Live() bool { return c.seg.code.Load() == c.m }
 
+// Map returns the map the last successful Span returned. A map's
+// identity names its contents: Mprotect replaces a dropped map with a
+// new one, never the same pointer.
+func (c *FetchCursor) Map() *CodeMap { return c.m }
+
 // refill points the cursor at the map of pc's segment.
 func (c *FetchCursor) refill(as *AddressSpace, pc uint64) *CodeSlot {
 	c.as, c.seg, c.m = as, as.FindSegment(pc), nil

@@ -256,18 +256,19 @@ type FlowEdge struct {
 // decodes each instruction. Either way the walk retires, counts and
 // reports exactly what an instruction-by-instruction walk would.
 //
-// With an EdgeChecker set (CheckDirect), the walk asks the checker about
-// every direct JMP and conditional JCC edge and yields only those it
-// rejects; every other edge is yielded as before. Chains of such edges
-// are then walked in the chain lane: one loop over the code map's slots
-// that pops TNT outcomes in place and asks the checker, without a
-// round trip through Next per edge.
+// With a ChainMemo set (CheckDirect), the walk asks the memo's checker
+// about every direct JMP and conditional JCC edge and yields only those
+// it rejects; every other edge is yielded as before. Chains of such
+// edges are then walked in the chain lane: one loop over the code map's
+// slots that pops TNT outcomes in place and asks the checker, without a
+// round trip through Next per edge, and that crosses a TNT packet's
+// whole chain in one step where the memo has recorded it.
 type FlowWalk struct {
 	as        *module.AddressSpace
 	cur       tokenCursor
 	maxInstrs uint64
 	code      module.FetchCursor
-	check     EdgeChecker
+	memo      *ChainMemo
 
 	// The pending async FUP as last probed at cursor position
 	// (pkI, pkBit): the cursor stands still across a straight-line run,
@@ -298,9 +299,10 @@ func NewFlowWalk(as *module.AddressSpace, evs []Event, maxInstrs uint64) (FlowWa
 }
 
 // CheckDirect makes the walk decide direct JMP and conditional JCC edges
-// with c, yielding only the edges c rejects (see FlowWalk). Call it
-// before the first Next.
-func (w *FlowWalk) CheckDirect(c EdgeChecker) { w.check = c }
+// with m's checker, yielding only the edges it rejects, and walk their
+// chains through m (see FlowWalk and ChainMemo). Call it before the
+// first Next.
+func (w *FlowWalk) CheckDirect(m *ChainMemo) { w.memo = m }
 
 // Edge returns the edge the last successful Next found.
 func (w *FlowWalk) Edge() FlowEdge { return w.edge }
@@ -340,7 +342,83 @@ func (w *FlowWalk) emit(class isa.CoFIClass, op isa.Op, target uint64, taken boo
 // accepts reports whether a checker is set and accepts the edge from the
 // current IP to target: such an edge is walked past, not yielded.
 func (w *FlowWalk) accepts(class isa.CoFIClass, target uint64) bool {
-	return w.check != nil && w.check.ContainsEdge(w.ip, target, class)
+	return w.memo != nil && w.memo.check.ContainsEdge(w.ip, target, class)
+}
+
+// ChainMemo is the chain lane's memo of its own work, for one
+// EdgeChecker. For a code map, the slot where a TNT packet's first
+// outcome is about to be consumed, and the packet's outcomes, it records
+// where the lane ends up once it has consumed the packet's last outcome
+// with every direct edge on the way accepted, and how many instructions
+// it retired to get there. The chain is a function of the map's
+// immutable slots, the outcomes and the checker's answers, so a lane
+// meeting the same packet at the same slot again crosses it with one
+// table load instead of stepping and checking each edge.
+//
+// The checker must answer the same for an edge every time it is asked
+// (*cfg.Graph does), and a memo must serve no other checker, which
+// NewChainMemo enforces by binding the two. A map Mprotect drops is
+// replaced by a new one, a new key, so stale entries are never read;
+// the memo releases them when the segment's next map shows up, and so
+// holds rows for at most one map per segment base. A memo is not safe
+// for concurrent use.
+type ChainMemo struct {
+	check EdgeChecker
+	maps  []chainMap
+}
+
+// chainMap holds the memo's rows for one code map: one row per slot,
+// allocated when a chain starting at that slot is first recorded.
+type chainMap struct {
+	m    *module.CodeMap
+	base uint64
+	rows []*chainRow
+}
+
+// chainRow holds, for one start slot, the chain end of every TNT packet,
+// indexed by tntKey.
+type chainRow [1 << (maxTNTBits + 1)]chainEnd
+
+// chainEnd is one recorded chain: the IP after the packet's last
+// outcome and the instructions retired to reach it, 0 if not recorded (a
+// chain retires at least its JCCs).
+type chainEnd struct {
+	ip, instrs uint64
+}
+
+// NewChainMemo returns an empty memo for walks checked with c.
+func NewChainMemo(c EdgeChecker) *ChainMemo { return &ChainMemo{check: c} }
+
+// Checker returns the checker the memo was built for.
+func (mm *ChainMemo) Checker() EdgeChecker { return mm.check }
+
+// rows returns the rows of code map m, whose slot 0 lies at base and
+// which has n slots. A map at the base of one the memo holds replaces
+// it: segments never move, so the two are successive maps of one
+// segment and Mprotect has dropped the older.
+func (mm *ChainMemo) rows(m *module.CodeMap, base uint64, n int) []*chainRow {
+	for i := range mm.maps {
+		cm := &mm.maps[i]
+		if cm.m == m {
+			return cm.rows
+		}
+		if cm.base == base {
+			*cm = chainMap{m: m, base: base, rows: make([]*chainRow, n)}
+			return cm.rows
+		}
+	}
+	mm.maps = append(mm.maps, chainMap{m: m, base: base, rows: make([]*chainRow, n)})
+	return mm.maps[len(mm.maps)-1].rows
+}
+
+// tntKey indexes a chainRow by a TNT packet's outcomes and their count;
+// ok is false for a packet holding more outcomes than a row has room
+// for, which the decoder never produces.
+func tntKey(e *Event) (key uint8, ok bool) {
+	if e.TNTCount > maxTNTBits {
+		return 0, false
+	}
+	return e.TNTBits&(1<<e.TNTCount-1) | 1<<e.TNTCount, true
 }
 
 // lane is the chain lane: it steps straight-line runs, JMPs and JCCs by
@@ -353,6 +431,12 @@ func (w *FlowWalk) accepts(class isa.CoFIClass, target uint64) bool {
 // the TNT outcomes' end; Next's general path takes over from there. An
 // edge the checker rejects is retired and yielded, and lane reports
 // true.
+//
+// At a packet's first outcome the lane looks the packet up in the memo
+// and, on a hit that fits the cap, crosses its whole chain at once. On a
+// miss it steps, and records the chain once it has consumed the
+// packet's last outcome; a chain cut short by anything that ends the
+// lane is not recorded.
 func (w *FlowWalk) lane() bool {
 	c := &w.cur
 	if !c.tntReady() {
@@ -362,6 +446,7 @@ func (w *FlowWalk) lane() bool {
 	if !ok {
 		return false
 	}
+	rows := w.memo.rows(w.code.Map(), base, len(slots))
 	// The walk state lives in locals until the lane leaves. budget is
 	// what the instruction cap leaves (all of uint64 without a cap).
 	n := uint64(len(slots))
@@ -371,12 +456,32 @@ func (w *FlowWalk) lane() bool {
 	}
 	left := budget
 	tnt := &c.evs[c.i]
+	// from is the slot where the current packet's chain started, and
+	// fromLeft what the cap left there, while the chain is being
+	// recorded; from is n otherwise.
+	from, fromLeft := n, uint64(0)
 	for left > 0 && w.code.Live() {
 		off := ip - base
 		if off%isa.InstrSize != 0 || off/isa.InstrSize >= n {
 			break
 		}
 		j := off / isa.InstrSize
+		if c.bit == 0 && from == n {
+			if key, ok := tntKey(tnt); ok {
+				if r := rows[j]; r != nil {
+					if e := r[key]; e.instrs != 0 && e.instrs <= left {
+						ip, left = e.ip, left-e.instrs
+						c.bit = tnt.TNTCount
+						if !c.tntReady() {
+							break
+						}
+						tnt = &c.evs[c.i]
+						continue
+					}
+				}
+				from, fromLeft = j, left
+			}
+		}
 		s := &slots[j]
 		if r := uint64(s.Run); r > 0 {
 			// A straight-line run ends at a stop, or at the map's end.
@@ -405,12 +510,22 @@ func (w *FlowWalk) lane() bool {
 			return false
 		}
 		left--
-		if !w.check.ContainsEdge(ip, target, class) {
+		if !w.memo.check.ContainsEdge(ip, target, class) {
 			w.ip, w.instrs = ip, w.instrs+budget-left
 			return w.emit(class, in.Op, target, taken)
 		}
 		ip = target
 		if c.bit >= tnt.TNTCount {
+			if from < n {
+				key, _ := tntKey(tnt)
+				r := rows[from]
+				if r == nil {
+					r = new(chainRow)
+					rows[from] = r
+				}
+				r[key] = chainEnd{ip: ip, instrs: fromLeft - left}
+				from = n
+			}
 			if !c.tntReady() {
 				break
 			}
@@ -440,7 +555,7 @@ func (w *FlowWalk) Next() bool {
 		return false
 	}
 	for {
-		if w.check != nil && w.lane() {
+		if w.memo != nil && w.lane() {
 			return true
 		}
 		if w.maxInstrs > 0 && w.instrs >= w.maxInstrs {

@@ -125,10 +125,12 @@ func walkWindows(rng *rand.Rand, buf []byte, n int) [][]byte {
 
 // checkWalkMatchesReference fails unless the block walk and the
 // reference walk agree on the whole FullTrace and on the error text, and
-// unless the walk run with each of the checkers yields the reference
+// unless the walk checked with each memo's checker yields the reference
 // flow less the JMP and JCC edges that checker accepts, with the same
-// instruction count, end points, resyncs and error.
-func checkWalkMatchesReference(t *testing.T, as *module.AddressSpace, w []byte, maxInstrs uint64, checkers ...EdgeChecker) {
+// instruction count, end points, resyncs and error. Each checked walk
+// runs three times: through a fresh memo for the checker, cold and then
+// warm, and through the memo given, which other walks may have warmed.
+func checkWalkMatchesReference(t *testing.T, as *module.AddressSpace, w []byte, maxInstrs uint64, memos ...*ChainMemo) {
 	t.Helper()
 	got, gerr := DecodeFull(as, w, maxInstrs)
 	want, werr := decodeFullReference(as, w, maxInstrs)
@@ -139,20 +141,26 @@ func checkWalkMatchesReference(t *testing.T, as *module.AddressSpace, w []byte, 
 		t.Fatalf("max %d, %d-byte window: trace differs from reference\n got: %+v\nwant: %+v",
 			maxInstrs, len(w), summarize(got), summarize(want))
 	}
-	for _, chk := range checkers {
-		got, gerr := decodeChecked(as, w, maxInstrs, chk)
-		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
-			t.Fatalf("checker %v, max %d, %d-byte window: error %v, reference %v", chk, maxInstrs, len(w), gerr, werr)
-		}
-		if want := withoutAccepted(as, want, chk); !reflect.DeepEqual(got, want) {
-			t.Fatalf("checker %v, max %d, %d-byte window: checked walk differs from reference\n got: %+v\nwant: %+v",
-				chk, maxInstrs, len(w), summarize(got), summarize(want))
+	for _, shared := range memos {
+		chk := shared.Checker()
+		want := withoutAccepted(as, want, chk)
+		fresh := NewChainMemo(chk)
+		for run, memo := range []*ChainMemo{fresh, fresh, shared} {
+			got, gerr := decodeChecked(as, w, maxInstrs, memo)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("checker %v, run %d, max %d, %d-byte window: error %v, reference %v", chk, run, maxInstrs, len(w), gerr, werr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("checker %v, run %d, max %d, %d-byte window: checked walk differs from reference\n got: %+v\nwant: %+v",
+					chk, run, maxInstrs, len(w), summarize(got), summarize(want))
+			}
 		}
 	}
 }
 
-// decodeChecked is DecodeFull with the direct edges decided by chk.
-func decodeChecked(as *module.AddressSpace, buf []byte, maxInstrs uint64, chk EdgeChecker) (*FullTrace, error) {
+// decodeChecked is DecodeFull with the direct edges decided by memo's
+// checker, through memo.
+func decodeChecked(as *module.AddressSpace, buf []byte, maxInstrs uint64, memo *ChainMemo) (*FullTrace, error) {
 	evs, err := DecodeFast(buf)
 	if err != nil {
 		return nil, err
@@ -161,7 +169,7 @@ func decodeChecked(as *module.AddressSpace, buf []byte, maxInstrs uint64, chk Ed
 	if err != nil {
 		return nil, err
 	}
-	w.CheckDirect(chk)
+	w.CheckDirect(memo)
 	return collect(&w)
 }
 
@@ -219,13 +227,19 @@ func (c hashChecker) ContainsEdge(src, dst uint64, class isa.CoFIClass) bool {
 	return h%c.every != 0
 }
 
-// checkers returns the checkers a window is walked with: one that
-// accepts every edge, one that rejects every edge, and two that reject
-// seeded random subsets.
-func checkers(rng *rand.Rand) []EdgeChecker {
-	return []EdgeChecker{
-		hashChecker{}, hashChecker{every: 1},
-		hashChecker{seed: rng.Uint64(), every: 2}, hashChecker{seed: rng.Uint64(), every: 16},
+// memos returns fresh memos for the checkers a window is walked with:
+// one that accepts every edge, one that rejects every edge, and the two
+// of randomMemos.
+func memos(rng *rand.Rand) []*ChainMemo {
+	return append([]*ChainMemo{NewChainMemo(hashChecker{}), NewChainMemo(hashChecker{every: 1})}, randomMemos(rng)...)
+}
+
+// randomMemos returns fresh memos for two checkers that reject seeded
+// random subsets of edges.
+func randomMemos(rng *rand.Rand) []*ChainMemo {
+	return []*ChainMemo{
+		NewChainMemo(hashChecker{seed: rng.Uint64(), every: 2}),
+		NewChainMemo(hashChecker{seed: rng.Uint64(), every: 16}),
 	}
 }
 
@@ -275,7 +289,8 @@ func summarize(ft *FullTrace) string {
 // exactly what the instruction-by-instruction walk does. Run with an
 // edge checker (the chain lane), it yields the same flow less the
 // accepted JMP and JCC edges, for checkers that accept all, none and
-// random subsets of them.
+// random subsets of them, through cold memos, warm ones and memos warmed
+// by the fixture's other windows.
 func TestFlowWalkMatchesReference(t *testing.T) {
 	seeds, cuts := 12, 40
 	if testing.Short() {
@@ -300,15 +315,18 @@ func TestFlowWalkMatchesReference(t *testing.T) {
 			}
 		}
 		splitRuns += metaSplitRuns(fx.buf)
+		// One memo per fixed checker serves all of the fixture's
+		// windows; each call also walks with fresh random checkers.
+		shared := memos(rng)
 		t.Run(fx.name, func(t *testing.T) {
 			for _, w := range walkWindows(rng, fx.buf, cuts) {
-				checkWalkMatchesReference(t, fx.as, w, 0, checkers(rng)...)
+				checkWalkMatchesReference(t, fx.as, w, 0, append(randomMemos(rng), shared...)...)
 				full, err := decodeFullReference(fx.as, w, 0)
 				if err != nil || full == nil || full.Instrs == 0 {
 					continue
 				}
 				for range 3 {
-					checkWalkMatchesReference(t, fx.as, w, 1+uint64(rng.Int63n(int64(full.Instrs))), checkers(rng)...)
+					checkWalkMatchesReference(t, fx.as, w, 1+uint64(rng.Int63n(int64(full.Instrs))), append(randomMemos(rng), shared...)...)
 				}
 			}
 		})
@@ -327,8 +345,10 @@ func TestFlowWalkMatchesReference(t *testing.T) {
 // maps as one walk alone builds over an identical address space. Then
 // four checked walks (the chain lane) run over the same address space
 // while each drops the code maps mid-walk, through a same-permission
-// Mprotect every 97th checker call: every walk must still yield what a
-// checked walk over an untouched address space yields.
+// Mprotect every 13th checker call: every walk must still yield what a
+// checked walk over an untouched address space yields. (The walks' chain
+// memos answer most repeats without asking the checker: one such walk
+// makes about 90 checker calls over this fixture.)
 func TestFlowWalkSharedMapRace(t *testing.T) {
 	fx := progenFixture(t, 3)
 	solo, shared := fx.as.Clone(), fx.as.Clone()
@@ -379,7 +399,7 @@ func TestFlowWalkSharedMapRace(t *testing.T) {
 	}
 
 	chk := hashChecker{seed: 3, every: 5}
-	wantChecked, err := decodeChecked(solo, fx.buf, 0, chk)
+	wantChecked, err := decodeChecked(solo, fx.buf, 0, NewChainMemo(chk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +414,7 @@ func TestFlowWalkSharedMapRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			got[i], errs[i] = decodeChecked(shared, fx.buf, 0, &dropper{EdgeChecker: chk, as: shared, perms: perms, every: 97})
+			got[i], errs[i] = decodeChecked(shared, fx.buf, 0, NewChainMemo(&dropper{EdgeChecker: chk, as: shared, perms: perms, every: 13}))
 		}()
 	}
 	close(start)
@@ -442,13 +462,15 @@ func (d *dropper) ContainsEdge(src, dst uint64, class isa.CoFIClass) bool {
 // the edge; the walk must stop at that HALT rather than step the stale
 // map past it.
 func TestFlowWalkLaneSeesMprotect(t *testing.T) {
-	fx := progenFixture(t, 2)
+	// A fixture whose walk asks the checker about 200 times even with
+	// its chain memo answering repeats.
+	fx := progenFixture(t, 4)
 	full, err := DecodeFull(fx.as, fx.buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	count := &patcher{as: fx.as}
-	if _, err := decodeChecked(fx.as, fx.buf, 0, count); err != nil {
+	if _, err := decodeChecked(fx.as, fx.buf, 0, NewChainMemo(count)); err != nil {
 		t.Fatal(err)
 	}
 	if count.calls < 50 {
@@ -457,7 +479,7 @@ func TestFlowWalkLaneSeesMprotect(t *testing.T) {
 	for _, nth := range []int{1, 7, count.calls / 3, count.calls - 1} {
 		as := fx.as.Clone()
 		p := &patcher{as: as, nth: nth}
-		ft, err := decodeChecked(as, fx.buf, 0, p)
+		ft, err := decodeChecked(as, fx.buf, 0, NewChainMemo(p))
 		if err != nil {
 			t.Fatalf("call %d: %v", nth, err)
 		}

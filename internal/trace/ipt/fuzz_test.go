@@ -478,6 +478,7 @@ func straightRun(tb testing.TB, fx walkFixture, n uint32) uint64 {
 func TestFlowWalkAsyncInsideRun(t *testing.T) {
 	fx := progenFixture(t, 1)
 	pc := straightRun(t, fx, 4)
+	ms := []*ChainMemo{NewChainMemo(hashChecker{}), NewChainMemo(hashChecker{every: 1})}
 	for _, w := range [][]byte{
 		psbWindow(pc, asyncPair(pc+16, pc)),
 		psbWindow(pc, asyncPair(pc+24, pc+8)),
@@ -485,7 +486,7 @@ func TestFlowWalkAsyncInsideRun(t *testing.T) {
 		psbWindow(pc, asyncPair(pc+12, pc)), // misaligned FUP: never taken
 	} {
 		for maxInstrs := range uint64(8) {
-			checkWalkMatchesReference(t, fx.as, w, maxInstrs, hashChecker{}, hashChecker{every: 1})
+			checkWalkMatchesReference(t, fx.as, w, maxInstrs, ms...)
 		}
 	}
 }
@@ -514,9 +515,10 @@ func TestFlowWalkRunToMapEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ms := []*ChainMemo{NewChainMemo(hashChecker{}), NewChainMemo(hashChecker{every: 1})}
 	for _, start := range []uint64{pc, pc + 8, pc + 16} {
 		for maxInstrs := range uint64(6) {
-			checkWalkMatchesReference(t, as, psbWindow(start, tnt), maxInstrs, hashChecker{}, hashChecker{every: 1})
+			checkWalkMatchesReference(t, as, psbWindow(start, tnt), maxInstrs, ms...)
 		}
 	}
 }
@@ -527,7 +529,8 @@ func TestFlowWalkRunToMapEnd(t *testing.T) {
 // text. The walk run with an edge checker picked by reject — one that
 // accepts every edge, one that rejects every edge, or one rejecting a
 // seeded random subset — must yield the reference flow less the JMP and
-// JCC edges the checker accepts. The cap keeps a walk over a corrupted
+// JCC edges the checker accepts, through a fresh memo and through one
+// that earlier inputs warmed. The cap keeps a walk over a corrupted
 // window that never consumes a packet finite.
 func FuzzDecodeFullMatchesReference(f *testing.F) {
 	fx := progenFixture(f, 4)
@@ -539,8 +542,13 @@ func FuzzDecodeFullMatchesReference(f *testing.F) {
 	f.Add(psbWindow(pc, asyncPair(pc+16, pc)), uint16(6), uint8(2))
 	f.Add(psbWindow(pc+4, nil), uint16(50), uint8(0))              // misaligned start
 	f.Add(psbWindow(module.StackTop-64, nil), uint16(3), uint8(1)) // non-executable start
+	// One memo per checker lives across inputs, so a walk meets chains
+	// other inputs recorded.
+	var shared [256]*ChainMemo
 	f.Fuzz(func(t *testing.T, data []byte, maxInstrs uint16, reject uint8) {
-		chk := hashChecker{seed: uint64(reject), every: uint64(reject % 5)}
-		checkWalkMatchesReference(t, fx.as, data, 1+uint64(maxInstrs), chk)
+		if shared[reject] == nil {
+			shared[reject] = NewChainMemo(hashChecker{seed: uint64(reject), every: uint64(reject % 5)})
+		}
+		checkWalkMatchesReference(t, fx.as, data, 1+uint64(maxInstrs), shared[reject])
 	})
 }
