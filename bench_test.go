@@ -438,6 +438,64 @@ func BenchmarkGuardCheck(b *testing.B) {
 	m.report(b)
 }
 
+// BenchmarkGuardCheckAppend measures the endpoint check a server pays
+// when it has run since its previous check: before each op about 1 KiB
+// of a recorded nginx trace, cut at packet boundaries, is appended to
+// the guard's ToPA in the kernel module's 2×8 KiB geometry, so every
+// check decodes new bytes and trims the window of a buffer that wraps
+// every 16 checks or so. (BenchmarkGuardCheck re-checks an unchanged
+// buffer and decodes nothing.) The labels are trained on the recorded
+// session, so every check stays on the fast path. When the recording
+// runs out, a fresh guard starts over outside the timer.
+func BenchmarkGuardCheckAppend(b *testing.B) {
+	setup(b)
+	in := fx.nginx.MakeInput(64*benchScale, 1)
+	raw := mustTraceBytes(fx.nginx, in)
+	evs, err := ipt.DecodeFast(raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	labels := itc.FromCFG(fx.nginxCFG)
+	tips := ipt.ExtractTIPs(evs)
+	for j := 0; j+1 < len(tips); j++ {
+		labels.Observe(tips[j].IP, tips[j+1].IP, tips[j+1].TNTSig)
+	}
+	labels.RebuildCache()
+	cuts := []int{0}
+	for _, e := range evs {
+		if e.Off-cuts[len(cuts)-1] >= 1<<10 {
+			cuts = append(cuts, e.Off)
+		}
+	}
+	if len(cuts) < 64 {
+		b.Fatalf("recorded trace holds only %d 1 KiB chunks", len(cuts)-1)
+	}
+	newGuard := func() *guard.Guard {
+		// An unprogrammed tracer: Flush adds nothing, so the ToPA holds
+		// exactly the appended recording.
+		tr := ipt.NewTracer(ipt.NewToPA(guard.DefaultToPARegion, guard.DefaultToPARegion))
+		return guard.New(fx.nginxAS, fx.nginxCFG, labels, tr, guard.DefaultPolicy())
+	}
+	g, next := newGuard(), 0
+	m := startBenchMetrics(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if next+1 == len(cuts) {
+			b.StopTimer()
+			g, next = newGuard(), 0
+			b.StartTimer()
+		}
+		g.Tracer.Out.Write(raw[cuts[next]:cuts[next+1]])
+		next++
+		if res := g.Check(); res.Verdict != guard.VerdictClean || res.UsedSlowPath {
+			b.Fatalf("benign trace: verdict %v (%s), slow path %v", res.Verdict, res.Reason, res.UsedSlowPath)
+		}
+	}
+	b.StopTimer()
+	m.report(b)
+}
+
 // BenchmarkCheckParallel measures checking a fleet of protected
 // processes, serially versus through the bounded CheckPool (§6: flow
 // checks offloaded to spare cores). Every check re-collects its window

@@ -162,7 +162,7 @@ func (g *Guard) asyncOnRegionFull(ev ipt.RegionFull) {
 	if !ok {
 		// The cursor itself was outrun — only reachable if capture was
 		// re-aligned across a reset. Skip this span; the gate's
-		// AppendSince/loss classification covers it.
+		// incremental feed/loss classification covers it.
 		a.recycle(buf)
 		a.cursor = topa.TotalWritten()
 		return
@@ -354,42 +354,30 @@ func asyncDrainOneLocked(s *stream) bool {
 		return true
 	}
 	a.fed++
-	old := len(w.buf)
-	w.buf = append(w.buf, c.buf...)
+	ferr := w.dec.Feed(c.buf)
 	w.total += uint64(len(c.buf))
 	a.recycle(c.buf)
-	if ferr := w.dec.Feed(w.buf[old:]); ferr != nil {
+	if ferr != nil {
 		// Grammar corruption found ahead of the endpoint: remember it
 		// for the gate, which replays the synchronous malformed path.
 		w.asyncErr = ferr
 		return true
 	}
-	asyncTrimLocked(s)
+	// Forget history the ToPA no longer holds, keeping the between-gates
+	// record tail bounded by the buffer capacity: window()'s trim, applied
+	// earlier. The gate's own trim (with an equal-or-higher cutoff)
+	// subsumes it, so decode state stays identical to the synchronous
+	// schedule.
+	total, held, _ := s.tr.Out.State()
+	w.trim(total - uint64(held))
 	return true
-}
-
-// asyncTrimLocked forgets history the ToPA no longer holds, keeping the
-// between-gates window footprint bounded by the buffer capacity. It is
-// the same rule window() applies at every gate, applied earlier; the
-// gate's own trim (with an equal-or-higher cutoff) subsumes it, so decode
-// state stays identical to the synchronous schedule.
-//
-//fg:hotpath
-func asyncTrimLocked(s *stream) {
-	w, topa := &s.win, s.tr.Out
-	if lo := topa.TotalWritten() - uint64(topa.Held()); lo > w.base && lo <= w.total {
-		n := copy(w.buf, w.buf[lo-w.base:])
-		w.buf = w.buf[:n]
-		w.base = lo
-		w.dec.DropBefore(int(lo))
-	}
 }
 
 // asyncBeforeCheckLocked runs at gate entry (guard mutex held): it folds
 // the pipeline counters into Stats and discards the still-pending
 // captured chunks — their bytes are necessarily still resident in the
 // ToPA (otherwise the checkedTotal loss rule resyncs), so window()'s
-// incremental AppendSince covers them with identical content and the
+// incremental ToPA.FeedRange decodes them with identical content and the
 // copies are redundant.
 func (g *Guard) asyncBeforeCheckLocked(a *asyncState) {
 	a.mu.Lock()

@@ -87,12 +87,13 @@ const DefaultRetryMax = 3
 // re-snapshot stall as interception-class overhead).
 const CyclesPerRetryBackoff = 2000
 
-// resolveDegraded turns an unhealthy window of stream s into a
-// policy-governed verdict. Called with the guard's mutex held, after
-// window() classified res.Health (never HealthClean here).
+// resolveDegraded turns an unhealthy window of stream s, whose region
+// opens at stream offset psb, into a policy-governed verdict. Called with
+// the guard's mutex held, after window() — or a slow path that found the
+// region gone — classified res.Health (never HealthClean here).
 //
 //fg:cold runs only on unhealthy windows, never on the clean steady state
-func (g *Guard) resolveDegraded(res *Result, s *stream, tips []ipt.TIPRecord, region []byte, decodeErr error) {
+func (g *Guard) resolveDegraded(res *Result, s *stream, tips []ipt.TIPRecord, psb uint64, decodeErr error) {
 	res.Degraded = true
 	g.Stats.DegradedChecks++
 	detail := res.Health.String()
@@ -105,7 +106,7 @@ func (g *Guard) resolveDegraded(res *Result, s *stream, tips []ipt.TIPRecord, re
 		// checked, so a definite violation among the surviving records
 		// fires even in fail-open mode.
 		if len(tips) >= 2 {
-			g.runChecks(res, tips, region, false)
+			g.runChecks(res, s, tips, psb, false)
 			if res.Verdict == VerdictViolation {
 				return
 			}
@@ -114,12 +115,13 @@ func (g *Guard) resolveDegraded(res *Result, s *stream, tips []ipt.TIPRecord, re
 		res.Verdict = VerdictClean
 		res.Reason = "degraded trace (" + detail + "): fail open"
 	case SlowPathRetry:
-		if res.Health == HealthResynced && s.win.dec.Synced() && g.tailCovered(&s.win, tips) {
+		if res.Health == HealthResynced && s.win.dec.Synced() && g.tailCovered(&s.win, tips) &&
+			g.slowPath(res, s, tips, psb) {
 			// The stream resynchronized on its own and the surviving
 			// window still vouches for the flow reaching the endpoint:
-			// verify it with full precision instead of the credit
-			// heuristics.
-			g.runChecks(res, tips, region, true)
+			// it was verified with full precision instead of the credit
+			// heuristics (a region the slow path no longer found falls
+			// through to recovery).
 			return
 		}
 		g.retrySlowPath(res, s, detail)
@@ -176,7 +178,7 @@ func (g *Guard) retrySlowPath(res *Result, s *stream, detail string) {
 		g.Stats.BytesScanned += scanned
 		res.DecodeCycles += uint64(float64(scanned) * g.fastDecodeCost())
 		res.TIPs = len(tips)
-		g.runChecks(res, tips, buf[start:], true)
+		g.slowCheck(res, tips, buf[start:])
 		return
 	}
 	g.Stats.FailClosures++

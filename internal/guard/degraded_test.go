@@ -10,6 +10,10 @@ import (
 	"errors"
 	"testing"
 
+	"flowguard/internal/apps"
+	"flowguard/internal/cfg"
+	"flowguard/internal/itc"
+	"flowguard/internal/kernelsim"
 	"flowguard/internal/trace/ipt"
 )
 
@@ -193,4 +197,101 @@ func TestCheckDegradedPolicyOnGap(t *testing.T) {
 			t.Fatalf("Stats.FailClosures = %d, want 1", f.g.Stats.FailClosures)
 		}
 	})
+}
+
+// untrainedNginx runs one nginx session traced into the kernel module's
+// 2×8 KiB ToPA, with no checks, under a guard over the untrained static
+// ITC-CFG: every label is low-credit, so a check of the resident window
+// takes the slow path.
+func untrainedNginx(t *testing.T, pol Policy) *Guard {
+	t.Helper()
+	app := apps.Nginx()
+	k := kernelsim.New()
+	p, err := app.Spawn(k, app.MakeInput(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := ipt.NewTracer(ipt.NewToPA(DefaultToPARegion, DefaultToPARegion))
+	if err := tr.WriteMSR(ipt.MSRRTITCtl, ipt.CtlTraceEn|ipt.CtlBranchEn|ipt.CtlUser|ipt.CtlToPA); err != nil {
+		t.Fatal(err)
+	}
+	p.CPU.Branch = tr
+	ocfg, err := cfg.Build(p.AS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := k.Run(p, 50_000_000); err != nil || !st.Exited {
+		t.Fatalf("run: %v %v", st, err)
+	}
+	return New(p.AS, ocfg, itc.FromCFG(ocfg), tr, pol)
+}
+
+// TestSlowPathRegionLostIsWrapLoss: the slow path copies the window
+// region [psb, total) out of the ToPA only when it runs, which is sound
+// because no writer reaches a stream's ToPA during that stream's check.
+// This test breaks that invariant on purpose, writing into the ToPA
+// between window() and the slow path — a single byte (the write offset
+// moved) or a flood that evicts the region — and the check must resolve
+// the window as a counted wrap loss under Policy.OnDegraded: killed
+// under FailClosed, re-verified from a fresh snapshot under
+// SlowPathRetry, a counted fail-open under FailOpen, never a clean pass.
+func TestSlowPathRegionLostIsWrapLoss(t *testing.T) {
+	breaches := []struct {
+		name string
+		n    int // PAD bytes written between window() and the slow path
+	}{
+		{"none", 0},
+		{"append", 1},
+		{"evict", 4 * DefaultToPARegion},
+	}
+	for _, mode := range []DegradedMode{FailClosed, FailOpen, SlowPathRetry} {
+		for _, b := range breaches {
+			pol := DefaultPolicy()
+			pol.OnDegraded = mode
+			g := untrainedNginx(t, pol)
+			g.mu.Lock()
+			tips, psb, _, health, err := g.window(&g.main)
+			if err != nil || health != HealthClean || len(tips) < pol.PktCount {
+				g.mu.Unlock()
+				t.Fatalf("%v/%s: window: %d TIPs, health %v, err %v", mode, b.name, len(tips), health, err)
+			}
+			g.main.tr.Out.Write(make([]byte, b.n))
+			res := Result{TIPs: len(tips), Health: health}
+			g.judge(&res, &g.main, tips, psb, nil)
+			g.mu.Unlock()
+
+			if b.n == 0 {
+				if res.Verdict != VerdictClean || !res.UsedSlowPath || res.Degraded || g.Stats.Resyncs != 0 {
+					t.Fatalf("%v/%s: intact region: verdict %v (%s), slow %v, degraded %v, resyncs %d",
+						mode, b.name, res.Verdict, res.Reason, res.UsedSlowPath, res.Degraded, g.Stats.Resyncs)
+				}
+				continue
+			}
+			if !res.Degraded || res.Health != HealthResynced || g.Stats.Resyncs != 1 || g.Stats.DegradedChecks != 1 {
+				t.Fatalf("%v/%s: lost region: degraded %v, health %v, resyncs %d, degraded checks %d; want a counted wrap loss",
+					mode, b.name, res.Degraded, res.Health, g.Stats.Resyncs, g.Stats.DegradedChecks)
+			}
+			if g.main.win.src != nil || !g.main.win.wrapLoss {
+				t.Fatalf("%v/%s: the window cache survived a lost region", mode, b.name)
+			}
+			switch mode {
+			case FailClosed:
+				if res.Verdict != VerdictViolation || g.Stats.FailClosures != 1 {
+					t.Fatalf("%v/%s: verdict %v, fail closures %d", mode, b.name, res.Verdict, g.Stats.FailClosures)
+				}
+			case FailOpen:
+				if res.Verdict != VerdictClean || g.Stats.FailOpens != 1 {
+					t.Fatalf("%v/%s: verdict %v, fail opens %d", mode, b.name, res.Verdict, g.Stats.FailOpens)
+				}
+			case SlowPathRetry:
+				// Recovery re-decodes a fresh snapshot: the benign flow
+				// verifies, or the check fails closed; either way it went
+				// through recovery, not the lost region.
+				if res.Retries == 0 || (res.Verdict == VerdictClean) != (g.Stats.FailClosures == 0) {
+					t.Fatalf("%v/%s: verdict %v (%s), retries %d, fail closures %d",
+						mode, b.name, res.Verdict, res.Reason, res.Retries, g.Stats.FailClosures)
+				}
+			}
+		}
+	}
 }

@@ -312,16 +312,16 @@ type edgeKey struct {
 	src, dst, sig uint64
 }
 
-// winState is the incremental window cache: the retained suffix of the
-// logical trace stream, its streaming decoder, and the stream offset the
-// retained bytes start at. Between checks only appended bytes are copied
-// and decoded; a wrap that outran the previous check falls back to a
-// full resynchronizing rescan.
+// winState is the incremental window cache: the streaming decoder over
+// the logical trace stream and the stream offset it has consumed. It
+// keeps no copy of the trace: between checks only the appended bytes are
+// decoded, straight out of the ToPA (ToPA.FeedRange), and the slow path
+// copies its window region out of the ToPA only when it runs. A wrap
+// that outran the previous check falls back to a full resynchronizing
+// rescan of the resident buffer.
 type winState struct {
 	src   *ipt.ToPA
-	total uint64 // stream offset consumed into buf
-	base  uint64 // absolute stream offset of buf[0]
-	buf   []byte
+	total uint64 // stream offset fed into dec
 	dec   ipt.WindowDecoder
 	// checkedTotal is the stream offset at the end of the previous
 	// check — the last byte a verdict ever vouched for. Synchronously it
@@ -429,9 +429,11 @@ type Guard struct {
 
 	Stats Stats
 
-	// slowEvs is the slow path's event buffer, reused from check to
-	// check (checks serialize on mu).
-	slowEvs []ipt.Event
+	// slowRegion and slowEvs are the slow path's window bytes, copied
+	// out of the ToPA, and its event buffer, reused from check to check
+	// (checks serialize on mu).
+	slowRegion []byte
+	slowEvs    []ipt.Event
 	// slowMemo is the slow path's chain memo over OCFG, built at the
 	// first slow path and reused from check to check like slowEvs.
 	slowMemo *ipt.ChainMemo
@@ -493,28 +495,29 @@ func (g *Guard) InvalidateWindow() {
 // backwards until the policy's packet count and module-stride
 // requirements hold — "it is not required to decode the whole ToPA
 // buffer"), but decoding is incremental: the stream's tracer is flushed,
-// and only bytes appended since the previous check are copied out of
-// the ToPA and fast-decoded; the decoded TIP tail and sync points are
-// retained. It also returns the window region so a slow-path re-check
-// decodes the same bounded span, the number of newly scanned bytes for
-// the cost model, and the trace-health classification Policy.OnDegraded
+// and only bytes appended since the previous check are fast-decoded,
+// straight out of the ToPA; the decoded TIP tail and sync points are
+// retained. It also returns the stream offset of the sync point the
+// window region opens at, so a slow-path re-check decodes the same
+// bounded span [psb, s.win.total); the number of newly scanned bytes for
+// the cost model; and the trace-health classification Policy.OnDegraded
 // responds to: overflow since the last check (or an unresynchronized
 // overflow at the tail) is HealthResynced, a wrapped buffer with no
 // resident sync point is HealthGap, and grammar-level corruption is
 // HealthMalformed alongside the error. On a decode error the window
 // cache is dropped — the decoder state is unusable — so a later check
-// restarts from a fresh snapshot.
+// restarts from a fresh rescan.
 //
 //fg:hotpath steady-state window maintenance must not allocate
-func (g *Guard) window(s *stream) (tips []ipt.TIPRecord, region []byte, scanned uint64, health TraceHealth, err error) {
+func (g *Guard) window(s *stream) (tips []ipt.TIPRecord, psb uint64, scanned uint64, health TraceHealth, err error) {
 	s.tr.Flush()
 	w, topa := &s.win, s.tr.Out
 	// Whatever this call classifies is "checked" for the next call's
 	// loss rule: synchronously checkedTotal therefore always equals
 	// total between calls, reducing the rule to the classic
-	// AppendSince-outrun test.
+	// outran-the-cache test.
 	defer w.noteWindowed()
-	total := topa.TotalWritten()
+	total, held, wrapped := topa.State()
 	w.wrapLoss = false
 	if g.streamLoss {
 		// The demux reported spans of this process's shared-core stream
@@ -528,16 +531,16 @@ func (g *Guard) window(s *stream) (tips []ipt.TIPRecord, region []byte, scanned 
 		w.wrapLoss = true
 	}
 	fresh := w.src != topa || total < w.total
-	if !fresh && total > w.checkedTotal && total-w.checkedTotal > uint64(topa.Held()) {
+	if !fresh && total > w.checkedTotal && total-w.checkedTotal > uint64(held) {
 		// The buffer wrapped past the last *checked* offset: the span
 		// between the previous check and the resident window was evicted
 		// without any verdict ever vouching for it — the §7.1.2 worst
 		// case. Async workers may have pre-decoded part of that span, but
 		// the synchronous checker could never have seen it, so the
 		// prefetched decoder state is discarded and the check classified
-		// exactly as the synchronous path classifies it. Resync from a
-		// snapshot (a first check over an already-wrapped buffer is NOT a
-		// loss: no coverage was promised before tracking began).
+		// exactly as the synchronous path classifies it. Rescan the
+		// resident buffer (a first check over an already-wrapped buffer is
+		// NOT a loss: no coverage was promised before tracking began).
 		fresh = true
 		w.wrapLoss = true
 		g.Stats.Resyncs++
@@ -551,58 +554,53 @@ func (g *Guard) window(s *stream) (tips []ipt.TIPRecord, region []byte, scanned 
 		if w.asyncErr != nil {
 			// A worker hit this grammar error pre-decoding bytes the
 			// synchronous checker would have decoded at this check;
-			// resolve it exactly as the inline Feed below would have.
+			// resolve it exactly as the inline feed below would have.
 			ferr := w.asyncErr
 			w.asyncErr = nil
 			w.src = nil
 			g.Stats.Malformed++
-			return nil, nil, scanned, HealthMalformed, fmt.Errorf("guard: fast decode: %w", ferr)
+			return nil, total, scanned, HealthMalformed, fmt.Errorf("guard: fast decode: %w", ferr)
 		}
 	}
 	if !fresh && total > w.total {
-		old := len(w.buf)
-		nb, ok := topa.AppendSince(w.buf, w.total)
+		ok, ferr := topa.FeedRange(&w.dec, w.total, total)
 		if !ok {
 			// Unreachable once the checkedTotal rule above passed
-			// (total-w.total <= total-w.checkedTotal <= Held); kept as a
+			// (total-w.total <= total-w.checkedTotal <= held); kept as a
 			// defensive resynchronization with identical classification.
 			fresh = true
 			w.wrapLoss = true
 			g.Stats.Resyncs++
 		} else {
-			w.buf = nb
 			w.total = total
-			if ferr := w.dec.Feed(w.buf[old:]); ferr != nil {
+			if ferr != nil {
 				w.src = nil
 				g.Stats.Malformed++
-				return nil, nil, scanned, HealthMalformed, fmt.Errorf("guard: fast decode: %w", ferr)
+				return nil, total, scanned, HealthMalformed, fmt.Errorf("guard: fast decode: %w", ferr)
 			}
 		}
 	}
 	if fresh {
 		// Any pre-decoded async state (including a pending worker error)
-		// predates this snapshot and is superseded by it.
+		// predates this rescan and is superseded by it.
 		w.asyncErr = nil
 		w.src, w.total = topa, total
-		w.buf = topa.SnapshotInto(w.buf[:0])
-		w.base = total - uint64(len(w.buf))
-		w.dec.Reset(int(w.base))
+		lo := total - uint64(held)
+		w.dec.Reset(int(lo))
 		w.prevOVF = 0
-		scanned = uint64(len(w.buf))
-		if ferr := w.dec.Feed(w.buf); ferr != nil {
+		scanned = uint64(held)
+		// The resident span just read cannot be refused unless a writer
+		// broke the no-writer-during-check invariant (see slowPath); the
+		// decoder then holds no sync point and the window is a gap.
+		if _, ferr := topa.FeedRange(&w.dec, lo, total); ferr != nil {
 			w.src = nil
 			g.Stats.Malformed++
-			return nil, nil, scanned, HealthMalformed, fmt.Errorf("guard: fast decode: %w", ferr)
+			return nil, total, scanned, HealthMalformed, fmt.Errorf("guard: fast decode: %w", ferr)
 		}
 	}
 	// Forget history the ToPA itself no longer holds: the checker must
 	// not see deeper windows than the wrapped buffer provides.
-	if lo := total - uint64(topa.Held()); lo > w.base {
-		n := copy(w.buf, w.buf[lo-w.base:])
-		w.buf = w.buf[:n]
-		w.base = lo
-		w.dec.DropBefore(int(lo))
-	}
+	w.trim(total - uint64(held))
 	// Trace-health classification (§7.1.2): new OVF packets mean bytes
 	// were lost since the last check; an overflow whose resynchronizing
 	// PSB has not arrived yet leaves the stream tail unvouched-for.
@@ -620,7 +618,7 @@ func (g *Guard) window(s *stream) (tips []ipt.TIPRecord, region []byte, scanned 
 	}
 	pts := w.dec.SyncPoints()
 	if len(pts) == 0 {
-		if topa.Held() > 0 {
+		if held > 0 {
 			// Trace exists but not one resident byte can be attributed.
 			// Wrapped: everything postdates the last sync point the
 			// buffer ever held (a PAD flood lands here). Unwrapped: a
@@ -628,11 +626,11 @@ func (g *Guard) window(s *stream) (tips []ipt.TIPRecord, region []byte, scanned 
 			// themselves were destroyed. Either way, reading this as
 			// "nothing traced" would pass an unverifiable window clean.
 			g.Stats.Gaps++
-			return nil, nil, scanned, HealthGap, nil
+			return nil, total, scanned, HealthGap, nil
 		}
-		return nil, nil, scanned, health, nil // nothing traced yet
+		return nil, total, scanned, health, nil // nothing traced yet
 	}
-	if !topa.Wrapped() && pts[0] > int(w.base) {
+	if !wrapped && pts[0] > int(total-uint64(held)) {
 		// The stream does not open with a sync point even though nothing
 		// wrapped away: the prefix was damaged and skipped unattributed.
 		// Unmarked loss, like a wrap past the cache — the tail rule must
@@ -642,8 +640,23 @@ func (g *Guard) window(s *stream) (tips []ipt.TIPRecord, region []byte, scanned 
 			health = HealthResynced
 		}
 	}
-	tips, psb := g.selectWindow(w.dec.Tips(), pts)
-	return tips, w.buf[uint64(psb)-w.base:], scanned, health, nil
+	tips, p := g.selectWindow(w.dec.Tips(), pts)
+	return tips, uint64(p), scanned, health, nil
+}
+
+// trim forgets the decoded records and sync points before stream offset
+// lo, the oldest byte the ToPA still holds, in amortized O(1) per record
+// (ipt.WindowDecoder.DropBefore). It is the one trim rule of the window
+// cache: window() applies it at every check and async drains between
+// checks. A cutoff beyond the decoded stream — a drain trailing the
+// producer by more than the buffer — is left to the next check's
+// wrap-loss rule.
+//
+//fg:hotpath
+func (w *winState) trim(lo uint64) {
+	if lo <= w.total {
+		w.dec.DropBefore(int(lo))
+	}
 }
 
 // selectWindow picks the checked window from the retained records all
@@ -726,20 +739,31 @@ func (g *Guard) check(s *stream) Result {
 	// re-earned (mid-run retraining relabels edges).
 	g.appr.SyncGen(g.art.Gen())
 	g.Stats.Checks++
-	tips, region, scanned, health, err := g.window(s)
+	tips, psb, scanned, health, err := g.window(s)
 	res := Result{TIPs: len(tips), Health: health, OtherCycles: CyclesPerInterception}
 	res.DecodeCycles = uint64(float64(scanned) * g.fastDecodeCost())
 	g.Stats.BytesScanned += scanned
-	if err != nil || health != HealthClean {
-		g.resolveDegraded(&res, s, tips, region, err)
-	} else if len(tips) >= 2 {
-		g.runChecks(&res, tips, region, g.Policy.NaiveFullDecode)
-	}
+	g.judge(&res, s, tips, psb, err)
 	g.finish(&res)
 	if s.async != nil {
 		asyncAfterCheckLocked(s)
 	}
 	return res
+}
+
+// judge decides the window window() collected from stream s: the hybrid
+// check for a clean window, Policy.OnDegraded for a damaged one. A window
+// whose region the slow path no longer finds in the ToPA (see slowPath)
+// is a wrap loss that leaves no window to vouch for the endpoint, and is
+// resolved under Policy.OnDegraded too: it never passes as a clean check.
+//
+//fg:hotpath
+func (g *Guard) judge(res *Result, s *stream, tips []ipt.TIPRecord, psb uint64, err error) {
+	if err != nil || res.Health != HealthClean {
+		g.resolveDegraded(res, s, tips, psb, err)
+	} else if len(tips) >= 2 && !g.runChecks(res, s, tips, psb, g.Policy.NaiveFullDecode) {
+		g.resolveDegraded(res, s, nil, psb, nil)
+	}
 }
 
 // endCheck is a named method rather than a closure so deferring it from
@@ -762,18 +786,19 @@ func (g *Guard) NoteStreamLoss() {
 // closure on the hot path).
 func (w *winState) noteWindowed() { w.checkedTotal = w.total }
 
-// runChecks applies the hybrid verification to one TIP window: the
-// ITC-CFG fast loop with credit assessment, then the slow path when the
-// window is suspicious (or unconditionally when forceSlow is set — the
-// NaiveFullDecode ablation and degraded-mode full-precision re-checks).
-// TIP pairs straddling an overflow seam (TIPRecord.Resync) were never
-// adjacent in the real flow and are skipped rather than misjudged.
+// runChecks applies the hybrid verification to one TIP window of stream
+// s, whose region opens at stream offset psb: the ITC-CFG fast loop with
+// credit assessment, then the slow path when the window is suspicious
+// (or unconditionally when forceSlow is set — the NaiveFullDecode
+// ablation and degraded-mode full-precision re-checks). TIP pairs
+// straddling an overflow seam (TIPRecord.Resync) were never adjacent in
+// the real flow and are skipped rather than misjudged. It reports false
+// when the slow path found the region gone from the ToPA.
 //
 //fg:hotpath the per-TIP fast loop
-func (g *Guard) runChecks(res *Result, tips []ipt.TIPRecord, region []byte, forceSlow bool) {
+func (g *Guard) runChecks(res *Result, s *stream, tips []ipt.TIPRecord, psb uint64, forceSlow bool) bool {
 	if forceSlow {
-		g.slowPath(res, tips, region)
-		return
+		return g.slowPath(res, s, tips, psb)
 	}
 
 	res.CheckCycles += uint64(len(tips)) * CyclesPerTIPCheck
@@ -811,7 +836,7 @@ func (g *Guard) runChecks(res *Result, tips []ipt.TIPRecord, region []byte, forc
 			// produce this pair (§4.2), so this is a definite violation.
 			res.Verdict = VerdictViolation
 			res.Reason = g.violationReason(src, dst)
-			return
+			return true
 		}
 		if l.HighCredit && l.SigMatch && l.Count >= minCount {
 			g.Stats.HighEdges++
@@ -847,8 +872,9 @@ func (g *Guard) runChecks(res *Result, tips []ipt.TIPRecord, region []byte, forc
 	// Credibility assessment (§7.1.1): with CredRatio = 1 any suspicious
 	// edge forwards the window to the slow path.
 	if float64(checked-suspicious) < g.Policy.CredRatio*float64(checked) {
-		g.slowPath(res, tips, region)
+		return g.slowPath(res, s, tips, psb)
 	}
+	return true
 }
 
 // violationReason formats the terminal diagnostic. It is deliberately

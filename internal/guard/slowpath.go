@@ -16,8 +16,47 @@ import (
 // the single-target policy for returns. On a clean verdict the window's
 // suspicious edges are cached as approved for subsequent fast paths.
 //
+// The window's region, [psb, s.win.total) of stream s, is copied out of
+// the ToPA into a guard-owned buffer here, only when the slow path runs.
+// No writer reaches a stream's ToPA during that stream's check (the
+// traced thread is blocked in the gate, the multicore scheduler is
+// serial and pumps before each check, async capture only reads), so the
+// ToPA still holds exactly that span. If it does not — the write offset
+// moved or the span was evicted — the region is not decoded at all: the
+// loss is counted as a wrap loss (Stats.Resyncs), the cache is dropped,
+// res.Health becomes HealthResynced and slowPath reports false, so the
+// caller resolves the window under Policy.OnDegraded.
+//
 //fg:cold the precise check runs only on non-credible windows (§5.3)
-func (g *Guard) slowPath(res *Result, tips []ipt.TIPRecord, region []byte) {
+func (g *Guard) slowPath(res *Result, s *stream, tips []ipt.TIPRecord, psb uint64) bool {
+	region, ok := g.windowRegion(s, psb)
+	if !ok {
+		s.win.wrapLoss = true
+		s.win.src = nil
+		g.Stats.Resyncs++
+		res.Health = HealthResynced
+		return false
+	}
+	g.slowCheck(res, tips, region)
+	return true
+}
+
+// windowRegion copies the window region [psb, s.win.total) of stream s
+// out of its ToPA into the guard's reused region buffer. It reports false
+// unless the ToPA holds exactly that span: every byte of it still
+// resident and nothing written after it.
+func (g *Guard) windowRegion(s *stream, psb uint64) ([]byte, bool) {
+	region, ok := s.tr.Out.AppendSince(g.slowRegion[:0], psb)
+	g.slowRegion = region
+	return region, ok && uint64(len(region)) == s.win.total-psb
+}
+
+// slowCheck is the precise check over one window region that opens at a
+// PSB: slowPath's region copied out of the stream's ToPA, or a
+// SlowPathRetry recovery's snapshot suffix.
+//
+//fg:cold the precise check runs only on non-credible windows (§5.3)
+func (g *Guard) slowCheck(res *Result, tips []ipt.TIPRecord, region []byte) {
 	res.UsedSlowPath = true
 	// Decode exactly the window the fast path inspected (§5.3:
 	// "FlowGuard only checks a specified number of TIP packets"); the

@@ -57,17 +57,18 @@ func recordSlowWindows(tb testing.TB, scale int) (*Guard, []slowWindow) {
 	var slow []slowWindow
 	for _, sysno := range g.Policy.Endpoints {
 		k.Intercept(sysno, func(*kernelsim.Process, uint64) error {
-			tips, region, _, _, err := g.window(&g.main)
+			tips, psb, _, _, err := g.window(&g.main)
 			if err != nil {
 				return err
 			}
 			var res Result
-			g.runChecks(&res, tips, region, false)
+			g.runChecks(&res, &g.main, tips, psb, false)
 			if res.Verdict != VerdictClean {
 				return fmt.Errorf("benign window judged %v: %s", res.Verdict, res.Reason)
 			}
 			if res.UsedSlowPath {
-				slow = append(slow, slowWindow{append([]ipt.TIPRecord(nil), tips...), append([]byte(nil), region...)})
+				region, _ := tr.Out.AppendSince(nil, psb)
+				slow = append(slow, slowWindow{append([]ipt.TIPRecord(nil), tips...), region})
 			}
 			return nil
 		})
@@ -121,7 +122,7 @@ func benchSlowPath(b *testing.B, coldMemo bool) {
 			g.slowMemo = nil
 		}
 		var res Result
-		g.slowPath(&res, w.tips, w.region)
+		g.slowCheck(&res, w.tips, w.region)
 		if res.Verdict != VerdictClean {
 			b.Fatalf("benign window judged %v: %s", res.Verdict, res.Reason)
 		}
@@ -140,14 +141,14 @@ func TestSlowPathReusesEventBuffer(t *testing.T) {
 	g, slow := recordSlowWindows(t, 5)
 	for _, w := range slow {
 		var res Result
-		g.slowPath(&res, w.tips, w.region)
+		g.slowCheck(&res, w.tips, w.region)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(2*len(slow), func() {
 		w := slow[i%len(slow)]
 		i++
 		var res Result
-		g.slowPath(&res, w.tips, w.region)
+		g.slowCheck(&res, w.tips, w.region)
 		if res.Verdict != VerdictClean {
 			t.Fatalf("benign window judged %v: %s", res.Verdict, res.Reason)
 		}

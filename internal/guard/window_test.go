@@ -148,54 +148,119 @@ func TestWindowBestEffortWhenStrideImpossible(t *testing.T) {
 	}
 }
 
+// regionOf returns the slow-path region of the window g last collected
+// from its process stream, opening at psb, as the slow path copies it out
+// of the ToPA.
+func regionOf(t *testing.T, g *Guard, psb uint64) []byte {
+	t.Helper()
+	region, ok := g.windowRegion(&g.main, psb)
+	if !ok {
+		t.Fatalf("window region [%d, %d) is not resident", psb, g.main.win.total)
+	}
+	return append([]byte(nil), region...)
+}
+
+// snapshotRegion is the reference for regionOf: the tail of a fresh
+// snapshot of tr's ToPA from stream offset psb on.
+func snapshotRegion(tr *ipt.Tracer, psb uint64) []byte {
+	snap := tr.Out.Snapshot()
+	return snap[uint64(len(snap))-(tr.Out.TotalWritten()-psb):]
+}
+
 // TestIncrementalWindowMatchesFullRescan: the amortized window cache
 // must select exactly the window a from-scratch rescan selects, check
 // after check, including across ToPA wraps. A second guard over the same
 // tracer has its cache invalidated before every call, forcing the
-// non-amortized path as the reference.
+// non-amortized path as the reference. The window's records and its
+// slow-path region bytes must match at every round: in an unwrapped
+// buffer, in a small wrapping one, and in the deployed 2×8 KiB geometry
+// over thousands of rounds with async drains (region-full captures fed
+// into the same window cache) interleaved between the checks.
 func TestIncrementalWindowMatchesFullRescan(t *testing.T) {
-	for _, wrap := range []bool{false, true} {
+	for _, tc := range []struct {
+		name   string
+		region int // 0: one unwrapped 1 MiB region
+		rounds int
+		// burst adds up to 280 more branches to a round.
+		burst bool
+		async bool
+	}{
+		{"unwrapped", 0, 60, false, false},
+		{"wrap-2x2KiB", 2048, 60, false, false},
+		{"deployed-2x8KiB-async", DefaultToPARegion, 3000, true, true},
+	} {
 		pol := DefaultPolicy()
 		pol.PktCount = 8
 		f := newWindowFixture(t, pol)
-		if wrap {
-			f.tr.Out = ipt.NewToPA(2048, 2048)
+		if tc.region > 0 {
+			f.tr.Out = ipt.NewToPA(tc.region, tc.region)
+		}
+		if tc.async {
+			f.g.EnableAsync(closedPool(0))
 		}
 		full := New(f.as, nil, nil, f.tr, pol)
 		var scannedSum uint64
-		for round := 0; round < 60; round++ {
-			for i := 0; i < 1+round%17; i++ {
+		drains := 0
+		for round := 0; round < tc.rounds; round++ {
+			n := 1 + round%17
+			if tc.burst {
+				n += round % 5 * (round % 71)
+			}
+			for i := 0; i < n; i++ {
 				addr := f.exec
 				if (round+i)%3 == 1 {
 					addr = f.lib
 				}
 				f.emitTIP(addr)
 			}
-			inc, incRegion, scanned, _, err := f.g.window(&f.g.main)
+			f.g.mu.Lock()
+			if tc.async {
+				// Drain some of the captured windows, as workers would
+				// between two endpoints; the gate discards the rest.
+				for i := 0; i < round%3 && asyncDrainOneLocked(&f.g.main); i++ {
+					drains++
+				}
+				f.g.asyncBeforeCheckLocked(f.g.main.async)
+			}
+			inc, incPSB, scanned, _, err := f.g.window(&f.g.main)
+			if tc.async {
+				asyncAfterCheckLocked(&f.g.main)
+			}
+			f.g.mu.Unlock()
 			if err != nil {
-				t.Fatalf("wrap=%v round %d: %v", wrap, round, err)
+				t.Fatalf("%s round %d: %v", tc.name, round, err)
 			}
 			scannedSum += scanned
+			incRegion := regionOf(t, f.g, incPSB)
 			full.InvalidateWindow()
-			ref, refRegion, _, _, err := full.window(&full.main)
+			ref, refPSB, _, _, err := full.window(&full.main)
 			if err != nil {
-				t.Fatalf("wrap=%v round %d (rescan): %v", wrap, round, err)
+				t.Fatalf("%s round %d (rescan): %v", tc.name, round, err)
 			}
 			if !reflect.DeepEqual(inc, ref) {
-				t.Fatalf("wrap=%v round %d: incremental window (%d TIPs) diverges from rescan (%d TIPs)",
-					wrap, round, len(inc), len(ref))
+				t.Fatalf("%s round %d: incremental window (%d TIPs) diverges from rescan (%d TIPs)",
+					tc.name, round, len(inc), len(ref))
 			}
-			if !bytes.Equal(incRegion, refRegion) {
-				t.Fatalf("wrap=%v round %d: slow-path region diverges (%d vs %d bytes)",
-					wrap, round, len(incRegion), len(refRegion))
+			if refRegion := snapshotRegion(f.tr, refPSB); incPSB != refPSB || !bytes.Equal(incRegion, refRegion) {
+				t.Fatalf("%s round %d: slow-path region diverges (%d bytes at %d vs %d bytes at %d)",
+					tc.name, round, len(incRegion), incPSB, len(refRegion), refPSB)
 			}
 		}
-		if !wrap && scannedSum != f.tr.Out.TotalWritten() {
-			t.Fatalf("incremental path scanned %d bytes, stream has %d: bytes double-scanned or skipped",
-				scannedSum, f.tr.Out.TotalWritten())
+		total := f.tr.Out.TotalWritten()
+		if tc.region == 0 && scannedSum != total {
+			t.Fatalf("%s: incremental path scanned %d bytes, stream has %d: bytes double-scanned or skipped",
+				tc.name, scannedSum, total)
 		}
-		if wrap && scannedSum > f.tr.Out.TotalWritten() {
-			t.Fatalf("incremental path scanned %d bytes of a %d-byte stream", scannedSum, f.tr.Out.TotalWritten())
+		if scannedSum > total {
+			t.Fatalf("%s: incremental path scanned %d bytes of a %d-byte stream", tc.name, scannedSum, total)
+		}
+		if tc.burst && total < 50*uint64(f.tr.Out.Capacity()) {
+			t.Fatalf("%s: %d bytes written never wrapped the %d-byte buffer often", tc.name, total, f.tr.Out.Capacity())
+		}
+		if tc.async {
+			if fed, _ := AsyncDrainCounts(f.g); fed == 0 || drains == 0 {
+				t.Fatalf("%s: %d drains fed %d captured windows; the async interleaving never ran", tc.name, drains, fed)
+			}
 		}
 	}
 }
@@ -230,10 +295,11 @@ func TestWrapPastWindowResyncs(t *testing.T) {
 	for i := 0; i < 6000; i++ {
 		f.emitTIP(f.exec)
 	}
-	inc, incRegion, _, health, err := f.g.window(&f.g.main)
+	inc, incPSB, _, health, err := f.g.window(&f.g.main)
 	if err != nil {
 		t.Fatal(err)
 	}
+	incRegion := regionOf(t, f.g, incPSB)
 	if f.g.Stats.Resyncs != 1 {
 		t.Fatalf("Resyncs = %d after wrap outran the cache, want 1", f.g.Stats.Resyncs)
 	}
@@ -244,10 +310,11 @@ func TestWrapPastWindowResyncs(t *testing.T) {
 		t.Fatalf("post-resync window = %d TIPs, want pkt_count 8", len(inc))
 	}
 	ref := New(f.as, nil, nil, f.tr, pol)
-	refTips, refRegion, _, refHealth, err := ref.window(&ref.main)
+	refTips, refPSB, _, refHealth, err := ref.window(&ref.main)
 	if err != nil {
 		t.Fatal(err)
 	}
+	refRegion := snapshotRegion(f.tr, refPSB)
 	if refHealth != HealthClean {
 		t.Fatalf("fresh guard's first check over a wrapped buffer = %v, want clean", refHealth)
 	}

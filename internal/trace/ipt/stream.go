@@ -8,10 +8,12 @@ package ipt
 // (the §6 "move checking off the critical path" shape).
 //
 // Record and sync-point offsets are absolute stream offsets: they keep
-// their meaning across DropBefore compactions, so callers can slice their
-// own retained copy of the stream with them. All storage is reused across
-// feeds; a steady-state Feed of packet-aligned chunks performs no
-// allocations once the internal slices have grown to the working size.
+// their meaning across DropBefore, so callers can address the stream
+// itself (the ToPA, through FeedRange and AppendSince) with them. All
+// storage is reused across feeds; a steady-state Feed performs no
+// allocations once the internal slices have grown to the working size,
+// and DropBefore is amortized O(1) per record: it advances a head index
+// and compacts only when the dropped prefix outgrows the live records.
 //
 // Like DecodeFast, the decoder never consults program binaries. Unlike
 // DecodeFast it accumulates TNT-run signatures linearly across the whole
@@ -54,8 +56,13 @@ type WindowDecoder struct {
 	// carry holds a packet truncated at the end of the previous chunk.
 	carry []byte
 
-	tips []TIPRecord
-	pts  []int
+	// tips[tipHead:] and pts[ptHead:] are the live records and sync
+	// points; the prefixes before the heads were dropped by DropBefore
+	// and await compaction.
+	tips    []TIPRecord
+	pts     []int
+	tipHead int
+	ptHead  int
 }
 
 // NewWindowDecoder returns a decoder positioned at stream offset base.
@@ -82,15 +89,17 @@ func (d *WindowDecoder) Reset(base int) {
 	d.carry = d.carry[:0]
 	d.tips = d.tips[:0]
 	d.pts = d.pts[:0]
+	d.tipHead = 0
+	d.ptHead = 0
 }
 
 // Tips returns the decoded TIP records, oldest first. The slice is owned
 // by the decoder and valid until the next Feed/DropBefore/Reset.
-func (d *WindowDecoder) Tips() []TIPRecord { return d.tips }
+func (d *WindowDecoder) Tips() []TIPRecord { return d.tips[d.tipHead:] }
 
 // SyncPoints returns the absolute offsets of the PSBs seen so far, under
 // the same ownership rules as Tips.
-func (d *WindowDecoder) SyncPoints() []int { return d.pts }
+func (d *WindowDecoder) SyncPoints() []int { return d.pts[d.ptHead:] }
 
 // Consumed returns the absolute stream offset of the next undecoded byte
 // (bytes held back in the truncation carry are not consumed).
@@ -112,27 +121,30 @@ func (d *WindowDecoder) LastOVFOff() int { return d.lastOVF }
 // the tail of the stream cannot vouch for the control flow it encodes.
 func (d *WindowDecoder) Synced() bool { return d.synced && !d.skipping }
 
-// DropBefore discards TIP records and sync points with offsets below lo,
-// compacting storage in place. Decoding state is unaffected: the stream
-// remains continuous, only history is forgotten.
+// DropBefore discards TIP records and sync points with offsets below lo.
+// Decoding state is unaffected: the stream remains continuous, only
+// history is forgotten. The cut is a binary search; the dropped records
+// stay in storage behind a head index until they outnumber the live
+// ones, and only then are the live ones moved to the front, so the
+// backing storage holds at most twice the live records plus what the
+// feeds since the last DropBefore decoded, and each record is moved at
+// most once per doubling.
 //
 //fg:hotpath
 func (d *WindowDecoder) DropBefore(lo int) {
-	i := 0
-	for i < len(d.tips) && d.tips[i].Off < lo {
-		i++
+	d.tipHead = len(d.tips) - len(TipsFrom(d.tips[d.tipHead:], lo))
+	if live := len(d.tips) - d.tipHead; d.tipHead > live {
+		copy(d.tips, d.tips[d.tipHead:])
+		d.tips, d.tipHead = d.tips[:live], 0
 	}
-	if i > 0 {
-		n := copy(d.tips, d.tips[i:])
-		d.tips = d.tips[:n]
+	h := d.ptHead
+	for h < len(d.pts) && d.pts[h] < lo {
+		h++
 	}
-	j := 0
-	for j < len(d.pts) && d.pts[j] < lo {
-		j++
-	}
-	if j > 0 {
-		n := copy(d.pts, d.pts[j:])
-		d.pts = d.pts[:n]
+	d.ptHead = h
+	if live := len(d.pts) - h; h > live {
+		copy(d.pts, d.pts[h:])
+		d.pts, d.ptHead = d.pts[:live], 0
 	}
 }
 
@@ -143,6 +155,32 @@ func (d *WindowDecoder) DropBefore(lo int) {
 //
 //fg:hotpath incremental decode runs on every check
 func (d *WindowDecoder) Feed(chunk []byte) error {
+	if k := len(d.carry); k > 0 && len(chunk) > PSBSize {
+		// Finish the carried packet from the head of chunk and scan the
+		// rest of chunk in place rather than copying it behind the carry,
+		// which would grow the carry's storage to the largest chunk ever
+		// fed after a split packet (a whole ToPA region when FeedRange
+		// crosses a region seam). A carry is a partial packet (or, before
+		// the first PSB, a partial-PSB-sized tail) and no packet is longer
+		// than a PSB, so PSBSize more bytes always let the scan get past
+		// the carry.
+		base := d.off - k
+		d.carry = append(d.carry, chunk[:PSBSize]...)
+		n, err := d.scan(d.carry, base)
+		if err != nil {
+			return err
+		}
+		if n >= k {
+			d.carry = d.carry[:0]
+			d.off = base + n
+			chunk = chunk[n-k:]
+		} else {
+			// Defensive: the scan stopped inside the carry. Keep its
+			// unconsumed part and carry the whole chunk behind it.
+			m := copy(d.carry, d.carry[n:k])
+			d.carry = d.carry[:m]
+		}
+	}
 	buf := chunk
 	if len(d.carry) > 0 {
 		d.carry = append(d.carry, chunk...)

@@ -232,3 +232,150 @@ func TestToPAAppendSince(t *testing.T) {
 		t.Fatalf("Held after Reset = %d", topa.Held())
 	}
 }
+
+// lcg is a deterministic pseudo-random sequence for chunk sizes.
+type lcg uint64
+
+func (s *lcg) next(n int) int {
+	*s = *s*6364136223846793005 + 1442695040888963407
+	return int(uint64(*s)>>33) % n
+}
+
+// TestToPAFeedRangeMatchesAppendSince: feeding a decoder straight out of
+// the ToPA, region by region, decodes exactly what feeding it the copied
+// AppendSince range decodes, across region seams and wraps (the region
+// sizes are odd, so packets straddle every seam), and FeedRange refuses
+// a range that is not resident without touching the decoder.
+func TestToPAFeedRangeMatchesAppendSince(t *testing.T) {
+	buf, _ := synthStream(t, 3000)
+	topa := ipt.NewToPA(1499, 2531)
+	direct, copied := ipt.NewWindowDecoder(0), ipt.NewWindowDecoder(0)
+	var fed uint64
+	var scratch []byte
+	rng := lcg(7)
+	for off := 0; off < len(buf); {
+		n := 1 + rng.next(1000)
+		if off+n > len(buf) {
+			n = len(buf) - off
+		}
+		topa.Write(buf[off : off+n])
+		off += n
+		total, held, _ := topa.State()
+		if ok, err := topa.FeedRange(direct, fed, total); !ok || err != nil {
+			t.Fatalf("at %d: FeedRange(%d, %d) = %v, %v", total, fed, total, ok, err)
+		}
+		var ok bool
+		scratch, ok = topa.AppendSince(scratch[:0], fed)
+		if !ok {
+			t.Fatalf("at %d: AppendSince(%d) refused", total, fed)
+		}
+		if err := copied.Feed(scratch); err != nil {
+			t.Fatal(err)
+		}
+		fed = total
+		lo := int(total) - held
+		direct.DropBefore(lo)
+		copied.DropBefore(lo)
+		if !reflect.DeepEqual(direct.Tips(), copied.Tips()) ||
+			!reflect.DeepEqual(direct.SyncPoints(), copied.SyncPoints()) ||
+			direct.Consumed() != copied.Consumed() {
+			t.Fatalf("at %d: feeding in place diverges from feeding the copied range", total)
+		}
+	}
+	if len(direct.Tips()) == 0 || len(direct.SyncPoints()) == 0 {
+		t.Fatal("degenerate run: no resident records or sync points")
+	}
+	total, held, wrapped := topa.State()
+	if !wrapped {
+		t.Fatal("buffer never wrapped; test setup broken")
+	}
+	consumed := direct.Consumed()
+	for _, r := range [][2]uint64{
+		{total - uint64(held) - 1, total}, // starts before the oldest resident byte
+		{total - 1, total + 1},            // ends past the write offset
+		{total, total - 1},                // empty-negative range
+	} {
+		if ok, err := topa.FeedRange(direct, r[0], r[1]); ok || err != nil {
+			t.Fatalf("FeedRange(%d, %d) over a %d-byte stream holding %d = %v, %v; want refused",
+				r[0], r[1], total, held, ok, err)
+		}
+	}
+	if direct.Consumed() != consumed {
+		t.Fatal("a refused FeedRange fed the decoder")
+	}
+}
+
+// TestWindowDecoderTrimBoundedAcrossWraps drives the decoder the way the
+// guard's window cache does over the deployed 2×8 KiB ToPA — feed the
+// appended bytes in place, then drop everything the buffer no longer
+// holds — through thousands of wraps. The backing record storage must
+// stay within twice the live records plus what one feed decoded (the
+// amortized trim compacts only when the dropped prefix outgrows the live
+// part), the truncated-packet carry within a few packets, and the live
+// records must be the ones a fresh decode of the resident buffer finds.
+func TestWindowDecoderTrimBoundedAcrossWraps(t *testing.T) {
+	buf, _ := synthStream(t, 6000)
+	buf = buf[ipt.Sync(buf, 0):] // repeat the stream from its first PSB
+	topa := ipt.NewToPA(8<<10, 8<<10)
+	capacity := uint64(topa.Capacity())
+	d := ipt.NewWindowDecoder(0)
+	var fed uint64
+	maxLive, maxFeed := 0, 0
+	rng := lcg(11)
+	for round, off := 0, 0; fed < 2000*capacity; round++ {
+		for n := 1 + rng.next(2048); n > 0; {
+			m := min(n, len(buf)-off)
+			topa.Write(buf[off : off+m])
+			n -= m
+			off = (off + m) % len(buf)
+		}
+		total, held, _ := topa.State()
+		before, _ := ipt.StoredTips(d)
+		live := len(d.Tips())
+		if ok, err := topa.FeedRange(d, fed, total); !ok || err != nil {
+			t.Fatalf("round %d: FeedRange(%d, %d) = %v, %v", round, fed, total, ok, err)
+		}
+		fed = total
+		stored, _ := ipt.StoredTips(d)
+		feed := stored - before
+		if stored > 2*live+feed {
+			t.Fatalf("round %d: %d records stored after a feed of %d over %d live ones", round, stored, feed, live)
+		}
+		lo := int(total) - held
+		d.DropBefore(lo)
+		stored, _ = ipt.StoredTips(d)
+		live = len(d.Tips())
+		if stored > 2*live {
+			t.Fatalf("round %d: %d records stored for %d live ones after DropBefore", round, stored, live)
+		}
+		maxLive, maxFeed = max(maxLive, live), max(maxFeed, feed)
+		if round%1000 == 0 {
+			// The live records past the first resident sync point are
+			// the ones a fresh decode of the resident buffer finds (the
+			// TNT signature of the first record after the sync point
+			// differs: the fresh decoder starts its run there).
+			fresh := ipt.NewWindowDecoder(lo)
+			if err := fresh.Feed(topa.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			want := fresh.Tips()
+			got := ipt.TipsFrom(d.Tips(), fresh.SyncPoints()[0])
+			if len(got) != len(want) {
+				t.Fatalf("round %d: %d live records past the first sync point, fresh decode finds %d", round, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Off != want[i].Off || got[i].IP != want[i].IP {
+					t.Fatalf("round %d: record %d is %+v, fresh decode has %+v", round, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if _, c := ipt.StoredTips(d); c > 2*(2*maxLive+maxFeed) {
+		t.Fatalf("record storage grew to %d slots; live records never exceeded %d, one feed %d", c, maxLive, maxFeed)
+	}
+	// Packets split across region seams are completed from the next
+	// region's first bytes, not by copying the region behind the carry.
+	if c := ipt.CarryCap(d); c > 4*ipt.PSBSize {
+		t.Fatalf("carry storage grew to %d bytes", c)
+	}
+}

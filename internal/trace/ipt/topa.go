@@ -11,8 +11,9 @@ import "sync"
 // Incremental readers (the guard's amortized window decoder) address the
 // stream by its monotonic byte offset: TotalWritten is the offset one
 // past the newest byte, Held is how many trailing bytes are still
-// resident, and AppendSince copies a trailing range out without
-// disturbing the write cursor.
+// resident (State reads both, and Wrapped, at once), FeedRange decodes a
+// resident range in place, and AppendSince copies a trailing range out
+// without disturbing the write cursor.
 //
 // All methods are safe for concurrent use: the asynchronous checking
 // pipeline reads (AppendSince, SnapshotInto, Gen, TotalWritten) while
@@ -102,6 +103,15 @@ func (t *ToPA) TotalWritten() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.total
+}
+
+// State returns the write offset, the resident byte count and the wrap
+// flag in one consistent read: TotalWritten, Held and Wrapped under a
+// single lock.
+func (t *ToPA) State() (total uint64, held int, wrapped bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.total, t.held(), t.wrapped
 }
 
 // Wrapped reports whether the buffer has discarded its oldest bytes at
@@ -200,6 +210,35 @@ func (t *ToPA) AppendSince(dst []byte, from uint64) ([]byte, bool) {
 		off += end
 	}
 	return dst, true
+}
+
+// FeedRange feeds the logical stream bytes in [from, to) into d straight
+// out of the buffer, region by region, without copying them: a packet
+// split across a region boundary is completed by the decoder's carry.
+// It reports false — feeding nothing — when that range is not fully
+// resident (the buffer wrapped past from, or to lies beyond the write
+// offset); a decode error is returned as Feed returns it.
+//
+//fg:hotpath the guard's window decode reads the ToPA in place
+func (t *ToPA) FeedRange(d *WindowDecoder, from, to uint64) (bool, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if from > to || to > t.total || t.total-from > uint64(t.held()) {
+		return false, nil
+	}
+	for off := from; off < to; {
+		ri, rp := t.locate(off)
+		r := t.regions[ri]
+		n := uint64(len(r) - rp)
+		if rem := to - off; rem < n {
+			n = rem
+		}
+		if err := d.Feed(r[rp : rp+int(n)]); err != nil {
+			return true, err
+		}
+		off += n
+	}
+	return true, nil
 }
 
 // locate maps a resident logical offset to (region index, offset within
