@@ -129,8 +129,8 @@ cover-ratchet:
 
 # vet is the pre-commit gate (and part of `make all`): the stock go vet
 # suite plus fgvet, the repo's own analyzers (oracle import isolation,
-# fail-closed verdict handling, hot-path allocation, stats lockstep,
-# lock discipline). fgvet exits non-zero on any unsuppressed finding.
+# fail-closed verdict handling, hot-path allocation, lock ordering and
+# discipline). fgvet exits non-zero on any unsuppressed finding.
 # The end-to-end benchmark is its own module (./... stops at its
 # boundary), so it is vetted separately: an API break it depends on
 # fails here instead of only when the benchmark runs.

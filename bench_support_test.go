@@ -184,7 +184,7 @@ func BenchmarkIPTPacketScanLongRuns(b *testing.B) {
 // runtime: the steady-state fast path — window scan (WindowDecoder
 // Feed/Tips) plus per-TIP graph lookup — must run with zero heap
 // allocations per check, exactly what BenchmarkFastPath's allocs/op
-// column reports and what the hotpathalloc analyzer enforces
+// column reports and what the hotpathalloc-interproc analyzer enforces
 // statically. AllocsPerRun's warm-up call absorbs the one-time scratch
 // growth, mirroring the guard keeping one decoder alive across checks.
 func TestFastPathZeroAlloc(t *testing.T) {
@@ -206,7 +206,7 @@ func TestFastPathZeroAlloc(t *testing.T) {
 		t.Fatal(feedErr)
 	}
 	if allocs != 0 {
-		t.Fatalf("fast path allocated %.1f allocs/op in steady state, want 0 (hotpathalloc invariant)", allocs)
+		t.Fatalf("fast path allocated %.1f allocs/op in steady state, want 0 (hotpathalloc-interproc invariant)", allocs)
 	}
 
 	// Trained-graph flavor: after training and RebuildCache the lookups
@@ -230,6 +230,6 @@ func TestFastPathZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("flat lookup path allocated %.1f allocs/op in steady state, want 0 (hotpathalloc invariant)", allocs)
+		t.Fatalf("flat lookup path allocated %.1f allocs/op in steady state, want 0 (hotpathalloc-interproc invariant)", allocs)
 	}
 }

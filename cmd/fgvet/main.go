@@ -7,12 +7,10 @@
 //	                 production pipeline (DESIGN.md §7)
 //	failclosed       Verdict/TraceHealth decisions are exhaustive and
 //	                 never pass from a default branch (§7.1.2)
-//	hotpathalloc     //fg:hotpath functions stay allocation-free (§5.3)
 //	hotpathalloc-interproc
-//	                 helpers reachable from //fg:hotpath roots do not
-//	                 allocate; cold calls carry //fg:cold <reason> (§8)
-//	statssync        guard.Stats, Stats.Merge, the oracle comparison
-//	                 and the reporters stay in lockstep
+//	                 //fg:hotpath functions and the helpers they reach
+//	                 stay allocation-free; cold calls carry
+//	                 //fg:cold <reason> (§5.3, §8)
 //	lockdiscipline   no checker lock held across blocking operations or
 //	                 callbacks (§6)
 //	lockorder        one global mutex acquisition order — opposite
@@ -56,12 +54,10 @@ import (
 	"flowguard/internal/analysis/atomicfield"
 	"flowguard/internal/analysis/failclosed"
 	"flowguard/internal/analysis/goroutinelifecycle"
-	"flowguard/internal/analysis/hotpathalloc"
 	"flowguard/internal/analysis/hotpathinterproc"
 	"flowguard/internal/analysis/lockdiscipline"
 	"flowguard/internal/analysis/lockorder"
 	"flowguard/internal/analysis/oracleisolation"
-	"flowguard/internal/analysis/statssync"
 )
 
 // analyzers is the full suite, in stable output order.
@@ -69,12 +65,10 @@ var analyzers = []*analysis.Analyzer{
 	atomicfield.Analyzer,
 	failclosed.Analyzer,
 	goroutinelifecycle.Analyzer,
-	hotpathalloc.Analyzer,
 	hotpathinterproc.Analyzer,
 	lockdiscipline.Analyzer,
 	lockorder.Analyzer,
 	oracleisolation.Analyzer,
-	statssync.Analyzer,
 }
 
 // jsonFinding is the -json wire shape: flat, stable field names.

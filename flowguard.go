@@ -356,35 +356,42 @@ func (s *System) RunWithPolicy(input []byte, pol Policy) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{
-		Exited:         st.Exited,
-		ExitCode:       st.Code,
-		Killed:         st.Killed,
-		Stdout:         p.Stdout,
-		Checks:         g.Stats.Checks,
-		SlowChecks:     g.Stats.SlowChecks,
-		DegradedChecks: g.Stats.DegradedChecks,
-		FailOpens:      g.Stats.FailOpens,
-		FailClosures:   g.Stats.FailClosures,
-		Retries:        g.Stats.Retries,
-		Shed:           g.Stats.Shed,
-		CredRatio:      g.Stats.CredRatioRuntime(),
-	}
+	out := newOutcome(st, p, g)
 	for _, rep := range km.Reports {
 		out.Violations = append(out.Violations, rep.String())
 	}
-	base := p.CPU.CycleCount
-	if base > 0 {
+	return out, nil
+}
+
+// newOutcome builds one process's Outcome from its exit status and its
+// guard's ledger; the caller fills in Violations.
+func newOutcome(st kernelsim.ExitStatus, p *kernelsim.Process, g *guard.Guard) *Outcome {
+	s := &g.Stats
+	out := &Outcome{
+		Exited:    st.Exited,
+		ExitCode:  st.Code,
+		Killed:    st.Killed,
+		Stdout:    p.Stdout,
+		CredRatio: s.CredRatioRuntime(),
+	}
+	out.Checks, out.SlowChecks, out.DegradedChecks, out.FailOpens, out.FailClosures, out.Retries, out.Shed = outcomeCounters(s)
+	if base := p.CPU.CycleCount; base > 0 {
 		b := float64(base)
 		out.Parts = Breakdown{
 			Trace:  100 * float64(g.Tracer.Cycles()) / b,
-			Decode: 100 * float64(g.Stats.DecodeCycles) / b,
-			Check:  100 * float64(g.Stats.CheckCycles+g.Stats.SlowCycles) / b,
-			Other:  100 * float64(g.Stats.OtherCycles) / b,
+			Decode: 100 * float64(s.DecodeCycles) / b,
+			Check:  100 * float64(s.CheckCycles+s.SlowCycles) / b,
+			Other:  100 * float64(s.OtherCycles) / b,
 		}
 		out.OverheadPct = out.Parts.Trace + out.Parts.Decode + out.Parts.Check + out.Parts.Other
 	}
-	return out, nil
+	return out
+}
+
+// outcomeCounters returns the ledger counters Outcome and MultiOutcome
+// publish, in their field order.
+func outcomeCounters(s *guard.Stats) (checks, slowChecks, degradedChecks, failOpens, failClosures, retries, shed uint64) {
+	return s.Checks, s.SlowChecks, s.DegradedChecks, s.FailOpens, s.FailClosures, s.Retries, s.Shed
 }
 
 // MultiOutcome describes a parallel multi-process protected run.
@@ -453,42 +460,16 @@ func (s *System) RunMulti(inputs [][]byte, pol Policy, workers int) (*MultiOutco
 	reports := km.ReportsSnapshot()
 	var agg guard.Stats
 	for i, p := range procs {
-		g := guards[i]
-		o := &Outcome{
-			Exited:         sts[i].Exited,
-			ExitCode:       sts[i].Code,
-			Killed:         sts[i].Killed,
-			Stdout:         p.Stdout,
-			Checks:         g.Stats.Checks,
-			SlowChecks:     g.Stats.SlowChecks,
-			DegradedChecks: g.Stats.DegradedChecks,
-			FailOpens:      g.Stats.FailOpens,
-			FailClosures:   g.Stats.FailClosures,
-			Retries:        g.Stats.Retries,
-			Shed:           g.Stats.Shed,
-			CredRatio:      g.Stats.CredRatioRuntime(),
-		}
+		o := newOutcome(sts[i], p, guards[i])
 		for _, rep := range reports {
 			if rep.PID == p.PID {
 				o.Violations = append(o.Violations, rep.String())
 			}
 		}
-		if base := p.CPU.CycleCount; base > 0 {
-			b := float64(base)
-			o.Parts = Breakdown{
-				Trace:  100 * float64(g.Tracer.Cycles()) / b,
-				Decode: 100 * float64(g.Stats.DecodeCycles) / b,
-				Check:  100 * float64(g.Stats.CheckCycles+g.Stats.SlowCycles) / b,
-				Other:  100 * float64(g.Stats.OtherCycles) / b,
-			}
-			o.OverheadPct = o.Parts.Trace + o.Parts.Decode + o.Parts.Check + o.Parts.Other
-		}
 		mo.Outcomes = append(mo.Outcomes, o)
-		agg.Merge(&g.Stats)
+		agg.Merge(&guards[i].Stats)
 	}
-	mo.Checks, mo.SlowChecks = agg.Checks, agg.SlowChecks
-	mo.DegradedChecks, mo.FailOpens, mo.FailClosures = agg.DegradedChecks, agg.FailOpens, agg.FailClosures
-	mo.Retries, mo.Shed = agg.Retries, agg.Shed
+	mo.Checks, mo.SlowChecks, mo.DegradedChecks, mo.FailOpens, mo.FailClosures, mo.Retries, mo.Shed = outcomeCounters(&agg)
 	for _, rep := range reports {
 		mo.Violations = append(mo.Violations, rep.String())
 	}

@@ -36,8 +36,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "failclosed",
 	Doc: "switches/ifs over guard.Verdict or guard.TraceHealth must handle every value " +
 		"explicitly and must never reach a pass/clean outcome from a default branch",
-	Needs:     analysis.NeedTypes,
-	Run:       run,
+	Needs: analysis.NeedTypes,
+	Run:   run,
 }
 
 func run(pass *analysis.Pass) error {

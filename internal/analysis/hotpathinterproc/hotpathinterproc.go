@@ -1,11 +1,29 @@
-// Package hotpathinterproc propagates the //fg:hotpath zero-allocation
-// obligation through the callgraph. The per-construct hotpathalloc
-// analyzer deliberately stops at call boundaries — calling an ordinary
-// helper is the sanctioned escape hatch for *cold* work — but that
-// leaves a hole: a helper that allocates on every invocation, called
-// from inside the annotated packet-scan loop, costs exactly what an
-// inline allocation costs. This analyzer closes the hole. Starting
-// from each //fg:hotpath function it follows static calls and flags
+// Package hotpathinterproc statically enforces the zero-allocation
+// contract of FlowGuard's fast path. The paper's performance argument
+// (§5.3, §7.2.2) depends on the per-endpoint packet scan and ITC-CFG
+// binary searches staying allocation-free in steady state; functions
+// annotated with a
+//
+//	//fg:hotpath
+//
+// doc-comment line are held to it, directly and through everything
+// they call.
+//
+// Directly: an annotated function must not contain an
+// allocation-forcing construct. The summary package records them for
+// every function (calls into fmt, errors, sort or strconv; closures;
+// map/slice composite literals, make, new; string concatenation and
+// string([]byte) conversions; interface boxing; append into anything
+// but caller- or receiver-owned scratch), and this analyzer reports
+// those of //fg:hotpath functions. Constructs inside a `return` that
+// also returns a non-nil error are exempt: failure exits abandon the
+// fast path, so building the error there is deliberate and harmless.
+//
+// Transitively: calling an ordinary helper is the sanctioned escape
+// hatch for *cold* work, but a helper that allocates on every
+// invocation, called from inside the annotated packet-scan loop, costs
+// exactly what an inline allocation costs. Starting from each
+// //fg:hotpath function the analyzer follows static calls and flags
 // any call whose callee (transitively) reaches an allocation-forcing
 // construct, printing the offending chain.
 //
@@ -42,7 +60,8 @@ import (
 // Analyzer is the hotpathalloc-interproc analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpathalloc-interproc",
-	Doc: "functions reachable from //fg:hotpath roots must not allocate; " +
+	Doc: "//fg:hotpath functions, and the functions they reach, must not contain allocation-forcing " +
+		"constructs (fmt, closures, map/slice literals, interface boxing, non-scratch append); " +
 		"cold helpers need an explicit //fg:cold <reason> annotation",
 	Needs: analysis.NeedSummaries,
 	Facts: func() any { return new(Facts) },
@@ -85,11 +104,15 @@ func run(pass *analysis.Pass) error {
 		ff := &FuncFact{Hot: fn.Hot, Cold: fn.Cold}
 		for _, a := range fn.Allocs {
 			if a.FailRet {
-				continue
+				continue // sanctioned failure-exit shape
 			}
-			ff.AllocReach = true
-			ff.Witness = []string{fn.Name + ": " + shorten(a.Msg)}
-			break
+			if fn.Hot {
+				pass.Reportf(a.Pos, "%s", a.Msg)
+			}
+			if !ff.AllocReach {
+				ff.AllocReach = true
+				ff.Witness = []string{fn.Name + ": " + shorten(a.Msg)}
+			}
 		}
 		facts[key] = ff
 		if fn.ColdMalformed {

@@ -68,8 +68,10 @@ func structLiteral(a, b, c uint64) uint64 {
 	return h
 }
 
-// coldHelper is unannotated: hoisting allocating work here is the
-// sanctioned escape hatch.
+// coldHelper is the sanctioned escape hatch: allocating work hoisted
+// into a helper documented as off the steady-state path.
+//
+//fg:cold builds a diagnostic only after a verdict is reached
 func coldHelper(ip uint64) string {
 	return fmt.Sprintf("ip=%d", ip)
 }
@@ -89,6 +91,6 @@ func unannotated() any {
 //
 //fg:hotpath
 func suppressed(n int) []byte {
-	//fg:ignore hotpathalloc fixture demonstrating a documented suppression
+	//fg:ignore hotpathalloc-interproc fixture demonstrating a documented suppression
 	return make([]byte, n)
 }

@@ -153,8 +153,8 @@ func run(pass *analysis.Pass) error {
 			}
 			edges = append(edges, Edge{
 				From: string(e.From), To: string(e.To),
-				Expr: e.ToExpr + " under " + e.FromExpr,
-				Site: pass.Fset.Position(e.Pos).String(),
+				Expr:  e.ToExpr + " under " + e.FromExpr,
+				Site:  pass.Fset.Position(e.Pos).String(),
 				Local: true, Pos: e.Pos,
 			})
 		}
@@ -169,8 +169,8 @@ func run(pass *analysis.Pass) error {
 					}
 					edges = append(edges, Edge{
 						From: string(h.Class), To: string(cls),
-						Expr: "via " + c.Name + "() under " + h.Expr,
-						Site: pass.Fset.Position(c.Pos).String(),
+						Expr:  "via " + c.Name + "() under " + h.Expr,
+						Site:  pass.Fset.Position(c.Pos).String(),
 						Local: true, Pos: c.Pos,
 					})
 				}

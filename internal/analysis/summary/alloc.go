@@ -1,11 +1,10 @@
-// Allocation-effect extraction: a port of the hotpathalloc walk that
-// records Alloc facts instead of reporting diagnostics. Every function
-// gets the walk — not just //fg:hotpath ones — because the
-// interprocedural analyzer needs to know whether an *unannotated*
-// helper allocates when it is reached transitively from a hot root.
-// The rendered messages are kept byte-identical to the original
-// analyzer so re-grounding hotpathalloc on summaries changes nothing
-// observable.
+// Allocation-effect extraction: the per-construct hot-path walk,
+// recording Alloc facts instead of reporting diagnostics. Every
+// function gets the walk — not just //fg:hotpath ones — because the
+// hot-path analyzer (hotpathinterproc) needs to know whether an
+// *unannotated* helper allocates when it is reached transitively from
+// a hot root; it reports the records of //fg:hotpath functions
+// themselves with their rendered messages.
 
 package summary
 

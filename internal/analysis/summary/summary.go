@@ -12,8 +12,8 @@
 //     each with the held-lock set and select-with-default context
 //   - struct-field accesses eligible for sync/atomic, split into
 //     atomic and plain loads/stores (torn-read detection)
-//   - allocation effects, with the same per-construct fidelity as the
-//     hotpathalloc analyzer (which consumes these records)
+//   - allocation effects, construct by construct (the hot-path
+//     analyzer, hotpathinterproc, consumes these records)
 //   - the static call graph: resolved callees, go/defer context,
 //     failure-return context, and the held-lock set at the call site
 //
@@ -132,7 +132,7 @@ type LocalChan struct {
 	// Escapes is set when the channel value leaves the function (call
 	// argument, return value, store into a field/global/composite):
 	// unseen code may receive from it.
-	Escapes bool
+	Escapes              bool
 	Sends, Recvs, Closes int
 	// NonBlockingSends counts sends guarded by select-with-default.
 	NonBlockingSends int
@@ -175,8 +175,7 @@ const (
 )
 
 // Alloc is one allocation-forcing construct. Msg carries the rendered
-// hotpathalloc diagnostic so the analyzer's output is byte-identical
-// to its pre-summary form.
+// diagnostic the hot-path analyzer reports for it.
 type Alloc struct {
 	Kind AllocKind
 	Msg  string

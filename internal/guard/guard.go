@@ -209,103 +209,6 @@ type Result struct {
 // FastCycles returns the total fast-path cost of the check.
 func (r *Result) FastCycles() uint64 { return r.DecodeCycles + r.CheckCycles }
 
-// Stats accumulates across checks.
-type Stats struct {
-	Checks       uint64
-	SlowChecks   uint64
-	Violations   uint64
-	TIPsChecked  uint64
-	HighEdges    uint64 // runtime high-credit edge observations
-	LowEdges     uint64 // runtime low-credit / sig-mismatch observations
-	DecodeCycles uint64 // fast packet-grammar scanning
-	CheckCycles  uint64 // ITC-CFG searches + credit assessment
-	OtherCycles  uint64 // interception and bookkeeping
-	SlowCycles   uint64 // instruction-flow decoding + precise checks
-	BytesScanned uint64
-	CacheHits    uint64
-
-	// Degraded-mode accounting (§7.1.2 worst cases).
-	Resyncs        uint64 // window cache rebuilt after a wrap outran it
-	Overflows      uint64 // OVF packets decoded: trace bytes lost upstream
-	Gaps           uint64 // checks over a wrapped buffer holding no sync point
-	Malformed      uint64 // windows rejected for grammar-level corruption
-	DegradedChecks uint64 // checks resolved under Policy.OnDegraded
-	FailOpens      uint64 // degraded checks passed open (unverified)
-	FailClosures   uint64 // degraded checks failed closed
-	Retries        uint64 // SlowPathRetry recovery attempts
-	Shed           uint64 // checks shed by an overloaded CheckPool
-	FairnessSheds  uint64 // sheds forced by per-tenant fairness (FleetPool)
-
-	// Asynchronous-pipeline accounting (Policy.Async, DESIGN.md §9).
-	AsyncWindows       uint64 // region-full captures handed to the worker pool
-	AsyncMaxLag        uint64 // high-water mark of captured-but-unchecked windows
-	BackpressureStalls uint64 // producer stalls against a full pending queue
-	WatchdogSheds      uint64 // sheds to synchronous draining (gate deadline or watchdog)
-	WorkerCrashes      uint64 // contained async-worker crashes (injected or real)
-
-	// Fleet accounting (DESIGN.md §10).
-	ForkInherits uint64 // guards created by fork inheritance (ForkGuard)
-
-	// Preemptive-world accounting (DESIGN.md §11).
-	StreamLosses uint64 // demux-reported span losses folded into health
-}
-
-// FastCycles returns the accumulated fast-path cost (decode + check).
-func (s *Stats) FastCycles() uint64 { return s.DecodeCycles + s.CheckCycles }
-
-// Merge adds o into s — the deterministic aggregation step after a
-// parallel multi-process run (each guard's stats are themselves
-// deterministic functions of that process's trace). The statssync
-// annotation makes forgetting a newly added field a vet error, before
-// the reflection test would catch it.
-//
-//fg:statssync Stats
-func (s *Stats) Merge(o *Stats) {
-	s.Checks += o.Checks
-	s.SlowChecks += o.SlowChecks
-	s.Violations += o.Violations
-	s.TIPsChecked += o.TIPsChecked
-	s.HighEdges += o.HighEdges
-	s.LowEdges += o.LowEdges
-	s.DecodeCycles += o.DecodeCycles
-	s.CheckCycles += o.CheckCycles
-	s.OtherCycles += o.OtherCycles
-	s.SlowCycles += o.SlowCycles
-	s.BytesScanned += o.BytesScanned
-	s.CacheHits += o.CacheHits
-	s.Resyncs += o.Resyncs
-	s.Overflows += o.Overflows
-	s.Gaps += o.Gaps
-	s.Malformed += o.Malformed
-	s.DegradedChecks += o.DegradedChecks
-	s.FailOpens += o.FailOpens
-	s.FailClosures += o.FailClosures
-	s.Retries += o.Retries
-	s.Shed += o.Shed
-	s.FairnessSheds += o.FairnessSheds
-	s.AsyncWindows += o.AsyncWindows
-	// A high-water mark merges by maximum, not sum: the merged value is
-	// the worst staleness any constituent guard ever observed.
-	if o.AsyncMaxLag > s.AsyncMaxLag {
-		s.AsyncMaxLag = o.AsyncMaxLag
-	}
-	s.BackpressureStalls += o.BackpressureStalls
-	s.WatchdogSheds += o.WatchdogSheds
-	s.WorkerCrashes += o.WorkerCrashes
-	s.ForkInherits += o.ForkInherits
-	s.StreamLosses += o.StreamLosses
-}
-
-// CredRatioRuntime returns the runtime fraction of credible edges
-// (Figure 5(d)'s cred-ratio series).
-func (s *Stats) CredRatioRuntime() float64 {
-	t := s.HighEdges + s.LowEdges
-	if t == 0 {
-		return 1
-	}
-	return float64(s.HighEdges) / float64(t)
-}
-
 // edgeKey identifies a (source, target, TNT signature) triple in the
 // slow-path verdict cache.
 type edgeKey struct {

@@ -100,9 +100,10 @@ func TestSlowPathApprovalReuseAndInvalidation(t *testing.T) {
 }
 
 // TestStatsMerge checks Merge over every Stats field by reflection, so a
-// field added to Stats but forgotten in Merge fails here instead of
-// silently vanishing from multi-process aggregates. Counters merge by
-// sum; high-water marks (listed in maxMerged) merge by maximum.
+// field Merge mishandles fails here instead of silently vanishing from
+// multi-process aggregates. Counters merge by sum; high-water marks
+// (pinned in maxMerged, independently of the struct tags Merge reads)
+// merge by maximum.
 func TestStatsMerge(t *testing.T) {
 	maxMerged := map[string]bool{"AsyncMaxLag": true}
 	var a, b guard.Stats
@@ -134,6 +135,17 @@ func TestStatsMerge(t *testing.T) {
 	}
 	if got := vb.Field(0).Uint(); got != 1000 {
 		t.Errorf("Merge mutated its argument: field 0 = %d", got)
+	}
+}
+
+// TestStatsMergeZeroAlloc pins that the reflective Merge allocates
+// nothing: fleet and multi-process runs call it once per process or
+// fork batch.
+func TestStatsMergeZeroAlloc(t *testing.T) {
+	var a, b guard.Stats
+	b.Checks, b.AsyncMaxLag = 3, 7
+	if allocs := testing.AllocsPerRun(100, func() { a.Merge(&b) }); allocs != 0 {
+		t.Fatalf("Stats.Merge allocated %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -24,16 +24,17 @@ type ChaosRow struct {
 	Benign, Survived  int
 	// Faults is the number of injected trace faults across the slice.
 	Faults uint64
-	// The summed guard counters behind the verdicts.
-	Degraded, Overflows, Malformed, Gaps uint64
-	Retries, FailOpens, FailClosures     uint64
+	// Stats merges the slice's guard ledgers: the counters behind the
+	// verdicts.
+	Stats guard.Stats
 }
 
 func (c ChaosRow) String() string {
+	s := &c.Stats
 	return fmt.Sprintf("%-15s runs=%-4d attacks=%2d/%-2d benign-ok=%2d/%-2d faults=%-4d degraded=%-4d ovf=%-3d bad=%-3d gap=%-2d retries=%-3d open=%-3d closed=%d",
 		c.Mode, c.Runs, c.Detected, c.Attacks, c.Survived, c.Benign,
-		c.Faults, c.Degraded, c.Overflows, c.Malformed, c.Gaps,
-		c.Retries, c.FailOpens, c.FailClosures)
+		c.Faults, s.DegradedChecks, s.Overflows, s.Malformed, s.Gaps,
+		s.Retries, s.FailOpens, s.FailClosures)
 }
 
 // Chaos sweeps n seeded fault plans across the three degraded-mode
@@ -136,13 +137,7 @@ func (r *Runner) Chaos(n int) ([]ChaosRow, error) {
 				row.Survived++
 			}
 		}
-		row.Degraded += g.Stats.DegradedChecks
-		row.Overflows += g.Stats.Overflows
-		row.Malformed += g.Stats.Malformed
-		row.Gaps += g.Stats.Gaps
-		row.Retries += g.Stats.Retries
-		row.FailOpens += g.Stats.FailOpens
-		row.FailClosures += g.Stats.FailClosures
+		row.Stats.Merge(&g.Stats)
 	}
 	return rows, nil
 }

@@ -123,10 +123,10 @@ func compareForkResults(check int, c, f guard.Result) (divs []string) {
 
 // compareForkStats diffs every guard.Stats counter between child and
 // twin except ForkInherits (the child counts its inheritance; the twin
-// by construction has none). StatsFields keeps this exhaustive under
-// the statssync invariant.
+// by construction has none). Stats.Fields walks the struct declaration,
+// so this stays exhaustive as counters are added.
 func compareForkStats(c, f *guard.Stats) (divs []string) {
-	cf, ff := StatsFields(c), StatsFields(f)
+	cf, ff := c.Fields(), f.Fields()
 	for i := range cf {
 		if cf[i].Name == "ForkInherits" {
 			continue

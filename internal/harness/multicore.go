@@ -10,6 +10,8 @@ package harness
 // shares one approval cache across its per-thread streams.
 
 import (
+	"reflect"
+
 	"flowguard/internal/guard"
 	"flowguard/internal/kernelsim"
 	"flowguard/internal/oracle"
@@ -38,21 +40,7 @@ type MCOutcome struct {
 // addOracleStats folds src into dst field by field (thread-oracle stats
 // sum into one process-level view, exactly like guard.Stats sharing).
 func addOracleStats(dst, src *oracle.Stats) {
-	dst.Checks += src.Checks
-	dst.SlowChecks += src.SlowChecks
-	dst.Violations += src.Violations
-	dst.TIPsChecked += src.TIPsChecked
-	dst.HighEdges += src.HighEdges
-	dst.LowEdges += src.LowEdges
-	dst.Resyncs += src.Resyncs
-	dst.Overflows += src.Overflows
-	dst.Gaps += src.Gaps
-	dst.Malformed += src.Malformed
-	dst.DegradedChecks += src.DegradedChecks
-	dst.FailOpens += src.FailOpens
-	dst.FailClosures += src.FailClosures
-	dst.Retries += src.Retries
-	dst.Shed += src.Shed
+	oracleTwins(dst, src, func(_ string, d, v reflect.Value) { d.SetUint(d.Uint() + v.Uint()) })
 }
 
 // diffMulticoreRun executes the target input under multicore protection,

@@ -11,6 +11,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 
 	"flowguard/internal/apps"
 	"flowguard/internal/attack"
@@ -158,43 +159,28 @@ func compareResults(check int, g guard.Result, o oracle.Result) (divs []string) 
 	return divs
 }
 
-// compareStats diffs the counters shared by both Stats types. The
-// exempt fields are cycle meters, bytes scanned, cache hits and the
-// asynchronous-pipeline counters: production cost/shortcut/scheduling
-// bookkeeping with no oracle analogue (the oracle always decodes
-// synchronously; the async design guarantees the verdict-bearing
-// counters above still match it exactly). StreamLosses counts
-// demux-reported losses, a transport event upstream of the oracle's
-// stream view — the health/degraded consequences it forces are still
-// compared through the counters above.
-//
-//fg:statssync guard.Stats -exempt DecodeCycles,CheckCycles,OtherCycles,SlowCycles,BytesScanned,CacheHits,AsyncWindows,AsyncMaxLag,BackpressureStalls,WatchdogSheds,WorkerCrashes,FairnessSheds,ForkInherits,StreamLosses
+// oracleTwins calls fn for every oracle.Stats field of o, in declaration
+// order, with the same-named field of into (a *guard.Stats or another
+// *oracle.Stats) — the by-name pairing behind compareStats and
+// addOracleStats. TestStatsOracleTwins pins that every oracle counter
+// has a uint64 twin in guard.Stats, and which guard counters the oracle
+// deliberately does not model.
+func oracleTwins(into any, o *oracle.Stats, fn func(name string, in, ov reflect.Value)) {
+	iv, ov := reflect.ValueOf(into).Elem(), reflect.ValueOf(o).Elem()
+	for i := 0; i < ov.NumField(); i++ {
+		name := ov.Type().Field(i).Name
+		fn(name, iv.FieldByName(name), ov.Field(i))
+	}
+}
+
+// compareStats diffs every oracle.Stats counter against its guard.Stats
+// twin.
 func compareStats(g *guard.Stats, o *oracle.Stats) (divs []string) {
-	pairs := []struct {
-		name   string
-		gv, ov uint64
-	}{
-		{"Checks", g.Checks, o.Checks},
-		{"SlowChecks", g.SlowChecks, o.SlowChecks},
-		{"Violations", g.Violations, o.Violations},
-		{"TIPsChecked", g.TIPsChecked, o.TIPsChecked},
-		{"HighEdges", g.HighEdges, o.HighEdges},
-		{"LowEdges", g.LowEdges, o.LowEdges},
-		{"Resyncs", g.Resyncs, o.Resyncs},
-		{"Overflows", g.Overflows, o.Overflows},
-		{"Gaps", g.Gaps, o.Gaps},
-		{"Malformed", g.Malformed, o.Malformed},
-		{"DegradedChecks", g.DegradedChecks, o.DegradedChecks},
-		{"FailOpens", g.FailOpens, o.FailOpens},
-		{"FailClosures", g.FailClosures, o.FailClosures},
-		{"Retries", g.Retries, o.Retries},
-		{"Shed", g.Shed, o.Shed},
-	}
-	for _, p := range pairs {
-		if p.gv != p.ov {
-			divs = append(divs, fmt.Sprintf("stats %s: guard=%d oracle=%d", p.name, p.gv, p.ov))
+	oracleTwins(g, o, func(name string, gv, ov reflect.Value) {
+		if gv.Uint() != ov.Uint() {
+			divs = append(divs, fmt.Sprintf("stats %s: guard=%d oracle=%d", name, gv.Uint(), ov.Uint()))
 		}
-	}
+	})
 	return divs
 }
 

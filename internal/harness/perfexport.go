@@ -10,57 +10,10 @@ import (
 	"flowguard/internal/perfstat"
 )
 
-// StatField is one guard.Stats counter paired with its report name.
-type StatField struct {
-	Name  string
-	Value uint64
-}
-
-// StatsFields flattens every guard.Stats counter into named fields, in
-// report order. It is the reporter leg of the statssync invariant: a
-// field added to guard.Stats but missing here (or from Stats.Merge or
-// the oracle comparison) is an fgvet error, so neither the FormatStats
-// block nor the JSON artifact can silently omit a counter.
-//
-//fg:statssync guard.Stats
-func StatsFields(s *guard.Stats) []StatField {
-	return []StatField{
-		{"Checks", s.Checks},
-		{"SlowChecks", s.SlowChecks},
-		{"Violations", s.Violations},
-		{"TIPsChecked", s.TIPsChecked},
-		{"HighEdges", s.HighEdges},
-		{"LowEdges", s.LowEdges},
-		{"DecodeCycles", s.DecodeCycles},
-		{"CheckCycles", s.CheckCycles},
-		{"OtherCycles", s.OtherCycles},
-		{"SlowCycles", s.SlowCycles},
-		{"BytesScanned", s.BytesScanned},
-		{"CacheHits", s.CacheHits},
-		{"Resyncs", s.Resyncs},
-		{"Overflows", s.Overflows},
-		{"Gaps", s.Gaps},
-		{"Malformed", s.Malformed},
-		{"DegradedChecks", s.DegradedChecks},
-		{"FailOpens", s.FailOpens},
-		{"FailClosures", s.FailClosures},
-		{"Retries", s.Retries},
-		{"Shed", s.Shed},
-		{"FairnessSheds", s.FairnessSheds},
-		{"AsyncWindows", s.AsyncWindows},
-		{"AsyncMaxLag", s.AsyncMaxLag},
-		{"BackpressureStalls", s.BackpressureStalls},
-		{"WatchdogSheds", s.WatchdogSheds},
-		{"WorkerCrashes", s.WorkerCrashes},
-		{"ForkInherits", s.ForkInherits},
-		{"StreamLosses", s.StreamLosses},
-	}
-}
-
 // StatsMap returns the counters keyed by name — the artifact's
 // fleet_stats form.
 func StatsMap(s *guard.Stats) map[string]uint64 {
-	fields := StatsFields(s)
+	fields := s.Fields()
 	m := make(map[string]uint64, len(fields))
 	for _, f := range fields {
 		m[f.Name] = f.Value

@@ -149,12 +149,13 @@ func compareMCResults(check int, s, m guard.Result, cycles bool) (divs []string)
 // compareMCStats diffs every guard.Stats counter between the solo and
 // multicore legs except the async scheduling counters (and, for async
 // runs, the cycle meters — same reasoning as compareMCResults).
-// StatsFields keeps the sweep exhaustive under the statssync invariant.
+// Stats.Fields walks the struct declaration, so the sweep stays
+// exhaustive as counters are added.
 func compareMCStats(s, m *guard.Stats, async bool) (divs []string) {
 	cycles := map[string]bool{
 		"DecodeCycles": true, "CheckCycles": true, "OtherCycles": true, "SlowCycles": true,
 	}
-	sf, mf := StatsFields(s), StatsFields(m)
+	sf, mf := s.Fields(), m.Fields()
 	for i := range sf {
 		if mcAsyncExempt[sf[i].Name] || (async && cycles[sf[i].Name]) {
 			continue

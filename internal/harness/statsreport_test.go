@@ -50,15 +50,15 @@ func TestFormatStatsGolden(t *testing.T) {
 	golden(t, "formatstats.golden", harness.FormatStats(statsFixture()))
 }
 
-// TestStatsFieldsCompleteness is the runtime half of the statssync
-// invariant on the reporter: one entry per guard.Stats field, in
-// declaration order, no duplicates, values faithfully copied.
+// TestStatsFieldsCompleteness pins the reporters' counter view: one
+// entry per guard.Stats field, in declaration order, no duplicates,
+// values faithfully copied, and StatsMap agreeing with it.
 func TestStatsFieldsCompleteness(t *testing.T) {
 	s := statsFixture()
-	fields := harness.StatsFields(s)
+	fields := s.Fields()
 	typ := reflect.TypeOf(*s)
 	if len(fields) != typ.NumField() {
-		t.Fatalf("StatsFields returned %d entries, guard.Stats has %d fields", len(fields), typ.NumField())
+		t.Fatalf("Stats.Fields returned %d entries, guard.Stats has %d fields", len(fields), typ.NumField())
 	}
 	val := reflect.ValueOf(*s)
 	for i, f := range fields {
