@@ -9,7 +9,7 @@ GO ?= go
 # this single variable — ci.yml reads it out of the Makefile.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all test test-short race bench bench-raw bench-compare experiments examples vet fgvet staticcheck fmt cover chaos async-smoke fuzz-smoke fleet-smoke sched-smoke fuzz oracle-soak cover-ratchet
+.PHONY: all test test-short race bench bench-raw bench-compare experiments examples vet fgvet staticcheck fmt cover chaos async-smoke fuzz-smoke fleet-smoke sched-smoke property fuzz oracle-soak cover-ratchet
 
 all: vet test
 
@@ -73,11 +73,17 @@ fleet-smoke:
 # sched-smoke races the preemptive multi-core world end to end: the
 # time-sliced scheduler (threads, signals, core affinity), the PIP/CR3
 # trace demux, the multicore guard conformance tests, the slice-boundary
-# chaos scenarios, the demux round-trip property (bounded seed count
-# under -short; the full 1000-seed sweep runs in the oracle wall), and
-# one thread's Mprotect invalidating another thread's CPU fetch cursor.
+# chaos scenarios, the demux round-trip property (its bounded tier-1
+# seed count; `make property` runs the full sweep), and one thread's
+# Mprotect invalidating another thread's CPU fetch cursor.
 sched-smoke:
 	$(GO) test -race -short -run 'Multicore|Demux|Preempt|Clone|Thread|Signal|SIGKILL|Slice|Gettid' ./internal/kernelsim/ ./internal/trace/ipt/ ./internal/guard/ ./internal/faults/ ./internal/harness/ ./internal/cpu/ -count=1
+
+# property runs the seeded conformance sweeps at their full seed count:
+# fork inheritance and the PIP/CR3 demux round trip, 1000 seeds each
+# (plain `go test` runs 120 of each to keep tier-1 short).
+property:
+	$(GO) test -run '^TestProperty(ForkInheritance|DemuxRoundTrip)$$' ./internal/harness/ -propseeds 1000 -count=1
 
 fuzz-smoke:
 	$(GO) test -run 'Fuzz' ./internal/trace/ipt/ ./internal/harness/ ./internal/perfstat/ ./internal/itc/ ./internal/cpu/ ./internal/guard/ -count=1

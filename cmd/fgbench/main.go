@@ -8,7 +8,7 @@
 //	fgbench -fig 5a -fig 5c      # overhead panels
 //	fgbench -micro -attacks      # §7.2.2 micro, §7.1.2 attack matrix
 //	fgbench -sweep -ablation     # §7.1.1 parameters, §7.2.4 HW decoder
-//	fgbench -parallel 4          # §6 pooled parallel checking speedup
+//	fgbench -chaos 90            # §7.1.2 fault injection, merged guard ledger
 //	fgbench -claim decode230x    # the §2 slow-decoding measurement
 //	fgbench -oracle 10000        # differential soak vs the naive oracle
 //
@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"flowguard/internal/apps"
+	"flowguard/internal/guard"
 	"flowguard/internal/harness"
 	"flowguard/internal/perfstat"
 )
@@ -46,7 +47,6 @@ func main() {
 	ablation := flag.Bool("ablation", false, "run the hardware-decoder ablation (§7.2.4)")
 	modes := flag.Bool("modes", false, "compare checking modes: credits, path-sensitive, PMI fallback")
 	multiproc := flag.Bool("multiproc", false, "CR3-filter limitation with interleaved processes (§7.2.4)")
-	parallel := flag.Int("parallel", 0, "run N protected processes with pooled parallel checking (§6) and report aggregate check latency")
 	asyncN := flag.Int("async", 0, "run N samples per checking configuration comparing syscall-blocked time: synchronous vs the asynchronous pipeline")
 	chaos := flag.Int("chaos", 0, "run N seeded fault-injection scenarios across the degraded-mode policies (§7.1.2 worst cases)")
 	oracle := flag.Int("oracle", 0, "run N seeded differential checks of the optimized hybrid pipeline against the naive oracle")
@@ -89,7 +89,6 @@ func main() {
 	// -json accumulators: whichever sections run contribute their piece
 	// of the perfstat artifact.
 	var phases []perfstat.PhaseBreakdown
-	var fleetStats map[string]uint64
 	var jsonBenches []perfstat.Benchmark
 
 	if want(tables, "1") {
@@ -255,23 +254,6 @@ func main() {
 		fmt.Println("  (paper: single-process apps outperform multi-process ones under one CR3 filter)")
 	}
 
-	if *all || *parallel > 0 {
-		n := *parallel
-		if n <= 0 {
-			n = 4
-		}
-		section("§6: parallel flow checking across spare cores")
-		res, err := r.Parallel(n)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(" ", res)
-		fmt.Println("  (checks for concurrent processes are offloaded to a bounded worker pool)")
-		fmt.Println("  merged guard stats across the fleet:")
-		fmt.Print(harness.FormatStats(&res.Agg))
-		fleetStats = harness.StatsMap(&res.Agg)
-	}
-
 	if *all || *asyncN > 0 {
 		n := *asyncN
 		if n <= 0 {
@@ -302,10 +284,14 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
+		var agg guard.Stats
 		for _, row := range rows {
 			fmt.Println(" ", row)
+			agg.Merge(&row.Stats)
 		}
 		fmt.Println("  (trace loss/corruption/gaps per policy; attacks must still die except in explicit fail-open windows)")
+		fmt.Println("  merged guard stats across every policy:")
+		fmt.Print(harness.FormatStats(&agg))
 	}
 
 	if *all || *oracle > 0 {
@@ -350,7 +336,6 @@ func main() {
 			BenchArgs:  strings.Join(os.Args[1:], " "),
 			Benchmarks: jsonBenches,
 			Phases:     phases,
-			FleetStats: fleetStats,
 		}
 		f, err := os.Create(*jsonOut)
 		if err != nil {

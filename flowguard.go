@@ -394,7 +394,7 @@ func outcomeCounters(s *guard.Stats) (checks, slowChecks, degradedChecks, failOp
 	return s.Checks, s.SlowChecks, s.DegradedChecks, s.FailOpens, s.FailClosures, s.Retries, s.Shed
 }
 
-// MultiOutcome describes a parallel multi-process protected run.
+// MultiOutcome describes a multi-process protected run.
 type MultiOutcome struct {
 	// Outcomes holds one entry per input process, in input order.
 	Outcomes []*Outcome
@@ -405,37 +405,27 @@ type MultiOutcome struct {
 	DegradedChecks, FailOpens, FailClosures, Retries, Shed uint64
 	// Violations aggregates every kernel-module report.
 	Violations []string
-	// Workers is the checker-pool concurrency bound used.
-	Workers int
-	// Elapsed is the wall time of the whole parallel run.
+	// Elapsed is the wall time of the whole run.
 	Elapsed time.Duration
-	// CheckBusy is the summed wall time spent inside flow checks across
-	// all processes; with effective parallelism it exceeds the checks'
-	// contribution to Elapsed (that surplus is the §6 offloading win).
-	CheckBusy time.Duration
-	// CheckWait is the summed time checks queued for a pool slot.
-	CheckWait time.Duration
 }
 
+// multiQuantum is RunMulti's time slice: the instructions one process
+// retires before the scheduler moves on to the next.
+const multiQuantum = 10_000
+
 // RunMulti executes one protected process per input, all within a single
-// kernel, running concurrently — the paper's §6 multi-core deployment:
-// every process gets its own trace unit and ToPA table, and flow checks
-// for different processes proceed in parallel on up to `workers` checker
-// cores (a guard.CheckPool bounds them). The processes share one
+// kernel — the paper's §6 multi-core deployment: every process gets its
+// own core, trace unit and ToPA table, and the processes share one
 // slow-path approval cache, so a clean slow-path verdict in any process
-// serves every sibling's fast path. workers <= 0 means one checker per
-// process.
-func (s *System) RunMulti(inputs [][]byte, pol Policy, workers int) (*MultiOutcome, error) {
+// serves every sibling's fast path. The kernel interleaves the processes
+// round-robin in fixed quanta (kernelsim.RunMulticore), so equal inputs
+// give equal outcomes run after run.
+func (s *System) RunMulti(inputs [][]byte, pol Policy) (*MultiOutcome, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("flowguard: RunMulti needs at least one input")
 	}
-	if workers <= 0 {
-		workers = len(inputs)
-	}
 	k := kernelsim.New()
 	km := guard.InstallModule(k)
-	pool := guard.NewCheckPool(workers)
-	km.UsePool(pool)
 	shared := guard.NewApprovalCache()
 	procs := make([]*kernelsim.Process, len(inputs))
 	guards := make([]*guard.Guard, len(inputs))
@@ -452,11 +442,11 @@ func (s *System) RunMulti(inputs [][]byte, pol Policy, workers int) (*MultiOutco
 		procs[i], guards[i] = p, g
 	}
 	t0 := time.Now()
-	sts, err := k.RunParallel(procs, 500_000_000, 0)
+	sts, err := k.RunMulticore(procs, len(procs), multiQuantum, uint64(len(procs))*500_000_000)
 	if err != nil {
 		return nil, err
 	}
-	mo := &MultiOutcome{Workers: workers, Elapsed: time.Since(t0)}
+	mo := &MultiOutcome{Elapsed: time.Since(t0)}
 	reports := km.ReportsSnapshot()
 	var agg guard.Stats
 	for i, p := range procs {
@@ -473,8 +463,6 @@ func (s *System) RunMulti(inputs [][]byte, pol Policy, workers int) (*MultiOutco
 	for _, rep := range reports {
 		mo.Violations = append(mo.Violations, rep.String())
 	}
-	ps := pool.Snapshot()
-	mo.CheckBusy, mo.CheckWait = ps.Busy, ps.Wait
 	return mo, nil
 }
 

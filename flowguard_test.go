@@ -2,6 +2,7 @@ package flowguard_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -253,15 +254,13 @@ func TestRunMulti(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := [][]byte{w.Input(12, 3), w.Input(12, 4), w.Input(12, 5), w.Input(12, 6)}
-	mo, err := sys.RunMulti(inputs, flowguard.DefaultPolicy(), 2)
+	pol := flowguard.DefaultPolicy()
+	mo, err := sys.RunMulti(inputs, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(mo.Outcomes) != len(inputs) {
 		t.Fatalf("outcomes = %d, want %d", len(mo.Outcomes), len(inputs))
-	}
-	if mo.Workers != 2 {
-		t.Fatalf("workers = %d, want 2", mo.Workers)
 	}
 	var sum uint64
 	for i, o := range mo.Outcomes {
@@ -275,7 +274,7 @@ func TestRunMulti(t *testing.T) {
 			t.Fatalf("process %d ran no checks", i)
 		}
 		sum += o.Checks
-		// Parallel runs must not change program behavior.
+		// Interleaving processes must not change program behavior...
 		plain, err := flowguard.RunUnprotected(w, inputs[i])
 		if err != nil {
 			t.Fatal(err)
@@ -283,12 +282,39 @@ func TestRunMulti(t *testing.T) {
 		if string(plain) != string(o.Stdout) {
 			t.Errorf("process %d output differs from unprotected run", i)
 		}
+		// ...nor where the endpoints fall: each process checks exactly
+		// as often as it does alone.
+		solo, err := sys.RunWithPolicy(inputs[i], pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Checks != solo.Checks {
+			t.Errorf("process %d: %d checks among siblings, %d alone", i, o.Checks, solo.Checks)
+		}
 	}
 	if mo.Checks != sum {
 		t.Fatalf("aggregate checks %d != per-process sum %d", mo.Checks, sum)
 	}
 	if len(mo.Violations) != 0 {
 		t.Fatalf("aggregate false positives: %v", mo.Violations)
+	}
+
+	// The scheduler is a deterministic interleaving: a second run over
+	// the same inputs replays every counter and every byte of output.
+	again, err := sys.RunMulti(inputs, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := func(m *flowguard.MultiOutcome) [7]uint64 {
+		return [7]uint64{m.Checks, m.SlowChecks, m.DegradedChecks, m.FailOpens, m.FailClosures, m.Retries, m.Shed}
+	}
+	if counters(mo) != counters(again) {
+		t.Errorf("repeated run: counters %v, first run %v", counters(again), counters(mo))
+	}
+	for i := range mo.Outcomes {
+		if !reflect.DeepEqual(mo.Outcomes[i], again.Outcomes[i]) {
+			t.Errorf("process %d: repeated run differs:\n%+v\n%+v", i, again.Outcomes[i], mo.Outcomes[i])
+		}
 	}
 }
 
@@ -309,12 +335,15 @@ func TestRunMultiDetectsAttackAmongBenign(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := [][]byte{w.Input(12, 3), payload, w.Input(12, 4)}
-	mo, err := sys.RunMulti(inputs, flowguard.DefaultPolicy(), 0)
+	mo, err := sys.RunMulti(inputs, flowguard.DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mo.Outcomes[1].Killed || len(mo.Outcomes[1].Violations) == 0 {
-		t.Fatalf("attacked process survived: %+v", mo.Outcomes[1])
+	if !mo.Outcomes[1].Killed || len(mo.Outcomes[1].Violations) != 1 {
+		t.Fatalf("attacked process: want killed with exactly one report, got %+v", mo.Outcomes[1])
+	}
+	if len(mo.Violations) != 1 || mo.Violations[0] != mo.Outcomes[1].Violations[0] {
+		t.Fatalf("want exactly the attacked process's report, got %v", mo.Violations)
 	}
 	for _, i := range []int{0, 2} {
 		o := mo.Outcomes[i]

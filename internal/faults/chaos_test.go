@@ -249,16 +249,43 @@ func TestChaosSoak(t *testing.T) {
 		n, asyncRuns, degraded, retries, failOpens, failClosures, asyncWindows, workerFaults, workerCrashes)
 }
 
+// recordTrace runs the app on input with a bare tracer attached and
+// returns everything the trace unit wrote (a hijacked run may crash once
+// its payload is done, so the status is not checked).
+func recordTrace(t *testing.T, f *fixture, input []byte) []byte {
+	t.Helper()
+	k := kernelsim.New()
+	p, err := f.app.Spawn(k, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := ipt.NewTracer(ipt.NewToPA(16 << 20))
+	if err := tr.WriteMSR(ipt.MSRRTITCtl, ctlTrace); err != nil {
+		t.Fatal(err)
+	}
+	p.CPU.Branch = tr
+	if _, err := k.Run(p, 80_000_000); err != nil {
+		t.Fatal(err)
+	}
+	tr.Flush()
+	return tr.Out.Snapshot()
+}
+
 // TestChaosPoolOverload saturates a single-slot CheckPool with stalled
-// checks from parallel processes. The pool must neither deadlock nor
-// drop checks silently: every endpoint check appears in the guards'
+// checks from concurrently checking processes: each goroutine replays a
+// recorded trace into its own guard's ToPA in 512-byte chunks and checks
+// through the shared pool after every chunk, stopping at its first
+// violation as a SIGKILL would. The pool must neither deadlock nor drop
+// checks silently: every endpoint check appears in the guards'
 // statistics, sheds are counted on both sides, and attacks are still
 // detected under the non-fail-open policies.
 func TestChaosPoolOverload(t *testing.T) {
 	f := chaosFixture(t)
+	bin := guard.NewBinary(f.ocfg.AS, f.ocfg, f.ig.Artifact())
+	benign := recordTrace(t, f, benignTraffic())
+	hijacked := recordTrace(t, f, f.rop)
+	const chunk = 512
 	for _, mode := range []guard.DegradedMode{guard.FailClosed, guard.SlowPathRetry} {
-		k := kernelsim.New()
-		km := guard.InstallModule(k)
 		pool := guard.NewCheckPool(1)
 		pool.Deadline = 100 * time.Microsecond
 		pool.QueueLimit = 2
@@ -269,37 +296,33 @@ func TestChaosPoolOverload(t *testing.T) {
 			StallFor: 2 * time.Millisecond,
 		})
 		pool.Stall = stallPlan.Stall
-		km.UsePool(pool)
 
 		pol := guard.DefaultPolicy()
 		pol.OnDegraded = mode
 
-		var procs []*kernelsim.Process
-		var guards []*guard.Guard
-		attackIdx := map[int]bool{}
-		for i := 0; i < 6; i++ {
-			input := benignTraffic()
+		const procsN = 6
+		guards := make([]*guard.Guard, procsN)
+		killed := make([]bool, procsN)
+		var wg sync.WaitGroup
+		for i := range guards {
+			raw := benign
 			if i%3 == 0 {
-				input = f.rop
-				attackIdx[i] = true
+				raw = hijacked
 			}
-			p, err := f.app.Spawn(k, input)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := km.Protect(p, f.ocfg, f.ig, pol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			procs = append(procs, p)
-			guards = append(guards, g)
+			tr := ipt.NewTracer(ipt.NewToPA(guard.DefaultToPARegion, guard.DefaultToPARegion))
+			guards[i] = bin.NewGuard(tr, pol)
+			wg.Add(1)
+			go func(i int, g *guard.Guard, raw []byte) {
+				defer wg.Done()
+				for lo := 0; lo < len(raw) && !killed[i]; lo += chunk {
+					g.Tracer.Out.Write(raw[lo:min(lo+chunk, len(raw))])
+					killed[i] = pool.Do(g).Verdict == guard.VerdictViolation
+				}
+			}(i, guards[i], raw)
 		}
-
 		done := make(chan struct{})
-		var sts []kernelsim.ExitStatus
-		var runErr error
 		go func() {
-			sts, runErr = k.RunParallel(procs, 80_000_000, 0)
+			wg.Wait()
 			close(done)
 		}()
 		select {
@@ -307,13 +330,10 @@ func TestChaosPoolOverload(t *testing.T) {
 		case <-time.After(60 * time.Second):
 			t.Fatalf("mode %v: pool overload deadlocked", mode)
 		}
-		if runErr != nil {
-			t.Fatalf("mode %v: %v", mode, runErr)
-		}
 
-		for i, st := range sts {
-			if attackIdx[i] && !st.Killed {
-				t.Errorf("mode %v: attack process %d not detected under overload: %v", mode, i, st)
+		for i := range guards {
+			if i%3 == 0 && !killed[i] {
+				t.Errorf("mode %v: attack process %d not detected under overload", mode, i)
 			}
 		}
 		ps := pool.Snapshot()

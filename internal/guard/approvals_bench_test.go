@@ -53,8 +53,8 @@ func BenchmarkApprovalCache(b *testing.B) {
 		}
 	})
 	// Contended profile: every goroutine reads, and ~1/64 ops record a
-	// fresh approval — the shape of parallel checkers sharing one cache
-	// (RunMulti) while occasional slow paths write through.
+	// fresh approval — the shape of pooled checkers sharing one cache
+	// (CheckPool, FleetPool) while occasional slow paths write through.
 	b.Run("parallel-mixed", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -1,17 +1,21 @@
 package guard_test
 
 // Concurrency tests (run them under -race): several protected processes
-// execute simultaneously on their own goroutines — the §6 multi-core
-// deployment — with endpoint checks bounded by a CheckPool and slow-path
-// verdicts pooled in a shared ApprovalCache.
+// check simultaneously — the §6 deployment, where flow checks for
+// different processes run on spare cores. Each goroutine stands in for
+// one process: it replays a recorded trace into its own guard's ToPA in
+// chunks and checks through one shared CheckPool after every chunk,
+// while the guards share one label artifact and one ApprovalCache.
 
 import (
+	"sync"
 	"testing"
 
 	"flowguard/internal/apps"
 	"flowguard/internal/attack"
 	"flowguard/internal/guard"
 	"flowguard/internal/kernelsim"
+	"flowguard/internal/trace/ipt"
 )
 
 func ropPayload(t *testing.T, a *analyzed) []byte {
@@ -27,106 +31,142 @@ func ropPayload(t *testing.T, a *analyzed) []byte {
 	return payload
 }
 
-func TestParallelProtectedProcesses(t *testing.T) {
-	a := analyze(t, apps.Vulnd())
-	a.train(t, benignTraffic(), []byte("G /x\nP 32\nH /h\n"))
-
+// recordTrace runs the app on input with a bare tracer attached and
+// returns everything the trace unit wrote, with the run's exit status.
+func (a *analyzed) recordTrace(t *testing.T, input []byte) ([]byte, kernelsim.ExitStatus) {
+	t.Helper()
 	k := kernelsim.New()
-	km := guard.InstallModule(k)
-	pool := guard.NewCheckPool(2)
-	km.UsePool(pool)
-	shared := guard.NewApprovalCache()
-
-	const procsN = 6
-	procs := make([]*kernelsim.Process, procsN)
-	guards := make([]*guard.Guard, procsN)
-	for i := range procs {
-		p, err := a.app.Spawn(k, benignTraffic())
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := km.Protect(p, a.ocfg, a.ig, guard.DefaultPolicy())
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.ShareApprovals(shared)
-		procs[i], guards[i] = p, g
-	}
-
-	sts, err := k.RunParallel(procs, 80_000_000, 0)
+	p, err := a.app.Spawn(k, input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, st := range sts {
-		if !st.Exited {
-			t.Fatalf("proc %d: %v; reports: %v", i, st, km.ReportsSnapshot())
+	tr := ipt.NewTracer(ipt.NewToPA(16 << 20))
+	if err := tr.WriteMSR(ipt.MSRRTITCtl, ctlTrace); err != nil {
+		t.Fatal(err)
+	}
+	p.CPU.Branch = tr
+	st, err := k.Run(p, 80_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Flush()
+	return tr.Out.Snapshot(), st
+}
+
+// replayChunk is the trace volume one process writes between two
+// endpoint checks in the replay.
+const replayChunk = 512
+
+// replayChecked feeds raw into g's ToPA replayChunk bytes at a time and
+// checks through pool after every chunk, stopping at the first
+// violation as a SIGKILL would. It returns that violation, if any.
+func replayChecked(pool *guard.CheckPool, g *guard.Guard, raw []byte) (guard.Result, bool) {
+	for lo := 0; lo < len(raw); lo += replayChunk {
+		g.Tracer.Out.Write(raw[lo:min(lo+replayChunk, len(raw))])
+		if res := pool.Do(g); res.Verdict == guard.VerdictViolation {
+			return res, true
 		}
 	}
-	if reps := km.ReportsSnapshot(); len(reps) != 0 {
-		t.Fatalf("false positives under parallel checking: %v", reps)
+	return guard.Result{}, false
+}
+
+// replayGuard is a guard over the binary's shared artifact and approval
+// cache with the deployed two-region ToPA. Its tracer is never
+// programmed, so the ToPA holds exactly the replayed bytes.
+func replayGuard(bin *guard.Binary) *guard.Guard {
+	tr := ipt.NewTracer(ipt.NewToPA(guard.DefaultToPARegion, guard.DefaultToPARegion))
+	return bin.NewGuard(tr, guard.DefaultPolicy())
+}
+
+// replayConcurrently replays traces[i] into guards[i], one goroutine
+// per guard, all checking through pool. It returns each guard's first
+// violation and whether it had one.
+func replayConcurrently(pool *guard.CheckPool, guards []*guard.Guard, traces [][]byte) ([]guard.Result, []bool) {
+	res := make([]guard.Result, len(guards))
+	hit := make([]bool, len(guards))
+	var wg sync.WaitGroup
+	for i := range guards {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res[i], hit[i] = replayChecked(pool, guards[i], traces[i])
+		}(i)
+	}
+	wg.Wait()
+	return res, hit
+}
+
+// TestParallelProtectedProcesses: benign processes checking at once
+// through a two-slot pool, over one shared artifact and approval cache,
+// raise no violation. Training is sparse, so the slow path runs and
+// writes approvals concurrently with sibling fast-path reads.
+func TestParallelProtectedProcesses(t *testing.T) {
+	a := analyze(t, apps.Vulnd())
+	a.train(t, []byte("G /x\nP 32\nH /h\n"))
+	bin := guard.NewBinary(a.ocfg.AS, a.ocfg, a.ig.Artifact())
+	benign, _ := a.recordTrace(t, heavyTraffic())
+
+	pool := guard.NewCheckPool(2)
+	const procsN = 6
+	guards := make([]*guard.Guard, procsN)
+	traces := make([][]byte, procsN)
+	for i := range guards {
+		guards[i], traces[i] = replayGuard(bin), benign
+	}
+	res, hit := replayConcurrently(pool, guards, traces)
+	for i := range guards {
+		if hit[i] {
+			t.Fatalf("guard %d: false positive under parallel checking: %s", i, res[i].Reason)
+		}
 	}
 
 	var agg guard.Stats
+	chunks := uint64((len(benign) + replayChunk - 1) / replayChunk)
 	for i, g := range guards {
-		if g.Stats.Checks == 0 {
-			t.Fatalf("guard %d ran no checks", i)
+		if g.Stats.Checks != chunks {
+			t.Fatalf("guard %d ran %d checks, want one per chunk (%d)", i, g.Stats.Checks, chunks)
 		}
 		agg.Merge(&g.Stats)
 	}
 	ps := pool.Snapshot()
-	if ps.Checks != agg.Checks {
-		t.Fatalf("pool admitted %d checks, guards ran %d", ps.Checks, agg.Checks)
+	if ps.Checks != agg.Checks || ps.Shed != 0 {
+		t.Fatalf("pool admitted %d checks and shed %d, guards ran %d", ps.Checks, ps.Shed, agg.Checks)
 	}
-	if agg.Violations != 0 {
-		t.Fatalf("aggregate stats report %d violations", agg.Violations)
+	if agg.Violations != 0 || agg.DegradedChecks != 0 {
+		t.Fatalf("aggregate stats report %d violations, %d degraded checks", agg.Violations, agg.DegradedChecks)
+	}
+	if agg.SlowChecks == 0 {
+		t.Fatal("sparse training produced no slow path; the shared approval cache saw no concurrent writes")
 	}
 }
 
-// TestParallelAttackIsolation: one hijacked process among concurrent
-// benign siblings is killed, and only it.
+// TestParallelAttackIsolation: one hijacked process among concurrently
+// checking benign siblings is flagged, and only it.
 func TestParallelAttackIsolation(t *testing.T) {
 	a := analyze(t, apps.Vulnd())
 	a.train(t, benignTraffic(), []byte("G /x\nP 32\nH /h\n"))
-	payload := ropPayload(t, a)
+	bin := guard.NewBinary(a.ocfg.AS, a.ocfg, a.ig.Artifact())
+	benign, _ := a.recordTrace(t, heavyTraffic())
+	// A hijacked run may crash once its payload is done; its trace
+	// up to there is what the guard must flag.
+	hijacked, _ := a.recordTrace(t, ropPayload(t, a))
 
-	k := kernelsim.New()
-	km := guard.InstallModule(k)
-	km.UsePool(guard.NewCheckPool(3))
-	shared := guard.NewApprovalCache()
-
-	inputs := [][]byte{benignTraffic(), payload, benignTraffic(), benignTraffic()}
-	procs := make([]*kernelsim.Process, len(inputs))
-	for i, in := range inputs {
-		p, err := a.app.Spawn(k, in)
-		if err != nil {
-			t.Fatal(err)
+	traces := [][]byte{benign, hijacked, benign, benign}
+	guards := make([]*guard.Guard, len(traces))
+	for i := range guards {
+		guards[i] = replayGuard(bin)
+	}
+	res, hit := replayConcurrently(guard.NewCheckPool(3), guards, traces)
+	if !hit[1] || res[1].Degraded {
+		t.Fatalf("hijacked process not flagged by a clean check: hit=%v %+v", hit[1], res[1])
+	}
+	for i, g := range guards {
+		want := uint64(0)
+		if i == 1 {
+			want = 1
 		}
-		g, err := km.Protect(p, a.ocfg, a.ig, guard.DefaultPolicy())
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.ShareApprovals(shared)
-		procs[i] = p
-	}
-	sts, err := k.RunParallel(procs, 80_000_000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sts[1].Killed {
-		t.Fatalf("hijacked process not killed: %v", sts[1])
-	}
-	for _, i := range []int{0, 2, 3} {
-		if !sts[i].Exited {
-			t.Fatalf("benign proc %d: %v", i, sts[i])
-		}
-	}
-	reps := km.ReportsSnapshot()
-	if len(reps) == 0 {
-		t.Fatal("no violation report")
-	}
-	for _, r := range reps {
-		if r.PID != procs[1].PID {
-			t.Fatalf("report against the wrong process: %+v", r)
+		if g.Stats.Violations != want || hit[i] != (i == 1) {
+			t.Fatalf("guard %d: %d violations (first: %q), want %d", i, g.Stats.Violations, res[i].Reason, want)
 		}
 	}
 }

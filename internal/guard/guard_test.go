@@ -52,21 +52,11 @@ func (a *analyzed) train(t *testing.T, inputs ...[]byte) {
 func (a *analyzed) observe(t *testing.T, inputs ...[]byte) {
 	t.Helper()
 	for _, in := range inputs {
-		k := kernelsim.New()
-		p, err := a.app.Spawn(k, in)
-		if err != nil {
-			t.Fatal(err)
+		raw, st := a.recordTrace(t, in)
+		if !st.Exited {
+			t.Fatalf("training run: %v", st)
 		}
-		tr := ipt.NewTracer(ipt.NewToPA(16 << 20))
-		if err := tr.WriteMSR(ipt.MSRRTITCtl, ctlTrace); err != nil {
-			t.Fatal(err)
-		}
-		p.CPU.Branch = tr
-		if st, err := k.Run(p, 50_000_000); err != nil || !st.Exited {
-			t.Fatalf("training run: %v %v", st, err)
-		}
-		tr.Flush()
-		evs, err := ipt.DecodeFast(tr.Out.Snapshot())
+		evs, err := ipt.DecodeFast(raw)
 		if err != nil {
 			t.Fatal(err)
 		}

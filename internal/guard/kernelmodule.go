@@ -49,9 +49,10 @@ func (r ViolationReport) DetectedAtPMI() bool { return r.Syscall == pmiPseudoSys
 // security-sensitive syscalls by replacing their syscall-table entries,
 // triggers the hybrid flow check, and SIGKILLs violators.
 //
-// With a CheckPool attached (UsePool), endpoint checks of different
-// processes run concurrently under the pool's admission bound; the
-// module's own bookkeeping is mutex-protected for that case.
+// With a CheckPool attached (UsePool), endpoint checks are admitted
+// under the pool's bound (§6 offloading). The module's own bookkeeping
+// is mutex-protected, so it stays safe when a caller dispatches
+// different processes' syscalls from separate goroutines.
 type KernelModule struct {
 	K *kernelsim.Kernel
 

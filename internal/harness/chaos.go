@@ -22,8 +22,13 @@ type ChaosRow struct {
 	// Survived the clean-traffic runs that exited normally.
 	Attacks, Detected int
 	Benign, Survived  int
-	// Faults is the number of injected trace faults across the slice.
+	// Faults is the number of injected stream faults across the slice:
+	// the trace damage, which a seed replays exactly.
 	Faults uint64
+	// WorkerFaults is the number of async worker stalls and crashes
+	// drawn; the draws are made per pool hook call, so the count follows
+	// goroutine scheduling and varies between runs of one seed.
+	WorkerFaults uint64
 	// Stats merges the slice's guard ledgers: the counters behind the
 	// verdicts.
 	Stats guard.Stats
@@ -31,10 +36,10 @@ type ChaosRow struct {
 
 func (c ChaosRow) String() string {
 	s := &c.Stats
-	return fmt.Sprintf("%-15s runs=%-4d attacks=%2d/%-2d benign-ok=%2d/%-2d faults=%-4d degraded=%-4d ovf=%-3d bad=%-3d gap=%-2d retries=%-3d open=%-3d closed=%d",
+	return fmt.Sprintf("%-15s runs=%-4d attacks=%2d/%-2d benign-ok=%2d/%-2d faults=%-4d degraded=%-4d ovf=%-3d bad=%-3d gap=%-2d retries=%-3d open=%-3d closed=%-3d worker-faults=%d",
 		c.Mode, c.Runs, c.Detected, c.Attacks, c.Survived, c.Benign,
 		c.Faults, s.DegradedChecks, s.Overflows, s.Malformed, s.Gaps,
-		s.Retries, s.FailOpens, s.FailClosures)
+		s.Retries, s.FailOpens, s.FailClosures, c.WorkerFaults)
 }
 
 // Chaos sweeps n seeded fault plans across the three degraded-mode
@@ -122,7 +127,10 @@ func (r *Runner) Chaos(n int) ([]ChaosRow, error) {
 
 		row := &rows[mi]
 		row.Runs++
-		row.Faults += plan.Total()
+		c := plan.Counts()
+		worker := c[faults.WorkerStall] + c[faults.WorkerCrash]
+		row.Faults += plan.Total() - worker
+		row.WorkerFaults += worker
 		if isAttack {
 			row.Attacks++
 			if st.Killed {

@@ -77,6 +77,10 @@ type fleetProc struct {
 	g      *guard.Guard
 	topa   *ipt.ToPA
 	cur    int
+	// shedSince marks a check shed since the last admitted one: the
+	// unchecked trace may have wrapped out of the ToPA, so the next
+	// admitted check may legitimately find its window damaged.
+	shedSince bool
 }
 
 // Fleet is a built simulation: call Run to drive it. Repeated Run
@@ -95,6 +99,8 @@ type Fleet struct {
 	violations   atomic.Uint64
 	violSample   atomic.Value // string
 	shedSample   atomic.Value // string
+	degraded     atomic.Uint64
+	degSample    atomic.Value // string
 	offeredShard []atomic.Uint64
 }
 
@@ -221,14 +227,19 @@ func (f *Fleet) step(p *fleetProc) {
 
 	f.offeredShard[f.pool.ShardIndex(p.tenant)].Add(1)
 	res := f.pool.Do(p.tenant, p.g)
-	if res.Verdict == guard.VerdictViolation {
-		if res.Degraded {
-			f.shedSample.CompareAndSwap(nil, res.Reason)
-		} else {
-			f.violations.Add(1)
-			f.violSample.CompareAndSwap(nil, fmt.Sprintf("%s/%s: %s", p.tenant, p.bin.app.Name, res.Reason))
-		}
+	// A shed check never ran, so its result carries no window health.
+	shed := res.Degraded && res.Health == guard.HealthClean
+	switch {
+	case shed:
+		f.shedSample.CompareAndSwap(nil, res.Reason)
+	case res.Degraded && !p.shedSince:
+		f.degraded.Add(1)
+		f.degSample.CompareAndSwap(nil, fmt.Sprintf("%s/%s: %s", p.tenant, p.bin.app.Name, res.Reason))
+	case res.Verdict == guard.VerdictViolation && !res.Degraded:
+		f.violations.Add(1)
+		f.violSample.CompareAndSwap(nil, fmt.Sprintf("%s/%s: %s", p.tenant, p.bin.app.Name, res.Reason))
 	}
+	p.shedSince = shed
 }
 
 // forkBurst is how many events a freshly forked child is driven for
@@ -281,7 +292,11 @@ func (f *Fleet) Run(events int, wall time.Duration) (*FleetResult, error) {
 				f.step(p)
 				local++
 				if f.cfg.ForkEvery > 0 && n%f.cfg.ForkEvery == f.cfg.ForkEvery-1 {
-					child, err := f.newProc(p.bin, p.tenant, p.g.Policy, p.cur)
+					// The child's trace unit is enabled for a new
+					// context, so its stream opens at a PSB: the next
+					// sync point at or after the parent's position.
+					cur := max(ipt.Sync(p.bin.raw, p.cur), 0)
+					child, err := f.newProc(p.bin, p.tenant, p.g.Policy, cur)
 					if err != nil {
 						firstErr.CompareAndSwap(nil, err)
 						break
@@ -336,6 +351,11 @@ type FleetResult struct {
 	RealViolations uint64
 	ViolSample     string
 	ShedSample     string
+	// Degraded counts admitted checks that found their window damaged
+	// with no shed of their process since its last admitted check
+	// (must be zero: the replayed streams are fault-free).
+	Degraded       uint64
+	DegradedSample string
 
 	Wall         time.Duration
 	ChecksPerSec float64
@@ -351,6 +371,7 @@ func (f *Fleet) result(elapsed time.Duration, ran uint64) *FleetResult {
 		Pool:           f.pool.Snapshot(),
 		ShardStats:     f.pool.ShardSnapshots(),
 		RealViolations: f.violations.Load(),
+		Degraded:       f.degraded.Load(),
 		Wall:           elapsed,
 	}
 	arts := make(map[*itc.Artifact]bool)
@@ -372,6 +393,9 @@ func (f *Fleet) result(elapsed time.Duration, ran uint64) *FleetResult {
 	if s, ok := f.shedSample.Load().(string); ok {
 		res.ShedSample = s
 	}
+	if s, ok := f.degSample.Load().(string); ok {
+		res.DegradedSample = s
+	}
 	if elapsed > 0 {
 		// Throughput reflects this Run call only; counters above are
 		// cumulative across Run calls.
@@ -388,7 +412,11 @@ func (f *Fleet) result(elapsed time.Duration, ran uint64) *FleetResult {
 //     Shed, FairnessSheds match the pool);
 //   - exactly one artifact per binary is shared by the population;
 //   - fork inheritance is fully counted;
-//   - no real (non-degraded) violation fired on the benign workload.
+//   - no real (non-degraded) violation fired on the benign workload;
+//   - no admitted check found its window damaged unless a shed of its
+//     process left trace unchecked first: the replayed streams are
+//     fault-free, so any other damage means the fleet fed the guard a
+//     broken stream.
 func (res *FleetResult) Check() []string {
 	var bad []string
 	fail := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
@@ -424,6 +452,9 @@ func (res *FleetResult) Check() []string {
 	}
 	if res.RealViolations != 0 {
 		fail("%d real violations on a benign trained fleet (first: %s)", res.RealViolations, res.ViolSample)
+	}
+	if res.Degraded != 0 {
+		fail("%d admitted checks found a damaged window on a fault-free fleet with no shed to explain it (first: %s)", res.Degraded, res.DegradedSample)
 	}
 	return bad
 }

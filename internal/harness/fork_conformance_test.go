@@ -202,10 +202,7 @@ func runForkConformance(fx *DiffFixture, art *itc.Artifact, p forkPoint, raw []b
 // point, dispatch, mutation) combinations of the conformance contract.
 func TestPropertyForkInheritance(t *testing.T) {
 	fx, art := forkFixture(t)
-	seeds := 1000
-	if testing.Short() {
-		seeds = 120
-	}
+	seeds := *propSeeds
 	inherited := 0
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		p := forkPointFor(seed)

@@ -1,6 +1,8 @@
 package harness_test
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"flowguard/internal/harness"
@@ -325,25 +327,23 @@ func TestMultiProcTracingCost(t *testing.T) {
 	}
 }
 
-// TestParallelChecking pins the §6 parallel-checking experiment's shape:
-// every worker finishes clean, checks happen, and the pool accounts for
-// the checking time it admitted.
-func TestParallelChecking(t *testing.T) {
-	res, err := runner().Parallel(3)
-	if err != nil {
-		t.Fatal(err)
+// TestChaosReproducible: a chaos sweep is a function of its seeds. Two
+// runs give identical rows apart from WorkerFaults, whose async worker
+// draws follow goroutine scheduling.
+func TestChaosReproducible(t *testing.T) {
+	const n = 24 // two full async/sync periods of the sweep
+	var runs [2][]string
+	for i := range runs {
+		rows, err := runner().Chaos(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			row.WorkerFaults = 0
+			runs[i] = append(runs[i], row.String())
+		}
 	}
-	t.Log(res)
-	if res.Checks == 0 {
-		t.Error("parallel run performed no checks")
-	}
-	if res.CheckBusy <= 0 {
-		t.Errorf("pool accounted no checking time: %v", res.CheckBusy)
-	}
-	if res.SerialWall <= 0 || res.ParallelWall <= 0 {
-		t.Errorf("wall times not measured: serial %v parallel %v", res.SerialWall, res.ParallelWall)
-	}
-	if res.LatencyPerCheck() <= 0 {
-		t.Error("aggregate check latency not derived")
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatalf("chaos rows differ between runs:\n%s\n%s", strings.Join(runs[0], "\n"), strings.Join(runs[1], "\n"))
 	}
 }

@@ -16,6 +16,10 @@ import (
 
 var seedFile = flag.String("seedfile", "", "replay a dumped property-failure artifact (TestOracleReplay)")
 
+// propSeeds sizes the seeded property sweeps. The default keeps them
+// within tier-1 time; `make property` runs the full 1000 seeds.
+var propSeeds = flag.Int("propseeds", 120, "seeds per property sweep (TestPropertyForkInheritance, TestPropertyDemuxRoundTrip)")
+
 // The fixture is expensive (analysis + training + attack synthesis), so
 // every differential test shares one.
 var diffFix struct {

@@ -211,10 +211,7 @@ func runMCConformance(fx *DiffFixture, p mcPoint, input []byte, noise [][]byte) 
 // noise, workload) combinations of the round-trip contract.
 func TestPropertyDemuxRoundTrip(t *testing.T) {
 	fx, rop := mcFixture(t)
-	seeds := 1000
-	if testing.Short() {
-		seeds = 120
-	}
+	seeds := *propSeeds
 	detected, slow, preempted := 0, 0, 0
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		p := mcPointFor(seed)

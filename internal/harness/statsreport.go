@@ -12,9 +12,14 @@ import (
 // and the JSON artifact's fleet_stats can never disagree about which
 // counters exist.
 func FormatStats(s *guard.Stats) string {
+	fields := s.Fields()
+	width := 0
+	for _, f := range fields {
+		width = max(width, len(f.Name))
+	}
 	var b strings.Builder
-	for _, f := range s.Fields() {
-		fmt.Fprintf(&b, "  %-14s %12d\n", f.Name, f.Value)
+	for _, f := range fields {
+		fmt.Fprintf(&b, "  %-*s %12d\n", width, f.Name, f.Value)
 	}
 	return b.String()
 }

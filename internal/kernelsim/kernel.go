@@ -132,7 +132,7 @@ type Process struct {
 	Threads []*Thread
 
 	// sigMu guards pendingSigs and the thread list against cross-process
-	// senders (SysKill under RunParallel).
+	// senders (SysKill from another process's syscall dispatch).
 	sigMu sync.Mutex
 	// pendingSigs queues signals sent by other processes; the multicore
 	// scheduler delivers them at the target's next slice boundary.
@@ -166,16 +166,17 @@ func (p *Process) StdinRemaining() int { return len(p.stdin) - p.stdinPos }
 //
 // Kernel services reachable from syscall dispatch (filesystem, clock,
 // syscall accounting, fork/clone bookkeeping, cross-process signals) are
-// safe for concurrent use, so processes may run simultaneously via
-// RunParallel. Per-process state IS touched concurrently once a process
-// has threads or receives cross-process signals: the thread list and
-// pending-signal queue are guarded by the process's sigMu, while a
-// thread's registers and the rest of the per-process state are only ever
-// touched by the scheduler slice currently running that task (the
-// multicore scheduler is a deterministic serial interleaving, so no two
-// slices overlap). Setup calls (Spawn, Intercept) remain init-time only:
-// configure everything before the run starts, as a real kernel module's
-// init does.
+// safe for concurrent use. The kernel's own schedulers (Run,
+// RunMulticore) dispatch serially; the locks let a caller drive several
+// processes' syscalls from separate goroutines. Per-process state IS
+// touched concurrently once a process has threads or receives
+// cross-process signals: the thread list and pending-signal queue are
+// guarded by the process's sigMu, while a thread's registers and the
+// rest of the per-process state are only ever touched by the scheduler
+// slice currently running that task (the multicore scheduler is a
+// deterministic serial interleaving, so no two slices overlap). Setup
+// calls (Spawn, Intercept) remain init-time only: configure everything
+// before the run starts, as a real kernel module's init does.
 type Kernel struct {
 	procs    map[int]*Process
 	nextPID  int
@@ -225,7 +226,7 @@ type Kernel struct {
 
 	// forkMu guards the process table and PID/CR3 allocation: unlike
 	// Spawn (setup-time only), fork happens during the run, possibly
-	// from several processes at once under RunParallel.
+	// from several processes' syscall dispatch at once.
 	forkMu sync.Mutex
 	// forked accumulates children created since the last TakeForked
 	// drain; RunMulticore picks them up at every sweep.
@@ -326,9 +327,9 @@ func (k *Kernel) Spawn(name string, exec *module.Module, libs map[string]*module
 // hygiene). The caller differentiates the two sides via the fork return
 // value, which the syscall dispatch sets after Fork returns.
 //
-// Fork is safe to call from syscall dispatch during RunParallel: the
-// process table is locked for the insertion, and the child is queued
-// for TakeForked / RunMulticore pickup.
+// Fork is safe to call concurrently from syscall dispatch: the process
+// table is locked for the insertion, and the child is queued for
+// TakeForked / RunMulticore pickup.
 func (k *Kernel) Fork(parent *Process) (*Process, error) {
 	if parent.AS == nil || parent.CPU == nil {
 		return nil, errors.New("kernelsim: fork of an unspawned process")
@@ -374,9 +375,9 @@ func (k *Kernel) Fork(parent *Process) (*Process, error) {
 }
 
 // TakeForked drains the queue of children created by fork since the
-// last drain. Schedulers that run a fixed process set (RunParallel)
-// call this after the run — or concurrently, to schedule children as
-// they appear; RunMulticore drains it automatically every sweep.
+// last drain. Callers that run a fixed process set (Run) call this after
+// the run to find the children; RunMulticore drains it automatically
+// every sweep.
 func (k *Kernel) TakeForked() []*Process {
 	k.forkMu.Lock()
 	out := k.forked
@@ -472,43 +473,6 @@ func (k *Kernel) classify(p *Process, err error) (ExitStatus, error) {
 		}
 		return ExitStatus{}, err
 	}
-}
-
-// RunParallel runs each process to completion on its own goroutine — the
-// multi-core deployment of §6 suggestion 2: every core has its own trace
-// unit and ToPA table, so no CR3 reprogramming happens at context
-// switches and flow checks for different processes proceed concurrently
-// (pair with a guard.CheckPool to bound the checking cores). Each process
-// must have its own tracer sink. maxConcurrent bounds how many processes
-// execute simultaneously (0 = all at once); the instruction budget is
-// per process (0 = unlimited).
-func (k *Kernel) RunParallel(procs []*Process, maxInstrs uint64, maxConcurrent int) ([]ExitStatus, error) {
-	statuses := make([]ExitStatus, len(procs))
-	errs := make([]error, len(procs))
-	var sem chan struct{}
-	if maxConcurrent > 0 {
-		sem = make(chan struct{}, maxConcurrent)
-	}
-	var wg sync.WaitGroup
-	for i, p := range procs {
-		wg.Add(1)
-		go func(i int, p *Process) {
-			defer wg.Done()
-			if sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
-			_, err := p.CPU.Run(maxInstrs)
-			statuses[i], errs[i] = k.classify(p, err)
-		}(i, p)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return statuses, e
-		}
-	}
-	return statuses, nil
 }
 
 // procSyscalls binds the kernel's syscall dispatch to one thread of one

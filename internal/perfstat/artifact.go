@@ -42,8 +42,9 @@ type Artifact struct {
 	// harness (trace/decode/check/other percentages), making the fgbench
 	// report machine-readable alongside the wall-clock benchmarks.
 	Phases []PhaseBreakdown `json:"phases,omitempty"`
-	// FleetStats is the merged guard.Stats counter map of a parallel
-	// fleet run (harness.StatsMap), when the producer ran one.
+	// FleetStats is the merged guard.Stats counter map of a fleet run
+	// plus its fleet ledgers (harness.FleetResult.FleetStatsMap), when
+	// the producer ran one (flowguardd -out).
 	FleetStats map[string]uint64 `json:"fleet_stats,omitempty"`
 }
 
