@@ -95,6 +95,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeFullMatchesReference -fuzztime 30s ./internal/trace/ipt/
 	$(GO) test -fuzz FuzzStepMatchesReference -fuzztime 30s ./internal/cpu/
 	$(GO) test -fuzz FuzzWindowSelectMatchesReference -fuzztime 30s ./internal/guard/
+	$(GO) test -fuzz FuzzSlowCheckMatchesEventPath -fuzztime 30s ./internal/guard/
 	$(GO) test -fuzz FuzzHybridVsOracle -fuzztime 60s ./internal/harness/
 
 # Long differential soak of the optimized hybrid pipeline against the

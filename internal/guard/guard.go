@@ -332,13 +332,11 @@ type Guard struct {
 
 	Stats Stats
 
-	// slowRegion and slowEvs are the slow path's window bytes, copied
-	// out of the ToPA, and its event buffer, reused from check to check
-	// (checks serialize on mu).
+	// slowRegion is the slow path's window bytes, copied out of the
+	// ToPA and reused from check to check (checks serialize on mu).
 	slowRegion []byte
-	slowEvs    []ipt.Event
 	// slowMemo is the slow path's chain memo over OCFG, built at the
-	// first slow path and reused from check to check like slowEvs.
+	// first slow path and reused from check to check like slowRegion.
 	slowMemo *ipt.ChainMemo
 }
 

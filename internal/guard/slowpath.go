@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"errors"
 	"fmt"
 
 	"flowguard/internal/isa"
@@ -64,12 +65,7 @@ func (g *Guard) slowCheck(res *Result, tips []ipt.TIPRecord, region []byte) {
 	if len(region) == 0 {
 		return // nothing decodable; fast-path verdict stands
 	}
-	evs, err := ipt.AppendEvents(g.slowEvs[:0], region)
-	g.slowEvs = evs
-	var w ipt.FlowWalk
-	if err == nil {
-		w, err = ipt.NewFlowWalk(g.AS, evs, 0)
-	}
+	w, err := ipt.NewFlowWalk(g.AS, region, 0)
 	if err != nil {
 		res.Verdict = VerdictViolation
 		res.Reason = fmt.Sprintf("slow path: flow reconstruction failed: %v", err)
@@ -131,10 +127,14 @@ func (g *Guard) slowCheck(res *Result, tips []ipt.TIPRecord, region []byte) {
 			}
 		}
 	}
-	res.SlowCycles += w.Instrs() * ipt.CyclesPerDecodedInstr
-	if err := w.Err(); err != nil {
-		// The reconstructed flow left mapped executable memory: only a
-		// hijacked control flow does that.
+	// A region that breaks the packet grammar anywhere fails as a whole,
+	// with no decode charged. Otherwise the reconstructed flow left
+	// mapped executable memory: only a hijacked control flow does that.
+	err = w.Err()
+	if !errors.Is(err, ipt.ErrMalformedTrace) {
+		res.SlowCycles += w.Instrs() * ipt.CyclesPerDecodedInstr
+	}
+	if err != nil {
 		res.Verdict = VerdictViolation
 		res.Reason = fmt.Sprintf("slow path: flow reconstruction failed: %v", err)
 		return

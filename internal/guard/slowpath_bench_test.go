@@ -3,16 +3,19 @@ package guard
 // Layer benchmark of the whole precise check (§5.3) as a cold start
 // runs it: an untrained nginx guard is driven through one session, the
 // windows its endpoint checks forward to the slow path are recorded, and
-// each op re-runs the slow path over the next of them — fast decode, the
-// block-stepping flow walk, O-CFG edge checks, the shadow stack and the
-// approval step. The guard's chain memo is warm from the session;
+// each op re-runs the slow path over the next of them — the
+// block-stepping flow walk pulling packets straight from the region
+// bytes, O-CFG edge checks, the shadow stack and the approval step. The
+// guard's chain memo is warm from the session;
 // BenchmarkGuardSlowPathColdMemo gives every op a fresh one, as the
 // first check of a new guard has. instrs/op is the number of
 // instructions the walk retires per check, the input of the cycle
 // model; yields/op is the number of edges the walk hands the slow
 // path's own checks, every edge but the direct and conditional ones the
-// O-CFG accepted inside the walk. Both are in fgperf's full suite only
-// (not tier-1 benchmarks).
+// O-CFG accepted inside the walk. BenchmarkGuardSlowPath is a tier-1
+// benchmark (perfstat.Tier1Names): fgperf -short runs it, and the gate
+// covers it once the baseline holds it. The ColdMemo variant is in
+// fgperf's full suite only.
 
 import (
 	"fmt"
@@ -31,14 +34,14 @@ type slowWindow struct {
 	region []byte
 }
 
-// recordSlowWindows drives an untrained nginx guard through one session
-// of the given input scale and returns the guard with the windows its
-// endpoint checks forwarded to the slow path.
-func recordSlowWindows(tb testing.TB, scale int) (*Guard, []slowWindow) {
+// recordSlowWindows drives an untrained guard of app through one session
+// on input and returns the guard with the windows its endpoint checks
+// forwarded to the slow path. Kernel-performed transfers (signal
+// delivery, sigreturn) reach the trace as async FUP+TIP pairs.
+func recordSlowWindows(tb testing.TB, app *apps.App, input []byte) (*Guard, []slowWindow) {
 	tb.Helper()
-	app := apps.Nginx()
 	k := kernelsim.New()
-	p, err := app.Spawn(k, app.MakeInput(scale, 1))
+	p, err := app.Spawn(k, input)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -47,6 +50,7 @@ func recordSlowWindows(tb testing.TB, scale int) (*Guard, []slowWindow) {
 		tb.Fatal(err)
 	}
 	p.CPU.Branch = tr
+	k.OnAsyncFlow = func(_ *kernelsim.Process, from, to uint64) { tr.AsyncEvent(from, to) }
 	ocfg, err := cfg.Build(p.AS)
 	if err != nil {
 		tb.Fatal(err)
@@ -85,11 +89,7 @@ func recordSlowWindows(tb testing.TB, scale int) (*Guard, []slowWindow) {
 // yields returns the number of edges the flow walk hands slowPath over
 // w: every edge but the direct and conditional ones the O-CFG accepts.
 func yields(tb testing.TB, g *Guard, w slowWindow) uint64 {
-	evs, err := ipt.DecodeFast(w.region)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	wk, err := ipt.NewFlowWalk(g.AS, evs, 0)
+	wk, err := ipt.NewFlowWalk(g.AS, w.region, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -107,7 +107,8 @@ func BenchmarkGuardSlowPathColdMemo(b *testing.B) { benchSlowPath(b, true) }
 // benchSlowPath runs the slow path over recorded windows, with a fresh
 // chain memo for every op when coldMemo is set.
 func benchSlowPath(b *testing.B, coldMemo bool) {
-	g, slow := recordSlowWindows(b, 30)
+	app := apps.Nginx()
+	g, slow := recordSlowWindows(b, app, app.MakeInput(30, 1))
 	ys := make([]uint64, len(slow))
 	for i, w := range slow {
 		ys[i] = yields(b, g, w)
@@ -133,12 +134,12 @@ func benchSlowPath(b *testing.B, coldMemo bool) {
 	b.ReportMetric(float64(yielded)/float64(b.N), "yields/op")
 }
 
-// TestSlowPathReusesEventBuffer: once the guard's event buffer has grown
-// to the largest window and its chain memo has seen every window, the
-// slow path over clean windows allocates nothing — neither the decoded
-// events nor memo rows nor anything per edge.
-func TestSlowPathReusesEventBuffer(t *testing.T) {
-	g, slow := recordSlowWindows(t, 5)
+// TestSlowPathAllocatesNothing: once the guard's chain memo has seen
+// every window, the slow path over clean windows allocates nothing —
+// neither memo rows nor anything per packet or per edge.
+func TestSlowPathAllocatesNothing(t *testing.T) {
+	app := apps.Nginx()
+	g, slow := recordSlowWindows(t, app, app.MakeInput(5, 1))
 	for _, w := range slow {
 		var res Result
 		g.slowCheck(&res, w.tips, w.region)

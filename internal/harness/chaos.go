@@ -42,6 +42,15 @@ func (c ChaosRow) String() string {
 		s.Retries, s.FailOpens, s.FailClosures, c.WorkerFaults)
 }
 
+// faultCounts splits the faults plan injected into stream faults, which
+// a seed replays exactly, and async worker stalls and crashes, whose
+// draws follow goroutine scheduling.
+func faultCounts(plan *faults.Plan) (stream, worker uint64) {
+	c := plan.Counts()
+	worker = c[faults.WorkerStall] + c[faults.WorkerCrash]
+	return plan.Total() - worker, worker
+}
+
 // Chaos sweeps n seeded fault plans across the three degraded-mode
 // policies (seed i runs under mode i%3, with every other run carrying a
 // real exploit payload — the periods are coprime-ish by design so every
@@ -127,9 +136,8 @@ func (r *Runner) Chaos(n int) ([]ChaosRow, error) {
 
 		row := &rows[mi]
 		row.Runs++
-		c := plan.Counts()
-		worker := c[faults.WorkerStall] + c[faults.WorkerCrash]
-		row.Faults += plan.Total() - worker
+		stream, worker := faultCounts(plan)
+		row.Faults += stream
 		row.WorkerFaults += worker
 		if isAttack {
 			row.Attacks++

@@ -482,7 +482,11 @@ type OracleSoakRow struct {
 	// injected-edge streams) and how many the production guard flagged.
 	Attacks, Detected int
 	Checks            uint64
-	Faults            uint64
+	// Faults is the number of injected stream faults (the trace damage,
+	// which a seed replays exactly); WorkerFaults the async worker
+	// stalls and crashes drawn, whose count follows goroutine scheduling
+	// (see ChaosRow).
+	Faults, WorkerFaults uint64
 	// DivergenceCount is the number of field-level disagreements;
 	// Panics and Errors the runs that blew up. All must be zero.
 	DivergenceCount int
@@ -492,9 +496,9 @@ type OracleSoakRow struct {
 }
 
 func (r OracleSoakRow) String() string {
-	return fmt.Sprintf("%-15s runs=%-5d proc=%-4d stream=%-4d attacks=%3d/%-3d checks=%-6d faults=%-5d diverged=%d panics=%d errors=%d",
+	return fmt.Sprintf("%-15s runs=%-5d proc=%-4d stream=%-4d attacks=%3d/%-3d checks=%-6d faults=%-5d diverged=%d panics=%d errors=%d worker-faults=%d",
 		r.Mode, r.Runs, r.ProcRuns, r.StreamRuns, r.Detected, r.Attacks,
-		r.Checks, r.Faults, r.DivergenceCount, r.Panics, r.Errors)
+		r.Checks, r.Faults, r.DivergenceCount, r.Panics, r.Errors, r.WorkerFaults)
 }
 
 func (r *OracleSoakRow) note(s string) {
@@ -633,7 +637,9 @@ func (r *Runner) soakOne(fx *DiffFixture, progs, preempt []*DiffFixture, corpus 
 		}
 		out, err = diffProtectedRun(fx, input, pol, plan)
 		if out != nil {
-			row.Faults += plan.Total()
+			damage, worker := faultCounts(plan)
+			row.Faults += damage
+			row.WorkerFaults += worker
 		}
 	case 3: // synthetic raw streams
 		stream = true

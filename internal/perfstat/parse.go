@@ -139,10 +139,12 @@ func MissingTier1(benches []Benchmark, names []string) []string {
 }
 
 // Tier1Names is the hot-path benchmark set the CI regression gate
-// protects: the §5.3 fast path and its feeding layers. Sub-benchmarks
-// of a listed name are included.
+// protects: the §5.3 fast path and its feeding layers, and the precise
+// check over a cold-start window (BenchmarkGuardSlowPath; gated once a
+// baseline holds it). Sub-benchmarks of a listed name are included.
 func Tier1Names() []string {
 	names := []string{
+		"BenchmarkGuardSlowPath",
 		"BenchmarkFastPath",
 		"BenchmarkFastDecode",
 		"BenchmarkGuardCheck",

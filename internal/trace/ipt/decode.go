@@ -6,8 +6,7 @@ import (
 )
 
 // Event is one decoded packet from the fast (packet-grammar-only) layer.
-// The one-byte fields come first so that they share one word: the slow
-// path keeps a whole window's events.
+// The one-byte fields come first so that they share one word.
 type Event struct {
 	Kind Kind
 	// Suppressed marks a TIP-family packet whose IP payload was
@@ -74,105 +73,116 @@ func SyncPoints(buf []byte) []int {
 // is built on. A packet truncated by the end of the buffer terminates the
 // scan without error, matching a circular buffer cut mid-packet.
 func DecodeFast(buf []byte) ([]Event, error) {
-	return decodeFastFrom(nil, buf, 0)
+	return decodeFastFrom(buf, 0)
 }
 
-// AppendEvents is DecodeFast appending to evs: a caller that decodes
-// window after window passes the previous result back, truncated to
-// length zero, and reuses its storage.
-func AppendEvents(evs []Event, buf []byte) ([]Event, error) {
-	return decodeFastFrom(evs, buf, 0)
+func decodeFastFrom(buf []byte, base int) ([]Event, error) {
+	s := pktScan{buf: buf, base: base}
+	var evs []Event
+	for {
+		var e Event
+		if ok, err := s.next(&e); !ok {
+			return evs, err
+		}
+		evs = append(evs, e)
+	}
 }
 
-func decodeFastFrom(evs []Event, buf []byte, base int) ([]Event, error) {
-	lastIP := uint64(0)
-	inPSB := false
-	i := 0
-	n := len(buf)
+// pktScan is the packet grammar's decoder state over one buffer: the
+// offset of the next packet header, and the last-IP and PSB+ state the
+// grammar carries from packet to packet. DecodeFast and the flow walk's
+// packet cursor both step it with next, so they read one grammar.
+type pktScan struct {
+	buf    []byte
+	off    int // the next packet header
+	base   int // stream offset of buf[0], for diagnostics
+	lastIP uint64
+	inPSB  bool
+}
+
+// next decodes the packet at off into e, stepping over PAD, and moves
+// off past it. It reports false at the end of the buffer, at a packet
+// the end cuts short (not an error: a circular buffer is cut
+// mid-packet) and at a grammar error, which it returns; off then stays
+// at that packet, so a repeated call reports the same.
+func (s *pktScan) next(e *Event) (bool, error) {
+	buf, i, n := s.buf, s.off, len(s.buf)
+	var err error
 	for i < n {
 		b := buf[i]
-		e := pktTab[b]
-		switch e & pcClassMask {
-		case pcTNT:
-			tn := int(e >> 8)
-			evs = append(evs, Event{
-				Kind:     KindTNT,
-				TNTBits:  (b >> 1) & (1<<tn - 1),
-				TNTCount: tn,
-				Off:      base + i,
-			})
-			i++
-		case pcTIP, pcTIPRec:
-			plen := int(e & pcLenMask)
-			if i+plen > n {
-				return evs, nil // truncated tail
-			}
-			kind := Kind(e >> 8)
-			ev := Event{Kind: kind, Off: base + i}
-			if ipb := b >> 5; ipb == 0 {
-				ev.Suppressed = true
-				ev.IP = lastIP
-			} else {
-				lastIP = ipReconstruct(ipb, buf[i+1:i+plen], lastIP)
-				ev.IP = lastIP
-			}
-			if kind == KindFUP && inPSB {
-				ev.Ctx = true
-			}
-			evs = append(evs, ev)
-			i += plen
+		t := pktTab[b]
+		switch t & pcClassMask {
 		case pcPAD:
 			i++
 			// PAD fills ToPA region tails: skip whole zero words.
 			for i+8 <= n && leUint64(buf[i:]) == 0 {
 				i += 8
 			}
+			continue
+		case pcTNT:
+			tn := int(t >> 8)
+			*e = Event{Kind: KindTNT, TNTBits: (b >> 1) & (1<<tn - 1), TNTCount: tn, Off: s.base + i}
+			s.off = i + 1
+			return true, nil
+		case pcTIP, pcTIPRec:
+			plen := int(t & pcLenMask)
+			if i+plen > n {
+				break // truncated tail
+			}
+			ipb, kind := b>>5, Kind(t>>8)
+			if ipb != 0 {
+				s.lastIP = ipReconstruct(ipb, buf[i+1:i+plen], s.lastIP)
+			}
+			*e = Event{Kind: kind, Suppressed: ipb == 0, Ctx: kind == KindFUP && s.inPSB, IP: s.lastIP, Off: s.base + i}
+			s.off = i + plen
+			return true, nil
 		case pcExt:
 			if i+1 >= n {
-				return evs, nil // truncated tail
+				break // truncated tail
 			}
+			plen := 2
+			*e = Event{Off: s.base + i}
 			switch buf[i+1] {
 			case extPSB:
-				if !isPSBAt(buf, i) {
-					if i+PSBSize > n {
-						return evs, nil
-					}
-					return evs, malformedf("malformed PSB at %d", base+i)
+				plen = PSBSize
+				if isPSBAt(buf, i) {
+					e.Kind = KindPSB
+					s.lastIP, s.inPSB = 0, true
+				} else if i+plen <= n {
+					err = malformedf("malformed PSB at %d", s.base+i)
 				}
-				evs = append(evs, Event{Kind: KindPSB, Off: base + i})
-				lastIP = 0
-				inPSB = true
-				i += PSBSize
 			case extPSBEND:
-				evs = append(evs, Event{Kind: KindPSBEND, Off: base + i})
-				inPSB = false
-				i += 2
+				e.Kind = KindPSBEND
+				s.inPSB = false
 			case extPIP:
-				if i+10 > n {
-					return evs, nil
+				if plen = 10; i+plen <= n {
+					e.Kind, e.CR3 = KindPIP, leUint64(buf[i+2:i+10])
 				}
-				evs = append(evs, Event{Kind: KindPIP, CR3: leUint64(buf[i+2 : i+10]), Off: base + i})
-				i += 10
 			case extMODE:
-				if i+modePacketLen > n {
-					return evs, nil
+				if plen = modePacketLen; i+plen <= n {
+					e.Kind, e.TNTBits = KindMODE, buf[i+2]
 				}
-				evs = append(evs, Event{Kind: KindMODE, TNTBits: buf[i+2], Off: base + i})
-				i += modePacketLen
 			case extOVF:
-				evs = append(evs, Event{Kind: KindOVF, Off: base + i})
-				i += 2
+				e.Kind = KindOVF
 			default:
-				return evs, malformedf("unknown extended opcode %#02x at %d", buf[i+1], base+i)
+				err = malformedf("unknown extended opcode %#02x at %d", buf[i+1], s.base+i)
 			}
+			if err != nil || i+plen > n {
+				break // malformed, or a truncated tail
+			}
+			s.off = i + plen
+			return true, nil
 		default: // pcBad
 			if b&1 == 0 {
-				return evs, malformedf("malformed TNT byte %#02x at %d", b, base+i)
+				err = malformedf("malformed TNT byte %#02x at %d", b, s.base+i)
+			} else {
+				err = malformedf("unknown packet header %#02x at %d", b, s.base+i)
 			}
-			return evs, malformedf("unknown packet header %#02x at %d", b, base+i)
 		}
+		break
 	}
-	return evs, nil
+	s.off = i
+	return false, err
 }
 
 // DecodeFastParallel decodes the stream with one worker per PSB-delimited
@@ -207,7 +217,7 @@ func DecodeFastParallel(buf []byte, workers int) ([]Event, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[si], errs[si] = decodeFastFrom(nil, buf[lo:hi], lo)
+			results[si], errs[si] = decodeFastFrom(buf[lo:hi], lo)
 		}(si, s[0], s[1])
 	}
 	wg.Wait()

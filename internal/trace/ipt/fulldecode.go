@@ -43,165 +43,162 @@ type FullTrace struct {
 // Cycles returns the calibrated cost of this decode.
 func (t *FullTrace) Cycles() uint64 { return t.Instrs * CyclesPerDecodedInstr }
 
-// tokenCursor walks the event list, serving TNT bits and IP packets in
-// stream order and skipping synchronization-only packets.
-type tokenCursor struct {
-	evs []Event
-	i   int
-	bit int // next bit within evs[i] when it is a TNT packet
+// pktCursor is the flow walk's position in the region bytes. It steps
+// the packet grammar itself and holds the current packet: the first one
+// at or after its position that is not synchronization-only (PIP,
+// PSBEND, MODE, PSB, a PSB+ context FUP), which it consumes as it meets
+// them. A TNT packet stays current until its last outcome is popped.
+type pktCursor struct {
+	pktScan // off: just past the current packet
+	pk      Event
+	// tnt is the current packet's outcomes below a stop bit, bits |
+	// 1<<count, when it is a TNT packet (pk is then stale), and 0
+	// otherwise: the TNT header byte shifted right once, and the
+	// ChainMemo key. bit counts the outcomes popped.
+	tnt uint8
+	bit int
+	// async marks a current non-context FUP directly followed, past
+	// synchronization-only packets, by a TIP: the asynchronous-transfer
+	// pair the kernel emits at signal delivery (FUP = interrupted PC,
+	// TIP = handler entry) and at sigreturn (FUP = resume point of the
+	// handler, TIP = restored context).
+	async bool
+	// end is set once no packet is left: the data ran out, or err, the
+	// first grammar error, cut it short.
+	end bool
+	err error
 }
 
-var errExhausted = errors.New("ipt: trace data exhausted")
-var errDesync = errors.New("ipt: decoder desynchronized")
+// syncOnly reports whether e only carries decoder synchronization, which
+// the walk steps over.
+func syncOnly(e *Event) bool {
+	switch e.Kind {
+	case KindPIP, KindPSBEND, KindMODE, KindPSB:
+		return true
+	}
+	return e.Kind == KindFUP && e.Ctx
+}
 
-func (c *tokenCursor) skipMeta() { c.i, c.bit = c.skipFrom(c.i, c.bit) }
+// step parses the next packet into pk. At the end of the packets it
+// ends the cursor and reports false, as often as it is called.
+func (c *pktCursor) step() bool {
+	ok, err := c.next(&c.pk)
+	if !ok {
+		c.end, c.err, c.tnt, c.async = true, err, 0, false
+	}
+	return ok
+}
 
-// skipFrom returns the position of the first event at or after (i, bit)
-// that is not synchronization-only, without moving the cursor.
-func (c *tokenCursor) skipFrom(i, bit int) (int, int) {
-	for i < len(c.evs) {
-		switch e := &c.evs[i]; e.Kind {
-		case KindPAD, KindPIP, KindPSBEND, KindMODE, KindPSB:
-			i++
+// advance consumes the current packet and makes the next one current.
+func (c *pktCursor) advance() {
+	if !c.nextTNTByte() {
+		c.parse()
+	}
+}
+
+// nextTNTByte makes a TNT packet directly after the current one current,
+// with one byte load, and reports whether there was one.
+func (c *pktCursor) nextTNTByte() bool {
+	if c.off < len(c.buf) {
+		if b := c.buf[c.off]; isTNTHeader(b) {
+			c.tnt, c.bit = b>>1, 0
+			c.off++
+			return true
+		}
+	}
+	return false
+}
+
+// parse is advance past anything but a TNT packet: it parses packets up
+// to the next one that is not synchronization-only.
+func (c *pktCursor) parse() {
+	c.tnt, c.bit, c.async = 0, 0, false
+	for c.step() {
+		if e := &c.pk; e.Kind == KindTNT {
+			c.tnt = e.TNTBits | 1<<e.TNTCount
+			return
+		} else if !syncOnly(e) {
+			c.async = e.Kind == KindFUP && c.tipFollows()
+			return
+		}
+	}
+}
+
+// tipFollows reports whether the next packet after the current one that
+// is not synchronization-only is a TIP, without moving the cursor.
+func (c *pktCursor) tipFollows() bool {
+	s := c.pktScan
+	var e Event
+	for {
+		if ok, _ := s.next(&e); !ok || !syncOnly(&e) {
+			return ok && e.Kind == KindTIP
+		}
+	}
+}
+
+// nextTNT pops the oldest pending conditional outcome; ok is false when
+// the current packet is no TNT packet, or none is left.
+func (c *pktCursor) nextTNT() (taken, ok bool) {
+	if c.tnt == 0 {
+		return false, false
+	}
+	taken = c.tnt>>c.bit&1 != 0
+	if c.bit++; c.tnt>>c.bit == 1 {
+		c.advance()
+	}
+	return taken, true
+}
+
+// nextIP pops the IP of the current packet if it is of kind want.
+func (c *pktCursor) nextIP(want Kind) (uint64, bool) {
+	if c.end || c.tnt != 0 || c.pk.Kind != want {
+		return 0, false
+	}
+	ip := c.pk.IP
+	c.advance()
+	return ip, true
+}
+
+// seekPSB parses forward from the packet after the current one to the
+// next PSB packet and past its context FUP, whose IP it returns: the
+// initial sync, and the resynchronization after an overflow or a
+// desynchronization. A PSB+ region that ends (PSBEND) without a context
+// FUP is passed over.
+func (c *pktCursor) seekPSB() (uint64, bool) {
+	psb := false
+	for c.step() {
+		switch c.pk.Kind {
+		case KindPSB:
+			psb = true
+		case KindPSBEND:
+			psb = false
 		case KindFUP:
-			if e.Ctx {
-				i++ // PSB+ context, redundant with walk state
-				continue
-			}
-			return i, bit
-		case KindTNT:
-			if bit >= e.TNTCount {
-				i++
-				bit = 0
-				continue
-			}
-			return i, bit
-		default:
-			return i, bit
-		}
-	}
-	return i, bit
-}
-
-// nextTNT pops the oldest pending conditional outcome.
-func (c *tokenCursor) nextTNT() (bool, error) {
-	c.skipMeta()
-	if c.i >= len(c.evs) {
-		return false, errExhausted
-	}
-	e := &c.evs[c.i]
-	if e.Kind != KindTNT {
-		if e.Kind == KindOVF {
-			return false, errDesync
-		}
-		return false, fmt.Errorf("%w: want TNT, have %v at offset %d", errDesync, e.Kind, e.Off)
-	}
-	taken := e.TNTBits&(1<<c.bit) != 0
-	c.bit++
-	return taken, nil
-}
-
-// nextIP pops the next IP-bearing packet of the wanted kind.
-func (c *tokenCursor) nextIP(want Kind) (Event, error) {
-	c.skipMeta()
-	if c.i >= len(c.evs) {
-		return Event{}, errExhausted
-	}
-	e := c.evs[c.i]
-	if e.Kind != want {
-		if e.Kind == KindOVF {
-			return Event{}, errDesync
-		}
-		return Event{}, fmt.Errorf("%w: want %v, have %v at offset %d", errDesync, want, e.Kind, e.Off)
-	}
-	c.i++
-	c.bit = 0
-	return e, nil
-}
-
-// tntReady reports whether the next event that is not
-// synchronization-only is a TNT packet with an outcome left, moving the
-// cursor to it. While it holds no asynchronous FUP+TIP pair can be
-// pending: a pair pends only when a non-context FUP is the next such
-// event.
-func (c *tokenCursor) tntReady() bool {
-	c.skipMeta()
-	return c.i < len(c.evs) && c.evs[c.i].Kind == KindTNT
-}
-
-// pendingAsync reports whether an asynchronous-transfer pair is
-// pending — a non-context FUP immediately followed by a TIP — and the
-// FUP's IP, without moving the cursor. The kernel emits this shape at
-// signal delivery (FUP = interrupted PC, TIP = handler entry) and at
-// sigreturn (FUP = resume point of the handler, TIP = restored
-// context). The jump is performed by the kernel, not by a retired
-// branch, so the walker relocates without recording a flow edge: async
-// edges are not part of the on-disk CFG and must not feed edge checks.
-func (c *tokenCursor) pendingAsync() (fup uint64, ok bool) {
-	i, _ := c.skipFrom(c.i, c.bit)
-	if i >= len(c.evs) || c.evs[i].Kind != KindFUP || c.evs[i].Ctx {
-		return 0, false
-	}
-	j, _ := c.skipFrom(i+1, 0)
-	if j >= len(c.evs) || c.evs[j].Kind != KindTIP {
-		return 0, false
-	}
-	return c.evs[i].IP, true
-}
-
-// takeAsync consumes the pending asynchronous-transfer pair that
-// pendingAsync reported and returns the TIP target.
-func (c *tokenCursor) takeAsync() uint64 {
-	c.skipMeta()
-	c.i++
-	c.bit = 0
-	c.skipMeta()
-	t := c.evs[c.i].IP
-	c.i++
-	return t
-}
-
-// seekPSB advances to the next PSB and returns its context IP, used for
-// the initial sync and for resynchronization after overflow.
-func (c *tokenCursor) seekPSB() (uint64, bool) {
-	for ; c.i < len(c.evs); c.i++ {
-		if c.evs[c.i].Kind != KindPSB {
-			continue
-		}
-		// Find the context FUP before PSBEND.
-		for j := c.i + 1; j < len(c.evs); j++ {
-			switch c.evs[j].Kind {
-			case KindFUP:
-				if c.evs[j].Ctx {
-					c.i = j + 1
-					c.bit = 0
-					return c.evs[j].IP, true
-				}
-			case KindPSBEND:
-				j = len(c.evs)
+			if psb {
+				ip := c.pk.IP
+				c.advance()
+				return ip, true
 			}
 		}
 	}
 	return 0, false
 }
 
+// drain steps the grammar over the rest of the region and returns the
+// first grammar error in it, if any.
+func (c *pktCursor) drain() error {
+	for c.step() {
+	}
+	return c.err
+}
+
 // DecodeFull is the instruction-flow-layer decoder (the Intel reference
 // library analogue, §2/§5.3): it synchronizes at a PSB, then walks the
 // program binaries, consuming TNT bits at conditional branches and TIP
 // targets at indirect branches/returns to reconstruct the complete
-// control flow. maxInstrs bounds the walk (0 = unlimited).
+// control flow. maxInstrs bounds the walk (0 = unlimited). A buffer that
+// breaks the packet grammar anywhere yields no trace, only the error.
 func DecodeFull(as *module.AddressSpace, buf []byte, maxInstrs uint64) (*FullTrace, error) {
-	evs, err := DecodeFast(buf)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeFullEvents(as, evs, maxInstrs)
-}
-
-// DecodeFullEvents runs the instruction-flow walk over already
-// fast-decoded events and collects its output.
-func DecodeFullEvents(as *module.AddressSpace, evs []Event, maxInstrs uint64) (*FullTrace, error) {
-	w, err := NewFlowWalk(as, evs, maxInstrs)
+	w, err := NewFlowWalk(as, buf, maxInstrs)
 	if err != nil {
 		return nil, err
 	}
@@ -217,6 +214,9 @@ func collect(w *FlowWalk) (*FullTrace, error) {
 	}
 	ft.noteResyncs(w.Resyncs())
 	ft.Instrs, ft.EndIP = w.Instrs(), w.EndIP()
+	if errors.Is(w.Err(), ErrMalformedTrace) {
+		return nil, w.Err()
+	}
 	return ft, w.Err()
 }
 
@@ -243,8 +243,8 @@ type FlowEdge struct {
 
 // FlowWalk is the instruction-flow walk as an iterator: Next advances to
 // the next reconstructed edge, so a consumer can check edges as they are
-// found without collecting them. DecodeFullEvents is the collecting
-// consumer.
+// found without collecting them (DecodeFull collects them). It pulls
+// packets straight from the buffer's bytes (pktCursor).
 //
 // The walk steps basic blocks, not instructions. Inside an executable,
 // read-only segment it reads the segment's code map (module.CodeMap),
@@ -265,17 +265,10 @@ type FlowEdge struct {
 // whole chain in one step where the memo has recorded it.
 type FlowWalk struct {
 	as        *module.AddressSpace
-	cur       tokenCursor
+	cur       pktCursor
 	maxInstrs uint64
 	code      module.FetchCursor
 	memo      *ChainMemo
-
-	// The pending async FUP as last probed at cursor position
-	// (pkI, pkBit): the cursor stands still across a straight-line run,
-	// so the probe is redone only after it moved.
-	pkI, pkBit       int
-	pkFUP            uint64
-	pkAsync, pkValid bool
 
 	startIP, ip uint64
 	instrs      uint64
@@ -285,13 +278,17 @@ type FlowWalk struct {
 	done        bool
 }
 
-// NewFlowWalk synchronizes at the first PSB of evs and returns a walk
-// positioned there, or ErrNoSync. maxInstrs bounds the walk (0 =
-// unlimited).
-func NewFlowWalk(as *module.AddressSpace, evs []Event, maxInstrs uint64) (FlowWalk, error) {
-	w := FlowWalk{as: as, cur: tokenCursor{evs: evs}, maxInstrs: maxInstrs}
+// NewFlowWalk synchronizes at the first PSB of buf, which must start at
+// a packet header, and returns a walk positioned there; it returns the
+// grammar error it met on the way, or ErrNoSync. maxInstrs bounds the
+// walk (0 = unlimited).
+func NewFlowWalk(as *module.AddressSpace, buf []byte, maxInstrs uint64) (FlowWalk, error) {
+	w := FlowWalk{as: as, cur: pktCursor{pktScan: pktScan{buf: buf}}, maxInstrs: maxInstrs}
 	ip, ok := w.cur.seekPSB()
 	if !ok {
+		if w.cur.err != nil {
+			return FlowWalk{}, w.cur.err
+		}
 		return FlowWalk{}, ErrNoSync
 	}
 	w.startIP, w.ip = ip, ip
@@ -322,12 +319,19 @@ func (w *FlowWalk) StartIP() uint64 { return w.startIP }
 // EndIP returns the instruction pointer where the walk ended.
 func (w *FlowWalk) EndIP() uint64 { return w.ip }
 
-// Err returns the fetch or decode error that ended the walk, if any. Trace
-// data running out is not an error.
+// Err returns the error that ended the walk, if any: a grammar error
+// anywhere in the buffer, even past the point where the walk stopped
+// (it wraps ErrMalformedTrace and outranks every other error), or else
+// the fetch or decode error that stopped the reconstruction. Trace data
+// running out is not an error.
 func (w *FlowWalk) Err() error { return w.err }
 
-// finish ends the walk with err.
+// finish ends the walk with err, unless the rest of the buffer breaks
+// the packet grammar.
 func (w *FlowWalk) finish(err error) bool {
+	if gerr := w.cur.drain(); gerr != nil {
+		err = gerr
+	}
 	w.done, w.err = true, err
 	return false
 }
@@ -376,7 +380,7 @@ type chainMap struct {
 }
 
 // chainRow holds, for one start slot, the chain end of every TNT packet,
-// indexed by tntKey.
+// indexed by the packet's outcomes below a stop bit (pktCursor.tnt).
 type chainRow [1 << (maxTNTBits + 1)]chainEnd
 
 // chainEnd is one recorded chain: the IP after the packet's last
@@ -411,19 +415,9 @@ func (mm *ChainMemo) rows(m *module.CodeMap, base uint64, n int) []*chainRow {
 	return mm.maps[len(mm.maps)-1].rows
 }
 
-// tntKey indexes a chainRow by a TNT packet's outcomes and their count;
-// ok is false for a packet holding more outcomes than a row has room
-// for, which the decoder never produces.
-func tntKey(e *Event) (key uint8, ok bool) {
-	if e.TNTCount > maxTNTBits {
-		return 0, false
-	}
-	return e.TNTBits&(1<<e.TNTCount-1) | 1<<e.TNTCount, true
-}
-
 // lane is the chain lane: it steps straight-line runs, JMPs and JCCs by
 // slot index over the code map holding the IP, asking the checker about
-// each edge, for as long as the token cursor stands at a TNT packet —
+// each edge, for as long as the packet cursor stands at a TNT packet —
 // then no asynchronous FUP can be pending, so nothing needs probing
 // between steps. It leaves the lane, without retiring the instruction
 // at the IP, at any other instruction, an undecodable slot, an IP
@@ -439,7 +433,7 @@ func tntKey(e *Event) (key uint8, ok bool) {
 // lane is not recorded.
 func (w *FlowWalk) lane() bool {
 	c := &w.cur
-	if !c.tntReady() {
+	if c.tnt == 0 {
 		return false
 	}
 	slots, base, ok := w.code.Span(w.as, w.ip)
@@ -455,7 +449,6 @@ func (w *FlowWalk) lane() bool {
 		budget = w.maxInstrs - w.instrs
 	}
 	left := budget
-	tnt := &c.evs[c.i]
 	// from is the slot where the current packet's chain started, and
 	// fromLeft what the cap left there, while the chain is being
 	// recorded; from is n otherwise.
@@ -467,20 +460,18 @@ func (w *FlowWalk) lane() bool {
 		}
 		j := off / isa.InstrSize
 		if c.bit == 0 && from == n {
-			if key, ok := tntKey(tnt); ok {
-				if r := rows[j]; r != nil {
-					if e := r[key]; e.instrs != 0 && e.instrs <= left {
-						ip, left = e.ip, left-e.instrs
-						c.bit = tnt.TNTCount
-						if !c.tntReady() {
+			if r := rows[j]; r != nil {
+				if e := r[c.tnt]; e.instrs != 0 && e.instrs <= left {
+					ip, left = e.ip, left-e.instrs
+					if !c.nextTNTByte() {
+						if c.parse(); c.tnt == 0 {
 							break
 						}
-						tnt = &c.evs[c.i]
-						continue
 					}
+					continue
 				}
-				from, fromLeft = j, left
 			}
+			from, fromLeft = j, left
 		}
 		s := &slots[j]
 		if r := uint64(s.Run); r > 0 {
@@ -496,14 +487,20 @@ func (w *FlowWalk) lane() bool {
 			s = &slots[j+r]
 		}
 		in := &s.Instr
-		class, target, taken := isa.CoFIDirect, in.BranchTarget(ip), true
+		class, target, taken, key := isa.CoFIDirect, in.BranchTarget(ip), true, uint8(0)
 		switch in.Op {
 		case isa.JMP:
 		case isa.JCC:
-			class, taken = isa.CoFICond, tnt.TNTBits&(1<<c.bit) != 0
-			c.bit++
+			class, taken = isa.CoFICond, c.tnt>>c.bit&1 != 0
 			if !taken {
 				target = ip + isa.InstrSize
+			}
+			// The packet's last outcome moves the cursor on; key keeps it.
+			if c.bit++; c.tnt>>c.bit == 1 {
+				key = c.tnt
+				if !c.nextTNTByte() {
+					c.parse()
+				}
 			}
 		default:
 			w.ip, w.instrs = ip, w.instrs+budget-left
@@ -515,9 +512,8 @@ func (w *FlowWalk) lane() bool {
 			return w.emit(class, in.Op, target, taken)
 		}
 		ip = target
-		if c.bit >= tnt.TNTCount {
+		if key != 0 {
 			if from < n {
-				key, _ := tntKey(tnt)
 				r := rows[from]
 				if r == nil {
 					r = new(chainRow)
@@ -526,10 +522,9 @@ func (w *FlowWalk) lane() bool {
 				r[key] = chainEnd{ip: ip, instrs: fromLeft - left}
 				from = n
 			}
-			if !c.tntReady() {
+			if c.tnt == 0 {
 				break
 			}
-			tnt = &c.evs[c.i]
 		}
 	}
 	w.ip, w.instrs = ip, w.instrs+budget-left
@@ -537,7 +532,7 @@ func (w *FlowWalk) lane() bool {
 }
 
 // resync relocates the walk to the next PSB after an overflow or a
-// desynchronization.
+// desynchronization; it reports false when no packet is left.
 func (w *FlowWalk) resync() bool {
 	nip, ok := w.cur.seekPSB()
 	if !ok {
@@ -566,14 +561,13 @@ func (w *FlowWalk) Next() bool {
 		// without fetching an instruction or recording a flow edge. The
 		// shadow-stack state of stateful consumers stays intact — the
 		// handler runs on the same stack discipline and sigreturn brings
-		// the flow back.
-		if !w.pkValid || w.pkI != w.cur.i || w.pkBit != w.cur.bit {
-			w.pkFUP, w.pkAsync = w.cur.pendingAsync()
-			w.pkI, w.pkBit, w.pkValid = w.cur.i, w.cur.bit, true
-		}
-		fup, async := w.pkFUP, w.pkAsync
+		// the flow back. Async edges are not part of the on-disk CFG and
+		// must not feed edge checks.
+		fup, async := w.cur.pk.IP, w.cur.async
 		if async && fup == w.ip {
-			w.ip = w.cur.takeAsync()
+			w.cur.advance() // to the TIP
+			w.ip = w.cur.pk.IP
+			w.cur.advance()
 			continue
 		}
 		s := w.code.Cached(w.as, w.ip)
@@ -622,11 +616,10 @@ func (w *FlowWalk) Next() bool {
 			}
 			return w.emit(isa.CoFIDirect, in.Op, t, true)
 		case isa.JCC:
-			taken, err := w.cur.nextTNT()
-			if errors.Is(err, errExhausted) {
-				return w.finish(nil)
-			}
-			if err != nil {
+			// A packet of another kind desynchronizes the walk; with no
+			// packet left it is over.
+			taken, ok := w.cur.nextTNT()
+			if !ok {
 				if w.resync() {
 					continue
 				}
@@ -646,32 +639,29 @@ func (w *FlowWalk) Next() bool {
 			if in.Op == isa.RET {
 				class = isa.CoFIRet
 			}
-			e, err := w.cur.nextIP(KindTIP)
-			if errors.Is(err, errExhausted) {
-				return w.finish(nil)
-			}
-			if err != nil {
+			t, ok := w.cur.nextIP(KindTIP)
+			if !ok {
 				if w.resync() {
 					continue
 				}
 				return w.finish(nil)
 			}
-			return w.emit(class, in.Op, e.IP, true)
+			return w.emit(class, in.Op, t, true)
 		case isa.SYSCALL:
-			if _, err := w.cur.nextIP(KindFUP); err != nil {
-				if !errors.Is(err, errExhausted) && w.resync() {
+			if _, ok := w.cur.nextIP(KindFUP); !ok {
+				if w.resync() {
 					continue
 				}
 				return w.finish(nil)
 			}
-			if _, err := w.cur.nextIP(KindTIPPGD); err != nil {
+			if _, ok := w.cur.nextIP(KindTIPPGD); !ok {
 				return w.finish(nil)
 			}
-			pge, err := w.cur.nextIP(KindTIPPGE)
-			if err != nil {
+			pge, ok := w.cur.nextIP(KindTIPPGE)
+			if !ok {
 				return w.finish(nil)
 			}
-			return w.emit(isa.CoFIFarTransfer, in.Op, pge.IP, true)
+			return w.emit(isa.CoFIFarTransfer, in.Op, pge, true)
 		case isa.HALT:
 			return w.finish(nil)
 		default:

@@ -161,11 +161,7 @@ func checkWalkMatchesReference(t *testing.T, as *module.AddressSpace, w []byte, 
 // decodeChecked is DecodeFull with the direct edges decided by memo's
 // checker, through memo.
 func decodeChecked(as *module.AddressSpace, buf []byte, maxInstrs uint64, memo *ChainMemo) (*FullTrace, error) {
-	evs, err := DecodeFast(buf)
-	if err != nil {
-		return nil, err
-	}
-	w, err := NewFlowWalk(as, evs, maxInstrs)
+	w, err := NewFlowWalk(as, buf, maxInstrs)
 	if err != nil {
 		return nil, err
 	}

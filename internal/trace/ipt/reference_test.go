@@ -9,6 +9,108 @@ import (
 	"flowguard/internal/trace"
 )
 
+var errExhausted = errors.New("ipt: trace data exhausted")
+var errDesync = errors.New("ipt: decoder desynchronized")
+
+// tokenCursor walks the event list, serving TNT bits and IP packets in
+// stream order and skipping synchronization-only packets. It is the
+// reference walk's own cursor over DecodeFast's events; the walk under
+// test pulls packets from the bytes (pktCursor) and shares none of it.
+type tokenCursor struct {
+	evs []Event
+	i   int
+	bit int // next bit within evs[i] when it is a TNT packet
+}
+
+func (c *tokenCursor) skipMeta() { c.i, c.bit = c.skipFrom(c.i, c.bit) }
+
+// skipFrom returns the position of the first event at or after (i, bit)
+// that is not synchronization-only, without moving the cursor.
+func (c *tokenCursor) skipFrom(i, bit int) (int, int) {
+	for i < len(c.evs) {
+		switch e := &c.evs[i]; e.Kind {
+		case KindPAD, KindPIP, KindPSBEND, KindMODE, KindPSB:
+			i++
+		case KindFUP:
+			if e.Ctx {
+				i++ // PSB+ context, redundant with walk state
+				continue
+			}
+			return i, bit
+		case KindTNT:
+			if bit >= e.TNTCount {
+				i++
+				bit = 0
+				continue
+			}
+			return i, bit
+		default:
+			return i, bit
+		}
+	}
+	return i, bit
+}
+
+// nextTNT pops the oldest pending conditional outcome.
+func (c *tokenCursor) nextTNT() (bool, error) {
+	c.skipMeta()
+	if c.i >= len(c.evs) {
+		return false, errExhausted
+	}
+	e := &c.evs[c.i]
+	if e.Kind != KindTNT {
+		if e.Kind == KindOVF {
+			return false, errDesync
+		}
+		return false, fmt.Errorf("%w: want TNT, have %v at offset %d", errDesync, e.Kind, e.Off)
+	}
+	taken := e.TNTBits&(1<<c.bit) != 0
+	c.bit++
+	return taken, nil
+}
+
+// nextIP pops the next IP-bearing packet of the wanted kind.
+func (c *tokenCursor) nextIP(want Kind) (Event, error) {
+	c.skipMeta()
+	if c.i >= len(c.evs) {
+		return Event{}, errExhausted
+	}
+	e := c.evs[c.i]
+	if e.Kind != want {
+		if e.Kind == KindOVF {
+			return Event{}, errDesync
+		}
+		return Event{}, fmt.Errorf("%w: want %v, have %v at offset %d", errDesync, want, e.Kind, e.Off)
+	}
+	c.i++
+	c.bit = 0
+	return e, nil
+}
+
+// seekPSB advances to the next PSB and returns its context IP, used for
+// the initial sync and for resynchronization after overflow.
+func (c *tokenCursor) seekPSB() (uint64, bool) {
+	for ; c.i < len(c.evs); c.i++ {
+		if c.evs[c.i].Kind != KindPSB {
+			continue
+		}
+		// Find the context FUP before PSBEND.
+		for j := c.i + 1; j < len(c.evs); j++ {
+			switch c.evs[j].Kind {
+			case KindFUP:
+				if c.evs[j].Ctx {
+					c.i = j + 1
+					c.bit = 0
+					return c.evs[j].IP, true
+				}
+			case KindPSBEND:
+				j = len(c.evs)
+			}
+		}
+	}
+	return 0, false
+}
+
 // nextAsync consumes the asynchronous-transfer pair pending at ip — a
 // non-context FUP whose IP is ip, immediately followed by a TIP — and
 // returns the TIP target; on mismatch the cursor is restored. It is the
