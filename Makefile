@@ -56,10 +56,10 @@ chaos:
 
 # async-smoke races the asynchronous checking pipeline end to end: the
 # guard's conformance/containment tests, the ToPA capture-concurrency
-# suite, and the async slice of the chaos soak (worker stalls/crashes
-# under every OnDegraded mode).
+# suite, the async slice of the chaos soak (worker stalls/crashes
+# under every OnDegraded mode), and the per-record annotation tests.
 async-smoke:
-	$(GO) test -race -short -run 'Async|ToPA|Chaos' ./internal/guard/ ./internal/trace/ipt/ ./internal/faults/ -count=1
+	$(GO) test -race -short -run 'Async|ToPA|Chaos|Annotations' ./internal/guard/ ./internal/trace/ipt/ ./internal/faults/ -count=1
 
 # fleet-smoke is the CI fleet gate: a bounded flowguardd run under the
 # race detector (2k processes, fork storms, invariant assertions — the
@@ -74,10 +74,11 @@ fleet-smoke:
 # time-sliced scheduler (threads, signals, core affinity), the PIP/CR3
 # trace demux, the multicore guard conformance tests, the slice-boundary
 # chaos scenarios, the demux round-trip property (its bounded tier-1
-# seed count; `make property` runs the full sweep), and one thread's
-# Mprotect invalidating another thread's CPU fetch cursor.
+# seed count; `make property` runs the full sweep), one thread's
+# Mprotect invalidating another thread's CPU fetch cursor, and the
+# per-record annotation tests.
 sched-smoke:
-	$(GO) test -race -short -run 'Multicore|Demux|Preempt|Clone|Thread|Signal|SIGKILL|Slice|Gettid' ./internal/kernelsim/ ./internal/trace/ipt/ ./internal/guard/ ./internal/faults/ ./internal/harness/ ./internal/cpu/ -count=1
+	$(GO) test -race -short -run 'Multicore|Demux|Preempt|Clone|Thread|Signal|SIGKILL|Slice|Gettid|Annotations' ./internal/kernelsim/ ./internal/trace/ipt/ ./internal/guard/ ./internal/faults/ ./internal/harness/ ./internal/cpu/ -count=1
 
 # property runs the seeded conformance sweeps at their full seed count:
 # fork inheritance and the PIP/CR3 demux round trip, 1000 seeds each

@@ -63,7 +63,7 @@ var fullSuites = []suite{
 // shortSuites is the tier-1 hot-path subset: quick enough for CI, and
 // exactly the set the regression gate protects.
 var shortSuites = []suite{
-	{pkg: ".", bench: "^(BenchmarkFastPath|BenchmarkFastDecode|BenchmarkGuardCheck|BenchmarkITCLookup|BenchmarkITCFlatSerialize|BenchmarkIPTPacketScan)$"},
+	{pkg: ".", bench: "^(BenchmarkFastPath|BenchmarkFastDecode|BenchmarkGuardCheck|BenchmarkGuardCheckAppend|BenchmarkITCLookup|BenchmarkITCFlatSerialize|BenchmarkIPTPacketScan)$"},
 	{pkg: "./internal/guard", bench: "^(BenchmarkIncrementalWindow|BenchmarkApprovalCache|BenchmarkCheckPoolThroughput|BenchmarkAsyncSyscallGate|BenchmarkGuardSlowPath)$"},
 	{pkg: "./internal/trace/ipt", bench: "^BenchmarkDemux$"},
 	{pkg: "./internal/harness", bench: "^BenchmarkFleetThroughput$"},

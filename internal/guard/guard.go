@@ -251,37 +251,53 @@ type winState struct {
 	wrapLoss bool
 }
 
-// modScratch tracks module membership of a TIP window without per-check
-// allocations: address spaces hold a handful of modules, so a linear
-// scan over a reusable slice beats a map.
-type modScratch struct {
-	mods   []*module.Loaded
-	inExec bool
-}
+// Module classes selectWindow caches in ipt.TIPRecord.Mod. Zero is
+// "not yet resolved": the window decoder emits every record with it.
+const (
+	modUnresolved uint8 = iota
+	modNone             // the target lies in no module's code
+	modExec             // the executable
+	modLib              // any other module
+)
 
-func (m *modScratch) reset() {
-	m.mods = m.mods[:0]
-	m.inExec = false
-}
-
+// modClass resolves the module class of one trace target.
+//
 //fg:hotpath
-func (m *modScratch) add(as *module.AddressSpace, ip uint64) {
-	l := as.FindModule(ip)
-	if l == nil {
-		return
+func modClass(as *module.AddressSpace, ip uint64) uint8 {
+	i := as.ModuleIndex(ip)
+	switch {
+	case i < 0:
+		return modNone
+	case as.Mods[i] == as.Exec:
+		return modExec
 	}
-	if l == as.Exec {
-		m.inExec = true
-	}
-	for _, seen := range m.mods {
-		if seen == l {
-			return
-		}
-	}
-	m.mods = append(m.mods, l)
+	return modLib
 }
 
-func (m *modScratch) ok() bool { return m.inExec && len(m.mods) > 1 }
+// modScratch evaluates the module-stride rule over a TIP window. "More
+// than one module, at least one the executable" holds exactly when the
+// window has a record in the executable and one in another module, so
+// two flags are the whole state, whatever the number of modules.
+type modScratch struct {
+	inExec, inLib bool
+}
+
+// add folds record r into the scratch, resolving its module class on
+// the first visit and caching it in r.Mod: a record is resolved once,
+// not at every check whose window walks over it.
+//
+//fg:hotpath
+func (m *modScratch) add(as *module.AddressSpace, r *ipt.TIPRecord) {
+	c := r.Mod
+	if c == modUnresolved {
+		c = modClass(as, r.IP)
+		r.Mod = c
+	}
+	m.inExec = m.inExec || c == modExec
+	m.inLib = m.inLib || c == modLib
+}
+
+func (m *modScratch) ok() bool { return m.inExec && m.inLib }
 
 // Guard is the flow-checking engine bound to one protected process image.
 //
@@ -321,8 +337,7 @@ type Guard struct {
 	// main is the process stream: the window cache over Tracer's ToPA,
 	// and the async pipeline attachment when EnableAsync ran. In
 	// multicore mode it is also the main thread's demuxed stream.
-	main    stream
-	scratch modScratch
+	main stream
 
 	// streamLoss is set by NoteStreamLoss when the multicore demux
 	// reports this process's spans lost or misattributed in a shared
@@ -353,6 +368,11 @@ type stream struct {
 	tr    *ipt.Tracer
 	win   winState
 	async *asyncState // nil: checked synchronously
+	// memoArt is the artifact the Memo marks on win's records were made
+	// under (runChecks). A mark records a CacheLookup answer, which only
+	// that artifact vouches for: when the guard's artifact changes, the
+	// stream's marks are cleared before any is read.
+	memoArt *itc.Artifact
 }
 
 // newGuard is the one constructor behind New, Binary.NewGuard and
@@ -576,7 +596,9 @@ func (w *winState) trim(lo uint64) {
 // a suffix spans the modules only grows with its length, so the walk
 // back from the tail meets the shortest qualifying suffix first, and the
 // sync point the per-PSB walk would stop at is the latest one at or
-// before that suffix.
+// before that suffix. The walk resolves a record's module only the first
+// time it meets the record (modScratch.add caches it in the record), so
+// a check pays lookups for the records appended since the previous one.
 //
 //fg:hotpath
 func (g *Guard) selectWindow(all []ipt.TIPRecord, pts []int) ([]ipt.TIPRecord, int) {
@@ -586,17 +608,16 @@ func (g *Guard) selectWindow(all []ipt.TIPRecord, pts []int) ([]ipt.TIPRecord, i
 		return all[lo:], pts[0]
 	}
 	if g.Policy.RequireModuleStride {
-		s := &g.scratch
-		s.reset()
-		for _, t := range all[start:] {
-			s.add(g.AS, t.IP)
+		var s modScratch
+		for i := start; i < len(all); i++ {
+			s.add(g.AS, &all[i])
 		}
 		for !s.ok() {
 			if start == lo {
 				return all[lo:], pts[0]
 			}
 			start--
-			s.add(g.AS, all[start].IP)
+			s.add(g.AS, &all[start])
 		}
 	}
 	k := len(pts) - 1
@@ -704,6 +725,10 @@ func (g *Guard) runChecks(res *Result, s *stream, tips []ipt.TIPRecord, psb uint
 
 	res.CheckCycles += uint64(len(tips)) * CyclesPerTIPCheck
 	art := g.art
+	if s.memoArt != art {
+		clearMemos(s.win.dec.Tips())
+		s.memoArt = art
+	}
 	minCount := g.Policy.CredMinCount
 	if minCount == 0 {
 		minCount = 1
@@ -721,11 +746,22 @@ func (g *Guard) runChecks(res *Result, s *stream, tips []ipt.TIPRecord, psb uint
 			continue
 		}
 		checked++
+		// The separate high-credit cache holds count >= 1 edges, so it is
+		// only a shortcut under binary labeling. A hit is marked on the
+		// pair's target record (its predecessor is fixed once decoded),
+		// so later checks over the same records count it without probing
+		// again. Only this answer is memoized: Lookup is consulted only on
+		// a miss, and an approval can be dropped by ApprovalCache.SyncGen
+		// at any check.
+		if minCount <= 1 && tips[i+1].Memo != 0 {
+			g.Stats.CacheHits++
+			g.Stats.HighEdges++
+			continue
+		}
 		src, dst, sig := tips[i].IP, tips[i+1].IP, tips[i+1].TNTSig
 		if minCount <= 1 {
-			// The separate high-credit cache holds count >= 1 edges, so
-			// it is only a shortcut under binary labeling.
 			if hit, sigOK := art.CacheLookup(src, dst, sig); hit && sigOK {
+				tips[i+1].Memo = 1
 				g.Stats.CacheHits++
 				g.Stats.HighEdges++
 				continue
@@ -776,6 +812,16 @@ func (g *Guard) runChecks(res *Result, s *stream, tips []ipt.TIPRecord, psb uint
 		return g.slowPath(res, s, tips, psb)
 	}
 	return true
+}
+
+// clearMemos drops the high-credit marks of records judged under a
+// superseded artifact.
+//
+//fg:hotpath
+func clearMemos(tips []ipt.TIPRecord) {
+	for i := range tips {
+		tips[i].Memo = 0
+	}
 }
 
 // violationReason formats the terminal diagnostic. It is deliberately

@@ -105,18 +105,25 @@ func BenchmarkGuardSlowPath(b *testing.B)         { benchSlowPath(b, false) }
 func BenchmarkGuardSlowPathColdMemo(b *testing.B) { benchSlowPath(b, true) }
 
 // benchSlowPath runs the slow path over recorded windows, with a fresh
-// chain memo for every op when coldMemo is set.
+// chain memo for every op when coldMemo is set. instrs/op and yields/op
+// are exact per-window means over one pass of the windows, taken before
+// the timer starts, so they do not move with b.N.
 func benchSlowPath(b *testing.B, coldMemo bool) {
 	app := apps.Nginx()
 	g, slow := recordSlowWindows(b, app, app.MakeInput(30, 1))
-	ys := make([]uint64, len(slow))
-	for i, w := range slow {
-		ys[i] = yields(b, g, w)
+	var instrs, yielded uint64
+	for _, w := range slow {
+		if coldMemo {
+			g.slowMemo = nil
+		}
+		var res Result
+		g.slowCheck(&res, w.tips, w.region)
+		instrs += res.SlowCycles / ipt.CyclesPerDecodedInstr
+		yielded += yields(b, g, w)
 	}
 
 	b.ReportAllocs()
 	b.ResetTimer()
-	var instrs, yielded uint64
 	for i := 0; i < b.N; i++ {
 		w := slow[i%len(slow)]
 		if coldMemo {
@@ -127,11 +134,9 @@ func benchSlowPath(b *testing.B, coldMemo bool) {
 		if res.Verdict != VerdictClean {
 			b.Fatalf("benign window judged %v: %s", res.Verdict, res.Reason)
 		}
-		instrs += res.SlowCycles / ipt.CyclesPerDecodedInstr
-		yielded += ys[i%len(slow)]
 	}
-	b.ReportMetric(float64(instrs)/float64(b.N), "instrs/op")
-	b.ReportMetric(float64(yielded)/float64(b.N), "yields/op")
+	b.ReportMetric(float64(instrs)/float64(len(slow)), "instrs/op")
+	b.ReportMetric(float64(yielded)/float64(len(slow)), "yields/op")
 }
 
 // TestSlowPathAllocatesNothing: once the guard's chain memo has seen

@@ -106,6 +106,52 @@ func checkWindowSelect(t *testing.T, f *windowFixture, all []ipt.TIPRecord, pts 
 	}
 }
 
+// wantMod is the reference module class of a record target: FindModule,
+// as the reference selection resolves it.
+func wantMod(as *module.AddressSpace, ip uint64) uint8 {
+	switch l := as.FindModule(ip); {
+	case l == nil:
+		return modNone
+	case l == as.Exec:
+		return modExec
+	}
+	return modLib
+}
+
+// checkWindowSelectGrowing replays a layout the way the window cache
+// presents it: each steps byte lets the stream grow by up to 8 offsets,
+// about one item, and a quarter of the byte values also trim the records
+// and sync points before a recent offset. selectWindow runs after every step over the same record
+// storage, so the module classes it caches on the records carry from call
+// to call, as they do between checks. Every call must match the
+// reference, and every class cached on a record must be the record's.
+func checkWindowSelectGrowing(t *testing.T, f *windowFixture, all []ipt.TIPRecord, pts []int, steps []byte) {
+	t.Helper()
+	now, lo := 0, 0
+	for _, b := range steps {
+		now += 1 + int(b&7)
+		if b >= 0xc0 {
+			lo = max(lo, now-8*int(b>>3&7))
+		}
+		live := ipt.TipsFrom(all, lo)
+		live = live[:len(live)-len(ipt.TipsFrom(live, now+1))]
+		var livePts []int
+		for _, p := range pts {
+			if p >= lo && p <= now {
+				livePts = append(livePts, p)
+			}
+		}
+		if len(livePts) > 0 {
+			checkWindowSelect(t, f, live, livePts)
+		}
+	}
+	for i, r := range all {
+		if r.Mod != modUnresolved && r.Mod != wantMod(f.as, r.IP) {
+			t.Fatalf("record %d (%#x) carries module class %d, want %d", i, r.IP, r.Mod, wantMod(f.as, r.IP))
+		}
+	}
+}
+
 // TestWindowSelectMatchesReference is the property: over random record,
 // sync-point and module layouts, with the stride rule on and off and
 // packet counts from 0 to past the record count, the one-pass selection
@@ -148,11 +194,20 @@ func TestWindowSelectMatchesReference(t *testing.T) {
 		f.g.Policy.PktCount = rng.Intn(len(all) + 4)
 		f.g.Policy.RequireModuleStride = rng.Intn(2) == 0
 		checkWindowSelect(t, f, all, pts)
+		if it%8 == 0 {
+			// The same layout again, grown and trimmed step by step over
+			// fresh records.
+			all, _ = windowLayout(f, script)
+			checkWindowSelectGrowing(t, f, all, pts, script)
+		}
 	}
 }
 
 // FuzzWindowSelectMatchesReference is the fuzzing twin of the property:
-// the first script byte chooses the policy, the rest the layout.
+// the first script byte chooses the policy, the rest the layout, which
+// is then also grown and trimmed step by step (the same bytes choose the
+// steps), with selectWindow called after every step over one record
+// storage.
 func FuzzWindowSelectMatchesReference(f *testing.F) {
 	f.Add([]byte{0x05, 0, 1, 17, 0, 1, 17})
 	f.Add([]byte{0x14, 0, 17, 17, 0, 17, 33, 17})
@@ -170,6 +225,7 @@ func FuzzWindowSelectMatchesReference(f *testing.F) {
 		}
 		fx.g.Policy.PktCount = int(script[0] >> 1)
 		fx.g.Policy.RequireModuleStride = script[0]&1 == 0
+		checkWindowSelectGrowing(t, fx, all, pts, script[1:])
 		checkWindowSelect(t, fx, all, pts)
 	})
 }

@@ -540,14 +540,14 @@ func (r *Runner) OracleSoak(n int) ([]OracleSoakRow, error) {
 		rows[i].Mode = modes[i]
 	}
 	for seed := 0; seed < n; seed++ {
-		mi := seed % len(modes)
-		row := &rows[mi]
+		c := soakCellOf(seed)
+		row := &rows[c.mode]
 		pol := guard.DefaultPolicy()
-		pol.OnDegraded = modes[mi]
+		pol.OnDegraded = modes[c.mode]
 		// Half the seeds run the production guard asynchronously: the
 		// pipeline's verdict transparency means every comparison below
 		// must still hold bit-for-bit against the synchronous oracle.
-		pol.Async = seed%2 == 0
+		pol.Async = c.async
 		row.Runs++
 		func() {
 			defer func() {
@@ -600,6 +600,30 @@ func mcSoakRun(fx *DiffFixture, input []byte, pol guard.Policy,
 	return &mo.DiffOutcome, nil
 }
 
+// soakCell is what a soak seed selects: the OnDegraded mode (an index
+// into OracleSoak's modes), the workload class (soakOne's switch), the
+// variant v choosing inputs within the class (v%2 alternates benign and
+// hijacked inputs in several classes), and whether the production guard
+// runs the async pipeline.
+type soakCell struct {
+	mode, class, v int
+	async          bool
+}
+
+// soakCellOf maps a seed to its cell. Modes cycle with period 3, which
+// shares a factor with the eight workload classes, so the mode period is
+// divided out and the class cycles per mode: every (mode, class) pair
+// occurs every 24 seeds. Async is the low bit of v's Gray code, v^(v>>1):
+// unlike the seed's parity it depends on neither the mode nor the class,
+// and unlike v%2 it is not the benign/hijacked choice, so each
+// (mode, class) runs benign and hijacked inputs both with and without the
+// pipeline within four variants, the first 96 seeds.
+func soakCellOf(seed int) soakCell {
+	k := seed / 3
+	v := k / 8
+	return soakCell{mode: seed % 3, class: k % 8, v: v, async: (v^v>>1)&1 == 0}
+}
+
 // soakOne runs a single soak seed, folding its outcome into row.
 func (r *Runner) soakOne(fx *DiffFixture, progs, preempt []*DiffFixture, corpus [][]byte,
 	jop uint64, psbs []int, seed int, pol guard.Policy, row *OracleSoakRow) {
@@ -609,12 +633,9 @@ func (r *Runner) soakOne(fx *DiffFixture, progs, preempt []*DiffFixture, corpus 
 		isAttack bool
 		stream   bool
 	)
-	// OracleSoak cycles modes with period 3, which shares a factor with
-	// the eight workload classes; divide the mode period out so the class
-	// cycles per-mode and every (mode, class) pair occurs.
-	k := seed / 3
-	v := k / 8
-	switch k % 8 {
+	c := soakCellOf(seed)
+	v := c.v
+	switch c.class {
 	case 0: // benign traffic, alternating generated and fuzz-corpus inputs
 		input := fx.Benign
 		if len(corpus) > 0 && v%2 == 1 {

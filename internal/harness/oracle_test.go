@@ -410,10 +410,40 @@ func TestOracleSoakShort(t *testing.T) {
 	}
 }
 
+// TestSoakCellsCovered: within the first 96 seeds the soak runs every
+// (mode, class) cell both with and without the async pipeline, and for
+// each of them both values of the benign/hijacked bit v%2; the async
+// choice depends on neither the mode nor the class.
+func TestSoakCellsCovered(t *testing.T) {
+	type cell struct {
+		mode, class, hijack int
+		async               bool
+	}
+	seen := map[cell]int{}
+	for seed := 0; seed < 96; seed++ {
+		c := soakCellOf(seed)
+		if c.mode != seed%3 || c.class < 0 || c.class >= 8 {
+			t.Fatalf("seed %d: cell %+v out of range", seed, c)
+		}
+		seen[cell{c.mode, c.class, c.v % 2, c.async}]++
+	}
+	for mode := 0; mode < 3; mode++ {
+		for class := 0; class < 8; class++ {
+			for hijack := 0; hijack < 2; hijack++ {
+				for _, async := range []bool{false, true} {
+					if n := seen[cell{mode, class, hijack, async}]; n != 1 {
+						t.Errorf("mode %d class %d v%%2=%d async=%v: %d of the first 96 seeds, want 1", mode, class, hijack, async, n)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestOracleSoakReproducible: an oracle soak is a function of its seeds.
 // Two runs print identical rows apart from WorkerFaults, whose async
 // worker draws follow goroutine scheduling. Nine seeds reach the
-// chaos-faulted class, seeds 6 and 8 of it with the async pipeline.
+// chaos-faulted class, seeds 6 to 8 of it, all with the async pipeline.
 func TestOracleSoakReproducible(t *testing.T) {
 	const n = 9
 	var runs [2][]string

@@ -302,6 +302,11 @@ type AddressSpace struct {
 	// InitialSP is the stack pointer at process start.
 	InitialSP uint64
 
+	// code is the code-range table behind ModuleIndex: every module's
+	// code segment, sorted by base. Built at load and, like Mods, shared
+	// by clones.
+	code []codeRange
+
 	// mapsBuilt counts the code maps built in this address space.
 	mapsBuilt atomic.Uint64
 }
@@ -400,7 +405,48 @@ func Load(exec *Module, libs map[string]*Module, vdso *Module, opts ...LoadOptio
 	if err := as.bind(); err != nil {
 		return nil, err
 	}
+	as.code = codeRanges(as.Mods)
 	return as, nil
+}
+
+// codeRange is one module's code segment [base, end) and the module's
+// index in AddressSpace.Mods.
+type codeRange struct {
+	base, end uint64
+	mod       int
+}
+
+// codeRanges builds the code-range table of mods, sorted by base.
+func codeRanges(mods []*Loaded) []codeRange {
+	out := make([]codeRange, len(mods))
+	for i, l := range mods {
+		out[i] = codeRange{base: l.CodeBase, end: l.CodeEnd(), mod: i}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].base < out[j].base })
+	return out
+}
+
+// ModuleIndex returns the index in Mods of the module whose code segment
+// contains addr, or -1 when FindModule would return nil. It answers from
+// the flat code-range table, one binary search over contiguous entries
+// with no segment pointer to follow per probe, for checkers that resolve
+// trace targets at every endpoint.
+//
+//fg:hotpath
+func (as *AddressSpace) ModuleIndex(addr uint64) int {
+	lo, hi := 0, len(as.code)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if as.code[mid].end <= addr {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(as.code) && as.code[lo].base <= addr {
+		return as.code[lo].mod
+	}
+	return -1
 }
 
 // bind performs eager symbol resolution for every module's GOT and data
@@ -656,16 +702,17 @@ func (as *AddressSpace) Segments() []*Segment { return as.segs }
 // Clone returns a fork-style copy of the address space: every segment's
 // bytes are duplicated (memory is private to the child — the simulation
 // has no COW, so copying eagerly is the honest model), while the
-// loaded-module index (Mods/Exec/VDSO) is shared. That index is
-// immutable mapping metadata identical in parent and child, and sharing
-// it is what lets a forked child keep using the parent's per-binary CFG
-// artifacts without any re-analysis.
+// loaded-module index (Mods/Exec/VDSO and the code-range table) is
+// shared. That index is immutable mapping metadata identical in parent
+// and child, and sharing it is what lets a forked child keep using the
+// parent's per-binary CFG artifacts without any re-analysis.
 func (as *AddressSpace) Clone() *AddressSpace {
 	out := &AddressSpace{
 		Mods:      as.Mods,
 		Exec:      as.Exec,
 		VDSO:      as.VDSO,
 		InitialSP: as.InitialSP,
+		code:      as.code,
 	}
 	out.segs = make([]*Segment, len(as.segs))
 	for i, s := range as.segs {

@@ -1,6 +1,7 @@
 package module
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -178,6 +179,58 @@ func TestFindModuleAndSymbolFor(t *testing.T) {
 	}
 	if s := as.SymbolFor(LibBase); s != "libc!memcpy" {
 		t.Errorf("SymbolFor = %q, want libc!memcpy", s)
+	}
+}
+
+// TestModuleIndexMatchesFindModule is the quick-check of the code-range
+// table against the segment search: for arbitrary addresses, and for
+// addresses at and around every segment's edges, ModuleIndex names the
+// module FindModule returns, in the address space and in its clone. One
+// address space holds more modules than a machine word has bits, and
+// both hold an executable anonymous mapping, which is no module's code.
+func TestModuleIndexMatchesFindModule(t *testing.T) {
+	for _, nlibs := range []int{1, 70} {
+		exec := retModule("app", "main", true)
+		libs := map[string]*Module{}
+		for i := 0; i < nlibs; i++ {
+			name := fmt.Sprintf("lib%d", i)
+			exec.Needed = append(exec.Needed, name)
+			libs[name] = retModule(name, fmt.Sprintf("f%d", i), true)
+		}
+		as, err := Load(exec, libs, retModule("vdso", "gettimeofday", true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := as.Mmap(0x3000, PermR|PermX); err != nil {
+			t.Fatal(err)
+		}
+		if len(as.Mods) != nlibs+2 {
+			t.Fatalf("loaded %d modules, want %d", len(as.Mods), nlibs+2)
+		}
+		clone := as.Clone()
+		segs := as.Segments()
+		agree := func(addr uint64) bool {
+			want := as.FindModule(addr)
+			for _, a := range []*AddressSpace{as, clone} {
+				i := a.ModuleIndex(addr)
+				if i < 0 && want != nil || i >= 0 && a.Mods[i] != want {
+					t.Logf("%d modules: ModuleIndex(%#x) = %d, FindModule = %v", len(as.Mods), addr, i, want)
+					return false
+				}
+			}
+			return true
+		}
+		near := func(raw uint64, pick uint16, delta int8, end bool) bool {
+			s := segs[int(pick)%len(segs)]
+			edge := s.Base
+			if end {
+				edge = s.End()
+			}
+			return agree(raw) && agree(edge+uint64(int64(delta)))
+		}
+		if err := quick.Check(near, &quick.Config{MaxCount: 5000}); err != nil {
+			t.Fatalf("%d modules: %v", len(as.Mods), err)
+		}
 	}
 }
 

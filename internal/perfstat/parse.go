@@ -139,15 +139,18 @@ func MissingTier1(benches []Benchmark, names []string) []string {
 }
 
 // Tier1Names is the hot-path benchmark set the CI regression gate
-// protects: the §5.3 fast path and its feeding layers, and the precise
-// check over a cold-start window (BenchmarkGuardSlowPath; gated once a
-// baseline holds it). Sub-benchmarks of a listed name are included.
+// protects: the §5.3 fast path and its feeding layers, the endpoint
+// check over a growing trace (BenchmarkGuardCheckAppend), and the
+// precise check over a cold-start window (BenchmarkGuardSlowPath). The
+// last two are gated once a baseline holds them. Sub-benchmarks of a
+// listed name are included.
 func Tier1Names() []string {
 	names := []string{
 		"BenchmarkGuardSlowPath",
 		"BenchmarkFastPath",
 		"BenchmarkFastDecode",
 		"BenchmarkGuardCheck",
+		"BenchmarkGuardCheckAppend",
 		"BenchmarkITCLookup",
 		"BenchmarkITCFlatSerialize",
 		"BenchmarkIPTPacketScan",

@@ -269,6 +269,15 @@ type TIPRecord struct {
 	// like Resync, the record is not control-flow-adjacent to its
 	// predecessor.
 	Async bool
+	// Mod and Memo are consumer annotations, not decoded state: the
+	// decoders emit every record with both zero, including records
+	// decoded into reused storage, and never read them. A checker that
+	// judges the same retained records check after check caches there
+	// what it learned about a record (the guard: its module class, and
+	// whether the edge into it hit the high-credit cache), so each record
+	// is resolved once. They fill what would be the record's padding:
+	// the record stays 32 bytes, two per cache line.
+	Mod, Memo uint8
 }
 
 // TNTSigEmpty is the signature of an empty TNT run.

@@ -284,6 +284,7 @@ func (d *WindowDecoder) scan(buf []byte, base int) (int, error) {
 				r.TNTLen = int32(sigN)
 				r.Resync = resync
 				r.Async = prevFUP
+				r.Mod, r.Memo = 0, 0 // the slot may hold a dropped record's annotations
 				sig, sigN = TNTSigEmpty, 0
 				resync = false
 			}

@@ -7,6 +7,7 @@ package ipt_test
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"flowguard/internal/isa"
 	"flowguard/internal/trace"
@@ -165,6 +166,76 @@ func TestWindowDecoderDropBefore(t *testing.T) {
 	if len(d.Tips()) <= before {
 		t.Fatal("no records decoded after DropBefore")
 	}
+}
+
+// TestTIPRecordSize pins the record at 32 bytes, two per cache line:
+// the consumer annotation bytes live in what was the struct's padding.
+func TestTIPRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(ipt.TIPRecord{}); n != 32 {
+		t.Fatalf("TIPRecord is %d bytes, want 32", n)
+	}
+}
+
+// TestWindowDecoderZeroesAnnotations: the decoder emits every record
+// with zero Mod and Memo, also into storage slots that held records a
+// consumer annotated: after Reset, and after a DropBefore compaction.
+// Live records keep their annotations when compaction moves them. A
+// stale Memo byte on a fresh record would let the guard pass an edge it
+// never looked up.
+func TestWindowDecoderZeroesAnnotations(t *testing.T) {
+	buf, all := synthStream(t, 200)
+	mark := func(tips []ipt.TIPRecord) {
+		for i := range tips {
+			tips[i].Mod, tips[i].Memo = 0xff, 1
+		}
+	}
+	requireZero := func(what string, tips []ipt.TIPRecord) {
+		t.Helper()
+		if len(tips) == 0 {
+			t.Fatalf("%s: no records decoded", what)
+		}
+		for i, r := range tips {
+			if r.Mod != 0 || r.Memo != 0 {
+				t.Fatalf("%s: record %d of %d decoded with Mod=%d Memo=%d", what, i, len(tips), r.Mod, r.Memo)
+			}
+		}
+	}
+	d := ipt.NewWindowDecoder(0)
+	if err := d.Feed(buf); err != nil {
+		t.Fatal(err)
+	}
+	requireZero("first decode", d.Tips())
+	mark(d.Tips())
+	_, capBefore := ipt.StoredTips(d)
+	d.Reset(0)
+	if err := d.Feed(buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, c := ipt.StoredTips(d); c != capBefore {
+		t.Fatalf("Reset did not reuse the record storage (capacity %d, then %d)", capBefore, c)
+	}
+	requireZero("after Reset", d.Tips())
+
+	mark(d.Tips())
+	d.DropBefore(all[len(all)*3/4].Off)
+	live := len(d.Tips())
+	if stored, _ := ipt.StoredTips(d); stored != live {
+		t.Fatalf("DropBefore of three quarters did not compact: %d stored, %d live", stored, live)
+	}
+	for i, r := range d.Tips() {
+		if r.Mod != 0xff || r.Memo != 1 {
+			t.Fatalf("compaction lost the annotations of live record %d", i)
+		}
+	}
+	// The stream goes on with the same bytes (it opens with a PSB); the
+	// new records land in the slots the dropped, annotated ones held.
+	if err := d.Feed(buf); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Tips()) < live+len(all) {
+		t.Fatalf("%d records after the second feed, want at least %d", len(d.Tips()), live+len(all))
+	}
+	requireZero("after DropBefore compaction", d.Tips()[live:])
 }
 
 func TestTipsFrom(t *testing.T) {
