@@ -438,22 +438,25 @@ func BenchmarkGuardCheck(b *testing.B) {
 	m.report(b)
 }
 
-// BenchmarkGuardCheckAppend measures the endpoint check a server pays
-// when it has run since its previous check: before each op about 1 KiB
-// of a recorded nginx trace, cut at packet boundaries, is appended to
-// the guard's ToPA in the kernel module's 2×8 KiB geometry, so every
-// check decodes new bytes and trims the window of a buffer that wraps
-// every 16 checks or so. (BenchmarkGuardCheck re-checks an unchanged
-// buffer and decodes nothing.) The labels are trained on the recorded
-// session, so every check stays on the fast path. When the recording
-// runs out, a fresh guard starts over outside the timer.
-func BenchmarkGuardCheckAppend(b *testing.B) {
-	setup(b)
+// appendCheck replays a recorded nginx trace into one guard's ToPA, in
+// the kernel module's 2×8 KiB geometry, about 1 KiB (cut at packet
+// boundaries) before each check. The labels are trained on the recorded
+// session, so every check stays on the fast path.
+type appendCheck struct {
+	g    *guard.Guard
+	raw  []byte
+	cuts []int
+	next int
+}
+
+func newAppendCheck(tb testing.TB) *appendCheck {
+	tb.Helper()
+	setup(tb)
 	in := fx.nginx.MakeInput(64*benchScale, 1)
 	raw := mustTraceBytes(fx.nginx, in)
 	evs, err := ipt.DecodeFast(raw)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	labels := itc.FromCFG(fx.nginxCFG)
 	tips := ipt.ExtractTIPs(evs)
@@ -468,32 +471,76 @@ func BenchmarkGuardCheckAppend(b *testing.B) {
 		}
 	}
 	if len(cuts) < 64 {
-		b.Fatalf("recorded trace holds only %d 1 KiB chunks", len(cuts)-1)
+		tb.Fatalf("recorded trace holds only %d 1 KiB chunks", len(cuts)-1)
 	}
-	newGuard := func() *guard.Guard {
-		// An unprogrammed tracer: Flush adds nothing, so the ToPA holds
-		// exactly the appended recording.
-		tr := ipt.NewTracer(ipt.NewToPA(guard.DefaultToPARegion, guard.DefaultToPARegion))
-		return guard.New(fx.nginxAS, fx.nginxCFG, labels, tr, guard.DefaultPolicy())
+	// An unprogrammed tracer: Flush adds nothing, so the ToPA holds
+	// exactly the appended recording.
+	tr := ipt.NewTracer(ipt.NewToPA(guard.DefaultToPARegion, guard.DefaultToPARegion))
+	return &appendCheck{g: guard.New(fx.nginxAS, fx.nginxCFG, labels, tr, guard.DefaultPolicy()), raw: raw, cuts: cuts}
+}
+
+// left reports how many appends the recording still holds.
+func (c *appendCheck) left() int { return len(c.cuts) - 1 - c.next }
+
+// rewind starts the recording over on the emptied ToPA. The guard stays:
+// its next check rescans into the decoder storage it retains.
+func (c *appendCheck) rewind() {
+	c.g.Tracer.Out.Reset()
+	c.g.InvalidateWindow()
+	c.next = 0
+}
+
+// step appends the next slice of the recording and checks it.
+func (c *appendCheck) step(tb testing.TB) {
+	c.g.Tracer.Out.Write(c.raw[c.cuts[c.next]:c.cuts[c.next+1]])
+	c.next++
+	if res := c.g.Check(); res.Verdict != guard.VerdictClean || res.UsedSlowPath {
+		tb.Fatalf("benign trace: verdict %v (%s), slow path %v", res.Verdict, res.Reason, res.UsedSlowPath)
 	}
-	g, next := newGuard(), 0
+}
+
+// pass rewinds and replays the whole recording.
+func (c *appendCheck) pass(tb testing.TB) {
+	c.rewind()
+	for c.left() > 0 {
+		c.step(tb)
+	}
+}
+
+// BenchmarkGuardCheckAppend measures the endpoint check a server pays
+// when it has run since its previous check (appendCheck): every check
+// decodes new bytes and trims the window of a buffer that wraps every
+// 16 checks or so. (BenchmarkGuardCheck re-checks an unchanged buffer
+// and decodes nothing.) One untimed pass warms the guard; whenever the
+// recording runs out it starts over outside the timer.
+func BenchmarkGuardCheckAppend(b *testing.B) {
+	c := newAppendCheck(b)
+	c.pass(b)
 	m := startBenchMetrics(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if next+1 == len(cuts) {
+		if c.left() == 0 {
 			b.StopTimer()
-			g, next = newGuard(), 0
+			c.rewind()
 			b.StartTimer()
 		}
-		g.Tracer.Out.Write(raw[cuts[next]:cuts[next+1]])
-		next++
-		if res := g.Check(); res.Verdict != guard.VerdictClean || res.UsedSlowPath {
-			b.Fatalf("benign trace: verdict %v (%s), slow path %v", res.Verdict, res.Reason, res.UsedSlowPath)
-		}
+		c.step(b)
 	}
 	b.StopTimer()
 	m.report(b)
+}
+
+// TestGuardCheckAppendZeroAlloc: once warmed, the append-then-check loop
+// of BenchmarkGuardCheckAppend allocates nothing, including the first
+// check after a rewind, which rescans into the retained storage. Each
+// run is a whole pass (AllocsPerRun's uncounted first call is the
+// warm-up), so the count is exact rather than an average rounded down.
+func TestGuardCheckAppendZeroAlloc(t *testing.T) {
+	c := newAppendCheck(t)
+	if allocs := testing.AllocsPerRun(1, func() { c.pass(t) }); allocs != 0 {
+		t.Fatalf("a warmed pass of %d appends and checks allocated %.0f times, want 0", len(c.cuts)-1, allocs)
+	}
 }
 
 // BenchmarkCheckParallel measures checking a fleet of protected

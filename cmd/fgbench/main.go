@@ -271,7 +271,7 @@ func main() {
 				Samples: map[string][]float64{"blocked-ns/call": row.Samples},
 			})
 		}
-		fmt.Println("  (async rows must beat sync with Mann-Whitney p < 0.05; verdicts are unchanged by construction)")
+		fmt.Printf("  (num_cpu=%d; async rows must beat sync with Mann-Whitney p < 0.05; verdicts are unchanged by construction)\n", runtime.NumCPU())
 	}
 
 	if *all || *chaos > 0 {

@@ -150,7 +150,7 @@ func runScenario(t *testing.T, f *fixture, sc scenario) (kernelsim.ExitStatus, *
 	plan := faults.FromSeed(sc.seed)
 	var ap *guard.AsyncPool
 	if sc.async {
-		ap = guard.NewAsyncPool(2, 0)
+		ap = guard.NewAsyncPool(2)
 		ap.InjectFaults(plan)
 		km.UseAsync(ap)
 	}

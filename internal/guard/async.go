@@ -3,9 +3,10 @@ package guard
 // Asynchronous checking pipeline (DESIGN.md §9). The synchronous design
 // puts the whole decode+check latency of the window on the intercepted
 // syscall's critical path; Griffin-style offloading moves the decode off
-// it: every time a ToPA region fills, the filled span is captured (copied
-// out while still resident) and handed to a background worker pool that
-// advances the stream's incremental window decoder between endpoints.
+// it: every time a ToPA region fills, the capture records where the
+// filled window ends and wakes a background worker pool, which feeds the
+// window straight out of the ToPA into the stream's incremental window
+// decoder between endpoints.
 // The pipeline is bound to a stream, not to a process: it captures from
 // the stream's ToPA and feeds the stream's window cache, which is the
 // one the stream's checks read. The endpoint gate then only waits for
@@ -13,7 +14,7 @@ package guard
 // residual tail itself.
 //
 // The pipeline is verdict-transparent by construction: workers feed the
-// same winState the synchronous path feeds, chunk boundaries do not
+// same winState the synchronous path feeds, drain boundaries do not
 // change ipt.WindowDecoder results (Feed is chunking-invariant), and the
 // gate always completes decoding up to the current write offset before
 // deciding. The only place asynchrony could diverge is wrap-loss
@@ -30,7 +31,8 @@ import (
 	"flowguard/internal/trace/ipt"
 )
 
-// Defaults for the zero values of the async Policy knobs.
+// Defaults for the zero values of the async Policy knobs, and the pool's
+// backpressure threshold.
 const (
 	// DefaultMaxLagWindows is the staleness bound: a gate takes at most
 	// this many captured-but-unchecked windows onto the critical path
@@ -40,7 +42,9 @@ const (
 	// windows decode in microseconds, so 2ms of grace covers deep
 	// backlogs while keeping a wedged pool detectable quickly.
 	DefaultAsyncGateWait = 2 * time.Millisecond
-	// DefaultAsyncQueue is the pending-window backpressure threshold.
+	// DefaultAsyncQueue is the pending-window backpressure threshold: a
+	// capture that leaves more windows than this pending stalls the
+	// producer.
 	DefaultAsyncQueue = 8
 	// DefaultAsyncWorkers sizes pools created on demand.
 	DefaultAsyncWorkers = 2
@@ -62,35 +66,26 @@ const asyncGateSpins = 128
 // sheds to draining the oldest window itself.
 const asyncStallSpins = 25
 
-// asyncChunk is one captured trace span: the region-full capture copies
-// [start, start+len(buf)) out of the ToPA while it is still resident.
-type asyncChunk struct {
-	start uint64
-	buf   []byte
-}
-
 // asyncState is a guard's attachment to an AsyncPool.
 //
 // Goroutine roles: the producer (the traced process's goroutine) runs
-// the capture hook and the gate; workers and the watchdog drain. cursor
-// is only touched by the producer. Everything under mu is shared.
+// the capture hook and the gate; workers and the watchdog drain.
+// Everything under mu is shared.
 type asyncState struct {
 	pool *AsyncPool
 
-	// cursor is the stream offset up to which capture has copied bytes
-	// out; producer-goroutine-confined.
-	cursor uint64
-
-	// Drain outcomes, guarded by the guard's mutex: captured chunks fed
-	// into the stream's decoder, and chunks dropped as stale.
+	// Drain outcomes, guarded by the guard's mutex: captured windows fed
+	// into the stream's decoder, and captures dropped as stale.
 	fed, stale uint64
 
-	mu      sync.Mutex
-	pending []asyncChunk
-	free    [][]byte // recycled chunk buffers
+	mu sync.Mutex
+	// pending holds the stream offsets at which the captured windows
+	// end, oldest first. A capture copies nothing: a drain feeds the
+	// bytes from where they lie in the ToPA.
+	pending []uint64
 	// oldestAt timestamps the head of pending (watchdog staleness).
 	oldestAt time.Time
-	// Pipeline counters, folded into Stats at each gate (and at
+	// Pipeline counters, folded into Stats after each check (and at
 	// shutdown) under the guard's mutex.
 	windows uint64
 	maxLag  uint64
@@ -110,7 +105,7 @@ type asyncState struct {
 func (g *Guard) EnableAsync(p *AsyncPool) {
 	s := &g.main
 	g.mu.Lock()
-	s.async = &asyncState{pool: p, cursor: s.tr.Out.TotalWritten()}
+	s.async = &asyncState{pool: p}
 	g.mu.Unlock()
 	s.tr.Out.OnRegionFull = g.asyncOnRegionFull
 	p.register(g)
@@ -131,97 +126,33 @@ func (a *asyncState) pendingLen() int {
 	return len(a.pending)
 }
 
-// grabBuf pops a recycled chunk buffer (or nil: append allocates the
-// first few rounds, then the freelist carries the steady state).
-func (a *asyncState) grabBuf() []byte {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := len(a.free)
-	if n == 0 {
-		return nil
-	}
-	buf := a.free[n-1]
-	a.free = a.free[:n-1]
-	return buf
-}
-
 // asyncOnRegionFull is the capture point, invoked by the process
 // stream's ToPA at every region boundary on the producer's goroutine
-// with no buffer lock held. It copies the span since the last capture
-// out of the ToPA (the span is at most one region deep, so it is always
-// still resident), enqueues it, and wakes the pool.
+// with no buffer lock held. It records where the filled window ends and
+// wakes the pool.
 //
 //fg:hotpath runs at every filled trace region
 func (g *Guard) asyncOnRegionFull(ev ipt.RegionFull) {
-	a, topa := g.main.async, g.main.tr.Out
-	buf := a.grabBuf()
-	if buf == nil {
-		buf = g.asyncNewBuf()
-	}
-	nb, ok := topa.AppendSince(buf[:0], a.cursor)
-	if !ok {
-		// The cursor itself was outrun — only reachable if capture was
-		// re-aligned across a reset. Skip this span; the gate's
-		// incremental feed/loss classification covers it.
-		a.recycle(buf)
-		a.cursor = topa.TotalWritten()
-		return
-	}
-	if len(nb) == 0 {
-		a.recycle(nb)
-		return
-	}
-	full := a.enqueue(asyncChunk{start: a.cursor, buf: nb})
-	a.cursor += uint64(len(nb))
-	g.asyncNotify(full)
+	g.asyncNotify(g.main.async.enqueue(ev.Total))
 }
 
-// asyncNewBuf is the cold allocation path for a first-use chunk buffer,
-// kept out of the annotated capture hook. Captures span at most one
-// region, so the default region size is the steady-state capacity.
-//
-//fg:cold first-use buffer allocation, amortized to zero by the recycle pool
-func (g *Guard) asyncNewBuf() []byte {
-	return make([]byte, 0, DefaultToPARegion)
-}
-
-// enqueue appends a captured chunk and reports whether the queue is over
-// the backpressure threshold.
+// enqueue appends a captured window's end offset and reports whether the
+// queue is over the backpressure threshold.
 //
 //fg:hotpath
-func (a *asyncState) enqueue(c asyncChunk) bool {
+func (a *asyncState) enqueue(end uint64) bool {
 	a.mu.Lock()
 	if len(a.pending) == 0 {
 		a.oldestAt = time.Now()
 	}
-	a.pending = append(a.pending, c)
+	a.pending = append(a.pending, end)
 	a.windows++
 	if n := uint64(len(a.pending)); n > a.maxLag {
 		a.maxLag = n
 	}
-	full := len(a.pending) > a.queueLimit()
+	full := len(a.pending) > a.pool.queue
 	a.mu.Unlock()
 	return full
-}
-
-// queueLimit returns the backpressure threshold. Caller holds a.mu (the
-// pool pointer is immutable after EnableAsync).
-func (a *asyncState) queueLimit() int {
-	if a.pool.queue > 0 {
-		return a.pool.queue
-	}
-	return DefaultAsyncQueue
-}
-
-func (a *asyncState) recycle(buf []byte) {
-	if cap(buf) == 0 {
-		return
-	}
-	a.mu.Lock()
-	if len(a.free) < 64 {
-		a.free = append(a.free, buf[:0])
-	}
-	a.mu.Unlock()
 }
 
 // asyncNotify wakes the pool and, when the queue crossed the
@@ -241,7 +172,7 @@ func (g *Guard) asyncNotify(full bool) {
 		// Re-entrant capture from the gate's own flush: this goroutine
 		// holds g.mu, so neither yielding to workers (they need g.mu)
 		// nor draining inline (recursive lock) can make progress. The
-		// gate drops the whole queue right after window() anyway.
+		// check drops the whole queue once window() has decoded it.
 		return
 	}
 	// The PMI that signals a filled region is a scheduling point: Griffin's
@@ -257,7 +188,7 @@ func (g *Guard) asyncNotify(full bool) {
 	a.mu.Lock()
 	a.stalls++
 	a.mu.Unlock()
-	limit := a.queueLimit()
+	limit := a.pool.queue
 	for i := 0; i < asyncGateSpins+asyncStallSpins; i++ {
 		if i < asyncGateSpins {
 			runtime.Gosched() // cede the producer's core to the workers
@@ -327,6 +258,12 @@ func (g *Guard) AsyncDrainOne() bool {
 	return asyncDrainOneLocked(&g.main)
 }
 
+// asyncDrainOneLocked feeds [s.win.total, end) of the oldest capture
+// straight out of the ToPA, the same FeedRange call window() makes.
+// Lock order: the caller holds the guard's mutex and FeedRange takes the
+// ToPA's, as at the gate; the capture hook runs with the ToPA's lock
+// released, so a producer's backpressure drain cannot deadlock.
+//
 //fg:hotpath the worker side of every captured window
 func asyncDrainOneLocked(s *stream) bool {
 	a := s.async
@@ -335,7 +272,7 @@ func asyncDrainOneLocked(s *stream) bool {
 		a.mu.Unlock()
 		return false
 	}
-	c := a.pending[0]
+	end := a.pending[0]
 	n := copy(a.pending, a.pending[1:])
 	a.pending = a.pending[:n]
 	if n > 0 {
@@ -343,20 +280,24 @@ func asyncDrainOneLocked(s *stream) bool {
 	}
 	a.mu.Unlock()
 
-	w := &s.win
-	if w.src != s.tr.Out || w.asyncErr != nil || c.start != w.total {
-		// Stale capture: the window was reset, resynchronized, or
-		// poisoned since this span was captured (or no check has
-		// initialized the window yet). The gate's own snapshot covers
-		// the stream; feeding this chunk would corrupt decoder state.
+	w, topa := &s.win, s.tr.Out
+	if w.src != topa || w.asyncErr != nil || end <= w.total {
+		// Stale capture: no check has initialized the window yet, the
+		// window is poisoned, or an earlier drain or check already
+		// decoded past this end.
 		a.stale++
-		a.recycle(c.buf)
+		return true
+	}
+	ok, ferr := topa.FeedRange(&w.dec, w.total, end)
+	if !ok {
+		// The buffer wrapped past the window's tail. Nothing was fed;
+		// the gate's checkedTotal rule classifies the loss (checkedTotal
+		// <= w.total, so the gate sees the same eviction).
+		a.stale++
 		return true
 	}
 	a.fed++
-	ferr := w.dec.Feed(c.buf)
-	w.total += uint64(len(c.buf))
-	a.recycle(c.buf)
+	w.total = end
 	if ferr != nil {
 		// Grammar corruption found ahead of the endpoint: remember it
 		// for the gate, which replays the synchronous malformed path.
@@ -368,18 +309,16 @@ func asyncDrainOneLocked(s *stream) bool {
 	// earlier. The gate's own trim (with an equal-or-higher cutoff)
 	// subsumes it, so decode state stays identical to the synchronous
 	// schedule.
-	total, held, _ := s.tr.Out.State()
+	total, held, _ := topa.State()
 	w.trim(total - uint64(held))
 	return true
 }
 
-// asyncBeforeCheckLocked runs at gate entry (guard mutex held): it folds
-// the pipeline counters into Stats and discards the still-pending
-// captured chunks — their bytes are necessarily still resident in the
-// ToPA (otherwise the checkedTotal loss rule resyncs), so window()'s
-// incremental ToPA.FeedRange decodes them with identical content and the
-// copies are redundant.
-func (g *Guard) asyncBeforeCheckLocked(a *asyncState) {
+// asyncSettleLocked runs after each check (guard mutex held): it folds
+// the pipeline counters into Stats and drops the still-pending
+// captures. The check's window() has decoded up to the write offset, so
+// every pending end lies at or before s.win.total.
+func (g *Guard) asyncSettleLocked(a *asyncState) {
 	a.mu.Lock()
 	g.Stats.AsyncWindows += a.windows
 	a.windows = 0
@@ -392,30 +331,8 @@ func (g *Guard) asyncBeforeCheckLocked(a *asyncState) {
 	a.sheds = 0
 	g.Stats.WorkerCrashes += a.crashes
 	a.crashes = 0
-	a.dropPendingLocked()
-	a.mu.Unlock()
-}
-
-// asyncAfterCheckLocked re-aligns the stream's capture cursor with the
-// verdict: everything up to s.win.total has been checked, and captures
-// made while the check itself flushed trace are superseded by it.
-func asyncAfterCheckLocked(s *stream) {
-	a := s.async
-	a.mu.Lock()
-	a.dropPendingLocked()
-	a.mu.Unlock()
-	a.cursor = s.win.total
-}
-
-// dropPendingLocked empties the captured-window queue, recycling the
-// chunk buffers. Caller holds a.mu.
-func (a *asyncState) dropPendingLocked() {
-	for _, c := range a.pending {
-		if len(a.free) < 64 {
-			a.free = append(a.free, c.buf[:0])
-		}
-	}
 	a.pending = a.pending[:0]
+	a.mu.Unlock()
 }
 
 // AsyncFlushStats folds any pipeline counters accumulated since the last
@@ -427,7 +344,7 @@ func (g *Guard) AsyncFlushStats() {
 		return
 	}
 	g.mu.Lock()
-	g.asyncBeforeCheckLocked(a)
+	g.asyncSettleLocked(a)
 	g.mu.Unlock()
 }
 
@@ -449,7 +366,7 @@ func (g *Guard) asyncMarkPanicked(err error) {
 }
 
 // asyncNoteCrash counts an injected (pre-pickup) worker crash: the
-// worker died before touching any guard state, so the captured chunk
+// worker died before touching any guard state, so the captured window
 // stays queued and is re-drained by a sibling, the watchdog, or the
 // gate — containment with zero verdict effect.
 func (g *Guard) asyncNoteCrash() {

@@ -100,7 +100,7 @@ func BenchmarkAsyncSyscallGate(b *testing.B) {
 		f.tr.Out = ipt.NewToPA(2<<10, 2<<10, 2<<10, 2<<10, 2<<10, 2<<10, 2<<10, 2<<10)
 		f.tr.PSBPeriod = 1024
 		if workers > 0 {
-			ap := NewAsyncPool(workers, 0)
+			ap := NewAsyncPool(workers)
 			defer ap.Close()
 			f.g.EnableAsync(ap)
 		}

@@ -10,6 +10,7 @@ package guard
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -20,10 +21,14 @@ import (
 // closedPool returns a pool whose workers and watchdog have already
 // exited: captures still enqueue and wake-sends still land in the
 // buffered channel, but nothing drains in the background, so the test
-// controls the drain schedule completely.
+// controls the drain schedule completely. A positive queue lowers the
+// pool's backpressure threshold.
 func closedPool(queue int) *AsyncPool {
-	p := NewAsyncPool(1, queue)
+	p := NewAsyncPool(1)
 	p.Close()
+	if queue > 0 {
+		p.queue = queue
+	}
 	return p
 }
 
@@ -84,9 +89,9 @@ func TestAsyncDrainFeedsSharedWindow(t *testing.T) {
 	if _, _, _, h, err := f.g.window(&f.g.main); err != nil || h != HealthClean {
 		t.Fatalf("establishing window: health %v, err %v", h, err)
 	}
-	// Re-align capture with the verdict, as the gate does.
+	// Settle the pipeline after the verdict, as the check does.
 	f.g.mu.Lock()
-	asyncAfterCheckLocked(&f.g.main)
+	f.g.asyncSettleLocked(f.g.main.async)
 	f.g.mu.Unlock()
 
 	for i := 0; i < 700; i++ {
@@ -221,60 +226,128 @@ func TestAsyncPoisonedWindowReplaysMalformedPath(t *testing.T) {
 
 // TestAsyncWrapLossMatchesSyncClassification: when the stream outruns
 // the buffer between checks, the loss must be classified against the
-// last *verdict* — even if worker drains pre-decoded part of the span a
-// synchronous checker would have lost. Async and sync fixtures fed the
-// identical emission schedule must agree on Resyncs.
+// last *verdict*, whatever the workers did with the span in between.
+// Async and sync fixtures fed the identical emission schedule must agree
+// on Resyncs and on every check's health and window. Two drain
+// schedules reach the two ways a worker meets the wrap:
+//   - predecode-then-wrap: workers pre-decode part of the span a
+//     synchronous checker would lose, then the stream outruns the buffer;
+//   - drain-after-wrap: workers first run once the buffer has wrapped
+//     past s.win.total, so FeedRange refuses every captured range, the
+//     drains feed nothing and count stale.
 func TestAsyncWrapLossMatchesSyncClassification(t *testing.T) {
-	run := func(async bool) *Guard {
+	type window struct {
+		tips   []ipt.TIPRecord
+		psb    uint64
+		health TraceHealth
+	}
+	// A schedule is a list of steps: n > 0 emits n branches and flushes,
+	// drain drains every pending capture (a no-op in the sync twin), and
+	// check runs a window and settles the pipeline as the check does.
+	const drain, check = -1, 0
+	run := func(async bool, sched []int) (*Guard, []window, uint64) {
 		pol := asyncPolicy()
 		pol.Async = async
 		var f *windowFixture
 		if async {
-			f = newAsyncFixture(t, pol, 256, 0)
+			// A queue deep enough that backpressure never drains behind
+			// the schedule's back.
+			f = newAsyncFixture(t, pol, 256, 64)
 		} else {
 			f = newWindowFixture(t, pol)
 			f.tr.Out = ipt.NewToPA(256, 256)
 			f.tr.PSBPeriod = 256
 		}
-		emit := func(n int) {
-			for i := 0; i < n; i++ {
+		var wins []window
+		var fedAtDrain uint64
+		for _, step := range sched {
+			switch {
+			case step > 0:
+				for i := 0; i < step; i++ {
+					f.emitTIP(f.exec)
+				}
+				f.tr.Flush()
+			case step == drain && async:
+				fedAtDrain, _ = AsyncDrainCounts(f.g)
+				for f.g.AsyncDrainOne() {
+				}
+			case step == check:
+				tips, psb, _, h, err := f.g.window(&f.g.main)
+				if err != nil {
+					t.Fatalf("window (async=%v): %v", async, err)
+				}
+				wins = append(wins, window{append([]ipt.TIPRecord(nil), tips...), psb, h})
+				if async {
+					f.g.mu.Lock()
+					f.g.asyncSettleLocked(f.g.main.async)
+					f.g.mu.Unlock()
+				}
+			}
+		}
+		return f.g, wins, fedAtDrain
+	}
+	for _, tc := range []struct {
+		name  string
+		sched []int
+		// evicted: the drain step runs after the wrap evicted s.win.total.
+		evicted bool
+	}{
+		{"predecode-then-wrap", []int{100, check, 300, drain, 1200, check, 50, check}, false},
+		{"drain-after-wrap", []int{100, check, 1500, drain, check, 50, check}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gs, ws, _ := run(false, tc.sched)
+			ga, wa, fedAtDrain := run(true, tc.sched)
+			if gs.Stats.Resyncs == 0 {
+				t.Fatal("setup: the synchronous run never wrapped past a check")
+			}
+			if ga.Stats.Resyncs != gs.Stats.Resyncs {
+				t.Fatalf("wrap-loss classification diverged: async %d resyncs, sync %d",
+					ga.Stats.Resyncs, gs.Stats.Resyncs)
+			}
+			if !reflect.DeepEqual(wa, ws) {
+				t.Fatalf("checked windows diverged:\n async %+v\n sync  %+v", wa, ws)
+			}
+			fed, stale := AsyncDrainCounts(ga)
+			if tc.evicted && (stale == 0 || fed != fedAtDrain) {
+				t.Fatalf("drains after the wrap: fed %d -> %d, stale %d; want nothing fed and stale > 0",
+					fedAtDrain, fed, stale)
+			}
+			if !tc.evicted && fed == 0 {
+				t.Fatal("no drain fed the window before the wrap; the schedule is vacuous")
+			}
+		})
+	}
+}
+
+// TestAsyncDrainZeroAlloc: the steady-state capture-and-drain cycle
+// (emit until a region fills, flush, drain the capture out of the ToPA)
+// allocates nothing. A run is 200 cycles and AllocsPerRun's uncounted
+// first run is the warm-up, so the count is exact rather than an
+// average rounded down.
+func TestAsyncDrainZeroAlloc(t *testing.T) {
+	f := newAsyncFixture(t, asyncPolicy(), 512, 0)
+	for i := 0; i < 10; i++ {
+		f.emitTIP(f.exec)
+	}
+	if _, _, _, h, err := f.g.window(&f.g.main); err != nil || h != HealthClean {
+		t.Fatalf("establishing window: health %v, err %v", h, err)
+	}
+	const cycles = 200
+	run := func() {
+		for i := 0; i < cycles; i++ {
+			for f.g.AsyncPending() == 0 {
 				f.emitTIP(f.exec)
 			}
 			f.tr.Flush()
-		}
-		check := func() {
-			if _, _, _, _, err := f.g.window(&f.g.main); err != nil {
-				t.Fatalf("window (async=%v): %v", async, err)
-			}
-			if async {
-				f.g.mu.Lock()
-				f.g.asyncBeforeCheckLocked(f.g.main.async)
-				asyncAfterCheckLocked(&f.g.main)
-				f.g.mu.Unlock()
-			}
-		}
-		emit(100) // establish
-		check()
-		if async {
-			// Pre-decode some of the span that is about to wrap away.
-			emit(300)
 			for f.g.AsyncDrainOne() {
 			}
-			emit(1200) // now outrun the 512-byte buffer
-		} else {
-			emit(1500)
 		}
-		check()
-		emit(50)
-		check()
-		return f.g
 	}
-	gs, ga := run(false), run(true)
-	if gs.Stats.Resyncs == 0 {
-		t.Fatal("setup: the synchronous run never wrapped past a check")
+	if allocs := testing.AllocsPerRun(1, run); allocs != 0 {
+		t.Fatalf("%d capture-and-drain cycles allocated %.0f times, want 0", cycles, allocs)
 	}
-	if ga.Stats.Resyncs != gs.Stats.Resyncs {
-		t.Fatalf("wrap-loss classification diverged: async %d resyncs, sync %d",
-			ga.Stats.Resyncs, gs.Stats.Resyncs)
+	if fed, stale := AsyncDrainCounts(f.g); fed < 2*cycles || stale != 0 {
+		t.Fatalf("drains fed %d windows (%d stale) over %d cycles; want every capture fed", fed, stale, 2*cycles)
 	}
 }

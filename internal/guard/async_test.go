@@ -10,6 +10,7 @@ package guard_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -67,7 +68,7 @@ func runWorkload(t *testing.T, a *analyzed, input []byte, mode guard.DegradedMod
 	}
 	var ap *guard.AsyncPool
 	if async {
-		ap = guard.NewAsyncPool(2, 0)
+		ap = guard.NewAsyncPool(2)
 		defer ap.Close()
 		switch {
 		case wf != nil:
@@ -265,4 +266,55 @@ func TestAsyncRealWorkerPanicResolvesUnderPolicy(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAsyncPoolGoroutinesExit: closing a pool — directly, or through
+// KernelModule.Shutdown for a pool the module created on demand — leaves
+// none of its worker or watchdog goroutines running.
+func TestAsyncPoolGoroutinesExit(t *testing.T) {
+	// settled polls, with a bound, until the goroutine count is back to
+	// what it was before the pool started.
+	settled := func(t *testing.T, before int) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines still running, %d before the pool started", runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	t.Run("Close", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		p := guard.NewAsyncPool(3)
+		if n := runtime.NumGoroutine() - before; n < 4 {
+			t.Fatalf("pool started %d goroutines, want 3 workers and a watchdog", n)
+		}
+		p.Close()
+		settled(t, before)
+	})
+	t.Run("Shutdown", func(t *testing.T) {
+		a := analyze(t, apps.Vulnd())
+		before := runtime.NumGoroutine()
+		k := kernelsim.New()
+		p, err := a.app.Spawn(k, benignTraffic())
+		if err != nil {
+			t.Fatal(err)
+		}
+		km := guard.InstallModule(k)
+		pol := guard.DefaultPolicy()
+		pol.Async = true
+		pol.AsyncWorkers = 2
+		if _, err := km.Protect(p, a.ocfg, a.ig, pol); err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine() - before; n < 3 {
+			t.Fatalf("Protect started %d goroutines, want the module's pool of 2 workers and a watchdog", n)
+		}
+		if _, err := k.Run(p, 80_000_000); err != nil {
+			t.Fatal(err)
+		}
+		km.Shutdown()
+		settled(t, before)
+	})
 }

@@ -62,8 +62,8 @@ type AsyncPool struct {
 	quit chan struct{}
 	wg   sync.WaitGroup
 
-	// queue is the per-guard backpressure threshold (Policy.AsyncQueue
-	// at pool construction; 0 = DefaultAsyncQueue).
+	// queue is the per-guard backpressure threshold (DefaultAsyncQueue;
+	// tests lower it).
 	queue int
 
 	mu     sync.Mutex
@@ -73,16 +73,15 @@ type AsyncPool struct {
 }
 
 // NewAsyncPool starts a pool with the given number of workers
-// (0 = DefaultAsyncWorkers) and the given per-guard queue threshold
-// (0 = DefaultAsyncQueue). Close it when the workload is done.
-func NewAsyncPool(workers, queue int) *AsyncPool {
+// (0 = DefaultAsyncWorkers). Close it when the workload is done.
+func NewAsyncPool(workers int) *AsyncPool {
 	if workers <= 0 {
 		workers = DefaultAsyncWorkers
 	}
 	p := &AsyncPool{
 		wake:  make(chan *Guard, 4*workers+16),
 		quit:  make(chan struct{}),
-		queue: queue,
+		queue: DefaultAsyncQueue,
 	}
 	p.wg.Add(workers + 1)
 	for i := 0; i < workers; i++ {

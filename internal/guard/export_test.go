@@ -2,7 +2,7 @@ package guard
 
 import "fmt"
 
-// AsyncDrainCounts reports how many captured chunks the async pipeline
+// AsyncDrainCounts reports how many captured windows the async pipeline
 // fed into the guard's process stream and how many it dropped as stale.
 func AsyncDrainCounts(g *Guard) (fed, stale uint64) {
 	g.mu.Lock()

@@ -129,11 +129,6 @@ type Policy struct {
 	// a watchdog shed, and drains synchronously — never deadlocks, never
 	// verdicts over unchecked trace (0 = DefaultAsyncGateWait).
 	AsyncGateWait time.Duration
-	// AsyncQueue bounds the captured-window queue. A full queue stalls
-	// the producer briefly and then makes it drain the oldest window
-	// itself — backpressure into the tracer, never trace loss
-	// (0 = DefaultAsyncQueue).
-	AsyncQueue int
 	// AsyncWorkers sizes the pool KernelModule creates on demand when
 	// Async is set and no pool was attached (0 = DefaultAsyncWorkers).
 	AsyncWorkers int
@@ -651,9 +646,6 @@ func (g *Guard) check(s *stream) Result {
 	defer g.mu.Unlock()
 	g.inCheck = true
 	defer g.endCheck()
-	if a := s.async; a != nil {
-		g.asyncBeforeCheckLocked(a)
-	}
 	if g.ITC != nil {
 		g.art = g.ITC.Artifact()
 	}
@@ -667,8 +659,8 @@ func (g *Guard) check(s *stream) Result {
 	g.Stats.BytesScanned += scanned
 	g.judge(&res, s, tips, psb, err)
 	g.finish(&res)
-	if s.async != nil {
-		asyncAfterCheckLocked(s)
+	if a := s.async; a != nil {
+		g.asyncSettleLocked(a)
 	}
 	return res
 }

@@ -255,7 +255,7 @@ func (m *KernelModule) register(p *kernelsim.Process, g *Guard) {
 	m.mu.Lock()
 	m.guards[p.CR3] = g
 	if pol.Async && m.apool == nil {
-		m.apool = NewAsyncPool(pol.AsyncWorkers, pol.AsyncQueue)
+		m.apool = NewAsyncPool(pol.AsyncWorkers)
 		m.ownsAPool = true
 	}
 	apool := m.apool

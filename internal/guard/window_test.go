@@ -216,15 +216,14 @@ func TestIncrementalWindowMatchesFullRescan(t *testing.T) {
 			f.g.mu.Lock()
 			if tc.async {
 				// Drain some of the captured windows, as workers would
-				// between two endpoints; the gate discards the rest.
+				// between two endpoints; the check discards the rest.
 				for i := 0; i < round%3 && asyncDrainOneLocked(&f.g.main); i++ {
 					drains++
 				}
-				f.g.asyncBeforeCheckLocked(f.g.main.async)
 			}
 			inc, incPSB, scanned, _, err := f.g.window(&f.g.main)
 			if tc.async {
-				asyncAfterCheckLocked(&f.g.main)
+				f.g.asyncSettleLocked(f.g.main.async)
 			}
 			f.g.mu.Unlock()
 			if err != nil {

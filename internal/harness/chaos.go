@@ -116,7 +116,7 @@ func (r *Runner) Chaos(n int) ([]ChaosRow, error) {
 		plan := faults.FromSeed(seed)
 		var ap *guard.AsyncPool
 		if pol.Async {
-			ap = guard.NewAsyncPool(pol.AsyncWorkers, pol.AsyncQueue)
+			ap = guard.NewAsyncPool(pol.AsyncWorkers)
 			ap.InjectFaults(plan)
 			km.UseAsync(ap)
 		}

@@ -216,7 +216,7 @@ func diffProtectedRun(fx *DiffFixture, input []byte, pol guard.Policy, plan *fau
 
 	g := guard.New(p.AS, fx.An.OCFG, fx.An.ITC, tr, pol)
 	if pol.Async {
-		ap := guard.NewAsyncPool(pol.AsyncWorkers, pol.AsyncQueue)
+		ap := guard.NewAsyncPool(pol.AsyncWorkers)
 		defer ap.Close()
 		if plan != nil {
 			ap.InjectFaults(plan)
@@ -269,7 +269,7 @@ func diffRawStream(fx *DiffFixture, pol guard.Policy, raw []byte, chunks, region
 		return nil, err
 	}
 	if pol.Async {
-		ap := guard.NewAsyncPool(pol.AsyncWorkers, pol.AsyncQueue)
+		ap := guard.NewAsyncPool(pol.AsyncWorkers)
 		defer ap.Close()
 		g.EnableAsync(ap)
 	}
@@ -297,7 +297,7 @@ func diffFleetStream(fx *DiffFixture, pol guard.Policy, parentRaw, childRaw []by
 	parent.UseArtifact(fx.An.ITC.Artifact())
 	var ap *guard.AsyncPool
 	if pol.Async {
-		ap = guard.NewAsyncPool(pol.AsyncWorkers, pol.AsyncQueue)
+		ap = guard.NewAsyncPool(pol.AsyncWorkers)
 		defer ap.Close()
 		parent.EnableAsync(ap)
 	}

@@ -2,9 +2,10 @@ package ipt
 
 // ToPA concurrency and hook-semantics coverage for the asynchronous
 // checking pipeline: OnRegionFull event fields and ordering, hook
-// re-entrancy, and a writer-vs-readers race test (meaningful under
-// -race; CI runs it there) asserting the snapshot/AppendSince contract
-// holds while the generation advances concurrently.
+// re-entrancy, a writer-vs-readers race test (meaningful under -race;
+// CI runs it there) asserting the snapshot/AppendSince contract holds
+// while the generation advances concurrently, and the capture-by-offset
+// race of the asynchronous pipeline.
 
 import (
 	"bytes"
@@ -12,6 +13,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"flowguard/internal/isa"
+	"flowguard/internal/trace"
 )
 
 // TestToPAOnRegionFullSemantics: one event per region boundary, with a
@@ -195,71 +199,68 @@ func TestToPAConcurrentWriteAndReaders(t *testing.T) {
 	}
 }
 
-// TestToPAConcurrentRegionFullCapture races the full producer-side
-// pipeline shape: a hook that captures each filled region via
-// AppendSince (as guard.EnableAsync installs) while reader goroutines
-// snapshot concurrently. The captures, concatenated, must equal the
-// prefix-continuous stream — region boundaries lose nothing.
+// TestToPAConcurrentRegionFullCapture races the asynchronous pipeline's
+// shape: the region-full hook only records where the filled window ends
+// (as guard.EnableAsync installs it), and a reader goroutine feeds each
+// recorded range straight out of the ToPA into a WindowDecoder with
+// FeedRange while the writer keeps tracing a PSB-led TIP stream. Every
+// accepted range must decode cleanly into records the writer traced, and
+// a range may be refused only once the writer has run more than the
+// buffer's capacity past its start.
 func TestToPAConcurrentRegionFullCapture(t *testing.T) {
 	tp := NewToPA(512, 512)
-	const mod = 251
-	var (
-		cursor   uint64 // writer-goroutine confined, like asyncState.cursor
-		captured uint64
-	)
-	tp.OnRegionFull = func(ev RegionFull) {
-		got, ok := tp.AppendSince(nil, cursor)
-		if !ok {
-			t.Errorf("capture outrun at cursor %d (span must still be resident)", cursor)
-			return
-		}
-		for i, v := range got {
-			if v != byte((cursor+uint64(i))%mod) {
-				t.Errorf("captured byte %d corrupt", cursor+uint64(i))
-				return
-			}
-		}
-		cursor += uint64(len(got))
-		atomic.AddUint64(&captured, uint64(len(got)))
-	}
+	capacity := uint64(tp.Capacity())
+	ends := make(chan uint64, 64)
+	tp.OnRegionFull = func(ev RegionFull) { ends <- ev.Total }
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := make([]byte, 0, 2<<10)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					tp.SnapshotInto(scratch[:0])
-					tp.Held()
+	const lo, hi = 0x400000, 0x500000 // every traced target lies in [lo, hi)
+	var accepted, refused int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d := NewWindowDecoder(0)
+		var fed uint64
+		for end := range ends {
+			ok, err := tp.FeedRange(d, fed, end)
+			switch {
+			case !ok:
+				if w := tp.TotalWritten(); w-fed <= capacity {
+					t.Errorf("FeedRange(%d, %d) refused with the writer at %d, within the %d-byte capacity of its start",
+						fed, end, w, capacity)
+				}
+				refused++
+				d.Reset(int(end)) // resynchronize at the next PSB, as the guard does
+			case err != nil:
+				t.Errorf("FeedRange(%d, %d): %v", fed, end, err)
+				d.Reset(int(end))
+			default:
+				accepted++
+				for _, r := range d.Tips() {
+					if r.IP < lo || r.IP >= hi {
+						t.Errorf("record at %d decodes to %#x, which was never traced", r.Off, r.IP)
+					}
 				}
 			}
-		}()
-	}
-
-	var off uint64
-	deadline := time.Now().Add(50 * time.Millisecond)
-	buf := make([]byte, 0, 128)
-	for time.Now().Before(deadline) {
-		n := 1 + int(off%128)
-		buf = buf[:0]
-		for i := 0; i < n; i++ {
-			buf = append(buf, byte((off+uint64(i))%mod))
+			fed = end
+			d.DropBefore(int(end)) // every record is checked once
 		}
-		tp.Write(buf)
-		off += uint64(n)
+	}()
+
+	tr := NewTracer(tp)
+	if err := tr.WriteMSR(MSRRTITCtl, CtlTraceEn|CtlBranchEn|CtlUser|CtlToPA); err != nil {
+		t.Fatal(err)
 	}
-	close(stop)
-	wg.Wait()
-	if captured == 0 {
-		t.Fatal("no region fills captured")
+	ip := uint64(lo)
+	deadline := time.Now().Add(50 * time.Millisecond)
+	for i := uint64(0); time.Now().Before(deadline); i++ {
+		tgt := lo + i*2654435761%(hi-lo)
+		tr.Branch(trace.Branch{Class: isa.CoFIIndirect, Source: ip, Target: tgt, Taken: true})
+		ip = tgt
 	}
-	if cursor > tp.TotalWritten() {
-		t.Fatalf("capture cursor %d ran past the stream %d", cursor, tp.TotalWritten())
+	tr.Flush()
+	close(ends)
+	<-done
+	if accepted == 0 {
+		t.Fatalf("no captured range was fed (%d refused)", refused)
 	}
 }
