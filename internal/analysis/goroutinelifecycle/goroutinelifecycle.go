@@ -3,9 +3,8 @@
 // three idioms this analyzer turns into rules:
 //
 //   - no goroutine spawned while a mutex is held — the child can run
-//     immediately, contend on the same lock, and (with the watchdog
-//     patterns in asyncworker.go) self-deadlock in ways no short test
-//     reproduces
+//     immediately, contend on the same lock, and self-deadlock in ways
+//     no short test reproduces
 //   - sync.WaitGroup discipline: Add happens-before the `go`
 //     statement, never inside the spawned body (the race with Wait is
 //     the classic lost-Add bug); Wait is never called with a lock held

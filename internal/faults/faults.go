@@ -52,7 +52,7 @@ const (
 	Stall
 	// WorkerStall wedges an asynchronous checking worker at task pickup
 	// for StallFor (via Plan.WorkerStall): the pipeline falls behind and
-	// the gate deadline / watchdog must cover the backlog.
+	// the gate must decode the backlog itself.
 	WorkerStall
 	// WorkerCrash panics an asynchronous checking worker at task pickup
 	// (via Plan.WorkerCrash): the pool must contain the crash and the

@@ -9,9 +9,11 @@ package guard
 // decoder between endpoints.
 // The pipeline is bound to a stream, not to a process: it captures from
 // the stream's ToPA and feeds the stream's window cache, which is the
-// one the stream's checks read. The endpoint gate then only waits for
-// the pipeline to catch up to the staleness bound and decodes the
-// residual tail itself.
+// one the stream's checks read. The endpoint gate never waits for the
+// workers: it takes the guard mutex and decodes whatever they have not
+// fed yet itself. One stream's drains serialize on that mutex, so a gate
+// that waited for workers to drain N windows would wait at least as long
+// as decoding them itself.
 //
 // The pipeline is verdict-transparent by construction: workers feed the
 // same winState the synchronous path feeds, drain boundaries do not
@@ -26,51 +28,18 @@ package guard
 import (
 	"runtime"
 	"sync"
-	"time"
 
 	"flowguard/internal/trace/ipt"
 )
 
-// Defaults for the zero values of the async Policy knobs, and the pool's
-// backpressure threshold.
-const (
-	// DefaultMaxLagWindows is the staleness bound: a gate takes at most
-	// this many captured-but-unchecked windows onto the critical path
-	// without first waiting for the workers.
-	DefaultMaxLagWindows = 2
-	// DefaultAsyncGateWait bounds the gate's catch-up wait; simulated
-	// windows decode in microseconds, so 2ms of grace covers deep
-	// backlogs while keeping a wedged pool detectable quickly.
-	DefaultAsyncGateWait = 2 * time.Millisecond
-	// DefaultAsyncQueue is the pending-window backpressure threshold: a
-	// capture that leaves more windows than this pending stalls the
-	// producer.
-	DefaultAsyncQueue = 8
-	// DefaultAsyncWorkers sizes pools created on demand.
-	DefaultAsyncWorkers = 2
-)
-
-// asyncGatePoll is the gate's and the producer's timed wait step, the
-// fallback after the yield spins. Sleeps this short round up to the
-// scheduler's timer granularity (a millisecond on some kernels), which
-// is why the spin phase comes first: a pipeline that is actively
-// draining is caught within microseconds, and the sleep only paces
-// waits that are going to be long anyway.
-const asyncGatePoll = 20 * time.Microsecond
-
-// asyncGateSpins is the number of runtime.Gosched yields the gate (and
-// the backpressure stall) burns before falling back to timed sleeps.
-const asyncGateSpins = 128
-
-// asyncStallSpins bounds the producer's backpressure stall before it
-// sheds to draining the oldest window itself.
-const asyncStallSpins = 25
+// DefaultAsyncWorkers sizes pools created on demand.
+const DefaultAsyncWorkers = 2
 
 // asyncState is a guard's attachment to an AsyncPool.
 //
 // Goroutine roles: the producer (the traced process's goroutine) runs
-// the capture hook and the gate; workers and the watchdog drain.
-// Everything under mu is shared.
+// the capture hook and the gate; workers drain. Everything under mu is
+// shared.
 type asyncState struct {
 	pool *AsyncPool
 
@@ -83,32 +52,26 @@ type asyncState struct {
 	// end, oldest first. A capture copies nothing: a drain feeds the
 	// bytes from where they lie in the ToPA.
 	pending []uint64
-	// oldestAt timestamps the head of pending (watchdog staleness).
-	oldestAt time.Time
 	// Pipeline counters, folded into Stats after each check (and at
 	// shutdown) under the guard's mutex.
 	windows uint64
 	maxLag  uint64
-	stalls  uint64
-	sheds   uint64
 	crashes uint64
 }
 
 // EnableAsync attaches the guard's process stream — in multicore mode
 // the main thread's demuxed stream — to an asynchronous checking pool:
 // region-full events of the stream's ToPA start capturing filled windows
-// for the pool's workers, and checks of the stream become "wait until
-// checked-lag <= MaxLagWindows or deadline, then verdict". Call it after
-// the guard's tracer is wired and before the workload runs; requires
-// Policy.Async semantics but does not consult the flag (KernelModule
-// does).
+// for the pool's workers, and checks of the stream decode only the tail
+// the workers have not fed yet. Call it after the guard's tracer is
+// wired and before the workload runs; requires Policy.Async semantics
+// but does not consult the flag (KernelModule does).
 func (g *Guard) EnableAsync(p *AsyncPool) {
 	s := &g.main
 	g.mu.Lock()
 	s.async = &asyncState{pool: p}
 	g.mu.Unlock()
 	s.tr.Out.OnRegionFull = g.asyncOnRegionFull
-	p.register(g)
 }
 
 // AsyncPending returns the number of captured windows not yet drained.
@@ -117,10 +80,6 @@ func (g *Guard) AsyncPending() int {
 	if a == nil {
 		return 0
 	}
-	return a.pendingLen()
-}
-
-func (a *asyncState) pendingLen() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.pending)
@@ -128,51 +87,28 @@ func (a *asyncState) pendingLen() int {
 
 // asyncOnRegionFull is the capture point, invoked by the process
 // stream's ToPA at every region boundary on the producer's goroutine
-// with no buffer lock held. It records where the filled window ends and
-// wakes the pool.
+// with no buffer lock held. It records where the filled window ends,
+// wakes the pool and yields once.
 //
 //fg:hotpath runs at every filled trace region
 func (g *Guard) asyncOnRegionFull(ev ipt.RegionFull) {
-	g.asyncNotify(g.main.async.enqueue(ev.Total))
-}
-
-// enqueue appends a captured window's end offset and reports whether the
-// queue is over the backpressure threshold.
-//
-//fg:hotpath
-func (a *asyncState) enqueue(end uint64) bool {
+	a := g.main.async
 	a.mu.Lock()
-	if len(a.pending) == 0 {
-		a.oldestAt = time.Now()
-	}
-	a.pending = append(a.pending, end)
+	a.pending = append(a.pending, ev.Total)
 	a.windows++
 	if n := uint64(len(a.pending)); n > a.maxLag {
 		a.maxLag = n
 	}
-	full := len(a.pending) > a.pool.queue
 	a.mu.Unlock()
-	return full
-}
-
-// asyncNotify wakes the pool and, when the queue crossed the
-// backpressure threshold, stalls the producer: the tracer waits a
-// bounded interval for the workers and then drains the oldest window on
-// its own goroutine. Trace is never dropped — backpressure converts an
-// overloaded pipeline into producer stalls, preserving the unmarked-loss
-// classification (a wrap loss still only happens when the stream really
-// outruns the buffer, exactly as in synchronous mode).
-func (g *Guard) asyncNotify(full bool) {
-	a := g.main.async
 	select {
 	case a.pool.wake <- g:
 	default: // a wake is already queued; the backlog will be seen
 	}
 	if g.inCheck {
 		// Re-entrant capture from the gate's own flush: this goroutine
-		// holds g.mu, so neither yielding to workers (they need g.mu)
-		// nor draining inline (recursive lock) can make progress. The
-		// check drops the whole queue once window() has decoded it.
+		// holds g.mu, so yielding to workers (they need g.mu) cannot
+		// make progress. The check drops the whole queue once window()
+		// has decoded it.
 		return
 	}
 	// The PMI that signals a filled region is a scheduling point: Griffin's
@@ -182,76 +118,12 @@ func (g *Guard) asyncNotify(full bool) {
 	// capture straight into the endpoint and the gate inherits the whole
 	// backlog onto the critical path it was built to keep clear.
 	runtime.Gosched()
-	if !full {
-		return
-	}
-	a.mu.Lock()
-	a.stalls++
-	a.mu.Unlock()
-	limit := a.pool.queue
-	for i := 0; i < asyncGateSpins+asyncStallSpins; i++ {
-		if i < asyncGateSpins {
-			runtime.Gosched() // cede the producer's core to the workers
-		} else {
-			time.Sleep(asyncGatePoll)
-		}
-		if a.pendingLen() <= limit {
-			return
-		}
-	}
-	// The pool cannot keep up: shed to synchronous draining on the
-	// producer. This is the stall-not-drop guarantee's backstop — it
-	// also guarantees progress when every worker is wedged or crashed.
-	for a.pendingLen() > limit {
-		if !g.AsyncDrainOne() {
-			return
-		}
-	}
-}
-
-// gateWait blocks (lock-free, bounded) until the captured backlog is
-// within Policy.MaxLagWindows or the deadline expires. On expiry it
-// counts a shed: the pipeline has fallen behind and the gate will do the
-// backlog synchronously rather than deadlock waiting.
-func (a *asyncState) gateWait(g *Guard) {
-	bound := g.Policy.MaxLagWindows
-	if bound <= 0 {
-		bound = DefaultMaxLagWindows
-	}
-	if a.pendingLen() <= bound {
-		return
-	}
-	deadline := g.Policy.AsyncGateWait
-	if deadline <= 0 {
-		deadline = DefaultAsyncGateWait
-	}
-	start := time.Now()
-	for spins := 0; ; spins++ {
-		select {
-		case a.pool.wake <- g:
-		default:
-		}
-		if spins < asyncGateSpins {
-			runtime.Gosched()
-		} else {
-			time.Sleep(asyncGatePoll)
-		}
-		if a.pendingLen() <= bound {
-			return
-		}
-		if time.Since(start) >= deadline {
-			a.mu.Lock()
-			a.sheds++
-			a.mu.Unlock()
-			return
-		}
-	}
 }
 
 // AsyncDrainOne feeds the oldest captured window into the process
 // stream's incremental decoder, exactly as the synchronous path would
 // have fed it. It returns false when nothing was pending. Safe to call
-// from any goroutine (workers, watchdog, producer backpressure).
+// from any goroutine.
 func (g *Guard) AsyncDrainOne() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -261,8 +133,7 @@ func (g *Guard) AsyncDrainOne() bool {
 // asyncDrainOneLocked feeds [s.win.total, end) of the oldest capture
 // straight out of the ToPA, the same FeedRange call window() makes.
 // Lock order: the caller holds the guard's mutex and FeedRange takes the
-// ToPA's, as at the gate; the capture hook runs with the ToPA's lock
-// released, so a producer's backpressure drain cannot deadlock.
+// ToPA's, as at the gate.
 //
 //fg:hotpath the worker side of every captured window
 func asyncDrainOneLocked(s *stream) bool {
@@ -275,9 +146,6 @@ func asyncDrainOneLocked(s *stream) bool {
 	end := a.pending[0]
 	n := copy(a.pending, a.pending[1:])
 	a.pending = a.pending[:n]
-	if n > 0 {
-		a.oldestAt = time.Now()
-	}
 	a.mu.Unlock()
 
 	w, topa := &s.win, s.tr.Out
@@ -325,10 +193,6 @@ func (g *Guard) asyncSettleLocked(a *asyncState) {
 	if a.maxLag > g.Stats.AsyncMaxLag {
 		g.Stats.AsyncMaxLag = a.maxLag
 	}
-	g.Stats.BackpressureStalls += a.stalls
-	a.stalls = 0
-	g.Stats.WatchdogSheds += a.sheds
-	a.sheds = 0
 	g.Stats.WorkerCrashes += a.crashes
 	a.crashes = 0
 	a.pending = a.pending[:0]
@@ -367,7 +231,7 @@ func (g *Guard) asyncMarkPanicked(err error) {
 
 // asyncNoteCrash counts an injected (pre-pickup) worker crash: the
 // worker died before touching any guard state, so the captured window
-// stays queued and is re-drained by a sibling, the watchdog, or the
+// stays queued and is re-drained by a sibling or decoded by the
 // gate — containment with zero verdict effect.
 func (g *Guard) asyncNoteCrash() {
 	a := g.main.async

@@ -6,9 +6,9 @@ package guard
 // clock, then times only Check() — the work holding the intercepted
 // syscall. The sync variant decodes the whole backlog on that critical
 // path; w1/w4 attach a worker pool that drains region-full captures
-// while the backlog is produced, so the gate waits at most to the
-// staleness bound and decodes only the residual tail. The w1→w4 axis
-// shows how the gate's residual shrinks with checking cores.
+// while the backlog is produced, so the gate decodes only the residual
+// tail. The w1→w4 axis shows how the gate's residual shrinks with
+// checking cores.
 
 import (
 	"runtime"
@@ -48,10 +48,10 @@ func emitGatePattern(f *windowFixture, n int) {
 	f.tr.Flush()
 }
 
-func asyncGateSetup(b *testing.B) {
-	b.Helper()
+func asyncGateSetup(tb testing.TB) {
+	tb.Helper()
 	asyncGateBench.once.Do(func() {
-		f := newWindowFixture(b, DefaultPolicy())
+		f := newWindowFixture(tb, DefaultPolicy())
 		ocfg := cfg.Synthetic([]*cfg.Block{
 			{Start: f.exec, End: f.exec + 8, Kind: cfg.TermIndJmp, TermAddr: f.exec, IndTargets: []uint64{f.exec, f.lib}},
 			{Start: f.lib, End: f.lib + 8, Kind: cfg.TermIndJmp, TermAddr: f.lib, IndTargets: []uint64{f.exec, f.lib}},
@@ -64,14 +64,14 @@ func asyncGateSetup(b *testing.B) {
 			return
 		}
 		if !ig.ObserveWindow(ipt.ExtractTIPs(evs)) {
-			b.Fatal("training observed an edge outside the synthetic ITC-CFG")
+			tb.Fatal("training observed an edge outside the synthetic ITC-CFG")
 		}
 		ig.RebuildCache()
 		asyncGateBench.ocfg, asyncGateBench.ig = ocfg, ig
 		asyncGateBench.exec, asyncGateBench.lib = f.exec, f.lib
 	})
 	if asyncGateBench.err != nil {
-		b.Fatal(asyncGateBench.err)
+		tb.Fatal(asyncGateBench.err)
 	}
 }
 
@@ -81,13 +81,7 @@ func BenchmarkAsyncSyscallGate(b *testing.B) {
 		pol := DefaultPolicy()
 		pol.PktCount = 8
 		pol.RequireModuleStride = false
-		if workers > 0 {
-			pol.Async = true
-			pol.MaxLagWindows = 1
-			// The deadline only bounds a wedged pool; keep it out of the
-			// measurement by making it generous.
-			pol.AsyncGateWait = 50 * time.Millisecond
-		}
+		pol.Async = workers > 0
 		f := newWindowFixture(b, pol)
 		if f.exec != asyncGateBench.exec || f.lib != asyncGateBench.lib {
 			b.Fatal("fixture layout not deterministic; trained graph does not apply")
@@ -118,7 +112,8 @@ func BenchmarkAsyncSyscallGate(b *testing.B) {
 				// between syscalls, which is the wall-clock the pipeline
 				// overlaps its decoding with. Bounded so a wedged pool
 				// fails loudly instead of hanging the benchmark.
-				for settle := time.Now(); f.g.AsyncPending() > pol.MaxLagWindows; {
+				const settleLag = 1 // captured windows left to the timed gate
+				for settle := time.Now(); f.g.AsyncPending() > settleLag; {
 					if time.Since(settle) > time.Second {
 						b.Fatal("pool never caught up with the backlog")
 					}

@@ -1,9 +1,9 @@
 package guard
 
 // White-box tests of the asynchronous checking pipeline's mechanics on
-// the synthetic-branch window fixture: region-full capture, the gate's
-// bounded-staleness wait, producer backpressure, and the poisoned-window
-// replay after a contained worker panic. Background goroutines are kept
+// the synthetic-branch window fixture: region-full capture, drains, the
+// gate over a backlog nobody drained, and the poisoned-window replay
+// after a contained worker panic. Background goroutines are kept
 // out of the picture (closedPool) so every schedule is deterministic;
 // the racing end-to-end behavior is covered by the black-box tests in
 // async_test.go and the chaos soak in internal/faults.
@@ -13,34 +13,29 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"flowguard/internal/trace/ipt"
 )
 
-// closedPool returns a pool whose workers and watchdog have already
-// exited: captures still enqueue and wake-sends still land in the
-// buffered channel, but nothing drains in the background, so the test
-// controls the drain schedule completely. A positive queue lowers the
-// pool's backpressure threshold.
-func closedPool(queue int) *AsyncPool {
+// closedPool returns a pool whose workers have already exited: captures
+// still enqueue and wake-sends still land in the buffered channel, but
+// nothing drains in the background, so the test controls the drain
+// schedule completely.
+func closedPool() *AsyncPool {
 	p := NewAsyncPool(1)
 	p.Close()
-	if queue > 0 {
-		p.queue = queue
-	}
 	return p
 }
 
 // newAsyncFixture is the window fixture re-pointed at a small two-region
 // ToPA (so region-full captures actually fire) with the async pipeline
 // attached.
-func newAsyncFixture(t *testing.T, pol Policy, region, queue int) *windowFixture {
+func newAsyncFixture(t *testing.T, pol Policy, region int) *windowFixture {
 	t.Helper()
 	f := newWindowFixture(t, pol)
 	f.tr.Out = ipt.NewToPA(region, region)
 	f.tr.PSBPeriod = 256 // keep sync points resident in the tiny buffer
-	f.g.EnableAsync(closedPool(queue))
+	f.g.EnableAsync(closedPool())
 	return f
 }
 
@@ -56,7 +51,7 @@ func asyncPolicy() Policy {
 // windows, and AsyncFlushStats folds the pipeline counters into Stats
 // and discards the captures.
 func TestAsyncCaptureAndFlush(t *testing.T) {
-	f := newAsyncFixture(t, asyncPolicy(), 512, 0)
+	f := newAsyncFixture(t, asyncPolicy(), 512)
 	for i := 0; i < 1000; i++ {
 		f.emitTIP(f.exec)
 	}
@@ -82,7 +77,7 @@ func TestAsyncCaptureAndFlush(t *testing.T) {
 // the synchronous path would, and the next window() serves the residual
 // without re-scanning what workers already fed.
 func TestAsyncDrainFeedsSharedWindow(t *testing.T) {
-	f := newAsyncFixture(t, asyncPolicy(), 512, 0)
+	f := newAsyncFixture(t, asyncPolicy(), 512)
 	for i := 0; i < 100; i++ {
 		f.emitTIP(f.exec)
 	}
@@ -128,58 +123,113 @@ func TestAsyncDrainFeedsSharedWindow(t *testing.T) {
 	}
 }
 
-// TestAsyncGateDeadlineSheds: a backlog nobody drains forces the gate to
-// its deadline; it sheds (counted) instead of deadlocking.
-func TestAsyncGateDeadlineSheds(t *testing.T) {
-	pol := asyncPolicy()
-	pol.MaxLagWindows = 1
-	pol.AsyncGateWait = 200 * time.Microsecond
-	f := newAsyncFixture(t, pol, 256, 0)
-	for i := 0; i < 1200; i++ {
-		f.emitTIP(f.exec)
+// TestAsyncGateDecodesUndrainedBacklog: with no worker running, a
+// capture backlog larger than any bound the pipeline ever had (2 windows
+// for the gate, 8 for the producer) neither stalls the producer nor the
+// gate. The gate decodes the backlog itself and returns the synchronous
+// twin's verdict, health and scanned span; no captured byte is dropped,
+// and the drains that do run are counted exactly.
+func TestAsyncGateDecodesUndrainedBacklog(t *testing.T) {
+	asyncGateSetup(t)
+	fixture := func(async bool) *windowFixture {
+		pol := DefaultPolicy()
+		pol.PktCount = 8
+		pol.RequireModuleStride = false
+		pol.Async = async
+		f := newWindowFixture(t, pol)
+		f.g.OCFG, f.g.ITC = asyncGateBench.ocfg, asyncGateBench.ig
+		// Sixteen 512 B regions: a backlog of a dozen captured windows
+		// still fits without wrapping past the last check.
+		regions := make([]int, 16)
+		for i := range regions {
+			regions[i] = 512
+		}
+		f.tr.Out = ipt.NewToPA(regions...)
+		f.tr.PSBPeriod = 256
+		if async {
+			f.g.EnableAsync(closedPool())
+		}
+		return f
 	}
-	f.tr.Flush()
-	if n := f.g.AsyncPending(); n <= 1 {
-		t.Fatalf("backlog = %d, need > MaxLagWindows to force a wait", n)
+	sf, af := fixture(false), fixture(true)
+	emit := func(n int) {
+		emitGatePattern(sf, n)
+		emitGatePattern(af, n)
 	}
-	start := time.Now()
-	f.g.main.async.gateWait(f.g)
-	if el := time.Since(start); el > 100*time.Millisecond {
-		t.Fatalf("gate wait was not bounded: %v", el)
+	var lastTotal, lastScanned, captured uint64
+	check := func(step string) {
+		t.Helper()
+		rs, ra := sf.g.Check(), af.g.Check()
+		if rs.Verdict != VerdictClean || rs.Health != HealthClean {
+			t.Fatalf("%s: synchronous check %+v; the fixture's trained edges no longer apply", step, rs)
+		}
+		if !reflect.DeepEqual(ra, rs) {
+			t.Fatalf("%s: async result %+v, sync %+v", step, ra, rs)
+		}
+		total := af.tr.Out.TotalWritten()
+		scanned := af.g.Stats.BytesScanned - lastScanned
+		if sf.g.Stats.BytesScanned != af.g.Stats.BytesScanned || scanned != total-lastTotal {
+			t.Fatalf("%s: scanned %d bytes (sync %d in all), want the %d written since the last check",
+				step, scanned, sf.g.Stats.BytesScanned, total-lastTotal)
+		}
+		lastTotal, lastScanned = total, af.g.Stats.BytesScanned
+		// No dropped byte: the drains and the gate together decoded the
+		// records and sync points the synchronous decoder holds.
+		ad, sd := &af.g.main.win.dec, &sf.g.main.win.dec
+		if ad.Consumed() != sd.Consumed() || !reflect.DeepEqual(ad.Tips(), sd.Tips()) ||
+			!reflect.DeepEqual(ad.SyncPoints(), sd.SyncPoints()) {
+			t.Fatalf("%s: async decoder holds %d records to offset %d, sync %d to %d",
+				step, len(ad.Tips()), ad.Consumed(), len(sd.Tips()), sd.Consumed())
+		}
+		if n := af.g.AsyncPending(); n != 0 {
+			t.Fatalf("%s: %d captures still pending after the check", step, n)
+		}
 	}
-	f.g.AsyncFlushStats()
-	if f.g.Stats.WatchdogSheds == 0 {
-		t.Fatal("deadline expiry did not count a shed")
+	// backlog emits n branches on both twins and returns how many
+	// windows the async twin captured for them.
+	backlog := func(n int) int {
+		emit(n)
+		pend := af.g.AsyncPending()
+		captured += uint64(pend)
+		return pend
 	}
-}
 
-// TestAsyncBackpressureStallsProducer: with a tiny queue threshold and no
-// workers, the producer must stall and then drain inline — the queue
-// stays bounded and not a byte of trace is dropped.
-func TestAsyncBackpressureStallsProducer(t *testing.T) {
-	f := newAsyncFixture(t, asyncPolicy(), 256, 1)
-	for i := 0; i < 1500; i++ {
-		f.emitTIP(f.exec)
+	// Captures before the first check find no window to feed: stale.
+	preCheck := backlog(400)
+	if preCheck == 0 {
+		t.Fatal("setup: no region filled before the first check")
 	}
-	f.tr.Flush()
-	if n := f.g.AsyncPending(); n > 2 {
-		t.Fatalf("pending = %d; backpressure did not bound the queue", n)
+	for af.g.AsyncDrainOne() {
 	}
-	f.g.AsyncFlushStats()
-	if f.g.Stats.BackpressureStalls == 0 {
-		t.Fatal("no producer stalls counted")
+	check("first check")
+
+	// A backlog above the old bounds, two windows drained, the rest left
+	// to the gate.
+	if n := backlog(1200); n <= 8 {
+		t.Fatalf("setup: backlog of %d windows is within the old producer bound", n)
 	}
-	// Stall, not drop: the stream is fully intact — a fresh window over
-	// the resident buffer decodes cleanly with records in it.
-	tips, _, _, h, err := f.g.window(&f.g.main)
-	if err != nil || h != HealthClean {
-		t.Fatalf("window after backpressure: health %v, err %v", h, err)
+	af.g.AsyncDrainOne()
+	af.g.AsyncDrainOne()
+	if fed, _ := AsyncDrainCounts(af.g); af.g.main.win.total <= lastTotal || fed != 2 {
+		t.Fatalf("setup: two drains fed %d windows up to offset %d (last check at %d)", fed, af.g.main.win.total, lastTotal)
 	}
-	if len(tips) == 0 {
-		t.Fatal("no records survived backpressure")
+	check("partly drained backlog")
+
+	// The same backlog with no drain at all.
+	if n := backlog(1200); n <= 8 {
+		t.Fatalf("setup: backlog of %d windows is within the old producer bound", n)
 	}
-	if f.g.Stats.Resyncs != 0 {
-		t.Fatalf("backpressure caused %d spurious resyncs", f.g.Stats.Resyncs)
+	check("undrained backlog")
+
+	if fed, stale := AsyncDrainCounts(af.g); fed != 2 || stale != uint64(preCheck) {
+		t.Fatalf("drains fed %d and dropped %d as stale; want 2 and %d", fed, stale, preCheck)
+	}
+	af.g.AsyncFlushStats()
+	if got := af.g.Stats.AsyncWindows; got != captured {
+		t.Fatalf("Stats.AsyncWindows = %d, want the %d captures", got, captured)
+	}
+	if af.g.Stats.Resyncs != 0 || sf.g.Stats.Resyncs != 0 {
+		t.Fatalf("resyncs: async %d, sync %d; the backlog wrapped past a check", af.g.Stats.Resyncs, sf.g.Stats.Resyncs)
 	}
 }
 
@@ -188,7 +238,7 @@ func TestAsyncBackpressureStallsProducer(t *testing.T) {
 // synchronous malformed path (counted, cache dropped, error surfaced),
 // and the one after that recovers from a fresh snapshot.
 func TestAsyncPoisonedWindowReplaysMalformedPath(t *testing.T) {
-	f := newAsyncFixture(t, asyncPolicy(), 1<<16, 0)
+	f := newAsyncFixture(t, asyncPolicy(), 1<<16)
 	for i := 0; i < 10; i++ {
 		f.emitTIP(f.exec)
 	}
@@ -250,9 +300,7 @@ func TestAsyncWrapLossMatchesSyncClassification(t *testing.T) {
 		pol.Async = async
 		var f *windowFixture
 		if async {
-			// A queue deep enough that backpressure never drains behind
-			// the schedule's back.
-			f = newAsyncFixture(t, pol, 256, 64)
+			f = newAsyncFixture(t, pol, 256)
 		} else {
 			f = newWindowFixture(t, pol)
 			f.tr.Out = ipt.NewToPA(256, 256)
@@ -326,7 +374,7 @@ func TestAsyncWrapLossMatchesSyncClassification(t *testing.T) {
 // first run is the warm-up, so the count is exact rather than an
 // average rounded down.
 func TestAsyncDrainZeroAlloc(t *testing.T) {
-	f := newAsyncFixture(t, asyncPolicy(), 512, 0)
+	f := newAsyncFixture(t, asyncPolicy(), 512)
 	for i := 0; i < 10; i++ {
 		f.emitTIP(f.exec)
 	}

@@ -2,26 +2,17 @@ package guard
 
 // AsyncPool: the worker side of the asynchronous checking pipeline
 // (DESIGN.md §9). Workers drain captured trace windows into their
-// guards' incremental decoders between endpoints; a watchdog catches
-// pipelines whose workers wedged or died and sheds their backlog to
-// synchronous draining. Failure containment is explicit: a worker panic
-// is recovered, counted, and — if it can have touched decoder state —
-// resolved under Policy.OnDegraded at the next gate, never propagated
-// into the traced process's goroutine.
+// guards' incremental decoders between endpoints; whatever they have not
+// fed when an endpoint fires, the gate decodes itself, so a wedged or
+// dead worker delays nothing but its own drains. Failure containment is
+// explicit: a worker panic is recovered, counted, and — if it can have
+// touched decoder state — resolved under Policy.OnDegraded at the next
+// gate, never propagated into the traced process's goroutine.
 
 import (
 	"fmt"
 	"sync"
 	"time"
-)
-
-// Watchdog cadence and staleness threshold: a backlog older than
-// watchdogStallAfter with no worker progress means the pool has fallen
-// behind (wedged, crashed, or oversubscribed) and the backlog is drained
-// synchronously instead of waiting for it to deadlock the next gate.
-const (
-	watchdogEvery      = 200 * time.Microsecond
-	watchdogStallAfter = time.Millisecond
 )
 
 // WorkerFaults injects worker-side faults into a pool — the
@@ -49,25 +40,17 @@ type AsyncPoolStats struct {
 	Crashes uint64
 	// Stalls is the number of injected worker stalls served.
 	Stalls uint64
-	// WatchdogSheds is the number of fallen-behind backlogs the watchdog
-	// drained synchronously.
-	WatchdogSheds uint64
 }
 
-// AsyncPool runs the background workers and the watchdog. One pool
-// serves any number of guards (workers parallelize across guards;
-// a single guard's stream drains serially under its own mutex).
+// AsyncPool runs the background workers. One pool serves any number of
+// guards (workers parallelize across guards; a single guard's stream
+// drains serially under its own mutex).
 type AsyncPool struct {
 	wake chan *Guard
 	quit chan struct{}
 	wg   sync.WaitGroup
 
-	// queue is the per-guard backpressure threshold (DefaultAsyncQueue;
-	// tests lower it).
-	queue int
-
 	mu     sync.Mutex
-	guards []*Guard
 	faults WorkerFaults
 	stats  AsyncPoolStats
 }
@@ -79,15 +62,13 @@ func NewAsyncPool(workers int) *AsyncPool {
 		workers = DefaultAsyncWorkers
 	}
 	p := &AsyncPool{
-		wake:  make(chan *Guard, 4*workers+16),
-		quit:  make(chan struct{}),
-		queue: DefaultAsyncQueue,
+		wake: make(chan *Guard, 4*workers+16),
+		quit: make(chan struct{}),
 	}
-	p.wg.Add(workers + 1)
+	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
 	}
-	go p.watchdog()
 	return p
 }
 
@@ -106,19 +87,12 @@ func (p *AsyncPool) Snapshot() AsyncPoolStats {
 	return p.stats
 }
 
-// Close stops the workers and the watchdog and waits for them. Captured
-// windows still pending are left to their guards' gates (or discarded
-// with the guards); Close never blocks on guard state.
+// Close stops the workers and waits for them. Captured windows still
+// pending are left to their guards' gates (or discarded with the
+// guards); Close never blocks on guard state.
 func (p *AsyncPool) Close() {
 	close(p.quit)
 	p.wg.Wait()
-}
-
-// register attaches a guard (EnableAsync calls it).
-func (p *AsyncPool) register(g *Guard) {
-	p.mu.Lock()
-	p.guards = append(p.guards, g)
-	p.mu.Unlock()
 }
 
 func (p *AsyncPool) worker() {
@@ -144,8 +118,8 @@ func (p *AsyncPool) runTask(g *Guard) {
 		}
 		if _, ok := r.(injectedCrash); ok {
 			// The injected crash fired before any guard state was
-			// touched: the backlog stays queued for a sibling, the
-			// watchdog, or the gate. Containment with zero state effect.
+			// touched: the backlog stays queued for a sibling or the
+			// gate. Containment with zero state effect.
 			g.asyncNoteCrash()
 		} else {
 			// A real worker bug may have died mid-feed; the decoder
@@ -164,8 +138,7 @@ func (p *AsyncPool) runTask(g *Guard) {
 	if f != nil {
 		if d := f.WorkerStall(); d > 0 {
 			// A wedged worker: holds no locks, just fails to make
-			// progress. The watchdog or the gate's deadline covers the
-			// backlog meanwhile.
+			// progress. The gate decodes the backlog meanwhile.
 			p.mu.Lock()
 			p.stats.Stalls++
 			p.mu.Unlock()
@@ -176,42 +149,5 @@ func (p *AsyncPool) runTask(g *Guard) {
 		}
 	}
 	for g.AsyncDrainOne() {
-	}
-}
-
-// watchdog scans registered guards for backlogs nobody is draining — a
-// wedged worker, a crash storm, or an oversubscribed pool — and sheds
-// them to synchronous draining on its own goroutine. This bounds how
-// long the bounded-staleness gate can be forced to its deadline: the
-// pipeline degrades to synchronous checking rather than deadlocking.
-func (p *AsyncPool) watchdog() {
-	defer p.wg.Done()
-	tick := time.NewTicker(watchdogEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-p.quit:
-			return
-		case <-tick.C:
-			p.mu.Lock()
-			guards := append([]*Guard(nil), p.guards...)
-			p.mu.Unlock()
-			for _, g := range guards {
-				a := g.main.async
-				a.mu.Lock()
-				stale := len(a.pending) > 0 && time.Since(a.oldestAt) > watchdogStallAfter
-				if stale {
-					a.sheds++
-				}
-				a.mu.Unlock()
-				if stale {
-					p.mu.Lock()
-					p.stats.WatchdogSheds++
-					p.mu.Unlock()
-					for g.AsyncDrainOne() {
-					}
-				}
-			}
-		}
 	}
 }

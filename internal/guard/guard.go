@@ -37,7 +37,6 @@ package guard
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"flowguard/internal/cfg"
 	"flowguard/internal/itc"
@@ -114,21 +113,11 @@ type Policy struct {
 	RetryMax int
 	// Async enables the asynchronous checking pipeline (§6 offloading,
 	// DESIGN.md §9): ToPA region-full events capture filled trace
-	// windows for a background AsyncPool, and endpoint checks wait for
-	// the pipeline to catch up instead of decoding the whole backlog
-	// inline. Verdicts are identical to synchronous checking — the gate
-	// always completes the residual decode itself before deciding.
+	// windows for a background AsyncPool, whose workers decode them
+	// between endpoints, so an endpoint check decodes only the residual
+	// tail inline. Verdicts are identical to synchronous checking — the
+	// gate always completes the residual decode itself before deciding.
 	Async bool
-	// MaxLagWindows is the endpoint gate's staleness bound: the largest
-	// captured-but-unchecked window backlog the gate will take onto the
-	// syscall's critical path without first waiting for the workers
-	// (0 = DefaultMaxLagWindows).
-	MaxLagWindows int
-	// AsyncGateWait is the gate's catch-up deadline. When the backlog
-	// stays above MaxLagWindows past it, the gate stops waiting, counts
-	// a watchdog shed, and drains synchronously — never deadlocks, never
-	// verdicts over unchecked trace (0 = DefaultAsyncGateWait).
-	AsyncGateWait time.Duration
 	// AsyncWorkers sizes the pool KernelModule creates on demand when
 	// Async is set and no pool was attached (0 = DefaultAsyncWorkers).
 	AsyncWorkers int
@@ -636,12 +625,6 @@ func (g *Guard) Check() Result { return g.check(&g.main) }
 //
 //fg:hotpath invoked at every intercepted endpoint
 func (g *Guard) check(s *stream) Result {
-	if a := s.async; a != nil {
-		// Bounded-staleness gate: wait (lock-free) for the pipeline to
-		// drain to Policy.MaxLagWindows before taking the residual decode
-		// onto the syscall's critical path.
-		a.gateWait(g)
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.inCheck = true

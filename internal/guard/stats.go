@@ -34,10 +34,14 @@ type Stats struct {
 	FairnessSheds  uint64 // sheds forced by per-tenant fairness (FleetPool)
 
 	// Asynchronous-pipeline accounting (Policy.Async, DESIGN.md §9).
-	AsyncWindows       uint64 // region-full captures handed to the worker pool
-	AsyncMaxLag        uint64 `merge:"max"` // high-water mark of captured-but-unchecked windows
-	BackpressureStalls uint64 // producer stalls against a full pending queue
-	WatchdogSheds      uint64 // sheds to synchronous draining (gate deadline or watchdog)
+	AsyncWindows uint64 // region-full captures handed to the worker pool
+	AsyncMaxLag  uint64 `merge:"max"` // high-water mark of captured-but-unchecked windows
+	// BackpressureStalls and WatchdogSheds are always zero: the pipeline
+	// has no producer stall and no watchdog, because the gate decodes
+	// any backlog itself (DESIGN.md §9). They stay because perfbench
+	// reports them under the names its artifacts already carry.
+	BackpressureStalls uint64
+	WatchdogSheds      uint64
 	WorkerCrashes      uint64 // contained async-worker crashes (injected or real)
 
 	// Fleet accounting (DESIGN.md §10).

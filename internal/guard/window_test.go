@@ -196,7 +196,7 @@ func TestIncrementalWindowMatchesFullRescan(t *testing.T) {
 			f.tr.Out = ipt.NewToPA(tc.region, tc.region)
 		}
 		if tc.async {
-			f.g.EnableAsync(closedPool(0))
+			f.g.EnableAsync(closedPool())
 		}
 		full := New(f.as, nil, nil, f.tr, pol)
 		var scannedSum uint64

@@ -21,15 +21,17 @@ type AsyncGateRow struct {
 	// Samples holds one value per run: mean ns blocked per intercepted
 	// syscall.
 	Samples []float64
-	// Calls is the intercepted-endpoint count across the runs; Windows,
-	// Sheds and MaxLag aggregate the pipeline's own accounting.
+	// Calls is the intercepted-endpoint count across the runs; Windows
+	// and MaxLag aggregate the pipeline's own accounting.
 	Calls   uint64
 	Windows uint64
-	Sheds   uint64
 	MaxLag  uint64
 	// P is the Mann-Whitney p-value of the samples against the
 	// synchronous row (1 for the synchronous row itself).
 	P float64
+	// Met reports whether the row beat the synchronous row: a lower
+	// median blocked time with P < 0.05.
+	Met bool
 }
 
 func (r AsyncGateRow) String() string {
@@ -37,7 +39,11 @@ func (r AsyncGateRow) String() string {
 	out := fmt.Sprintf("%-9s blocked/call=%7.2fµs (min %.2f, max %.2f, n=%d) calls=%d",
 		r.Name, s.Median/1e3, s.Min/1e3, s.Max/1e3, len(r.Samples), r.Calls)
 	if r.Workers > 0 {
-		out += fmt.Sprintf(" windows=%d maxlag=%d sheds=%d p=%.4g", r.Windows, r.MaxLag, r.Sheds, r.P)
+		met := "met"
+		if !r.Met {
+			met = "not met"
+		}
+		out += fmt.Sprintf(" windows=%d maxlag=%d p=%.4g %s", r.Windows, r.MaxLag, r.P, met)
 	}
 	return out
 }
@@ -113,7 +119,6 @@ func (r *Runner) AsyncGate(n int) ([]AsyncGateRow, error) {
 			row.Samples = append(row.Samples, float64(gate.Nanoseconds())/float64(calls))
 			row.Calls += calls
 			row.Windows += g.Stats.AsyncWindows
-			row.Sheds += g.Stats.WatchdogSheds
 			if g.Stats.AsyncMaxLag > row.MaxLag {
 				row.MaxLag = g.Stats.AsyncMaxLag
 			}
@@ -129,6 +134,8 @@ func (r *Runner) AsyncGate(n int) ([]AsyncGateRow, error) {
 		}
 		_, p := perfstat.MannWhitneyU(rows[0].Samples, rows[ri].Samples)
 		rows[ri].P = p
+		rows[ri].Met = p < 0.05 &&
+			perfstat.Summarize(rows[ri].Samples).Median < perfstat.Summarize(rows[0].Samples).Median
 	}
 	return rows, nil
 }

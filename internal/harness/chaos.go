@@ -126,10 +126,11 @@ func (r *Runner) Chaos(n int) ([]ChaosRow, error) {
 		}
 		g.Tracer.Fault = plan
 		st, err := k.Run(p, 500_000_000)
-		km.Shutdown()
 		if ap != nil {
+			// Stop the workers before Shutdown folds their crash counts.
 			ap.Close()
 		}
+		km.Shutdown()
 		if err != nil {
 			return nil, err
 		}

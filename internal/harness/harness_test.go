@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -328,10 +329,16 @@ func TestMultiProcTracingCost(t *testing.T) {
 }
 
 // TestChaosReproducible: a chaos sweep is a function of its seeds. Two
-// runs give identical rows apart from WorkerFaults, whose async worker
-// draws follow goroutine scheduling.
+// runs give identical rows and merged Stats blocks apart from
+// WorkerFaults, whose async worker draws follow goroutine scheduling,
+// and the Stats counters named in scheduled.
 func TestChaosReproducible(t *testing.T) {
 	const n = 24 // two full async/sync periods of the sweep
+	// Counters that follow goroutine scheduling, not the seed:
+	// AsyncMaxLag is the deepest backlog the workers left pending, which
+	// depends on when they ran; WorkerCrashes counts injected worker
+	// crashes, drawn per pool hook call like WorkerFaults.
+	scheduled := map[string]bool{"AsyncMaxLag": true, "WorkerCrashes": true}
 	var runs [2][]string
 	for i := range runs {
 		rows, err := runner().Chaos(n)
@@ -341,6 +348,11 @@ func TestChaosReproducible(t *testing.T) {
 		for _, row := range rows {
 			row.WorkerFaults = 0
 			runs[i] = append(runs[i], row.String())
+			for _, f := range row.Stats.Fields() {
+				if !scheduled[f.Name] {
+					runs[i] = append(runs[i], fmt.Sprintf("  %v %s=%d", row.Mode, f.Name, f.Value))
+				}
+			}
 		}
 	}
 	if !reflect.DeepEqual(runs[0], runs[1]) {

@@ -102,8 +102,7 @@ func mcNoise(fx *DiffFixture, p mcPoint, seed int64) [][]byte {
 // writes per packet, so region-full capture timing (never verdicts)
 // legitimately differs.
 var mcAsyncExempt = map[string]bool{
-	"AsyncWindows": true, "AsyncMaxLag": true, "BackpressureStalls": true,
-	"WatchdogSheds": true, "WorkerCrashes": true,
+	"AsyncWindows": true, "AsyncMaxLag": true, "WorkerCrashes": true,
 }
 
 // compareMCResults demands bit-identical solo/multicore results; the

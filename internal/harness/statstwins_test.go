@@ -22,8 +22,8 @@ var guardOnlyStats = map[string]string{
 	"CacheHits":          "production shortcut: the oracle keeps no fast-path cache",
 	"AsyncWindows":       "asynchronous-pipeline scheduling: the oracle always decodes synchronously",
 	"AsyncMaxLag":        "asynchronous-pipeline scheduling: the oracle always decodes synchronously",
-	"BackpressureStalls": "asynchronous-pipeline scheduling: the oracle always decodes synchronously",
-	"WatchdogSheds":      "asynchronous-pipeline scheduling: the oracle always decodes synchronously",
+	"BackpressureStalls": "always zero: the async pipeline has no producer stall; kept for perfbench's report",
+	"WatchdogSheds":      "always zero: the async pipeline has no watchdog; kept for perfbench's report",
 	"WorkerCrashes":      "asynchronous-pipeline scheduling: the oracle always decodes synchronously",
 	"FairnessSheds":      "fleet admission scheduling: the shed it forces is compared through Shed",
 	"ForkInherits":       "fleet lifecycle bookkeeping: the oracle has no fork inheritance",
