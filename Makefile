@@ -57,9 +57,11 @@ chaos:
 # async-smoke races the asynchronous checking pipeline end to end: the
 # guard's conformance/containment tests, the ToPA capture-concurrency
 # suite, the async slice of the chaos soak (worker stalls/crashes
-# under every OnDegraded mode), and the per-record annotation tests.
+# under every OnDegraded mode), the per-record annotation tests, and
+# the buffer-full PMI checks, whose async rows share the ToPA's one
+# region-full hook with the capture.
 async-smoke:
-	$(GO) test -race -short -run 'Async|ToPA|Chaos|Annotations' ./internal/guard/ ./internal/trace/ipt/ ./internal/faults/ -count=1
+	$(GO) test -race -short -run 'Async|ToPA|Chaos|Annotations|PMI' ./internal/guard/ ./internal/trace/ipt/ ./internal/faults/ -count=1
 
 # fleet-smoke is the CI fleet gate: a bounded flowguardd run under the
 # race detector (2k processes, fork storms, invariant assertions — the
@@ -136,9 +138,10 @@ cover-ratchet:
 	checkunion ./internal/analysis/... $(COVER_FLOOR_ANALYSIS)
 
 # vet is the pre-commit gate (and part of `make all`): the stock go vet
-# suite plus fgvet, the repo's own analyzers (oracle import isolation,
-# fail-closed verdict handling, hot-path allocation, lock ordering and
-# discipline). fgvet exits non-zero on any unsuppressed finding.
+# suite plus fgvet, the repo's six analyzers (oracle import isolation,
+# fail-closed verdict handling, hot-path allocation, lock discipline and
+# ordering, atomic fields, goroutine lifecycle). fgvet exits non-zero on
+# any unsuppressed finding.
 # The end-to-end benchmark is its own module (./... stops at its
 # boundary), so it is vetted separately: an API break it depends on
 # fails here instead of only when the benchmark runs.

@@ -212,19 +212,6 @@ func BenchmarkFastDecode(b *testing.B) {
 	m.report(b)
 }
 
-// BenchmarkFastDecodeParallel exercises the PSB-split parallel decoder.
-func BenchmarkFastDecodeParallel(b *testing.B) {
-	setup(b)
-	b.SetBytes(int64(len(fx.traceBuf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ipt.DecodeFastParallel(fx.traceBuf, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- §7.2.2 micro: fast path vs slow path ----------------------------------
 
 func microWindow(tb testing.TB) []byte {

@@ -11,10 +11,10 @@
 //	                 //fg:hotpath functions and the helpers they reach
 //	                 stay allocation-free; cold calls carry
 //	                 //fg:cold <reason> (§5.3, §8)
-//	lockdiscipline   no checker lock held across blocking operations or
-//	                 callbacks (§6)
-//	lockorder        one global mutex acquisition order — opposite
-//	                 orders anywhere in the callgraph can deadlock (§8)
+//	lockorder        no checker lock held across blocking operations or
+//	                 callbacks (§6), directly or through a call, and one
+//	                 global mutex acquisition order — opposite orders
+//	                 anywhere in the callgraph can deadlock (§8)
 //	atomicfield      a field accessed via sync/atomic is never touched
 //	                 plainly outside its constructor (§8)
 //	goroutinelifecycle
@@ -55,7 +55,6 @@ import (
 	"flowguard/internal/analysis/failclosed"
 	"flowguard/internal/analysis/goroutinelifecycle"
 	"flowguard/internal/analysis/hotpathinterproc"
-	"flowguard/internal/analysis/lockdiscipline"
 	"flowguard/internal/analysis/lockorder"
 	"flowguard/internal/analysis/oracleisolation"
 )
@@ -66,7 +65,6 @@ var analyzers = []*analysis.Analyzer{
 	failclosed.Analyzer,
 	goroutinelifecycle.Analyzer,
 	hotpathinterproc.Analyzer,
-	lockdiscipline.Analyzer,
 	lockorder.Analyzer,
 	oracleisolation.Analyzer,
 }

@@ -142,9 +142,6 @@ type Policy struct {
 	// OnDegraded selects the response to unverifiable trace windows and
 	// shed checks; the zero value fails closed.
 	OnDegraded DegradedMode
-	// RetryMax bounds SlowPathRetry recovery attempts per check
-	// (0 = the guard's default).
-	RetryMax int
 }
 
 // DefaultPolicy returns the configuration the paper evaluates.
@@ -166,7 +163,6 @@ func (p Policy) internal() guard.Policy {
 	g.PathSensitive = p.PathSensitive
 	g.CheckOnPMI = p.CheckOnPMI
 	g.OnDegraded = p.OnDegraded.internal()
-	g.RetryMax = p.RetryMax
 	return g
 }
 

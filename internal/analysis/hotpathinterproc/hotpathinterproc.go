@@ -41,8 +41,8 @@
 //   - `go` statements: the spawned work is off the caller's path
 //
 // Dynamic calls (function values, interface methods) cannot be
-// resolved statically and are not followed; lockdiscipline already
-// forbids callback invocation in the states that matter.
+// resolved statically and are not followed; lockorder already forbids
+// callback invocation in the states that matter.
 //
 // Per-function allocation reachability (with a witness chain) is
 // exported as a package fact, so a hot function in guard calling a

@@ -1,11 +1,24 @@
-// Package lockorder builds the global mutex acquisition-order graph
-// and reports cycles — the static form of deadlock freedom the
-// async/fleet checker depends on. PR 7's AsyncPool and PR 8's
-// FleetPool route every check through several mutexes (g.mu → a.mu,
+// Package lockorder enforces the checker's locking rules: no blocking
+// or foreign code under a lock, and one global acquisition order.
+// Guard.Check serializes on g.mu and CheckPool's accounting uses p.mu;
+// both sit on the endpoint-check critical path, where a mutex held
+// across a blocking operation turns one slow process into a fleet-wide
+// stall (the §6 offloading argument assumes checks of different
+// processes never wait on each other's bookkeeping). The AsyncPool and
+// the FleetPool route every check through several mutexes (g.mu → a.mu,
 // genMu → stripe.mu, shard.mu); a single call path that takes two of
 // them in the opposite order is a latent fleet-wide deadlock that no
 // test reliably reproduces. The analyzer:
 //
+//   - flags, inside any function (function literals included, each
+//     with its own lock regions), a channel send or receive, a
+//     time.Sleep call, or a call through a function value (callback,
+//     hook field) while a sync.Mutex/RWMutex is held — callbacks run
+//     arbitrary code and must never run under checker locks — and a
+//     lock-containing value copied into a `go` statement, whose copy
+//     guards nothing. The walk is linear over the function body (defer
+//     x.Unlock() pins the lock to function end): a discipline check,
+//     not a model checker
 //   - collects, per function, the locks acquired while other locks are
 //     held (directly from the summary walk, and transitively through
 //     static calls: if f holds A and calls g, every lock g acquires is
@@ -13,11 +26,11 @@
 //   - exports the resulting acquisition edges and per-function acquire
 //     sets as package facts, merges them with the facts of every
 //     dependency, and reports any cycle in the global graph
-//   - re-grounds the lockdiscipline blocking rules interprocedurally:
-//     calling a function that (transitively) performs a blocking
-//     channel operation or time.Sleep while holding a lock is flagged
-//     at the call site, not just when the operation is textually
-//     inside the locked region
+//   - re-grounds the blocking rules interprocedurally: calling a
+//     function that (transitively) performs a blocking channel
+//     operation or time.Sleep while holding a lock is flagged at the
+//     call site, not just when the operation is textually inside the
+//     locked region
 //
 // Lock identity is the owning type's field (one class per
 // "pkg.Type.field"), so two instances of the same struct share a
@@ -43,8 +56,10 @@ import (
 // Analyzer is the lockorder analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "global mutex acquisition-order graph must be acyclic; no call to a " +
-		"(transitively) blocking function while holding a lock",
+	Doc: "no mutex held across a channel send/receive, time.Sleep, callback " +
+		"invocation or call to a (transitively) blocking function; no " +
+		"lock-containing value copied into a go statement; global mutex " +
+		"acquisition-order graph must be acyclic",
 	Needs: analysis.NeedSummaries,
 	Facts: func() any { return new(Facts) },
 	Run:   run,
@@ -90,6 +105,8 @@ type FuncFact struct {
 }
 
 func run(pass *analysis.Pass) error {
+	reportHeld(pass)
+
 	// Merge dependency facts.
 	depFuncs := map[string]*FuncFact{}
 	var edges []Edge
@@ -176,7 +193,7 @@ func run(pass *analysis.Pass) error {
 				}
 			}
 			// Blocking call under a held lock: the interprocedural
-			// form of lockdiscipline's rules.
+			// form of reportHeld's rules.
 			if b := calleeBlocks(c.Callee, blocks, depFuncs); b != "" {
 				pass.Reportf(c.Pos, "call to %s while holding %s: it %s — a blocked checker stalls every sibling (release the lock first)",
 					c.Name, c.Held[0].Expr, b)
@@ -187,6 +204,40 @@ func run(pass *analysis.Pass) error {
 	reportCycles(pass, edges)
 	exportFacts(pass, acquires, blocks, edges)
 	return nil
+}
+
+// reportHeld reports what each function does textually inside its own
+// lock regions: blocking channel operations, time.Sleep and callback
+// invocations, plus lock-containing values copied into go statements.
+func reportHeld(pass *analysis.Pass) {
+	for _, key := range pass.Sum.Order {
+		fn := pass.Sum.Funcs[key]
+		for _, cp := range fn.GoLockCopies {
+			pass.Reportf(cp.Pos, "copying a lock-containing %s value into a go statement: the copy guards nothing (pass a pointer)", cp.Type)
+		}
+		for _, c := range fn.Calls {
+			if len(c.Held) == 0 {
+				continue
+			}
+			switch {
+			case c.Callee == "time.Sleep":
+				pass.Reportf(c.Pos, "time.Sleep while holding %s: a stalled checker blocks every sibling (release the lock first)", c.Held[0].Expr)
+			case c.Dynamic:
+				pass.Reportf(c.Pos, "callback invoked while holding %s: hooks must never run under checker locks", c.Held[0].Expr)
+			}
+		}
+		for _, op := range fn.Chans {
+			if len(op.Held) == 0 {
+				continue
+			}
+			switch op.Kind {
+			case summary.ChanSend:
+				pass.Reportf(op.Pos, "channel send while holding %s", op.Held[0].Expr)
+			case summary.ChanRecv:
+				pass.Reportf(op.Pos, "channel receive while holding %s", op.Held[0].Expr)
+			}
+		}
+	}
 }
 
 // exportFacts serializes this package's contribution: its own edges

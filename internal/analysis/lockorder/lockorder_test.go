@@ -16,6 +16,16 @@ func TestGood(t *testing.T) {
 	analysistest.RunFixture(t, Analyzer, "testdata/good", "flowguard/internal/analysis/lockorder/fixture")
 }
 
+// TestHeldBad and TestHeldGood cover the in-function rules: what a
+// function may not do textually inside its own lock region.
+func TestHeldBad(t *testing.T) {
+	analysistest.RunFixture(t, Analyzer, "testdata/held/bad", "flowguard/internal/analysis/lockorder/fixture")
+}
+
+func TestHeldGood(t *testing.T) {
+	analysistest.RunFixture(t, Analyzer, "testdata/held/good", "flowguard/internal/analysis/lockorder/fixture")
+}
+
 // TestStaleSuppression proves the suppression lifecycle on this
 // analyzer: a //fg:ignore lockorder left behind after the cycle was
 // fixed errors.

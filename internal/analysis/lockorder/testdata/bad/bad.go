@@ -45,7 +45,7 @@ func (s *sys) takeA() {
 }
 
 // stallUnderLock calls a function that blocks on a channel while
-// holding a.mu — invisible to the per-function lockdiscipline walk.
+// holding a.mu — invisible to the in-function rules.
 func (s *sys) stallUnderLock(ch chan int) {
 	s.a.mu.Lock()
 	s.drain(ch) // want "call to s.drain while holding s.a.mu"

@@ -93,9 +93,8 @@ func (w *world) pause() {
 }
 
 // shedNonBlocking wakes a worker under the lock through a
-// select-with-default: it cannot block, so holding g.mu is fine for
-// the lockorder analyzer (lockdiscipline's stricter textual rule is a
-// separate analyzer).
+// select-with-default: it cannot block, so holding g.mu across the
+// call is fine (the send is outside the lock region of notify itself).
 func (w *world) shedNonBlocking(wake chan struct{}) {
 	w.g.mu.Lock()
 	w.notify(wake)

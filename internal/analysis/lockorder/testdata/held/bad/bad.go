@@ -1,4 +1,4 @@
-// Package fixture injects each lock-discipline violation.
+// Package fixture injects each violation of the in-function lock rules.
 package fixture
 
 import (

@@ -66,7 +66,7 @@ func pointerIntoGoroutine(g *guarded) {
 // suppressed documents a deliberate exception.
 func suppressed(p *pool) {
 	p.mu.Lock()
-	//fg:ignore lockdiscipline fixture demonstrating a documented suppression
+	//fg:ignore lockorder fixture demonstrating a documented suppression
 	time.Sleep(time.Microsecond)
 	p.mu.Unlock()
 }

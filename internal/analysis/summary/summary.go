@@ -372,9 +372,8 @@ type fieldSeenKey struct {
 }
 
 // unit walks one function body, tracking the held-lock set linearly
-// (branches are walked in sequence: the same discipline approximation
-// the original lockdiscipline analyzer used — defer x.Unlock() pins
-// the lock to function end).
+// (branches are walked in sequence, a discipline approximation —
+// defer x.Unlock() pins the lock to function end).
 type unit struct {
 	b    *builder
 	fn   *Func

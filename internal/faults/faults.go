@@ -88,13 +88,14 @@ func (k Kind) String() string {
 // ovfMarker is a bare OVF packet, the in-band trace-loss marker.
 var ovfMarker = []byte{0x02, 0xF3}
 
-// Defaults for zero Config fields.
 const (
-	// DefaultWrapBurst comfortably exceeds the guard's default two-region
-	// 16 KiB ToPA, so one Wrap fault evicts any cached window.
+	// DefaultWrapBurst is the PAD-flood size of a Wrap fault. It
+	// comfortably exceeds the guard's default two-region 16 KiB ToPA,
+	// so one Wrap fault evicts any cached window.
 	DefaultWrapBurst = 20 << 10
-	// DefaultStallFor is long enough to hold a pool slot past a short
-	// admission deadline without slowing tests unduly.
+	// DefaultStallFor is the StallFor of a zero Config field: long
+	// enough to hold a pool slot past a short admission deadline
+	// without slowing tests unduly.
 	DefaultStallFor = 2 * time.Millisecond
 )
 
@@ -107,9 +108,6 @@ type Config struct {
 	// each fault kind. At most one fault fires per write; kinds are
 	// tried in declaration order.
 	Rates [numKinds]float64
-	// WrapBurst is the PAD-flood size for Wrap faults
-	// (DefaultWrapBurst if zero).
-	WrapBurst int
 	// StallFor is how long a Stall fault wedges a checker slot
 	// (DefaultStallFor if zero).
 	StallFor time.Duration
@@ -275,11 +273,7 @@ func (pl *Plan) Corrupt(p []byte, off uint64) []byte {
 		pl.pending = append([]byte(nil), p...)
 		out = append([]byte(nil), ovfMarker...)
 	case Wrap:
-		burst := pl.cfg.WrapBurst
-		if burst <= 0 {
-			burst = DefaultWrapBurst
-		}
-		out = append(make([]byte, burst), p...) // PAD flood, then the write
+		out = append(make([]byte, DefaultWrapBurst), p...) // PAD flood, then the write
 	}
 
 	if held == nil {

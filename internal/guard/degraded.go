@@ -31,7 +31,7 @@ const (
 	// regardless.
 	FailOpen
 	// SlowPathRetry re-snapshots the ToPA and retries a full-precision
-	// decode from successive sync points (bounded by Policy.RetryMax,
+	// decode from successive sync points (bounded by DefaultRetryMax,
 	// with exponential backoff); if no attempt yields a verifiable
 	// window covering the stream tail, the check fails closed.
 	SlowPathRetry
@@ -78,8 +78,8 @@ func (h TraceHealth) String() string {
 	return "health(?)"
 }
 
-// DefaultRetryMax bounds SlowPathRetry recovery attempts when
-// Policy.RetryMax is zero.
+// DefaultRetryMax bounds SlowPathRetry attempts per check: recovery
+// re-decodes here, and admission retries in CheckPool.Do.
 const DefaultRetryMax = 3
 
 // CyclesPerRetryBackoff is the modeled cost of the first retry backoff
@@ -140,18 +140,11 @@ func (g *Guard) resolveDegraded(res *Result, s *stream, tips []ipt.TIPRecord, ps
 // check fails closed: no verifiable evidence reaches the endpoint, and
 // the guard refuses to vouch for it.
 func (g *Guard) retrySlowPath(res *Result, s *stream, detail string) {
-	max := g.Policy.RetryMax
-	if max <= 0 {
-		max = DefaultRetryMax
-	}
 	wrapLoss := s.win.wrapLoss
 	s.win.src = nil // recovery always restarts from a fresh snapshot
 	buf := s.tr.Out.Snapshot()
 	pts := ipt.SyncPoints(buf)
-	attempts := len(pts)
-	if attempts > max {
-		attempts = max
-	}
+	attempts := min(len(pts), DefaultRetryMax)
 	if attempts == 0 {
 		attempts = 1 // probing an empty/sync-less snapshot still costs one attempt
 	}

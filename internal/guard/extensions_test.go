@@ -29,8 +29,25 @@ func TestEndpointPruningEscapesDefaultPolicy(t *testing.T) {
 	}
 }
 
+// pmiModes are the two pipelines the ToPA's one region-full hook
+// serves under CheckOnPMI: the synchronous check alone, and the async
+// capture followed by the check when the table wraps.
+var pmiModes = []struct {
+	name  string
+	async bool
+}{{"sync", false}, {"async", true}}
+
+// pmiPolicy is the default policy with buffer-full PMIs as endpoints.
+func pmiPolicy(async bool) guard.Policy {
+	pol := guard.DefaultPolicy()
+	pol.CheckOnPMI = true
+	pol.Async = async
+	return pol
+}
+
 // ...and TestEndpointPruningCaughtByPMI validates the paper's worst-case
-// fallback: with buffer-full PMIs as endpoints, the same attack dies.
+// fallback: with buffer-full PMIs as endpoints, the same attack dies,
+// with or without the async pipeline capturing the same region fills.
 func TestEndpointPruningCaughtByPMI(t *testing.T) {
 	a := analyze(t, apps.Vulnd())
 	a.train(t, benignTraffic())
@@ -39,34 +56,47 @@ func TestEndpointPruningCaughtByPMI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := guard.DefaultPolicy()
-	pol.CheckOnPMI = true
-	st, km, _, _ := a.protectAndRun(t, payload, pol)
-	if !st.Killed || st.Signal != kernelsim.SIGKILL {
-		t.Fatalf("PMI policy missed the pruning attack: %v", st)
+	for _, m := range pmiModes {
+		t.Run(m.name, func(t *testing.T) {
+			st, km, g, _ := a.protectAndRun(t, payload, pmiPolicy(m.async))
+			km.Shutdown()
+			if !st.Killed || st.Signal != kernelsim.SIGKILL {
+				t.Fatalf("PMI policy missed the pruning attack: %v", st)
+			}
+			if len(km.Reports) == 0 || !km.Reports[0].DetectedAtPMI() {
+				t.Fatalf("reports = %v, want a PMI-labeled detection", km.Reports)
+			}
+			if m.async && g.Stats.AsyncWindows == 0 {
+				t.Fatal("async run captured no windows: the PMI check displaced the capture")
+			}
+			t.Logf("report: %v", km.Reports[0])
+		})
 	}
-	if len(km.Reports) == 0 || !km.Reports[0].DetectedAtPMI() {
-		t.Fatalf("reports = %v, want a PMI-labeled detection", km.Reports)
-	}
-	t.Logf("report: %v", km.Reports[0])
 }
 
 // TestPMIPolicyBenignClean: PMI checking must not flag trained benign
-// traffic even when the buffer wraps many times.
+// traffic even when the buffer wraps many times, with or without the
+// async pipeline.
 func TestPMIPolicyBenignClean(t *testing.T) {
 	a := analyze(t, apps.Vulnd())
 	a.train(t, benignTraffic(), a.app.MakeInput(20, 5))
-	pol := guard.DefaultPolicy()
-	pol.CheckOnPMI = true
-	st, km, g, _ := a.protectAndRun(t, a.app.MakeInput(20, 5), pol)
-	if !st.Exited {
-		t.Fatalf("benign PMI run: %v; %v", st, km.Reports)
-	}
-	if len(km.Reports) != 0 {
-		t.Fatalf("false positives under PMI policy: %v", km.Reports)
-	}
-	if g.Stats.Checks == 0 {
-		t.Fatal("no checks ran")
+	for _, m := range pmiModes {
+		t.Run(m.name, func(t *testing.T) {
+			st, km, g, _ := a.protectAndRun(t, a.app.MakeInput(20, 5), pmiPolicy(m.async))
+			km.Shutdown()
+			if !st.Exited {
+				t.Fatalf("benign PMI run: %v; %v", st, km.Reports)
+			}
+			if len(km.Reports) != 0 {
+				t.Fatalf("false positives under PMI policy: %v", km.Reports)
+			}
+			if g.Stats.Checks == 0 {
+				t.Fatal("no checks ran")
+			}
+			if m.async && g.Stats.AsyncWindows == 0 {
+				t.Fatal("async run captured no windows")
+			}
+		})
 	}
 }
 

@@ -4,10 +4,9 @@ import (
 	"sync"
 )
 
-// DefaultFairShareBurst is the over-share multiplier when
-// FleetPool.Burst is zero: a tenant may hold up to Burst × its equal
-// share of a shard's checker slots before fairness demotes it to
-// best-effort admission.
+// DefaultFairShareBurst is the fair-share multiplier: a tenant may hold
+// up to DefaultFairShareBurst × its equal share of a shard's checker
+// slots before fairness demotes it to best-effort admission.
 const DefaultFairShareBurst = 2
 
 // FleetPool is the fleet-scale admission layer (DESIGN.md §10): checks
@@ -27,11 +26,6 @@ const DefaultFairShareBurst = 2
 // to one shard's queue while its siblings' shards stay unqueued.
 type FleetPool struct {
 	shards []*fleetShard
-
-	// Burst is the fair-share multiplier (DefaultFairShareBurst if 0):
-	// a tenant's in-flight admissions may reach
-	// Burst × workers / activeTenants (minimum 1) before demotion.
-	Burst int
 }
 
 type fleetShard struct {
@@ -97,21 +91,17 @@ func (f *FleetPool) shardFor(tenant string) *fleetShard {
 // Do admits and runs one check for the tenant under the fleet's
 // fairness rules, returning the (possibly shed) policy-governed result.
 func (f *FleetPool) Do(tenant string, g *Guard) Result {
-	burst := f.Burst
-	if burst <= 0 {
-		burst = DefaultFairShareBurst
-	}
-	return f.shardFor(tenant).do(tenant, g, burst)
+	return f.shardFor(tenant).do(tenant, g)
 }
 
-func (s *fleetShard) do(tenant string, g *Guard, burst int) Result {
+func (s *fleetShard) do(tenant string, g *Guard) Result {
 	// Account the admission attempt, then decide the tenant's standing.
 	// The mutex covers only the map — it is released before any pool
 	// channel operation, so a blocked admission never holds it.
 	s.mu.Lock()
 	s.inflight[tenant]++
 	cur := s.inflight[tenant]
-	share := s.fairShare(len(s.inflight), burst)
+	share := s.fairShare(len(s.inflight))
 	s.mu.Unlock()
 
 	var res Result
@@ -133,14 +123,15 @@ func (s *fleetShard) do(tenant string, g *Guard, burst int) Result {
 	return res
 }
 
-// fairShare is the per-tenant in-flight bound: burst × an equal split
-// of the shard's checker slots among currently active tenants, never
-// below one (every tenant may always have one check in flight).
-func (s *fleetShard) fairShare(activeTenants, burst int) int {
+// fairShare is the per-tenant in-flight bound: DefaultFairShareBurst ×
+// an equal split of the shard's checker slots among currently active
+// tenants, never below one (every tenant may always have one check in
+// flight).
+func (s *fleetShard) fairShare(activeTenants int) int {
 	if activeTenants < 1 {
 		activeTenants = 1
 	}
-	share := burst * s.pool.Workers() / activeTenants
+	share := DefaultFairShareBurst * s.pool.Workers() / activeTenants
 	if share < 1 {
 		share = 1
 	}

@@ -108,9 +108,6 @@ type Policy struct {
 	// overloaded CheckPool sheds the check (§7.1.2 worst cases). The
 	// zero value FailClosed treats unverifiable as a violation.
 	OnDegraded DegradedMode
-	// RetryMax bounds SlowPathRetry recovery attempts per check
-	// (0 = DefaultRetryMax).
-	RetryMax int
 	// Async enables the asynchronous checking pipeline (§6 offloading,
 	// DESIGN.md §9): ToPA region-full events capture filled trace
 	// windows for a background AsyncPool, whose workers decode them

@@ -49,10 +49,9 @@ func (r ViolationReport) DetectedAtPMI() bool { return r.Syscall == pmiPseudoSys
 // security-sensitive syscalls by replacing their syscall-table entries,
 // triggers the hybrid flow check, and SIGKILLs violators.
 //
-// With a CheckPool attached (UsePool), endpoint checks are admitted
-// under the pool's bound (§6 offloading). The module's own bookkeeping
-// is mutex-protected, so it stays safe when a caller dispatches
-// different processes' syscalls from separate goroutines.
+// The module's own bookkeeping is mutex-protected, so it stays safe
+// when a caller dispatches different processes' syscalls from separate
+// goroutines.
 type KernelModule struct {
 	K *kernelsim.Kernel
 
@@ -64,9 +63,6 @@ type KernelModule struct {
 	// Reports accumulates detected violations. Read it only after the
 	// run completes (or via ReportsSnapshot).
 	Reports []ViolationReport
-
-	// pool, when set, bounds concurrent endpoint checks (§6 offloading).
-	pool *CheckPool
 
 	// apool, when set (UseAsync, or created on demand for Policy.Async),
 	// runs the asynchronous checking pipeline for protected processes.
@@ -98,10 +94,6 @@ func InstallModule(k *kernelsim.Kernel) *KernelModule {
 	return m
 }
 
-// UsePool routes all flow checks through p. Call before the workload
-// runs.
-func (m *KernelModule) UsePool(p *CheckPool) { m.pool = p }
-
 // UseAsync attaches an asynchronous checking pool: processes protected
 // with Policy.Async get their region-full captures drained by p's
 // workers. Call before Protect. Without it, Protect creates (and
@@ -131,13 +123,10 @@ func (m *KernelModule) Shutdown() {
 
 // check runs one endpoint flow check of g's process: in multicore mode
 // over the calling thread's demuxed stream (mcCheck), otherwise over the
-// process stream, through the pool when one is attached.
+// process stream.
 func (m *KernelModule) check(g *Guard) Result {
 	if m.mc != nil {
 		return m.mcCheck(g)
-	}
-	if m.pool != nil {
-		return m.pool.Do(g)
 	}
 	return g.Check()
 }
@@ -201,7 +190,7 @@ func (m *KernelModule) ProtectForked(parent *Guard, child *kernelsim.Process) (*
 
 // protectTraced gives p a dedicated CR3-filtered trace unit, builds its
 // guard over that tracer with mk, registers it, and wires the
-// CheckOnPMI fallback.
+// CheckOnPMI fallback into the ToPA's one region-full hook.
 func (m *KernelModule) protectTraced(p *kernelsim.Process, mk func(*ipt.Tracer) *Guard) (*Guard, error) {
 	topa := ipt.NewToPA(regionSizes()...)
 	tr := ipt.NewTracer(topa)
@@ -227,11 +216,17 @@ func (m *KernelModule) protectTraced(p *kernelsim.Process, mk func(*ipt.Tracer) 
 	if g.Policy.CheckOnPMI {
 		// The worst-case endpoint of §7.1.2: a buffer-full PMI triggers
 		// a flow check even when the process avoids every sensitive
-		// syscall (endpoint pruning). The hook must not recurse into a
+		// syscall (endpoint pruning). The async capture, when register
+		// installed one, runs first at every region boundary; the check
+		// runs only when the table wraps. It must not recurse into a
 		// check already in flight (inCheck is confined to the process's
 		// goroutine: the hook fires from its own tracer writes).
-		topa.OnFull = func() {
-			if g.inCheck {
+		capture := topa.OnRegionFull
+		topa.OnRegionFull = func(ev ipt.RegionFull) {
+			if capture != nil {
+				capture(ev)
+			}
+			if !ev.Wrapped || g.inCheck {
 				return
 			}
 			res := m.check(g)

@@ -178,7 +178,6 @@ func TestCheckPoolInvariantConcurrent(t *testing.T) {
 		}
 		pol := guard.DefaultPolicy()
 		pol.OnDegraded = modes[i%len(modes)]
-		pol.RetryMax = 2
 		guards[i] = guard.New(as, a.ocfg, a.ig, tr, pol)
 	}
 

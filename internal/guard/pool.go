@@ -107,15 +107,11 @@ func (p *CheckPool) Do(g *Guard) Result {
 	t0 := time.Now()
 	acquired := p.acquire()
 	if !acquired && g.Policy.OnDegraded == SlowPathRetry {
-		max := g.Policy.RetryMax
-		if max <= 0 {
-			max = DefaultRetryMax
-		}
 		backoff := p.RetryBackoff
 		if backoff <= 0 {
 			backoff = defaultPoolBackoff
 		}
-		for attempt := 0; attempt < max && !acquired; attempt++ {
+		for attempt := 0; attempt < DefaultRetryMax && !acquired; attempt++ {
 			p.mu.Lock()
 			p.retried++
 			p.mu.Unlock()

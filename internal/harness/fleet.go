@@ -44,22 +44,21 @@ type FleetConfig struct {
 	// Processes are statically partitioned across drivers, so only the
 	// admission layer is contended — per-process state stays confined.
 	Drivers int
-	// ChunkBytes is the trace volume replayed into a process's ToPA per
-	// check event (default 2048; also the per-region ToPA size).
-	ChunkBytes int
-	// ZipfS is the Zipf skew parameter s > 1 (default 1.2).
-	ZipfS float64
 	// ForkEvery, when > 0, forks the currently driven process every
 	// ForkEvery driver-local events (a rolling fork storm). Each child
 	// inherits via guard.ForkGuard and is immediately driven for a
 	// burst of events.
 	ForkEvery int
-	// Apps lists the protected binaries (default: nginx, tar, dd).
-	Apps []*apps.App
-	// Policy is the per-process protection policy (Runner.Policy zero
-	// value falls back to guard.DefaultPolicy()).
-	Policy guard.Policy
 }
+
+// The fleet's fixed shape: the trace volume replayed into a process's
+// ToPA per check event (also the per-region ToPA size), and the Zipf
+// skew s > 1 of the driver's process pick. The protected binaries are
+// nginx, tar and dd, and every process runs the Runner's Policy.
+const (
+	fleetChunkBytes = 2048
+	fleetZipfS      = 1.2
+)
 
 // fleetBinary is one protected executable's shared state plus the
 // recorded benign trace its processes replay.
@@ -120,15 +119,6 @@ func (c *FleetConfig) setDefaults() {
 	if c.Drivers <= 0 {
 		c.Drivers = 8
 	}
-	if c.ChunkBytes < ipt.PSBSize {
-		c.ChunkBytes = 2048
-	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.2
-	}
-	if len(c.Apps) == 0 {
-		c.Apps = []*apps.App{apps.Nginx(), apps.Tar(), apps.DD()}
-	}
 }
 
 // NewFleet analyzes and trains every binary, records one benign trace
@@ -137,10 +127,7 @@ func (c *FleetConfig) setDefaults() {
 // clean replay can never take an untrained edge.
 func (r *Runner) NewFleet(cfg FleetConfig) (*Fleet, error) {
 	cfg.setDefaults()
-	pol := cfg.Policy
-	if pol.Endpoints == nil {
-		pol = r.Policy
-	}
+	pol := r.Policy
 
 	f := &Fleet{
 		cfg:          cfg,
@@ -149,7 +136,7 @@ func (r *Runner) NewFleet(cfg FleetConfig) (*Fleet, error) {
 		offeredShard: make([]atomic.Uint64, cfg.Shards),
 	}
 
-	for _, a := range cfg.Apps {
+	for _, a := range []*apps.App{apps.Nginx(), apps.Tar(), apps.DD()} {
 		an, err := r.Analyze(a)
 		if err != nil {
 			return nil, err
@@ -191,7 +178,7 @@ func (r *Runner) NewFleet(cfg FleetConfig) (*Fleet, error) {
 
 // newProc builds one simulated process over its binary's shared state.
 func (f *Fleet) newProc(fb *fleetBinary, tenant string, pol guard.Policy, cur int) (*fleetProc, error) {
-	topa := ipt.NewToPA(f.cfg.ChunkBytes, f.cfg.ChunkBytes)
+	topa := ipt.NewToPA(fleetChunkBytes, fleetChunkBytes)
 	tr := ipt.NewTracer(topa)
 	if err := tr.WriteMSR(ipt.MSRRTITCtl, ctlTrace); err != nil {
 		return nil, err
@@ -208,7 +195,7 @@ func (f *Fleet) newProc(fb *fleetBinary, tenant string, pol guard.Policy, cur in
 // step replays the process's next trace chunk and offers one check to
 // the admission layer.
 func (f *Fleet) step(p *fleetProc) {
-	raw, chunk := p.bin.raw, f.cfg.ChunkBytes
+	raw, chunk := p.bin.raw, fleetChunkBytes
 	if p.cur >= len(raw) {
 		// One full pass replayed: the process "restarts" — a fresh
 		// trace session over the same binary with a clean window.
@@ -279,7 +266,7 @@ func (f *Fleet) Run(events int, wall time.Duration) (*FleetResult, error) {
 			defer wg.Done()
 			procs := f.parts[d]
 			rng := rand.New(rand.NewSource(int64(7919*d) + 1))
-			zipf := rand.NewZipf(rng, f.cfg.ZipfS, 1, uint64(len(procs)-1))
+			zipf := rand.NewZipf(rng, fleetZipfS, 1, uint64(len(procs)-1))
 			local, localForks := uint64(0), uint64(0)
 			for n := 0; ; n++ {
 				if events > 0 && n >= perDriver[d] {

@@ -38,7 +38,6 @@ func oraclePolicy(p guard.Policy) oracle.Policy {
 		PathSensitive:       p.PathSensitive,
 		NaiveFullDecode:     p.NaiveFullDecode,
 		OnDegraded:          oracle.DegradedMode(p.OnDegraded),
-		RetryMax:            p.RetryMax,
 	}
 }
 

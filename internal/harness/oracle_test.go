@@ -49,8 +49,12 @@ func modePolicy(m guard.DegradedMode) guard.Policy {
 }
 
 // TestDegradedModeEnumsAgree pins the value-for-value correspondence
-// oraclePolicy's cast relies on.
+// oraclePolicy's cast relies on, and the SlowPathRetry budget both
+// pipelines hard-code.
 func TestDegradedModeEnumsAgree(t *testing.T) {
+	if guard.DefaultRetryMax != oracle.DefaultRetryMax {
+		t.Fatalf("retry budgets diverged: guard %d, oracle %d", guard.DefaultRetryMax, oracle.DefaultRetryMax)
+	}
 	if uint8(guard.FailClosed) != uint8(oracle.FailClosed) ||
 		uint8(guard.FailOpen) != uint8(oracle.FailOpen) ||
 		uint8(guard.SlowPathRetry) != uint8(oracle.SlowPathRetry) {

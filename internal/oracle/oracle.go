@@ -53,9 +53,9 @@ const (
 	SlowPathRetry
 )
 
-// defaultRetryMax bounds recovery re-decode attempts when the policy
-// leaves RetryMax unset.
-const defaultRetryMax = 3
+// DefaultRetryMax bounds recovery re-decode attempts per check; the
+// production guard's constant of the same name must equal it.
+const DefaultRetryMax = 3
 
 // Policy mirrors the checking-relevant production policy knobs (cost
 // modeling and endpoint selection are out of the oracle's scope).
@@ -67,7 +67,6 @@ type Policy struct {
 	PathSensitive       bool
 	NaiveFullDecode     bool
 	OnDegraded          DegradedMode
-	RetryMax            int
 }
 
 // Result of one reference check.
@@ -433,18 +432,11 @@ func (o *Oracle) tailCovered(recs []tipRec) bool {
 // fresh snapshot, forcing the full check over the first recovery whose
 // tail is covered; exhausted budgets fail closed.
 func (o *Oracle) retrySlowPath(res *Result, detail string) {
-	max := o.Policy.RetryMax
-	if max <= 0 {
-		max = defaultRetryMax
-	}
 	wrapLoss := o.wrapLoss
 	o.invalid = true // recovery abandons the retained stream
 	buf := o.Src.Snapshot()
 	pts := findAllPSBs(buf)
-	attempts := len(pts)
-	if attempts > max {
-		attempts = max
-	}
+	attempts := min(len(pts), DefaultRetryMax)
 	if attempts == 0 {
 		attempts = 1
 	}

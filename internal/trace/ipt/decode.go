@@ -1,9 +1,6 @@
 package ipt
 
-import (
-	"errors"
-	"sync"
-)
+import "errors"
 
 // Event is one decoded packet from the fast (packet-grammar-only) layer.
 // The one-byte fields come first so that they share one word.
@@ -73,11 +70,7 @@ func SyncPoints(buf []byte) []int {
 // is built on. A packet truncated by the end of the buffer terminates the
 // scan without error, matching a circular buffer cut mid-packet.
 func DecodeFast(buf []byte) ([]Event, error) {
-	return decodeFastFrom(buf, 0)
-}
-
-func decodeFastFrom(buf []byte, base int) ([]Event, error) {
-	s := pktScan{buf: buf, base: base}
+	s := pktScan{buf: buf}
 	var evs []Event
 	for {
 		var e Event
@@ -95,7 +88,6 @@ func decodeFastFrom(buf []byte, base int) ([]Event, error) {
 type pktScan struct {
 	buf    []byte
 	off    int // the next packet header
-	base   int // stream offset of buf[0], for diagnostics
 	lastIP uint64
 	inPSB  bool
 }
@@ -121,7 +113,7 @@ func (s *pktScan) next(e *Event) (bool, error) {
 			continue
 		case pcTNT:
 			tn := int(t >> 8)
-			*e = Event{Kind: KindTNT, TNTBits: (b >> 1) & (1<<tn - 1), TNTCount: tn, Off: s.base + i}
+			*e = Event{Kind: KindTNT, TNTBits: (b >> 1) & (1<<tn - 1), TNTCount: tn, Off: i}
 			s.off = i + 1
 			return true, nil
 		case pcTIP, pcTIPRec:
@@ -133,7 +125,7 @@ func (s *pktScan) next(e *Event) (bool, error) {
 			if ipb != 0 {
 				s.lastIP = ipReconstruct(ipb, buf[i+1:i+plen], s.lastIP)
 			}
-			*e = Event{Kind: kind, Suppressed: ipb == 0, Ctx: kind == KindFUP && s.inPSB, IP: s.lastIP, Off: s.base + i}
+			*e = Event{Kind: kind, Suppressed: ipb == 0, Ctx: kind == KindFUP && s.inPSB, IP: s.lastIP, Off: i}
 			s.off = i + plen
 			return true, nil
 		case pcExt:
@@ -141,7 +133,7 @@ func (s *pktScan) next(e *Event) (bool, error) {
 				break // truncated tail
 			}
 			plen := 2
-			*e = Event{Off: s.base + i}
+			*e = Event{Off: i}
 			switch buf[i+1] {
 			case extPSB:
 				plen = PSBSize
@@ -149,7 +141,7 @@ func (s *pktScan) next(e *Event) (bool, error) {
 					e.Kind = KindPSB
 					s.lastIP, s.inPSB = 0, true
 				} else if i+plen <= n {
-					err = malformedf("malformed PSB at %d", s.base+i)
+					err = malformedf("malformed PSB at %d", i)
 				}
 			case extPSBEND:
 				e.Kind = KindPSBEND
@@ -165,7 +157,7 @@ func (s *pktScan) next(e *Event) (bool, error) {
 			case extOVF:
 				e.Kind = KindOVF
 			default:
-				err = malformedf("unknown extended opcode %#02x at %d", buf[i+1], s.base+i)
+				err = malformedf("unknown extended opcode %#02x at %d", buf[i+1], i)
 			}
 			if err != nil || i+plen > n {
 				break // malformed, or a truncated tail
@@ -174,65 +166,15 @@ func (s *pktScan) next(e *Event) (bool, error) {
 			return true, nil
 		default: // pcBad
 			if b&1 == 0 {
-				err = malformedf("malformed TNT byte %#02x at %d", b, s.base+i)
+				err = malformedf("malformed TNT byte %#02x at %d", b, i)
 			} else {
-				err = malformedf("unknown packet header %#02x at %d", b, s.base+i)
+				err = malformedf("unknown packet header %#02x at %d", b, i)
 			}
 		}
 		break
 	}
 	s.off = i
 	return false, err
-}
-
-// DecodeFastParallel decodes the stream with one worker per PSB-delimited
-// segment, exploiting that PSB resets decoder state (§5.3: "with the help
-// of packet stream boundary packets... this process can be done in
-// parallel"). The leading bytes before the first PSB are decoded inline
-// when the stream starts at a packet boundary; after a wrap, pass a
-// buffer already Sync'd to a PSB.
-func DecodeFastParallel(buf []byte, workers int) ([]Event, error) {
-	pts := SyncPoints(buf)
-	if len(pts) == 0 || workers <= 1 {
-		return DecodeFast(buf)
-	}
-	segs := make([][2]int, 0, len(pts)+1)
-	if pts[0] != 0 {
-		segs = append(segs, [2]int{0, pts[0]})
-	}
-	for i, p := range pts {
-		end := len(buf)
-		if i+1 < len(pts) {
-			end = pts[i+1]
-		}
-		segs = append(segs, [2]int{p, end})
-	}
-	results := make([][]Event, len(segs))
-	errs := make([]error, len(segs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for si, s := range segs {
-		wg.Add(1)
-		go func(si int, lo, hi int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[si], errs[si] = decodeFastFrom(buf[lo:hi], lo)
-		}(si, s[0], s[1])
-	}
-	wg.Wait()
-	var out []Event
-	for si := range segs {
-		// A segment cut at the next PSB may end mid-packet only if the
-		// stream is corrupt; the encoder never splits packets across a
-		// PSB. Truncation errors are therefore real errors here except
-		// for the final segment.
-		if errs[si] != nil {
-			return nil, errs[si]
-		}
-		out = append(out, results[si]...)
-	}
-	return out, nil
 }
 
 // TIPRecord is one checked unit of the fast path: a TIP target plus the

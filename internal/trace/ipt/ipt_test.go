@@ -246,7 +246,11 @@ func TestIPCompression(t *testing.T) {
 func TestToPAWrapAndResync(t *testing.T) {
 	topa := ipt.NewToPA(2048, 2048)
 	fills := 0
-	topa.OnFull = func() { fills++ }
+	topa.OnRegionFull = func(ev ipt.RegionFull) {
+		if ev.Wrapped {
+			fills++
+		}
+	}
 	c, tr, truth := traceProgram(t, topa, func(b *asm.Builder) {
 		main := b.Func("main", 0, true)
 		b.SetEntry("main")
@@ -292,38 +296,6 @@ func TestToPAWrapAndResync(t *testing.T) {
 		if ft.Flow[i] != tail[i] {
 			t.Fatalf("window branch %d = %+v, want %+v", i, ft.Flow[i], tail[i])
 		}
-	}
-}
-
-// TestParallelDecodeMatchesSerial verifies PSB-split parallel decoding is
-// equivalent to the serial scan.
-func TestParallelDecodeMatchesSerial(t *testing.T) {
-	_, tr, _ := traceProgram(t, ipt.NewToPA(1<<20), func(b *asm.Builder) {
-		main := b.Func("main", 0, true)
-		b.SetEntry("main")
-		main.Movi(isa.R5, 0)
-		main.Label("loop")
-		main.Call("leaf")
-		main.Addi(isa.R5, 1)
-		main.Cmpi(isa.R5, 3000)
-		main.Jcc(isa.LT, "loop")
-		main.Halt()
-		b.Func("leaf", 0, false).Nop().Ret()
-	})
-	raw := tr.Out.Snapshot()
-	if len(ipt.SyncPoints(raw)) < 3 {
-		t.Fatalf("want multiple PSBs, got %d", len(ipt.SyncPoints(raw)))
-	}
-	serial, err := ipt.DecodeFast(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := ipt.DecodeFastParallel(raw, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel decode differs: %d vs %d events", len(parallel), len(serial))
 	}
 }
 

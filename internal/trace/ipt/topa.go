@@ -17,10 +17,10 @@ import "sync"
 //
 // All methods are safe for concurrent use: the asynchronous checking
 // pipeline reads (AppendSince, SnapshotInto, Gen, TotalWritten) while
-// the producer writes. The hook fields OnFull and OnRegionFull must be
-// installed before concurrent use begins; they are invoked on the
-// writer's goroutine with the buffer's lock released, so a hook may call
-// back into any ToPA method (including Write).
+// the producer writes. The hook field OnRegionFull must be installed
+// before concurrent use begins; it is invoked on the writer's goroutine
+// with the buffer's lock released, so the hook may call back into any
+// ToPA method (including Write).
 type ToPA struct {
 	mu sync.Mutex
 
@@ -38,14 +38,12 @@ type ToPA struct {
 	// resetTotal is the value of total at the last Reset; the physical
 	// position of logical byte a is (a-resetTotal) mod Capacity().
 	resetTotal uint64
-	// OnFull, if non-nil, is invoked each time the final region fills
-	// (the PMI hook). The buffer wraps regardless.
-	OnFull func()
 	// OnRegionFull, if non-nil, is invoked each time any region fills —
-	// the interrupt real ToPA tables raise per INT-flagged entry. This is
-	// the asynchronous pipeline's capture point: it fires mid-Write, on
-	// the writer's goroutine, once per region boundary crossed, before
-	// OnFull for the final region.
+	// the interrupt real ToPA tables raise per INT-flagged entry. It
+	// fires mid-Write, on the writer's goroutine, once per region
+	// boundary crossed. The asynchronous pipeline captures here, and the
+	// final region's fill (RegionFull.Wrapped) is the buffer-full PMI;
+	// the buffer wraps regardless.
 	OnRegionFull func(RegionFull)
 }
 
@@ -175,13 +173,8 @@ func (t *ToPA) Write(p []byte) {
 			}
 		}
 		t.mu.Unlock()
-		if filled {
-			if t.OnRegionFull != nil {
-				t.OnRegionFull(ev)
-			}
-			if ev.Wrapped && t.OnFull != nil {
-				t.OnFull()
-			}
+		if filled && t.OnRegionFull != nil {
+			t.OnRegionFull(ev)
 		}
 	}
 }

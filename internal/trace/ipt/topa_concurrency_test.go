@@ -19,17 +19,12 @@ import (
 )
 
 // TestToPAOnRegionFullSemantics: one event per region boundary, with a
-// consistent snapshot of (Region, Gen, Total), Wrapped only on the final
-// region, and OnFull still firing after it.
+// consistent snapshot of (Region, Gen, Total), and Wrapped (the
+// buffer-full PMI) only on the final region.
 func TestToPAOnRegionFullSemantics(t *testing.T) {
 	tp := NewToPA(8, 8)
 	var evs []RegionFull
-	order := []string{}
-	tp.OnRegionFull = func(ev RegionFull) {
-		evs = append(evs, ev)
-		order = append(order, "region")
-	}
-	tp.OnFull = func() { order = append(order, "full") }
+	tp.OnRegionFull = func(ev RegionFull) { evs = append(evs, ev) }
 
 	tp.Write(make([]byte, 5))
 	if len(evs) != 0 {
@@ -52,17 +47,6 @@ func TestToPAOnRegionFullSemantics(t *testing.T) {
 	}
 	if evs[0].Gen >= evs[1].Gen || evs[1].Gen >= evs[2].Gen {
 		t.Errorf("generations not increasing across fills: %v", evs)
-	}
-	// OnFull (the wrap PMI) fires after the region event for the final
-	// region, and only there.
-	wantOrder := []string{"region", "region", "full", "region"}
-	if len(order) != len(wantOrder) {
-		t.Fatalf("hook order = %v, want %v", order, wantOrder)
-	}
-	for i := range order {
-		if order[i] != wantOrder[i] {
-			t.Fatalf("hook order = %v, want %v", order, wantOrder)
-		}
 	}
 }
 

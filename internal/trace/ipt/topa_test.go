@@ -25,7 +25,11 @@ func TestToPASnapshotBeforeWrap(t *testing.T) {
 func TestToPAWrapKeepsNewestAndFiresPMI(t *testing.T) {
 	tp := NewToPA(4, 4)
 	pmis := 0
-	tp.OnFull = func() { pmis++ }
+	tp.OnRegionFull = func(ev RegionFull) {
+		if ev.Wrapped {
+			pmis++
+		}
+	}
 	for i := byte(0); i < 20; i++ {
 		tp.Write([]byte{i})
 	}
