@@ -83,8 +83,8 @@ func (w *Workload) Input(scale int, seed int64) []byte {
 
 // DegradedMode selects the guard's fail behavior when a trace window
 // cannot be verified — overflow, unattributable gap, grammar-level
-// corruption — or when an overloaded checker pool sheds the check (the
-// §7.1.2 worst cases).
+// corruption (the §7.1.2 worst cases) — or when per-tenant fairness
+// sheds a pooled check.
 type DegradedMode uint8
 
 // Degraded-mode policies. The zero value is FailClosed.
@@ -317,9 +317,9 @@ type Outcome struct {
 	// DegradedChecks counts checks resolved under Policy.OnDegraded
 	// (damaged trace windows or shed pooled checks); FailOpens and
 	// FailClosures split them by outcome, Retries counts SlowPathRetry
-	// recovery attempts, and Shed counts checks an overloaded checker
-	// pool refused — every shed is policy-resolved and lands in one of
-	// the other counters, never dropped silently.
+	// recovery attempts, and Shed counts pooled checks per-tenant
+	// fairness refused — every shed is policy-resolved and lands in one
+	// of the other counters, never dropped silently.
 	DegradedChecks, FailOpens, FailClosures, Retries, Shed uint64
 	// CredRatio is the runtime fraction of credible edges.
 	CredRatio float64

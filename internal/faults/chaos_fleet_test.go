@@ -179,10 +179,10 @@ func TestChaosFleetForkStorm(t *testing.T) {
 
 // TestChaosFleetTenantFlood floods a sharded FleetPool from a skewed
 // tenant population while a seeded fault plan stalls every checker
-// slot: admission must shed (deadlines are shorter than the stalls)
-// but never miscount — per shard and merged, checks == admitted +
-// shed against independently counted offered load, with the guard-side
-// ledger agreeing.
+// slot: the flooding tenant runs past its fair share, so admission must
+// shed, but never miscount — per shard and merged, checks == admitted +
+// shed against independently counted offered load, every shed is a
+// fairness shed, and the guard-side ledger agrees.
 func TestChaosFleetTenantFlood(t *testing.T) {
 	f := chaosFixture(t)
 	const (
@@ -201,8 +201,6 @@ func TestChaosFleetTenantFlood(t *testing.T) {
 		fp := guard.NewFleetPool(shards, workers)
 		for _, p := range fp.Shards() {
 			p.Stall = plan.Stall
-			p.Deadline = 50 * time.Microsecond
-			p.QueueLimit = 1
 		}
 
 		offered := make([]atomic.Uint64, shards)
@@ -243,8 +241,8 @@ func TestChaosFleetTenantFlood(t *testing.T) {
 				t.Errorf("seed %d shard %d ledger: admitted %d + shed %d != offered %d",
 					seed, s, ps.Checks, ps.Shed, off)
 			}
-			if ps.FairnessSheds > ps.Shed {
-				t.Errorf("seed %d shard %d: fairness sheds %d exceed sheds %d", seed, s, ps.FairnessSheds, ps.Shed)
+			if ps.FairnessSheds != ps.Shed {
+				t.Errorf("seed %d shard %d: %d sheds but %d fairness sheds; fairness is the only shed", seed, s, ps.Shed, ps.FairnessSheds)
 			}
 			sum.Merge(ps)
 		}
@@ -255,8 +253,11 @@ func TestChaosFleetTenantFlood(t *testing.T) {
 		if merged.Checks+merged.Shed != total {
 			t.Errorf("seed %d merged ledger: admitted %d + shed %d != offered %d", seed, merged.Checks, merged.Shed, total)
 		}
+		if merged.FairnessSheds != merged.Shed {
+			t.Errorf("seed %d merged: %d sheds but %d fairness sheds; fairness is the only shed", seed, merged.Shed, merged.FairnessSheds)
+		}
 		if merged.Shed == 0 {
-			t.Errorf("seed %d: a stalled flood shed nothing; the overload path went untested", seed)
+			t.Errorf("seed %d: a stalled flood shed nothing; the fairness path went untested", seed)
 		}
 		var agg guard.Stats
 		for _, g := range guards {
@@ -275,11 +276,11 @@ func TestChaosFleetTenantFlood(t *testing.T) {
 	}
 }
 
-// TestChaosFleetShardStall wedges one shard of a FleetPool — checker
-// slots stalled far past the admission deadline — while the other
-// shards run clean. Failure containment is the property: tenants on
-// clean shards must never be shed or degraded, the wedged shard must
-// shed (not deadlock), and every ledger must still balance.
+// TestChaosFleetShardStall wedges one shard of a FleetPool — every
+// checker slot stalled — while the other shards run clean. Failure
+// containment is the property: tenants on clean shards must never be
+// shed or degraded, the wedged shard's tenant, running past its fair
+// share, must shed (not deadlock), and every ledger must still balance.
 func TestChaosFleetShardStall(t *testing.T) {
 	f := chaosFixture(t)
 	const (
@@ -308,14 +309,13 @@ func TestChaosFleetShardStall(t *testing.T) {
 	})
 	wp := fp.Shards()[wedged]
 	wp.Stall = plan.Stall
-	wp.Deadline = 100 * time.Microsecond
-	wp.QueueLimit = 1
 
 	offered := make([]atomic.Uint64, shards)
 	var cleanGuards []*guard.Guard
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	// The wedged shard's tenant hammers it concurrently...
+	// The wedged shard's tenant hammers it concurrently, with more check
+	// loops than its fair share of the shard's slots...
 	for w := 0; w < wedgedLoops; w++ {
 		g := idleGuard(t, f, guard.DefaultPolicy())
 		wg.Add(1)
@@ -361,7 +361,7 @@ func TestChaosFleetShardStall(t *testing.T) {
 
 	snaps := fp.ShardSnapshots()
 	if snaps[wedged].Shed == 0 {
-		t.Error("the wedged shard shed nothing; its deadline never fired")
+		t.Error("the wedged shard shed nothing; its over-share tenant was never refused")
 	}
 	var sum guard.PoolStats
 	for s, ps := range snaps {
@@ -371,10 +371,13 @@ func TestChaosFleetShardStall(t *testing.T) {
 		if off := offered[s].Load(); ps.Checks+ps.Shed != off {
 			t.Errorf("shard %d ledger: admitted %d + shed %d != offered %d", s, ps.Checks, ps.Shed, off)
 		}
+		if ps.FairnessSheds != ps.Shed {
+			t.Errorf("shard %d: %d sheds but %d fairness sheds; fairness is the only shed", s, ps.Shed, ps.FairnessSheds)
+		}
 		sum.Merge(ps)
 	}
 	merged := fp.Snapshot()
-	if sum.Checks != merged.Checks || sum.Shed != merged.Shed {
+	if sum.Checks != merged.Checks || sum.Shed != merged.Shed || sum.FairnessSheds != merged.FairnessSheds {
 		t.Errorf("shard sum %+v diverges from merged %+v", sum, merged)
 	}
 	var clean guard.Stats

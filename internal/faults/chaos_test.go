@@ -6,8 +6,8 @@ package faults_test
 // checking design: no fault plan can panic the guard, and injected
 // attacks are still detected in every degraded mode except an explicit
 // fail-open window. A companion test saturates a one-slot CheckPool and
-// verifies overload sheds are policy-governed and fully accounted —
-// never silent.
+// verifies that every check waits for its slot and is fully accounted —
+// never shed, never silent.
 
 import (
 	"runtime"
@@ -275,84 +275,79 @@ func recordTrace(t *testing.T, f *fixture, input []byte) []byte {
 // checks from concurrently checking processes: each goroutine replays a
 // recorded trace into its own guard's ToPA in 512-byte chunks and checks
 // through the shared pool after every chunk, stopping at its first
-// violation as a SIGKILL would. The pool must neither deadlock nor drop
-// checks silently: every endpoint check appears in the guards'
-// statistics, sheds are counted on both sides, and attacks are still
-// detected under the non-fail-open policies.
+// violation as a SIGKILL would. A pooled check waits for its slot
+// however long the stalls make it, so the pool must neither deadlock
+// nor shed: every chunk offered is admitted and checked, the guards'
+// statistics agree with the pool's, and the attacks are detected.
 func TestChaosPoolOverload(t *testing.T) {
 	f := chaosFixture(t)
 	bin := guard.NewBinary(f.ocfg.AS, f.ocfg, f.ig.Artifact())
 	benign := recordTrace(t, f, benignTraffic())
 	hijacked := recordTrace(t, f, f.rop)
 	const chunk = 512
-	for _, mode := range []guard.DegradedMode{guard.FailClosed, guard.SlowPathRetry} {
-		pool := guard.NewCheckPool(1)
-		pool.Deadline = 100 * time.Microsecond
-		pool.QueueLimit = 2
-		pool.RetryBackoff = 50 * time.Microsecond
-		stallPlan := faults.New(faults.Config{
-			Seed:     42,
-			Rates:    stallAlways(),
-			StallFor: 2 * time.Millisecond,
-		})
-		pool.Stall = stallPlan.Stall
+	pool := guard.NewCheckPool(1)
+	stallPlan := faults.New(faults.Config{
+		Seed:     42,
+		Rates:    stallAlways(),
+		StallFor: 2 * time.Millisecond,
+	})
+	pool.Stall = stallPlan.Stall
 
-		pol := guard.DefaultPolicy()
-		pol.OnDegraded = mode
-
-		const procsN = 6
-		guards := make([]*guard.Guard, procsN)
-		killed := make([]bool, procsN)
-		var wg sync.WaitGroup
-		for i := range guards {
-			raw := benign
-			if i%3 == 0 {
-				raw = hijacked
+	const procsN = 6
+	guards := make([]*guard.Guard, procsN)
+	killed := make([]bool, procsN)
+	offered := make([]uint64, procsN)
+	var wg sync.WaitGroup
+	for i := range guards {
+		raw := benign
+		if i%3 == 0 {
+			raw = hijacked
+		}
+		tr := ipt.NewTracer(ipt.NewToPA(guard.DefaultToPARegion, guard.DefaultToPARegion))
+		guards[i] = bin.NewGuard(tr, guard.DefaultPolicy())
+		wg.Add(1)
+		go func(i int, g *guard.Guard, raw []byte) {
+			defer wg.Done()
+			for lo := 0; lo < len(raw) && !killed[i]; lo += chunk {
+				g.Tracer.Out.Write(raw[lo:min(lo+chunk, len(raw))])
+				offered[i]++
+				killed[i] = pool.Do(g).Verdict == guard.VerdictViolation
 			}
-			tr := ipt.NewTracer(ipt.NewToPA(guard.DefaultToPARegion, guard.DefaultToPARegion))
-			guards[i] = bin.NewGuard(tr, pol)
-			wg.Add(1)
-			go func(i int, g *guard.Guard, raw []byte) {
-				defer wg.Done()
-				for lo := 0; lo < len(raw) && !killed[i]; lo += chunk {
-					g.Tracer.Out.Write(raw[lo:min(lo+chunk, len(raw))])
-					killed[i] = pool.Do(g).Verdict == guard.VerdictViolation
-				}
-			}(i, guards[i], raw)
-		}
-		done := make(chan struct{})
-		go func() {
-			wg.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(60 * time.Second):
-			t.Fatalf("mode %v: pool overload deadlocked", mode)
-		}
-
-		for i := range guards {
-			if i%3 == 0 && !killed[i] {
-				t.Errorf("mode %v: attack process %d not detected under overload", mode, i)
-			}
-		}
-		ps := pool.Snapshot()
-		var guardChecks uint64
-		for _, g := range guards {
-			guardChecks += g.Stats.Checks
-		}
-		if guardChecks != ps.Checks+ps.Shed {
-			t.Errorf("mode %v: %d guard checks vs %d admitted + %d shed: checks dropped silently",
-				mode, guardChecks, ps.Checks, ps.Shed)
-		}
-		if ps.Shed == 0 {
-			t.Errorf("mode %v: saturated pool shed nothing; overload path untested", mode)
-		}
-		if mode == guard.SlowPathRetry && ps.Retried == 0 {
-			t.Errorf("slow-path-retry mode recorded no admission retries")
-		}
-		t.Logf("mode %v: admitted=%d shed=%d retried=%d guardChecks=%d", mode, ps.Checks, ps.Shed, ps.Retried, guardChecks)
+		}(i, guards[i], raw)
 	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("pool overload deadlocked")
+	}
+
+	for i := range guards {
+		if i%3 == 0 && !killed[i] {
+			t.Errorf("attack process %d not detected under overload", i)
+		}
+	}
+	ps := pool.Snapshot()
+	var guardChecks, chunks uint64
+	for i, g := range guards {
+		guardChecks += g.Stats.Checks
+		chunks += offered[i]
+	}
+	if ps.Shed != 0 {
+		t.Errorf("a bare pool shed %d checks; a pooled check must wait for its slot", ps.Shed)
+	}
+	if ps.Checks != chunks || guardChecks != chunks {
+		t.Errorf("%d chunks offered, %d admitted, %d guard checks: checks dropped silently",
+			chunks, ps.Checks, guardChecks)
+	}
+	if counts := stallPlan.Counts(); counts[faults.Stall] != ps.Checks {
+		t.Errorf("%d stalls for %d admitted checks; every admission consults the stall hook", counts[faults.Stall], ps.Checks)
+	}
+	t.Logf("admitted=%d guardChecks=%d chunks=%d", ps.Checks, guardChecks, chunks)
 }
 
 func stallAlways() [faults.NumKinds]float64 {

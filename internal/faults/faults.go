@@ -1,8 +1,8 @@
 // Package faults is the fault-injection harness for the trace pipeline:
 // seeded, deterministic plans that damage the trace stream the way real
 // deployments do — lost ToPA output, corrupted buffer bytes, overflow
-// desynchronization, wrap floods — plus checker-side stalls for
-// overloading a guard.CheckPool. A Plan plugs into ipt.Tracer via the
+// desynchronization, wrap floods — plus checker-side stalls that wedge
+// a guard.CheckPool's slots. A Plan plugs into ipt.Tracer via the
 // ipt.WriteFault hook and into the pool via its Stall method; the guard
 // under test is never modified, only its inputs are.
 //
@@ -94,7 +94,7 @@ const (
 	// so one Wrap fault evicts any cached window.
 	DefaultWrapBurst = 20 << 10
 	// DefaultStallFor is the StallFor of a zero Config field: long
-	// enough to hold a pool slot past a short admission deadline
+	// enough to keep a pool's slots busy while other checks arrive
 	// without slowing tests unduly.
 	DefaultStallFor = 2 * time.Millisecond
 )

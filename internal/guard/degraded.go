@@ -14,8 +14,8 @@ import (
 )
 
 // DegradedMode selects the guard's fail behavior when a window cannot be
-// verified (overflow, gap, corruption) or a pooled check is shed under
-// overload.
+// verified (overflow, gap, corruption) or FleetPool sheds a check of an
+// over-share tenant.
 type DegradedMode uint8
 
 // Degraded-mode policies. The zero value is FailClosed: an unverifiable
@@ -33,7 +33,8 @@ const (
 	// SlowPathRetry re-snapshots the ToPA and retries a full-precision
 	// decode from successive sync points (bounded by DefaultRetryMax,
 	// with exponential backoff); if no attempt yields a verifiable
-	// window covering the stream tail, the check fails closed.
+	// window covering the stream tail, the check fails closed. A check
+	// FleetPool sheds has no window to retry and fails closed too.
 	SlowPathRetry
 )
 
@@ -78,8 +79,8 @@ func (h TraceHealth) String() string {
 	return "health(?)"
 }
 
-// DefaultRetryMax bounds SlowPathRetry attempts per check: recovery
-// re-decodes here, and admission retries in CheckPool.Do.
+// DefaultRetryMax bounds SlowPathRetry's recovery re-decodes per check.
+// Admission is never retried: a pooled check waits for its slot.
 const DefaultRetryMax = 3
 
 // CyclesPerRetryBackoff is the modeled cost of the first retry backoff
@@ -217,27 +218,17 @@ func recoveredTailOK(evs []ipt.Event, tips []ipt.TIPRecord) bool {
 	return len(ipt.TipsFrom(tips, lastOVF)) >= 2
 }
 
-// noteShed accounts for a check the pool shed before it could run: the
-// result was synthesized by CheckPool.Do under Policy.OnDegraded, and
-// the guard's statistics must reflect it so nothing is dropped silently.
-func (g *Guard) noteShed(res *Result) { g.noteShedKind(res, false) }
-
-// noteFairnessShed accounts for a check shed by per-tenant fairness
-// (FleetPool refused admission to an over-share tenant): the same
-// degraded accounting as an overload shed, plus the fairness counter so
-// fleet stats distinguish "the pool was full" from "your tenant was
-// hogging it".
-func (g *Guard) noteFairnessShed(res *Result) { g.noteShedKind(res, true) }
-
-func (g *Guard) noteShedKind(res *Result, fairness bool) {
+// noteFairnessShed accounts for a check FleetPool shed because its
+// tenant was over its fair share: the result was synthesized by
+// CheckPool.ShedFair under Policy.OnDegraded, and the guard's statistics
+// must reflect it so nothing is dropped silently.
+func (g *Guard) noteFairnessShed(res *Result) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.Stats.Checks++
 	g.Stats.DegradedChecks++
 	g.Stats.Shed++
-	if fairness {
-		g.Stats.FairnessSheds++
-	}
+	g.Stats.FairnessSheds++
 	if res.Verdict == VerdictViolation {
 		g.Stats.Violations++
 		g.Stats.FailClosures++

@@ -15,7 +15,7 @@ const DefaultFairShareBurst = 2
 // tenant from starving the rest. Admission outcomes are never silent:
 //
 //   - A tenant within its fair share gets the shard pool's normal
-//     admission (blocking, or deadline/queue-governed as configured).
+//     admission: it waits for a slot.
 //   - A tenant over its fair share gets one non-blocking try — spare
 //     capacity is free for the taking — and is otherwise shed with a
 //     policy-governed verdict counted as a FairnessShed (and in Shed,
@@ -41,8 +41,7 @@ type fleetShard struct {
 
 // NewFleetPool builds a pool of shards CheckPools with workersPerShard
 // checker slots each. shards and workersPerShard below 1 are raised to
-// 1. The shard pools are plain blocking CheckPools; callers needing
-// deadline/queue-bounded admission configure them via Shards().
+// 1. The shard pools are plain blocking CheckPools.
 func NewFleetPool(shards, workersPerShard int) *FleetPool {
 	if shards < 1 {
 		shards = 1
@@ -60,8 +59,8 @@ func NewFleetPool(shards, workersPerShard int) *FleetPool {
 // NumShards returns the shard count.
 func (f *FleetPool) NumShards() int { return len(f.shards) }
 
-// Shards exposes the underlying CheckPools for configuration (deadline,
-// queue limit, stall hooks). Configure before checking starts.
+// Shards exposes the underlying CheckPools so fault tests can set their
+// Stall hooks. Configure before checking starts.
 func (f *FleetPool) Shards() []*CheckPool {
 	out := make([]*CheckPool, len(f.shards))
 	for i, s := range f.shards {

@@ -54,7 +54,8 @@ func TestFleetPoolShardIndexDeterministic(t *testing.T) {
 // (one tenant offers ~8× any other's load) through a sharded pool from
 // concurrent goroutines, then audits the ledgers: per shard and merged,
 // checks == admitted + shed with nothing double-counted and nothing
-// silently dropped, and the shard sum equals the merged snapshot.
+// silently dropped, every shed is a fairness shed, and the shard sum
+// equals the merged snapshot.
 func TestFleetPoolLedgerSkewed(t *testing.T) {
 	a := analyze(t, apps.Vulnd())
 	a.train(t, benignTraffic())
@@ -111,8 +112,8 @@ func TestFleetPoolLedgerSkewed(t *testing.T) {
 		if ps.Checks+ps.Shed != off {
 			t.Errorf("shard %d ledger: admitted %d + shed %d != offered %d", s, ps.Checks, ps.Shed, off)
 		}
-		if ps.FairnessSheds > ps.Shed {
-			t.Errorf("shard %d: fairness sheds %d exceed total sheds %d", s, ps.FairnessSheds, ps.Shed)
+		if ps.FairnessSheds != ps.Shed {
+			t.Errorf("shard %d: %d sheds but %d fairness sheds; fairness is the only shed", s, ps.Shed, ps.FairnessSheds)
 		}
 		sum.Merge(ps)
 	}
@@ -122,6 +123,9 @@ func TestFleetPoolLedgerSkewed(t *testing.T) {
 	}
 	if merged.Checks+merged.Shed != total {
 		t.Errorf("merged ledger: admitted %d + shed %d != offered %d", merged.Checks, merged.Shed, total)
+	}
+	if merged.FairnessSheds != merged.Shed {
+		t.Errorf("merged: %d sheds but %d fairness sheds; fairness is the only shed", merged.Shed, merged.FairnessSheds)
 	}
 
 	// The guard-side ledger must mirror the pool's: every offered check

@@ -2,8 +2,8 @@ package guard_test
 
 // Satellite tests riding the differential-oracle PR: slow-path verdict
 // caching across processes and retraining (the §7.1.1 approval cache
-// end to end), Stats.Merge completeness, and the CheckPool accounting
-// invariant under concurrent use (run with -race).
+// end to end), Stats.Merge completeness, and the CheckPool/FleetPool
+// accounting invariant under concurrent use (run with -race).
 
 import (
 	"reflect"
@@ -14,7 +14,6 @@ import (
 	"flowguard/internal/apps"
 	"flowguard/internal/guard"
 	"flowguard/internal/kernelsim"
-	"flowguard/internal/trace/ipt"
 )
 
 // TestSlowPathApprovalReuseAndInvalidation drives the approval cache
@@ -149,85 +148,115 @@ func TestStatsMergeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCheckPoolInvariantConcurrent saturates a small pool from many
+// TestFleetCheckPoolInvariantConcurrent saturates small pools from many
 // goroutines and asserts the no-silent-drop invariant: every Do call is
-// either admitted or shed (pool accounting), and every one of them lands
-// in some guard's Stats.Checks (guard accounting), with the shed counts
-// agreeing between the two ledgers.
-func TestCheckPoolInvariantConcurrent(t *testing.T) {
+// either admitted or shed (pool accounting), every one of them lands in
+// some guard's Stats.Checks (guard accounting), and the shed counts
+// agree between the two ledgers. Guards cycle through all three
+// OnDegraded modes. A bare CheckPool never sheds: its checks wait for
+// a slot. Only FleetPool's fairness rule sheds, so the shed ledger is
+// carried by one over-share tenant on a one-shard FleetPool.
+func TestFleetCheckPoolInvariantConcurrent(t *testing.T) {
 	a := analyze(t, apps.Vulnd())
 	a.train(t, benignTraffic())
-	as, err := a.app.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pool := guard.NewCheckPool(2)
-	pool.Deadline = 100 * time.Microsecond
-	pool.QueueLimit = 1
-	pool.RetryBackoff = 20 * time.Microsecond
-	pool.Stall = func() time.Duration { return 200 * time.Microsecond }
 
 	modes := []guard.DegradedMode{guard.FailClosed, guard.FailOpen, guard.SlowPathRetry}
-	const goroutines, iters = 8, 25
-	guards := make([]*guard.Guard, goroutines)
-	for i := range guards {
-		tr := ipt.NewTracer(ipt.NewToPA(4096))
-		if err := tr.WriteMSR(ipt.MSRRTITCtl, ctlTrace); err != nil {
-			t.Fatal(err)
-		}
-		pol := guard.DefaultPolicy()
-		pol.OnDegraded = modes[i%len(modes)]
-		guards[i] = guard.New(as, a.ocfg, a.ig, tr, pol)
-	}
-
-	var wg sync.WaitGroup
-	for i := range guards {
-		wg.Add(1)
-		go func(g *guard.Guard) {
-			defer wg.Done()
-			for j := 0; j < iters; j++ {
-				res := pool.Do(g)
-				// The tracers never record anything, so the only possible
-				// violations are shed fail-closed verdicts.
-				if res.Verdict == guard.VerdictViolation && !res.Degraded {
-					t.Errorf("non-degraded violation over an empty trace: %+v", res)
-				}
-			}
-		}(guards[i])
-	}
-	wg.Wait()
-
-	ps := pool.Snapshot()
+	const goroutines, iters = 9, 25
 	const total = uint64(goroutines * iters)
-	if ps.Checks+ps.Shed != total {
-		t.Fatalf("pool ledger leaks: admitted %d + shed %d != %d Do calls", ps.Checks, ps.Shed, total)
-	}
-	var sumChecks, sumShed, sumFailOpen, sumFailClosed uint64
-	for i, g := range guards {
-		sumChecks += g.Stats.Checks
-		sumShed += g.Stats.Shed
-		sumFailOpen += g.Stats.FailOpens
-		sumFailClosed += g.Stats.FailClosures
-		if g.Stats.Checks == 0 {
-			t.Errorf("guard %d recorded no checks", i)
+	stall := func() time.Duration { return 200 * time.Microsecond }
+	// drive runs every guard's check loop through do concurrently and
+	// returns the guards once all loops are done.
+	drive := func(t *testing.T, do func(*guard.Guard) guard.Result) []*guard.Guard {
+		guards := make([]*guard.Guard, goroutines)
+		for i := range guards {
+			pol := guard.DefaultPolicy()
+			pol.OnDegraded = modes[i%len(modes)]
+			guards[i] = newIdleGuard(t, a, pol)
 		}
+		var wg sync.WaitGroup
+		for _, g := range guards {
+			wg.Add(1)
+			go func(g *guard.Guard) {
+				defer wg.Done()
+				for j := 0; j < iters; j++ {
+					res := do(g)
+					// The tracers never record anything, so the only
+					// possible violations are shed fail-closed verdicts.
+					if res.Verdict == guard.VerdictViolation && !res.Degraded {
+						t.Errorf("non-degraded violation over an empty trace: %+v", res)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		return guards
 	}
-	if sumChecks != ps.Checks+ps.Shed {
-		t.Fatalf("guard ledger disagrees with pool: %d guard checks vs %d admitted + %d shed",
-			sumChecks, ps.Checks, ps.Shed)
-	}
-	if sumShed != ps.Shed {
-		t.Fatalf("shed counts disagree: guards say %d, pool says %d", sumShed, ps.Shed)
-	}
-	if sumFailOpen+sumFailClosed != ps.Shed {
-		t.Fatalf("every shed check must resolve fail-open or fail-closed: %d + %d != %d",
-			sumFailOpen, sumFailClosed, ps.Shed)
-	}
-	if ps.Shed == 0 {
-		t.Fatal("pool never shed a check; invariant not exercised (raise the stall)")
-	}
-	if ps.Retried == 0 {
-		t.Error("SlowPathRetry guards never retried admission; invariant not exercised")
-	}
+
+	t.Run("bare-pool", func(t *testing.T) {
+		pool := guard.NewCheckPool(2)
+		pool.Stall = stall
+		guards := drive(t, pool.Do)
+		if ps := pool.Snapshot(); ps.Checks != total || ps.Shed != 0 {
+			t.Fatalf("bare pool admitted %d and shed %d of %d Do calls; every call must wait and run", ps.Checks, ps.Shed, total)
+		}
+		var agg guard.Stats
+		for _, g := range guards {
+			agg.Merge(&g.Stats)
+		}
+		if agg.Checks != total || agg.Shed != 0 || agg.DegradedChecks != 0 {
+			t.Fatalf("guards account %d checks (%d shed, %d degraded), want %d clean checks",
+				agg.Checks, agg.Shed, agg.DegradedChecks, total)
+		}
+	})
+
+	t.Run("fleet-fairness", func(t *testing.T) {
+		fp := guard.NewFleetPool(1, 2)
+		fp.Shards()[0].Stall = stall
+		// Every guard belongs to one tenant whose 9 check loops exceed
+		// its fair share of the shard's 2 slots.
+		guards := drive(t, func(g *guard.Guard) guard.Result { return fp.Do("noisy", g) })
+
+		ps := fp.Snapshot()
+		if ps.Checks+ps.Shed != total {
+			t.Fatalf("pool ledger leaks: admitted %d + shed %d != %d Do calls", ps.Checks, ps.Shed, total)
+		}
+		if ps.FairnessSheds != ps.Shed {
+			t.Fatalf("pool shed %d checks but only %d for fairness; fairness is the only shed", ps.Shed, ps.FairnessSheds)
+		}
+		var sumChecks, sumShed, sumFailOpen, sumFailClosed uint64
+		modeSheds := make(map[guard.DegradedMode]uint64)
+		for i, g := range guards {
+			st := g.Stats
+			sumChecks += st.Checks
+			sumShed += st.Shed
+			sumFailOpen += st.FailOpens
+			sumFailClosed += st.FailClosures
+			modeSheds[g.Policy.OnDegraded] += st.Shed
+			if st.FairnessSheds != st.Shed {
+				t.Errorf("guard %d: %d sheds, %d of them fairness sheds", i, st.Shed, st.FairnessSheds)
+			}
+			if g.Policy.OnDegraded == guard.FailOpen && st.FailClosures != 0 {
+				t.Errorf("fail-open guard %d failed closed %d times", i, st.FailClosures)
+			}
+			if g.Policy.OnDegraded != guard.FailOpen && st.FailOpens != 0 {
+				t.Errorf("%v guard %d failed open %d times", g.Policy.OnDegraded, i, st.FailOpens)
+			}
+		}
+		if sumChecks != ps.Checks+ps.Shed {
+			t.Fatalf("guard ledger disagrees with pool: %d guard checks vs %d admitted + %d shed",
+				sumChecks, ps.Checks, ps.Shed)
+		}
+		if sumShed != ps.Shed {
+			t.Fatalf("shed counts disagree: guards say %d, pool says %d", sumShed, ps.Shed)
+		}
+		if sumFailOpen+sumFailClosed != ps.Shed {
+			t.Fatalf("every shed check must resolve fail-open or fail-closed: %d + %d != %d",
+				sumFailOpen, sumFailClosed, ps.Shed)
+		}
+		for _, m := range modes {
+			if modeSheds[m] == 0 {
+				t.Errorf("no %v guard was shed; its shed path went unexercised (raise the stall)", m)
+			}
+		}
+	})
 }

@@ -30,7 +30,7 @@ type Stats struct {
 	FailOpens      uint64 // degraded checks passed open (unverified)
 	FailClosures   uint64 // degraded checks failed closed
 	Retries        uint64 // SlowPathRetry recovery attempts
-	Shed           uint64 // checks shed by an overloaded CheckPool
+	Shed           uint64 // checks FleetPool shed (all are fairness sheds)
 	FairnessSheds  uint64 // sheds forced by per-tenant fairness (FleetPool)
 
 	// Asynchronous-pipeline accounting (Policy.Async, DESIGN.md §9).
