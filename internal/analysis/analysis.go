@@ -16,10 +16,7 @@
 // **facts**, mirroring go/analysis modularity: the driver visits
 // packages in dependency order, each analyzer exports one JSON-encoded
 // fact per package (Pass.ExportFact), and downstream packages read the
-// accumulated facts back (Pass.EachFact / Pass.ImportFact). Because
-// facts round-trip through JSON, a fact store can be written to disk
-// and reloaded (FactStore.EncodeTo/DecodeFrom), keeping cross-package
-// analysis incremental in principle.
+// accumulated facts back (Pass.EachFact).
 //
 // The analyzer reports findings via Pass.Reportf. Findings can be
 // suppressed at the offending line with a documented comment:
@@ -115,16 +112,6 @@ func (p *Pass) Diagnostics() []Diagnostic {
 // visible to later (dependent) packages. fact must be of the type
 // Analyzer.Facts returns.
 func (p *Pass) ExportFact(fact any) { p.export = fact }
-
-// ImportFact decodes the fact a dependency package exported for this
-// analyzer into out (a pointer of the Facts prototype type). It
-// reports whether a fact was present.
-func (p *Pass) ImportFact(pkgPath string, out any) (bool, error) {
-	if p.store == nil {
-		return false, nil
-	}
-	return p.store.get(p.Analyzer.Name, pkgPath, out)
-}
 
 // EachFact decodes every fact exported for this analyzer by packages
 // already visited this run (dependencies first: the driver walks in

@@ -3,7 +3,6 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 )
 
@@ -11,9 +10,7 @@ import (
 // dependency-ordered run. Facts are stored JSON-serialized — the same
 // modularity boundary go/analysis enforces with gob: a fact that does
 // not survive serialization cannot leak unserializable state between
-// packages, and the whole store round-trips through EncodeTo /
-// DecodeFrom so a future driver can persist facts next to the build
-// cache instead of recomputing dependencies every run.
+// packages.
 type FactStore struct {
 	// facts maps analyzer name -> package path -> encoded fact.
 	facts map[string]map[string]json.RawMessage
@@ -39,18 +36,6 @@ func (s *FactStore) set(analyzer, pkgPath string, fact any) error {
 	return nil
 }
 
-// get decodes (analyzer, pkgPath)'s fact into out, reporting presence.
-func (s *FactStore) get(analyzer, pkgPath string, out any) (bool, error) {
-	raw, ok := s.facts[analyzer][pkgPath]
-	if !ok {
-		return false, nil
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return false, fmt.Errorf("decoding fact %s/%s: %v", analyzer, pkgPath, err)
-	}
-	return true, nil
-}
-
 // each decodes every fact stored for analyzer into fresh prototypes
 // (in sorted package order, for determinism) and calls fn with each.
 func (s *FactStore) each(analyzer string, proto func() any, fn func(pkgPath string, fact any)) error {
@@ -67,32 +52,5 @@ func (s *FactStore) each(analyzer string, proto func() any, fn func(pkgPath stri
 		}
 		fn(p, fact)
 	}
-	return nil
-}
-
-// Packages returns the package paths with a stored fact for analyzer,
-// sorted.
-func (s *FactStore) Packages(analyzer string) []string {
-	var out []string
-	for p := range s.facts[analyzer] {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// EncodeTo writes the store as JSON.
-func (s *FactStore) EncodeTo(w io.Writer) error {
-	return json.NewEncoder(w).Encode(s.facts)
-}
-
-// DecodeFrom replaces the store's contents with JSON previously
-// written by EncodeTo.
-func (s *FactStore) DecodeFrom(r io.Reader) error {
-	m := make(map[string]map[string]json.RawMessage)
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return err
-	}
-	s.facts = m
 	return nil
 }

@@ -239,11 +239,6 @@ const (
 	ColdMarker = "fg:cold"
 )
 
-// HotAnnotated reports whether the declaration carries //fg:hotpath.
-func HotAnnotated(fd *ast.FuncDecl) bool {
-	return docMarker(fd.Doc, HotMarker) != nil
-}
-
 // docMarker returns the text after the marker on the matching doc
 // line, or nil when absent. An empty remainder returns a non-nil empty
 // slice-backed string pointer so presence and emptiness are separable.

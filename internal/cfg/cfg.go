@@ -241,15 +241,6 @@ func (g *Graph) BlockContaining(addr uint64) (*Block, bool) {
 	return nil, false
 }
 
-// FuncContaining returns the function covering addr.
-func (g *Graph) FuncContaining(addr uint64) (*Function, bool) {
-	b, ok := g.BlockContaining(addr)
-	if !ok {
-		return nil, false
-	}
-	return b.Fn, true
-}
-
 // Stats summarizes the graph for Table 4 reporting.
 type Stats struct {
 	// ExecBlocks/LibBlocks count basic blocks in the executable and the

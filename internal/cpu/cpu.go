@@ -121,9 +121,6 @@ func (c *CPU) Halted() bool { return c.halted }
 // SP returns the stack pointer.
 func (c *CPU) SP() uint64 { return c.Regs[isa.SP] }
 
-// SetSP sets the stack pointer.
-func (c *CPU) SetSP(v uint64) { c.Regs[isa.SP] = v }
-
 func (c *CPU) fault(pc uint64, err error) error { return &Fault{PC: pc, Err: err} }
 
 func (c *CPU) push(pc, v uint64) error {

@@ -228,7 +228,6 @@ func (g *Guard) noteFairnessShed(res *Result) {
 	g.Stats.Checks++
 	g.Stats.DegradedChecks++
 	g.Stats.Shed++
-	g.Stats.FairnessSheds++
 	if res.Verdict == VerdictViolation {
 		g.Stats.Violations++
 		g.Stats.FailClosures++

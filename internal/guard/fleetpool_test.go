@@ -139,9 +139,8 @@ func TestFleetPoolLedgerSkewed(t *testing.T) {
 	if agg.Checks != total {
 		t.Errorf("guards account %d checks, %d were offered", agg.Checks, total)
 	}
-	if agg.Shed != merged.Shed || agg.FairnessSheds != merged.FairnessSheds {
-		t.Errorf("guard sheds (%d total, %d fairness) diverge from pool (%d, %d)",
-			agg.Shed, agg.FairnessSheds, merged.Shed, merged.FairnessSheds)
+	if agg.Shed != merged.Shed {
+		t.Errorf("guard sheds %d diverge from pool %d", agg.Shed, merged.Shed)
 	}
 }
 
@@ -202,11 +201,11 @@ func TestFleetPoolFairnessIsolation(t *testing.T) {
 	for _, g := range quiet {
 		quietStats.Merge(&g.Stats)
 	}
-	if noisyStats.FairnessSheds == 0 {
+	if noisyStats.Shed == 0 {
 		t.Error("an 8-way tenant on a stalled 2-slot shard was never fairness-shed")
 	}
-	if quietStats.FairnessSheds != 0 || quietStats.Shed != 0 {
-		t.Errorf("within-share tenants were shed: %d fairness, %d total", quietStats.FairnessSheds, quietStats.Shed)
+	if quietStats.Shed != 0 {
+		t.Errorf("within-share tenants were shed %d times", quietStats.Shed)
 	}
 	if quietStats.Checks != quietTenants*quietRounds {
 		t.Errorf("quiet tenants ran %d of %d checks", quietStats.Checks, quietTenants*quietRounds)
@@ -216,7 +215,7 @@ func TestFleetPoolFairnessIsolation(t *testing.T) {
 	if ps.Checks+ps.Shed != want {
 		t.Errorf("ledger: admitted %d + shed %d != offered %d", ps.Checks, ps.Shed, want)
 	}
-	if ps.FairnessSheds != noisyStats.FairnessSheds {
-		t.Errorf("pool fairness sheds %d != noisy tenant's %d", ps.FairnessSheds, noisyStats.FairnessSheds)
+	if ps.FairnessSheds != noisyStats.Shed {
+		t.Errorf("pool fairness sheds %d != noisy tenant's sheds %d", ps.FairnessSheds, noisyStats.Shed)
 	}
 }

@@ -30,8 +30,7 @@ type Stats struct {
 	FailOpens      uint64 // degraded checks passed open (unverified)
 	FailClosures   uint64 // degraded checks failed closed
 	Retries        uint64 // SlowPathRetry recovery attempts
-	Shed           uint64 // checks FleetPool shed (all are fairness sheds)
-	FairnessSheds  uint64 // sheds forced by per-tenant fairness (FleetPool)
+	Shed           uint64 // checks FleetPool shed for per-tenant fairness (the only shed)
 
 	// Asynchronous-pipeline accounting (Policy.Async, DESIGN.md §9).
 	AsyncWindows uint64 // region-full captures handed to the worker pool

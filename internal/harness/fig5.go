@@ -170,11 +170,11 @@ func (r *Runner) Fig5d(checkpoints []int) ([]Fig5dPoint, error) {
 			return nil, err
 		}
 		for _, input := range f.Corpus() {
-			tips, err := r.traceRunBounded(a, input, 3_000_000)
-			if err != nil {
-				continue // crashing corpus entries still trained partially
+			// A crashing corpus entry still trains on the trace it left;
+			// one that fails to run or decode trains nothing.
+			if raw, err := r.traceBytesBounded(a, input, 3_000_000); err == nil {
+				_ = observeTrace(an.ITC, raw)
 			}
-			an.ITC.ObserveWindow(tips)
 		}
 		an.ITC.RebuildCache()
 		pr, err := r.RunProtected(an, refInput, r.policy())
@@ -191,9 +191,9 @@ func (r *Runner) Fig5d(checkpoints []int) ([]Fig5dPoint, error) {
 	return points, nil
 }
 
-// traceRunBounded is traceRun with an instruction budget tolerant of
+// traceBytesBounded is traceBytes with an instruction budget tolerant of
 // crashing inputs: whatever trace exists up to the stop is returned.
-func (r *Runner) traceRunBounded(a *apps.App, input []byte, budget uint64) ([]ipt.TIPRecord, error) {
+func (r *Runner) traceBytesBounded(a *apps.App, input []byte, budget uint64) ([]byte, error) {
 	k := kernelsim.New()
 	p, err := a.Spawn(k, input)
 	if err != nil {
@@ -208,11 +208,7 @@ func (r *Runner) traceRunBounded(a *apps.App, input []byte, budget uint64) ([]ip
 		return nil, err
 	}
 	tr.Flush()
-	evs, err := ipt.DecodeFast(tr.Out.Snapshot())
-	if err != nil {
-		return nil, err
-	}
-	return ipt.ExtractTIPs(evs), nil
+	return tr.Out.Snapshot(), nil
 }
 
 // HWAblationRow compares the software fast path against the §6

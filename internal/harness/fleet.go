@@ -148,11 +148,9 @@ func (r *Runner) NewFleet(cfg FleetConfig) (*Fleet, error) {
 		if err != nil {
 			return nil, err
 		}
-		evs, err := ipt.DecodeFast(raw)
-		if err != nil {
+		if err := observeTrace(an.ITC, raw); err != nil {
 			return nil, err
 		}
-		an.ITC.ObserveWindow(ipt.ExtractTIPs(evs))
 		an.ITC.RebuildCache()
 		f.bins = append(f.bins, &fleetBinary{
 			app: a,
@@ -396,8 +394,8 @@ func (f *Fleet) result(elapsed time.Duration, ran uint64) *FleetResult {
 //   - the admission ledger accounts for every offered check, in total
 //     and per shard (checks == admitted + shed, nothing silent), and
 //     every shed is a fairness shed (a pooled check never times out);
-//   - guard-side and pool-side ledgers agree (merged Stats.Checks,
-//     Shed, FairnessSheds match the pool);
+//   - guard-side and pool-side ledgers agree (merged Stats.Checks and
+//     Shed match the pool);
 //   - exactly one artifact per binary is shared by the population;
 //   - fork inheritance is fully counted;
 //   - no real (non-degraded) violation fired on the benign workload;
@@ -434,8 +432,8 @@ func (res *FleetResult) Check() []string {
 	if res.Agg.Shed != res.Pool.Shed {
 		fail("shed counters diverge: guards %d, pool %d", res.Agg.Shed, res.Pool.Shed)
 	}
-	if res.Agg.FairnessSheds != res.Pool.FairnessSheds {
-		fail("fairness-shed counters diverge: guards %d, pool %d", res.Agg.FairnessSheds, res.Pool.FairnessSheds)
+	if res.Agg.Shed != res.Pool.FairnessSheds {
+		fail("fairness-shed counters diverge: guards %d, pool %d", res.Agg.Shed, res.Pool.FairnessSheds)
 	}
 	if res.SharedArtifacts != res.Binaries {
 		fail("artifact sharing broken: %d distinct artifacts across %d procs, want exactly %d (one per binary)",

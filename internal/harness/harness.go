@@ -88,28 +88,27 @@ func (r *Runner) Analyze(a *apps.App) (*Analysis, error) {
 func (r *Runner) Train(an *Analysis) error {
 	for i := 0; i < r.TrainRuns; i++ {
 		input := an.App.MakeInput(r.Scale, r.Seed+int64(100+i))
-		tips, err := r.traceRun(an.App, input)
+		raw, err := r.traceBytes(an.App, input)
 		if err != nil {
 			return err
 		}
-		an.ITC.ObserveWindow(tips)
+		if err := observeTrace(an.ITC, raw); err != nil {
+			return err
+		}
 	}
 	an.ITC.RebuildCache()
 	return nil
 }
 
-// traceRun executes the app on input with IPT attached and returns the
-// extracted TIP window over the whole run.
-func (r *Runner) traceRun(a *apps.App, input []byte) ([]ipt.TIPRecord, error) {
-	raw, err := r.traceBytes(a, input)
-	if err != nil {
-		return nil, err
-	}
+// observeTrace labels the ITC-CFG with every TIP pair of a raw trace
+// stream, decoded as one window.
+func observeTrace(ig *itc.Graph, raw []byte) error {
 	evs, err := ipt.DecodeFast(raw)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return ipt.ExtractTIPs(evs), nil
+	ig.ObserveWindow(ipt.ExtractTIPs(evs))
+	return nil
 }
 
 // traceBytes executes the app on input with IPT attached and returns the

@@ -6,7 +6,6 @@ import (
 
 	"flowguard/internal/apps"
 	"flowguard/internal/guard"
-	"flowguard/internal/kernelsim"
 	"flowguard/internal/trace/ipt"
 )
 
@@ -53,21 +52,10 @@ func (r *Runner) Micro() (MicroResult, error) {
 
 	// Trace a run into a buffer large enough to avoid wrap, then find a
 	// window holding ~100 TIPs ending at a PSB-aligned region.
-	k := kernelsim.New()
-	p, err := a.Spawn(k, a.MakeInput(r.Scale, r.Seed+7))
+	buf, err := r.traceBytes(a, a.MakeInput(r.Scale, r.Seed+7))
 	if err != nil {
 		return MicroResult{}, err
 	}
-	tr := ipt.NewTracer(ipt.NewToPA(64 << 20))
-	if err := tr.WriteMSR(ipt.MSRRTITCtl, ctlTrace); err != nil {
-		return MicroResult{}, err
-	}
-	p.CPU.Branch = tr
-	if st, err := k.Run(p, 500_000_000); err != nil || !st.Exited {
-		return MicroResult{}, fmt.Errorf("harness: micro trace run: %v %v", st, err)
-	}
-	tr.Flush()
-	buf := tr.Out.Snapshot()
 
 	// Pick the window: the densest 100-TIP span that begins at a sync
 	// point (the checker always decodes from a PSB). Density matters:
@@ -138,7 +126,7 @@ func (r *Runner) Micro() (MicroResult, error) {
 
 	// Slow path: instruction-flow decode of the same window.
 	t1 := time.Now()
-	ft, err := ipt.DecodeFull(p.AS, window, 0)
+	ft, err := ipt.DecodeFull(an.OCFG.AS, window, 0)
 	if err != nil {
 		return MicroResult{}, err
 	}

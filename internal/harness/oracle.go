@@ -15,13 +15,14 @@ import (
 
 	"flowguard/internal/apps"
 	"flowguard/internal/attack"
+	"flowguard/internal/cfg"
 	"flowguard/internal/faults"
 	"flowguard/internal/fuzz"
 	"flowguard/internal/guard"
+	"flowguard/internal/itc"
 	"flowguard/internal/kernelsim"
 	"flowguard/internal/oracle"
 	"flowguard/internal/progen"
-	"flowguard/internal/trace"
 	"flowguard/internal/trace/ipt"
 )
 
@@ -72,11 +73,9 @@ func (r *Runner) DiffTrain(a *apps.App) (*DiffFixture, error) {
 		if err != nil {
 			return nil, err
 		}
-		evs, err := ipt.DecodeFast(raw)
-		if err != nil {
+		if err := observeTrace(an.ITC, raw); err != nil {
 			return nil, err
 		}
-		an.ITC.ObserveWindow(ipt.ExtractTIPs(evs))
 		if err := ref.ObserveTrace(raw); err != nil {
 			return nil, err
 		}
@@ -114,15 +113,28 @@ func (r *Runner) OracleFixture() (*DiffFixture, error) {
 
 // DiffOutcome is the result of one differential run.
 type DiffOutcome struct {
-	Checks         int
 	Killed, Exited bool
 	// GuardViolation reports any production check returned a violation.
 	GuardViolation bool
-	// Healths collects the production health classification per check
-	// (the truncation property asserts over these).
-	Healths []guard.TraceHealth
+	// Results is the production result of every check, in order (the
+	// truncation property asserts over their healths; the round-trip
+	// property compares the solo and multicore sequences). Its length
+	// is the number of checks.
+	Results []guard.Result
 	// Divergences lists every field where the two pipelines disagreed.
 	Divergences []string
+	// Guard is a process run's checking engine (nil for stream replays).
+	Guard *guard.Guard
+}
+
+// record folds one check's production result and its oracle twin into
+// the outcome.
+func (out *DiffOutcome) record(g guard.Result, o oracle.Result) {
+	out.Results = append(out.Results, g)
+	out.Divergences = append(out.Divergences, compareResults(len(out.Results), g, o)...)
+	if g.Verdict == guard.VerdictViolation {
+		out.GuardViolation = true
+	}
 }
 
 // compareResults diffs the per-check result fields both pipelines must
@@ -183,183 +195,137 @@ func compareStats(g *guard.Stats, o *oracle.Stats) (divs []string) {
 	return divs
 }
 
-// diffProtectedRun executes the app on input with both pipelines
-// attached to the same ToPA. It mirrors KernelModule.Protect's MSR
-// programming but installs its own endpoint interceptors so both
-// checkers run on every endpoint, in a fixed order (the guard's check
-// flushes the tracer; the oracle then reads the identical buffer state).
+// addOracleStats folds src into dst field by field.
+func addOracleStats(dst, src *oracle.Stats) {
+	oracleTwins(dst, src, func(_ string, d, v reflect.Value) { d.SetUint(d.Uint() + v.Uint()) })
+}
+
+// diffGate checks one protected process through the kernel module's own
+// wiring: the module traces and guards the process (Protect or
+// ProtectMulticore) with its policy endpoints cleared, and the gate
+// intercepts those endpoints itself, running the module's check
+// (KernelModule.CheckCurrent) and then a reference oracle over the very
+// sink the check read. The gate keeps one oracle per checked sink — a
+// thread's demuxed stream in multicore mode, else the process stream —
+// and later oracles adopt the first one's approvals, as the guard shares
+// one approval cache across its streams.
+type diffGate struct {
+	fx      *DiffFixture
+	km      *guard.KernelModule
+	p       *kernelsim.Process
+	pol     oracle.Policy
+	oracles map[*ipt.ToPA]*oracle.Oracle
+	first   *oracle.Oracle
+	out     DiffOutcome
+}
+
+// newDiffGate protects p with protect (km.Protect or
+// km.ProtectMulticore) and intercepts the policy's endpoints with the
+// gate.
+func newDiffGate(fx *DiffFixture, km *guard.KernelModule, p *kernelsim.Process, pol guard.Policy,
+	protect func(*kernelsim.Process, *cfg.Graph, *itc.Graph, guard.Policy) (*guard.Guard, error)) (*diffGate, error) {
+	eps := pol.Endpoints
+	if len(eps) == 0 {
+		eps = guard.DefaultEndpoints()
+	}
+	pol.Endpoints = nil
+	g, err := protect(p, fx.An.OCFG, fx.An.ITC, pol)
+	if err != nil {
+		return nil, err
+	}
+	d := &diffGate{
+		fx: fx, km: km, p: p, pol: oraclePolicy(pol),
+		oracles: make(map[*ipt.ToPA]*oracle.Oracle),
+		out:     DiffOutcome{Guard: g},
+	}
+	for _, sysno := range eps {
+		km.K.Intercept(sysno, d.check)
+	}
+	return d, nil
+}
+
+// check is the gate's endpoint interceptor. Other processes (noise
+// neighbors, forked children) pass through unchecked.
+func (d *diffGate) check(cp *kernelsim.Process, sysno uint64) error {
+	if cp != d.p {
+		return nil
+	}
+	gres, ok := d.km.CheckCurrent(cp)
+	if !ok {
+		return nil
+	}
+	sink := d.km.ThreadSink(cp.CurrentThread())
+	if sink == nil {
+		sink = d.out.Guard.Tracer.Out
+	}
+	o := d.oracles[sink]
+	if o == nil {
+		o = oracle.New(cp.AS, d.fx.An.OCFG, d.fx.Ref, sink, d.pol)
+		if d.first == nil {
+			d.first = o
+		} else {
+			o.AdoptApprovals(d.first)
+		}
+		d.oracles[sink] = o
+	}
+	d.out.record(gres, o.Check())
+	if gres.Verdict == guard.VerdictViolation {
+		d.km.K.Kill(cp, kernelsim.SIGKILL)
+		return kernelsim.ErrKilled
+	}
+	return nil
+}
+
+// finish records the target's exit and compares the guard's statistics
+// with the sum of its oracles' (per-sink oracle counters add up to one
+// process-level view, as the guard's streams share one Stats). Call it
+// after the module's Shutdown has flushed the pipeline counters.
+func (d *diffGate) finish(st kernelsim.ExitStatus) *DiffOutcome {
+	d.out.Killed, d.out.Exited = st.Killed, st.Exited
+	var osum oracle.Stats
+	for _, o := range d.oracles {
+		addOracleStats(&osum, &o.Stats)
+	}
+	d.out.Divergences = append(d.out.Divergences, compareStats(&d.out.Guard.Stats, &osum)...)
+	return &d.out
+}
+
+// diffProtectedRun executes the app on input protected by the kernel
+// module, comparing every endpoint check against the oracle (diffGate).
+// plan, when given, damages the process's trace writes and the async
+// workers: Protect writes no trace bytes before the run starts, so the
+// fault hook attaches to the module's tracer afterwards.
 func diffProtectedRun(fx *DiffFixture, input []byte, pol guard.Policy, plan *faults.Plan) (*DiffOutcome, error) {
 	k := kernelsim.New()
 	p, err := fx.An.App.Spawn(k, input)
 	if err != nil {
 		return nil, err
 	}
-	topa := ipt.NewToPA(guard.DefaultToPARegion, guard.DefaultToPARegion)
-	tr := ipt.NewTracer(topa)
-	ctl := ipt.CtlTraceEn | ipt.CtlBranchEn | ipt.CtlUser | ipt.CtlCR3Filter | ipt.CtlToPA
-	if err := tr.WriteMSR(ipt.MSRRTITCtl, ctl); err != nil {
-		return nil, err
-	}
-	if err := tr.WriteMSR(ipt.MSRRTITCR3Match, p.CR3); err != nil {
-		return nil, err
-	}
-	tr.SetCR3(p.CR3)
-	if plan != nil {
-		tr.Fault = plan
-	}
-	if p.CPU.Branch != nil {
-		p.CPU.Branch = trace.MultiSink{p.CPU.Branch, tr}
-	} else {
-		p.CPU.Branch = tr
-	}
-
-	g := guard.New(p.AS, fx.An.OCFG, fx.An.ITC, tr, pol)
-	if pol.Async {
-		ap := guard.NewAsyncPool(pol.AsyncWorkers)
-		defer ap.Close()
-		if plan != nil {
-			ap.InjectFaults(plan)
-		}
-		g.EnableAsync(ap)
-	}
-	o := oracle.New(p.AS, fx.An.OCFG, fx.Ref, topa, oraclePolicy(pol))
-	out := &DiffOutcome{}
-
-	handler := func(cp *kernelsim.Process, sysno uint64) error {
-		if cp.CR3 != p.CR3 {
-			return nil
-		}
-		gres := g.Check()
-		ores := o.Check()
-		out.Checks++
-		out.Healths = append(out.Healths, gres.Health)
-		out.Divergences = append(out.Divergences, compareResults(out.Checks, gres, ores)...)
-		if gres.Verdict == guard.VerdictViolation {
-			out.GuardViolation = true
-			k.Kill(cp, kernelsim.SIGKILL)
-			return kernelsim.ErrKilled
-		}
-		return nil
-	}
-	eps := pol.Endpoints
-	if len(eps) == 0 {
-		eps = guard.DefaultEndpoints()
-	}
-	for _, sysno := range eps {
-		k.Intercept(sysno, handler)
-	}
-	st, err := k.Run(p, 500_000_000)
-	if err != nil {
-		return nil, err
-	}
-	out.Killed, out.Exited = st.Killed, st.Exited
-	g.AsyncFlushStats()
-	out.Divergences = append(out.Divergences, compareStats(&g.Stats, &o.Stats)...)
-	return out, nil
-}
-
-// diffRawStream replays a raw packet stream into a fresh ToPA in chunks,
-// checking with both pipelines after every chunk — the vehicle for
-// mutated, truncated and fuzz-generated traces that no real execution
-// produces.
-func diffRawStream(fx *DiffFixture, pol guard.Policy, raw []byte, chunks, region int) (*DiffOutcome, error) {
-	g, o, topa, err := newDiffPair(fx, pol, region)
-	if err != nil {
-		return nil, err
-	}
-	if pol.Async {
-		ap := guard.NewAsyncPool(pol.AsyncWorkers)
-		defer ap.Close()
-		g.EnableAsync(ap)
-	}
-	return replayStream(g, o, topa, raw, chunks), nil
-}
-
-// diffFleetStream is the fleet workload class of the soak: an
-// artifact-backed parent guard replays a benign stream to quiescence
-// (banking approvals), then a child built by ForkGuard replays its own
-// stream — benign or attacked — from a fresh window, compared against
-// a fresh oracle pre-seeded with the parent's approvals. This is the
-// fork-inheritance conformance contract (see ForkGuard) exercised at
-// soak scale: the child's verdicts must match an oracle that inherited
-// the same trained state, and an injected edge must still be caught
-// despite the inheritance.
-func diffFleetStream(fx *DiffFixture, pol guard.Policy, parentRaw, childRaw []byte, chunks int) (*DiffOutcome, error) {
-	region := len(parentRaw) + guard.DefaultToPARegion
-	if len(childRaw) > len(parentRaw) {
-		region = len(childRaw) + guard.DefaultToPARegion
-	}
-	parent, po, ptopa, err := newDiffPair(fx, pol, region)
-	if err != nil {
-		return nil, err
-	}
-	parent.UseArtifact(fx.An.ITC.Artifact())
+	km := guard.InstallModule(k)
 	var ap *guard.AsyncPool
 	if pol.Async {
 		ap = guard.NewAsyncPool(pol.AsyncWorkers)
-		defer ap.Close()
-		parent.EnableAsync(ap)
+		if plan != nil {
+			ap.InjectFaults(plan)
+		}
+		km.UseAsync(ap)
 	}
-	out := replayStream(parent, po, ptopa, parentRaw, chunks)
-
-	ctopa := ipt.NewToPA(region, region)
-	ctr := ipt.NewTracer(ctopa)
-	if err := ctr.WriteMSR(ipt.MSRRTITCtl, ctlTrace); err != nil {
+	d, err := newDiffGate(fx, km, p, pol, km.Protect)
+	var st kernelsim.ExitStatus
+	if err == nil {
+		if plan != nil {
+			d.out.Guard.Tracer.Fault = plan
+		}
+		st, err = k.Run(p, 500_000_000)
+	}
+	if ap != nil {
+		ap.Close()
+	}
+	km.Shutdown()
+	if err != nil {
 		return nil, err
 	}
-	child := guard.ForkGuard(parent, nil, ctr)
-	if ap != nil {
-		child.EnableAsync(ap)
-	}
-	co := oracle.New(fx.An.OCFG.AS, fx.An.OCFG, fx.Ref, ctopa, oraclePolicy(pol))
-	co.AdoptApprovals(po)
-	cout := replayStream(child, co, ctopa, childRaw, chunks)
-
-	out.Checks += cout.Checks
-	out.GuardViolation = out.GuardViolation || cout.GuardViolation
-	out.Healths = append(out.Healths, cout.Healths...)
-	out.Divergences = append(out.Divergences, cout.Divergences...)
-	return out, nil
-}
-
-// newDiffPair builds a production guard and a reference oracle over one
-// shared fresh ToPA (no process attached — raw-stream replay).
-func newDiffPair(fx *DiffFixture, pol guard.Policy, region int) (*guard.Guard, *oracle.Oracle, *ipt.ToPA, error) {
-	if region < ipt.PSBSize {
-		region = guard.DefaultToPARegion
-	}
-	topa := ipt.NewToPA(region, region)
-	tr := ipt.NewTracer(topa)
-	if err := tr.WriteMSR(ipt.MSRRTITCtl, ctlTrace); err != nil {
-		return nil, nil, nil, err
-	}
-	as := fx.An.OCFG.AS
-	g := guard.New(as, fx.An.OCFG, fx.An.ITC, tr, pol)
-	o := oracle.New(as, fx.An.OCFG, fx.Ref, topa, oraclePolicy(pol))
-	return g, o, topa, nil
-}
-
-// replayStream writes raw into the buffer in chunks, checking with both
-// pipelines after each.
-func replayStream(g *guard.Guard, o *oracle.Oracle, topa *ipt.ToPA, raw []byte, chunks int) *DiffOutcome {
-	if chunks < 1 {
-		chunks = 1
-	}
-	out := &DiffOutcome{}
-	for c := 0; c < chunks; c++ {
-		lo, hi := c*len(raw)/chunks, (c+1)*len(raw)/chunks
-		topa.Write(raw[lo:hi])
-		gres := g.Check()
-		ores := o.Check()
-		out.Checks++
-		out.Healths = append(out.Healths, gres.Health)
-		out.Divergences = append(out.Divergences, compareResults(out.Checks, gres, ores)...)
-		if gres.Verdict == guard.VerdictViolation {
-			out.GuardViolation = true
-		}
-	}
-	out.Divergences = append(out.Divergences, compareStats(&g.Stats, &o.Stats)...)
-	return out
+	return d.finish(st), nil
 }
 
 // injectEdge widens every IP-bearing packet of a well-formed stream to
@@ -581,24 +547,6 @@ func (r *Runner) preemptFixtures() ([]*DiffFixture, error) {
 	return out, nil
 }
 
-// mcSoakRun folds one multicore differential run into the soak's
-// DiffOutcome shape, adding the transport-cleanliness assertion: these
-// runs inject no faults, so any demux resynchronization or attribution
-// loss is itself a divergence.
-func mcSoakRun(fx *DiffFixture, input []byte, pol guard.Policy,
-	cores int, quantum uint64, noise [][]byte) (*DiffOutcome, error) {
-	mo, err := diffMulticoreRun(fx, input, pol, cores, quantum, noise)
-	if err != nil {
-		return nil, err
-	}
-	if mo.Demux != nil && (mo.Demux.Resyncs != 0 || mo.Demux.UnmarkedLosses != 0) {
-		mo.Divergences = append(mo.Divergences, fmt.Sprintf(
-			"fault-free multicore run: demux Resyncs=%d UnmarkedLosses=%d",
-			mo.Demux.Resyncs, mo.Demux.UnmarkedLosses))
-	}
-	return &mo.DiffOutcome, nil
-}
-
 // soakCell is what a soak seed selects: the OnDegraded mode (an index
 // into OracleSoak's modes), the workload class (soakOne's switch), the
 // variant v choosing inputs within the class (v%2 alternates benign and
@@ -702,12 +650,12 @@ func (r *Runner) soakOne(fx *DiffFixture, progs, preempt []*DiffFixture, corpus 
 			noise = [][]byte{fx.An.App.MakeInput(r.Scale/2+2, int64(seed+500))}
 		}
 		quanta := [...]uint64{120, 250, 400}
-		out, err = mcSoakRun(fx, input, pol, 1+v%3, quanta[v%len(quanta)], noise)
+		out, err = diffMulticoreRun(fx, input, pol, 1+v%3, quanta[v%len(quanta)], noise)
 	default: // preempted signal/thread workloads (handler windows, clones)
 		pfx := preempt[v%len(preempt)]
 		input := pfx.An.App.MakeInput(16+v%16, int64(seed))
 		quanta := [...]uint64{120, 200, 300}
-		out, err = mcSoakRun(pfx, input, pol, 1+v%3, quanta[v%len(quanta)], nil)
+		out, err = diffMulticoreRun(pfx, input, pol, 1+v%3, quanta[v%len(quanta)], nil)
 	}
 	if err != nil {
 		row.Errors++
@@ -719,7 +667,7 @@ func (r *Runner) soakOne(fx *DiffFixture, progs, preempt []*DiffFixture, corpus 
 	} else {
 		row.ProcRuns++
 	}
-	row.Checks += uint64(out.Checks)
+	row.Checks += uint64(len(out.Results))
 	if isAttack {
 		row.Attacks++
 		if out.GuardViolation {

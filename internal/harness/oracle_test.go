@@ -13,7 +13,6 @@ import (
 	"flowguard/internal/faults"
 	"flowguard/internal/guard"
 	"flowguard/internal/oracle"
-	"flowguard/internal/trace/ipt"
 )
 
 var seedFile = flag.String("seedfile", "", "replay a dumped property-failure artifact (TestOracleReplay)")
@@ -113,7 +112,7 @@ func TestDifferentialBenign(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-		if out.Checks == 0 {
+		if len(out.Results) == 0 {
 			t.Fatalf("%v: no endpoint checks ran", m)
 		}
 		if !out.Exited || out.Killed {
@@ -268,8 +267,8 @@ func TestPropertyPSBTruncation(t *testing.T) {
 			t.Fatalf("psb %d: %v", i, err)
 		}
 		bad := len(out.Divergences) > 0
-		for _, h := range out.Healths {
-			if h == guard.HealthMalformed {
+		for _, r := range out.Results {
+			if r.Health == guard.HealthMalformed {
 				t.Errorf("psb %d %v: truncation at a sync point classified malformed", i, m)
 				bad = true
 			}
@@ -287,8 +286,8 @@ func TestPropertyPSBTruncation(t *testing.T) {
 					if len(o.Divergences) > 0 {
 						return true
 					}
-					for _, h := range o.Healths {
-						if h == guard.HealthMalformed {
+					for _, r := range o.Results {
+						if r.Health == guard.HealthMalformed {
 							return true
 						}
 					}
@@ -312,21 +311,13 @@ func warmVerdicts(t *testing.T, fx *DiffFixture, chunks int, prevG *guard.Guard,
 		g.ShareApprovals(prevG.Approvals())
 		o.AdoptApprovals(prevO)
 	}
-	out := &DiffOutcome{}
-	var verdicts []guard.Verdict
-	raw := fx.BenignTrace
-	for c := 0; c < chunks; c++ {
-		lo, hi := c*len(raw)/chunks, (c+1)*len(raw)/chunks
-		topa.Write(raw[lo:hi])
-		gres := g.Check()
-		ores := o.Check()
-		out.Checks++
-		verdicts = append(verdicts, gres.Verdict)
-		out.Divergences = append(out.Divergences, compareResults(out.Checks, gres, ores)...)
-	}
-	out.Divergences = append(out.Divergences, compareStats(&g.Stats, &o.Stats)...)
+	out := replayStream(g, o, topa, fx.BenignTrace, chunks)
 	for _, d := range out.Divergences {
 		t.Errorf("warm-cache: %s", d)
+	}
+	verdicts := make([]guard.Verdict, len(out.Results))
+	for i, r := range out.Results {
+		verdicts[i] = r.Verdict
 	}
 	return verdicts, g, o
 }
@@ -347,11 +338,9 @@ func newUnderTrainedFixture() (*DiffFixture, error) {
 		return nil, err
 	}
 	cut := len(raw) / 3
-	evs, err := ipt.DecodeFast(raw[:cut]) // truncated tails stop cleanly
-	if err != nil {
+	if err := observeTrace(an.ITC, raw[:cut]); err != nil { // truncated tails stop cleanly
 		return nil, err
 	}
-	an.ITC.ObserveWindow(ipt.ExtractTIPs(evs))
 	ref := oracle.NewRef(an.OCFG)
 	if err := ref.ObserveTrace(raw[:cut]); err != nil {
 		return nil, err
@@ -502,8 +491,8 @@ func TestOracleReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, h := range out.Healths {
-			if h == guard.HealthMalformed {
+		for _, r := range out.Results {
+			if r.Health == guard.HealthMalformed {
 				t.Error("replay: malformed health on a PSB-aligned truncation")
 			}
 		}

@@ -6,9 +6,9 @@ package harness
 // must be observationally identical to tracing that process alone with a
 // dedicated CR3-filtered unit: byte-identical reconstructed windows,
 // bit-identical per-check verdicts, and bit-identical statistics. The
-// multicore leg is additionally compared against per-thread reference
-// oracles at every endpoint, so the solo leg is transitively
-// oracle-conformant too. Failures shrink through the delta debugger and
+// two legs run through the same differential gate, so each is also
+// compared against reference oracles at every endpoint: per thread in
+// the multicore leg, over the process stream in the solo leg. Failures shrink through the delta debugger and
 // dump a TestOracleReplay artifact like every other property here.
 
 import (
@@ -167,12 +167,12 @@ func compareMCStats(s, m *guard.Stats, async bool) (divs []string) {
 }
 
 // runMCConformance replays one seed point through both worlds and
-// returns every divergence: multicore-vs-oracle (computed inside the
-// multicore leg), solo-vs-multicore result and statistics equality,
-// stream byte identity, exit equivalence, and transport cleanliness (a
-// fault-free schedule must never resync or lose attribution).
-func runMCConformance(fx *DiffFixture, p mcPoint, input []byte, noise [][]byte) ([]string, *MCOutcome, error) {
-	solo, err := soloConformanceRun(fx, input, p.pol)
+// returns every divergence: each leg against its oracles and the
+// multicore leg's transport cleanliness (computed inside
+// diffProtectedRun and diffMulticoreRun), solo-vs-multicore result and
+// statistics equality, stream byte identity, and exit equivalence.
+func runMCConformance(fx *DiffFixture, p mcPoint, input []byte, noise [][]byte) ([]string, *DiffOutcome, error) {
+	solo, err := diffProtectedRun(fx, input, p.pol, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -180,7 +180,13 @@ func runMCConformance(fx *DiffFixture, p mcPoint, input []byte, noise [][]byte) 
 	if err != nil {
 		return nil, nil, err
 	}
-	divs := append([]string(nil), mc.Divergences...)
+	var divs []string
+	for _, d := range solo.Divergences {
+		divs = append(divs, "solo vs oracle: "+d)
+	}
+	for _, d := range mc.Divergences {
+		divs = append(divs, "multicore vs oracle: "+d)
+	}
 	if len(solo.Results) != len(mc.Results) {
 		divs = append(divs, fmt.Sprintf("check counts: solo=%d multicore=%d", len(solo.Results), len(mc.Results)))
 	} else {
@@ -198,10 +204,6 @@ func runMCConformance(fx *DiffFixture, p mcPoint, input []byte, noise [][]byte) 
 		divs = append(divs, fmt.Sprintf("stream length: solo=%d multicore=%d", st.TotalWritten(), mt.TotalWritten()))
 	} else if !bytes.Equal(st.Snapshot(), mt.Snapshot()) {
 		divs = append(divs, "stream bytes: demuxed window differs from solo capture")
-	}
-	if mc.Demux != nil && (mc.Demux.Resyncs != 0 || mc.Demux.UnmarkedLosses != 0) {
-		divs = append(divs, fmt.Sprintf("transport: fault-free run demuxed with Resyncs=%d UnmarkedLosses=%d",
-			mc.Demux.Resyncs, mc.Demux.UnmarkedLosses))
 	}
 	return divs, mc, nil
 }

@@ -25,7 +25,6 @@ var guardOnlyStats = map[string]string{
 	"BackpressureStalls": "always zero: the async pipeline has no producer stall; kept for perfbench's report",
 	"WatchdogSheds":      "always zero: the async pipeline has no watchdog; kept for perfbench's report",
 	"WorkerCrashes":      "asynchronous-pipeline scheduling: the oracle always decodes synchronously",
-	"FairnessSheds":      "fleet admission scheduling: the shed it forces is compared through Shed",
 	"ForkInherits":       "fleet lifecycle bookkeeping: the oracle has no fork inheritance",
 	"StreamLosses":       "demux transport event upstream of the oracle's stream view; its health/degraded consequences are compared through the counters above",
 }

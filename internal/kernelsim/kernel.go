@@ -159,9 +159,6 @@ type openFile struct {
 	pos  int
 }
 
-// StdinRemaining returns the unread stdin bytes.
-func (p *Process) StdinRemaining() int { return len(p.stdin) - p.stdinPos }
-
 // Kernel is the machine-wide OS model.
 //
 // Kernel services reachable from syscall dispatch (filesystem, clock,

@@ -301,7 +301,7 @@ func (o *Oracle) slowPath(res *Result, recs []tipRec, region []byte) {
 	if len(region) == 0 {
 		return
 	}
-	pkts, _, perr := parse(region, 0, false)
+	pkts, _, perr := parse(nil, region, 0, false)
 	if perr == nil {
 		var flow []flowEdge
 		var resyncPts []int

@@ -170,7 +170,9 @@ func tntLen(b byte) int {
 	return -1
 }
 
-// parse decodes buf into packets. base offsets the reported packet
+// parse decodes buf into packets, appended to pkts (a caller re-parsing
+// at every check passes its previous result truncated to zero length,
+// so the backing array is reused). base offsets the reported packet
 // positions. Two dialects exist, matching the two production decoders:
 //
 //   - stream = true mirrors the windowed decoder: bytes before the first
@@ -183,12 +185,12 @@ func tntLen(b byte) int {
 //
 // Truncated tails never error in either dialect; the returned consumed
 // count marks where parsing stopped.
-func parse(buf []byte, base int, stream bool) (pkts []Packet, consumed int, err error) {
+func parse(pkts []Packet, buf []byte, base int, stream bool) (_ []Packet, consumed int, err error) {
 	i := 0
 	if stream {
 		p := findPSB(buf, 0)
 		if p < 0 {
-			return nil, 0, nil
+			return pkts, 0, nil
 		}
 		i = p
 	}
@@ -327,7 +329,7 @@ func payloadLen(ipb uint8) int {
 // the property layer (round-trip and mutation testing). It reports how
 // many bytes were consumed; a truncated tail stops cleanly before err.
 func ParsePackets(buf []byte) ([]Packet, int, error) {
-	return parse(buf, 0, false)
+	return parse(nil, buf, 0, false)
 }
 
 // Serialize re-encodes packets byte-identically to the stream they were

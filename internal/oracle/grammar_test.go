@@ -111,7 +111,7 @@ func TestStreamDialectSkipsToPSB(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	tail := genStream(r, 20)
 	raw := append([]byte{0xFF, 0x03, 0x02, 0x41, 0x99}, tail...)
-	pkts, _, err := parse(raw, 0, true)
+	pkts, _, err := parse(nil, raw, 0, true)
 	if err != nil {
 		t.Fatalf("stream parse errored on pre-sync garbage: %v", err)
 	}
@@ -133,16 +133,16 @@ func TestStreamDialectMalformedPSBTail(t *testing.T) {
 	}
 	raw = append(raw, 0x02, extPSB, 0x02, 0x41) // partial PSB, provably broken
 
-	if _, _, err := parse(raw, 0, true); err == nil {
+	if _, _, err := parse(nil, raw, 0, true); err == nil {
 		t.Fatal("stream dialect accepted a provably broken partial PSB")
 	}
-	if _, _, err := parse(raw, 0, false); err != nil {
+	if _, _, err := parse(nil, raw, 0, false); err != nil {
 		t.Fatalf("batch dialect rejected a truncated tail: %v", err)
 	}
 
 	// A viable partial PSB is a clean hold in both dialects.
 	viable := raw[:len(raw)-2]
-	if _, _, err := parse(viable, 0, true); err != nil {
+	if _, _, err := parse(nil, viable, 0, true); err != nil {
 		t.Fatalf("stream dialect rejected a viable partial PSB: %v", err)
 	}
 }

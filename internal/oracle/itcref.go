@@ -134,7 +134,7 @@ func (r *Ref) Edges() [][2]uint64 {
 // signature; consecutive triples train the path store unconditionally
 // (mirroring the production ObserveWindow contract).
 func (r *Ref) ObserveTrace(raw []byte) error {
-	pkts, _, err := parse(raw, 0, false)
+	pkts, _, err := parse(nil, raw, 0, false)
 	if err != nil {
 		return err
 	}

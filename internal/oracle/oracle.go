@@ -147,6 +147,9 @@ type Oracle struct {
 	// Per-parse scratch consulted by degraded resolution.
 	curSynced  bool
 	curLastOVF int
+	// pkts keeps the last parse's backing array, so re-parsing the
+	// growing retained stream at every check does not regrow it.
+	pkts []Packet
 
 	apprEdges map[edgeApproval]bool
 	apprPaths map[[3]uint64]bool
@@ -173,9 +176,6 @@ func (o *Oracle) AdoptApprovals(from *Oracle) {
 	o.apprPaths = from.apprPaths
 	o.apprGen = from.apprGen
 }
-
-// Invalidate drops the retained stream so the next check re-snapshots.
-func (o *Oracle) Invalidate() { o.invalid = true }
 
 // window re-derives the check window: sync the retained stream with the
 // source, re-parse it wholesale, apply the residency and health rules,
@@ -206,7 +206,8 @@ func (o *Oracle) window() (recs []tipRec, region []byte, health Health, err erro
 	}
 	o.started, o.invalid, o.prevTotal = true, false, total
 
-	pkts, _, perr := parse(o.stream, int(o.streamBase), true)
+	pkts, _, perr := parse(o.pkts[:0], o.stream, int(o.streamBase), true)
+	o.pkts = pkts
 	o.curSynced = syncedEnd(pkts)
 	o.curLastOVF = lastOVFOff(pkts)
 	if perr != nil {
@@ -447,7 +448,7 @@ func (o *Oracle) retrySlowPath(res *Result, detail string) {
 			break
 		}
 		start := pts[attempt]
-		pkts, _, perr := parse(buf[start:], start, false)
+		pkts, _, perr := parse(nil, buf[start:], start, false)
 		if perr != nil {
 			continue
 		}
@@ -484,19 +485,5 @@ func (o *Oracle) finish(res *Result) {
 	}
 	if res.Verdict == VerdictViolation {
 		o.Stats.Violations++
-	}
-}
-
-// NoteShed accounts a check the caller's admission control refused,
-// mirroring the production pool's shed bookkeeping.
-func (o *Oracle) NoteShed(violation bool) {
-	o.Stats.Checks++
-	o.Stats.DegradedChecks++
-	o.Stats.Shed++
-	if violation {
-		o.Stats.Violations++
-		o.Stats.FailClosures++
-	} else {
-		o.Stats.FailOpens++
 	}
 }

@@ -78,9 +78,6 @@ func NewDemux(cores int) *Demux {
 // Spans for CR3 values with no binding are dropped and counted.
 func (x *Demux) Bind(cr3 uint64, sink *ToPA) { x.sinks[cr3] = sink }
 
-// Unbind removes the binding for cr3 (process exit).
-func (x *Demux) Unbind(cr3 uint64) { delete(x.sinks, cr3) }
-
 // Feed consumes one appended chunk of core's shared stream. Chunks may be
 // cut anywhere — a packet truncated at the chunk end is carried over and
 // completed by the next Feed, exactly as WindowDecoder does.
