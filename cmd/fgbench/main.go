@@ -91,26 +91,27 @@ func main() {
 	var phases []perfstat.PhaseBreakdown
 	var jsonBenches []perfstat.Benchmark
 
-	if want(tables, "1") {
-		section("Table 1: hardware control-flow tracing mechanisms")
+	if want(tables, "1") || want(claims, "decode230x") {
+		// One traced pass per kernel serves both: the §2 claim is the
+		// IPT row's decode cost, kernel by kernel.
 		rows, err := r.Table1()
 		if err != nil {
 			fail(err)
 		}
-		for _, row := range rows {
-			fmt.Println(" ", row)
+		if want(tables, "1") {
+			section("Table 1: hardware control-flow tracing mechanisms")
+			for _, row := range rows {
+				fmt.Println(" ", row)
+			}
 		}
-	}
-	if want(claims, "decode230x") {
-		section("§2 claim: full-decode overhead vs execution")
-		geo, per, err := r.DecodeOverheadX()
-		if err != nil {
-			fail(err)
+		if want(claims, "decode230x") {
+			section("§2 claim: full-decode overhead vs execution")
+			ipt := rows[len(rows)-1]
+			for _, a := range apps.SpecApps() {
+				fmt.Printf("  %-12s %.0fx\n", a.Name, ipt.KernelDecodingX[a.Name])
+			}
+			fmt.Printf("  geomean: %.0fx (paper: ~230x)\n", ipt.DecodingOverheadX)
 		}
-		for _, a := range apps.SpecApps() {
-			fmt.Printf("  %-12s %.0fx\n", a.Name, per[a.Name])
-		}
-		fmt.Printf("  geomean: %.0fx (paper: ~230x)\n", geo)
 	}
 	if want(tables, "4") || want(tables, "5") {
 		t4, t5, err := r.Table4And5()

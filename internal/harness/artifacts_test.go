@@ -32,23 +32,20 @@ func TestPaperArtifactsGolden(t *testing.T) {
 		t.Skip("default-scale artifacts take seconds each")
 	}
 	r := harness.NewRunner()
+	t1, err := r.Table1()
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Run("table1", func(t *testing.T) {
-		rows, err := r.Table1()
-		if err != nil {
-			t.Fatal(err)
-		}
-		golden(t, "table1.golden", section("Table 1: hardware control-flow tracing mechanisms", rows))
+		golden(t, "table1.golden", section("Table 1: hardware control-flow tracing mechanisms", t1))
 	})
 	t.Run("decode230x", func(t *testing.T) {
-		geo, per, err := r.DecodeOverheadX()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ipt := t1[len(t1)-1]
 		var rows []string
 		for _, a := range apps.SpecApps() {
-			rows = append(rows, fmt.Sprintf("%-12s %.0fx", a.Name, per[a.Name]))
+			rows = append(rows, fmt.Sprintf("%-12s %.0fx", a.Name, ipt.KernelDecodingX[a.Name]))
 		}
-		rows = append(rows, fmt.Sprintf("geomean: %.0fx (paper: ~230x)", geo))
+		rows = append(rows, fmt.Sprintf("geomean: %.0fx (paper: ~230x)", ipt.DecodingOverheadX))
 		golden(t, "decode230x.golden", section("§2 claim: full-decode overhead vs execution", rows))
 	})
 	t.Run("table4", func(t *testing.T) {

@@ -21,9 +21,14 @@ type Table1Row struct {
 	TracingOverheadPct float64
 	// DecodingOverheadX is the full-decode cost as a multiple of
 	// execution (IPT only; BTS records are self-describing and LBR holds
-	// register pairs).
+	// register pairs): the geometric mean of KernelDecodingX.
 	DecodingOverheadX float64
-	Filtering         string
+	// KernelDecodingX is the full-decode cost of each SPEC-like kernel by
+	// name (IPT only), the rows of the standalone §2 claim (the paper
+	// measures ~230x, with 8 of 12 benchmarks above 500x on their
+	// testbed).
+	KernelDecodingX map[string]float64
+	Filtering       string
 }
 
 func (r Table1Row) String() string {
@@ -35,9 +40,12 @@ func (r Table1Row) String() string {
 		r.Mechanism, r.Precise, r.TracingOverheadPct, dec, r.Filtering)
 }
 
-// Table1 measures the three mechanisms over the SPEC-like kernels.
+// Table1 measures the three mechanisms over the SPEC-like kernels. Its
+// IPT row also carries the §2 full-decode claim, kernel by kernel, from
+// the same traced run.
 func (r *Runner) Table1() ([]Table1Row, error) {
 	var btsOv, lbrOv, iptOv, decOv []float64
+	decX := make(map[string]float64)
 	for _, a := range apps.SpecApps() {
 		input := a.MakeInput(r.Scale, r.Seed)
 		base, _, err := r.Baseline(a, input)
@@ -77,45 +85,15 @@ func (r *Runner) Table1() ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		decOv = append(decOv, float64(ft.Cycles())/float64(base))
+		x := float64(ft.Cycles()) / float64(base)
+		decX[a.Name] = x
+		decOv = append(decOv, x)
 	}
 	return []Table1Row{
 		{Mechanism: "BTS", Precise: "full", TracingOverheadPct: geomean(btsOv), DecodingOverheadX: 0, Filtering: "none"},
 		{Mechanism: "LBR", Precise: "low", TracingOverheadPct: geomean(lbrOv), DecodingOverheadX: 0, Filtering: "CPL, CoFI type"},
-		{Mechanism: "IPT", Precise: "full", TracingOverheadPct: geomean(iptOv), DecodingOverheadX: geomean(decOv), Filtering: "CPL, CR3, IP"},
+		{Mechanism: "IPT", Precise: "full", TracingOverheadPct: geomean(iptOv), DecodingOverheadX: geomean(decOv), KernelDecodingX: decX, Filtering: "CPL, CR3, IP"},
 	}, nil
-}
-
-// DecodeOverheadX reproduces the standalone §2 claim: the geometric mean
-// full-decode overhead over the SPEC-like kernels (the paper measures
-// ~230x, with 8 of 12 benchmarks above 500x on their testbed).
-func (r *Runner) DecodeOverheadX() (geo float64, perApp map[string]float64, err error) {
-	perApp = make(map[string]float64)
-	var all []float64
-	for _, a := range apps.SpecApps() {
-		input := a.MakeInput(r.Scale, r.Seed)
-		base, _, err := r.Baseline(a, input)
-		if err != nil {
-			return 0, nil, err
-		}
-		it := ipt.NewTracer(ipt.NewToPA(256 << 20))
-		if err := it.WriteMSR(ipt.MSRRTITCtl, ctlTrace); err != nil {
-			return 0, nil, err
-		}
-		as, err := r.runWithSinkAS(a, input, it)
-		if err != nil {
-			return 0, nil, err
-		}
-		it.Flush()
-		ft, err := ipt.DecodeFull(as, it.Out.Snapshot(), 0)
-		if err != nil {
-			return 0, nil, err
-		}
-		x := float64(ft.Cycles()) / float64(base)
-		perApp[a.Name] = x
-		all = append(all, x)
-	}
-	return geomean(all), perApp, nil
 }
 
 func (r *Runner) runWithSink(a *apps.App, input []byte, sink trace.Sink) error {

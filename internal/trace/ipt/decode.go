@@ -179,7 +179,10 @@ func (s *pktScan) next(e *Event) (bool, error) {
 
 // TIPRecord is one checked unit of the fast path: a TIP target plus the
 // signature of the TNT run observed since the previous TIP (the
-// information §4.3 attaches to ITC-CFG edges).
+// information §4.3 attaches to ITC-CFG edges). The record does not carry
+// the run's length: a run over TNTRunCap has the wildcard signature
+// TNTSigLongRun whatever its length, so the scanners count a run's
+// outcomes only until it passes the cap and skip the rest uncounted.
 //
 // The layout is deliberately 32 bytes — two records per cache line, no
 // record ever straddling one — because the scanners emit these in bulk on
@@ -188,15 +191,11 @@ type TIPRecord struct {
 	// IP is the indirect branch target carried by the TIP packet.
 	IP uint64
 	// TNTSig is the signature of the conditional-branch outcomes seen
-	// between the previous TIP and this one; TNTSigEmpty if none.
+	// between the previous TIP and this one; TNTSigEmpty if none,
+	// TNTSigLongRun if more than TNTRunCap.
 	TNTSig uint64
 	// Off is the stream offset (diagnostics).
 	Off int
-	// TNTLen is the number of conditional outcomes folded into TNTSig.
-	// 32 bits keep the record at two per cache line; a run that long
-	// (hundreds of megabytes of contiguous TNT) collapsed its signature
-	// to TNTSigLongRun at TNTRunCap outcomes already.
-	TNTLen int32
 	// Resync marks the first TIP decoded after an overflow-forced
 	// resynchronization: the packets between the OVF and the next PSB
 	// were discarded, so this record is NOT control-flow-adjacent to the
@@ -287,7 +286,7 @@ func ExtractTIPs(evs []Event) []TIPRecord {
 			if n > TNTRunCap {
 				sig = TNTSigLongRun
 			}
-			out = append(out, TIPRecord{IP: e.IP, TNTSig: sig, TNTLen: int32(n), Off: e.Off, Resync: resync, Async: async})
+			out = append(out, TIPRecord{IP: e.IP, TNTSig: sig, Off: e.Off, Resync: resync, Async: async})
 			sig, n = TNTSigEmpty, 0
 			resync = false
 		case KindPSB:

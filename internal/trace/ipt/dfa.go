@@ -124,21 +124,50 @@ func leUint64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 //fg:hotpath
 func isTNTHeader(b byte) bool { return b&1 == 0 && b >= 4 }
 
-// tntPrefixLen returns how many bytes (0..8) at the low end of w — the
-// lowest stream offsets — are short-TNT headers. A short-TNT header is
-// even and has a bit set in 2..7 (the stop bit of a 1..6-outcome
-// payload); PAD, the 0x02 escape and every TIP-family header fail.
-// The stop mask flags each failing byte at its bit 7: odd bytes
-// directly, bytes with no bit in 2..7 through the subtract/borrow
-// zero-byte probe. The borrow can flag bytes above the first zero byte
-// spuriously, but never below it, so the lowest flag is exact and the
-// trailing-zero count locates it.
+// tntStop returns the stop mask of w: bit 7 of each byte that is not a
+// short-TNT header is set. A short-TNT header is even and has a bit set
+// in 2..7 (the stop bit of a 1..6-outcome payload); PAD, the 0x02 escape
+// and every TIP-family header fail. Odd bytes are flagged directly,
+// bytes with no bit in 2..7 through the subtract/borrow zero-byte probe.
+// The borrow can flag bytes above the first zero byte spuriously, but
+// never below it, so the lowest flag is exact.
 //
 //fg:hotpath
-func tntPrefixLen(w uint64) int {
+func tntStop(w uint64) uint64 {
 	m := w & wordTNT
-	stop := (m-wordLSBs)&^m&wordMSBs | (w&wordLSBs)<<7
-	return bits.TrailingZeros64(stop) >> 3
+	return (m-wordLSBs)&^m&wordMSBs | (w&wordLSBs)<<7
+}
+
+// tntPrefixLen returns how many bytes (0..8) at the low end of w — the
+// lowest stream offsets — are short-TNT headers: the trailing-zero count
+// of the stop mask locates its lowest, exact flag.
+//
+//fg:hotpath
+func tntPrefixLen(w uint64) int { return bits.TrailingZeros64(tntStop(w)) >> 3 }
+
+// tntRunEnd returns the offset of the first byte at or after i in buf
+// that is not a short-TNT header, without counting the outcomes it
+// passes: the lane of a run already past TNTRunCap, where only the run's
+// end matters. It probes two words per step and reads no byte past the
+// last whole word of buf, so when fewer than 8 bytes remain it stops
+// early and leaves them to the per-packet dispatch.
+//
+//fg:hotpath
+func tntRunEnd(buf []byte, i int) int {
+	for i+16 <= len(buf) {
+		s0, s1 := tntStop(leUint64(buf[i:])), tntStop(leUint64(buf[i+8:]))
+		if s0|s1 != 0 {
+			if s0 != 0 {
+				return i + bits.TrailingZeros64(s0)>>3
+			}
+			return i + 8 + bits.TrailingZeros64(s1)>>3
+		}
+		i += 16
+	}
+	if i+8 <= len(buf) {
+		i += tntPrefixLen(leUint64(buf[i:]))
+	}
+	return i
 }
 
 // tntPrefixBits returns the number of TNT outcomes carried by the low n

@@ -241,6 +241,26 @@ func FuzzWindowDecoder(f *testing.F) {
 		f.Add(s, 64)
 		f.Add(s, 5)
 	}
+	{
+		// Runs long past TNTRunCap, 17 to 40 bytes, each followed by a
+		// TIP and more stream: the skip lane (a run past the cap is
+		// skipped two probe words at a time, uncounted) finds the run's
+		// end in the first word of a probe, in the second, and exactly
+		// on a probe boundary. Feeds of 7, 13 and 24 bytes split runs
+		// across feeds, so the skip resumes from the carried state.
+		var last uint64
+		s := appendIPPacket(nil, opTIP, 0x400000, &last)
+		for n := 17; n <= 40; n++ {
+			for i := 0; i < n; i++ {
+				s = append(s, 0x04|byte(i%3)<<1) // one outcome each
+			}
+			s = appendIPPacket(s, opTIP, 0x400000+uint64(n)<<6, &last)
+		}
+		f.Add(s, 64)
+		f.Add(s, 7)
+		f.Add(s, 13)
+		f.Add(s, 24)
+	}
 	f.Fuzz(func(t *testing.T, body []byte, chunk int) {
 		if chunk <= 0 {
 			chunk = 1
@@ -277,7 +297,7 @@ func FuzzWindowDecoder(f *testing.F) {
 }
 
 // FuzzTNTAnnotations drives TNT-annotation extraction with generated
-// TNT/TIP scripts: the TNT signature and length attached to every TIP
+// TNT/TIP scripts: the TNT signature attached to every TIP
 // record must equal an independently folded ground truth, in both the
 // batch and the incremental decoder.
 func FuzzTNTAnnotations(f *testing.F) {
@@ -291,6 +311,22 @@ func FuzzTNTAnnotations(f *testing.F) {
 			long[i] = 0b10101<<3 | 5
 		}
 		f.Add(append(long, 0x00), 4)
+	}
+	{
+		// Runs of 17 to 40 TNT bytes, each ended by a TIP: long enough for
+		// the skip lane's two-word probe, ending in either word of it, and
+		// split across feeds of 3, 11 and 17 bytes.
+		var script []byte
+		for n := 17; n <= 40; n++ {
+			for i := 0; i < n; i++ {
+				script = append(script, byte(i)<<3|byte(1+i%7)) // never a TIP (low bits 0)
+			}
+			script = append(script, byte(n)<<3) // TIP
+		}
+		f.Add(script, 64)
+		f.Add(script, 3)
+		f.Add(script, 11)
+		f.Add(script, 17)
 	}
 
 	f.Fuzz(func(t *testing.T, script []byte, chunk int) {
@@ -345,9 +381,9 @@ func FuzzTNTAnnotations(f *testing.F) {
 			t.Fatalf("%d TIP records, want %d", len(recs), len(want))
 		}
 		for i, r := range recs {
-			if r.TNTSig != want[i].sig || int(r.TNTLen) != want[i].n {
-				t.Fatalf("record %d: sig %#x len %d, want %#x len %d",
-					i, r.TNTSig, r.TNTLen, want[i].sig, want[i].n)
+			if r.TNTSig != want[i].sig {
+				t.Fatalf("record %d: sig %#x, want %#x (run of %d)",
+					i, r.TNTSig, want[i].sig, want[i].n)
 			}
 		}
 

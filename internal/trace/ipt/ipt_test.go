@@ -351,9 +351,6 @@ func TestExtractTIPs(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("TIP records = %d, want 2", len(recs))
 	}
-	if recs[0].TNTLen != 1 || recs[1].TNTLen != 1 {
-		t.Errorf("TNT lengths = %d,%d, want 1,1", recs[0].TNTLen, recs[1].TNTLen)
-	}
 	wantSig0 := ipt.TNTSigAppend(ipt.TNTSigEmpty, true)
 	wantSig1 := ipt.TNTSigAppend(ipt.TNTSigEmpty, false)
 	if recs[0].TNTSig != wantSig0 || recs[1].TNTSig != wantSig1 {

@@ -24,6 +24,9 @@ package ipt
 type WindowDecoder struct {
 	lastIP uint64
 	sig    uint64
+	// sigN counts the outcomes of the current TNT run exactly while it
+	// is within TNTRunCap; past the cap it only records that the run
+	// overran it (the scan stops counting there).
 	sigN   int
 	synced bool // a PSB has been seen; bytes before the first PSB are skipped
 	off    int  // absolute stream offset of the next undecoded byte
@@ -208,12 +211,13 @@ func (d *WindowDecoder) Feed(chunk []byte) error {
 // This is the throughput-critical loop of the fast path: the TIP family
 // (every odd header byte, the dense class of a record-bearing window) is
 // dispatched entirely in registers, the even classes in one pktTab load
-// per packet (no per-byte branch ladder), PAD gaps are skipped and TNT
-// runs counted word-at-a-time with uint64 probes (a run's outcomes are
-// folded into its signature only while it stays under TNTRunCap), and
-// the last-IP / TNT-run state lives in locals across the whole window —
-// the decoder fields are read once on entry and stored once per exit
-// instead of per packet.
+// per packet (no per-byte branch ladder), PAD gaps are skipped
+// word-at-a-time with uint64 probes, TNT runs are counted word-at-a-time
+// only while they stay within TNTRunCap (the only span whose outcomes
+// are folded into a signature) and past it skipped two words per probe
+// without counting, and the last-IP / TNT-run state lives in locals
+// across the whole window — the decoder fields are read once on entry
+// and stored once per exit instead of per packet.
 //
 //fg:hotpath
 func (d *WindowDecoder) scan(buf []byte, base int) (int, error) {
@@ -281,7 +285,6 @@ func (d *WindowDecoder) scan(buf []byte, base int) (int, error) {
 				r.IP = lastIP
 				r.TNTSig = sig
 				r.Off = base + i
-				r.TNTLen = int32(sigN)
 				r.Resync = resync
 				r.Async = prevFUP
 				r.Mod, r.Memo = 0, 0 // the slot may hold a dropped record's annotations
@@ -307,33 +310,35 @@ func (d *WindowDecoder) scan(buf []byte, base int) (int, error) {
 				sigN += int(e >> 8)
 			}
 			if i+8 <= n && isTNTHeader(buf[i]) {
-				// The run goes on: count the rest of it first, a word at
-				// a time. Each probe finds the word's TNT prefix and its
-				// outcome count, so a run's mixed last word is consumed
-				// here too and the next dispatch lands on the packet
-				// that ends the run.
-				p := i
-				cnt := 0
-				for i+8 <= n {
-					w := leUint64(buf[i:])
-					k := tntPrefixLen(w)
-					cnt += tntPrefixBits(w, k)
-					i += k
-					if k < 8 {
-						break
-					}
-				}
-				// Outcomes are discarded while resynchronizing after OVF.
-				// Below the cap the counted bytes (at most TNTRunCap of
-				// them) are folded byte-serially; a run that passes the
-				// cap is never folded past its header.
+				// The run goes on. While it is within the cap its
+				// outcomes are counted exactly, a word at a time: each
+				// probe finds the word's TNT prefix and its outcome
+				// count, and the counted bytes (at most TNTRunCap of
+				// them) are then folded byte-serially. k < 8 means the
+				// probe found the run's end, so the next dispatch lands
+				// on the packet that ends the run.
+				k := 8
 				if !skipping {
-					if sigN+cnt <= TNTRunCap {
+					p := i
+					for k == 8 && sigN <= TNTRunCap && i+8 <= n {
+						w := leUint64(buf[i:])
+						k = tntPrefixLen(w)
+						sigN += tntPrefixBits(w, k)
+						i += k
+					}
+					if sigN <= TNTRunCap {
 						for ; p < i; p++ {
 							sig = tntFold(sig, buf[p])
 						}
 					}
-					sigN += cnt
+				}
+				// Past the cap (or while resynchronizing after OVF,
+				// when outcomes are discarded) only the run's end
+				// matters: skip to it on the stop mask alone, without
+				// counting. sigN then only records that the run is over
+				// the cap, not by how much.
+				if k == 8 && (skipping || sigN > TNTRunCap) {
+					i = tntRunEnd(buf, i)
 				}
 			}
 			// Maintain the emit invariant: once the run overruns the cap,
