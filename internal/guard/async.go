@@ -172,11 +172,11 @@ func asyncDrainOneLocked(s *stream) bool {
 		w.asyncErr = ferr
 		return true
 	}
-	// Forget history the ToPA no longer holds, keeping the between-gates
-	// record tail bounded by the buffer capacity: window()'s trim, applied
-	// earlier. The gate's own trim (with an equal-or-higher cutoff)
-	// subsumes it, so decode state stays identical to the synchronous
-	// schedule.
+	// Forget history the ToPA no longer holds and records before the
+	// last qualifying window, keeping the between-gates record tail
+	// bounded by the buffer capacity: window()'s trim, applied earlier.
+	// The gate's own trim (with equal-or-higher cutoffs) subsumes it, so
+	// decode state stays identical to the synchronous schedule.
 	total, held, _ := topa.State()
 	w.trim(total - uint64(held))
 	return true

@@ -33,7 +33,7 @@ func ropPayload(t *testing.T, a *analyzed) []byte {
 
 // recordTrace runs the app on input with a bare tracer attached and
 // returns everything the trace unit wrote, with the run's exit status.
-func (a *analyzed) recordTrace(t *testing.T, input []byte) ([]byte, kernelsim.ExitStatus) {
+func (a *analyzed) recordTrace(t testing.TB, input []byte) ([]byte, kernelsim.ExitStatus) {
 	t.Helper()
 	k := kernelsim.New()
 	p, err := a.app.Spawn(k, input)

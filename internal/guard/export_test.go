@@ -49,3 +49,12 @@ func CheckAnnotations(g *Guard) error {
 	}
 	return nil
 }
+
+// RecordStorage returns the record capacity of the window decoder of the
+// guard's process stream and the capacity reserved for it when the
+// stream was built.
+func RecordStorage(g *Guard) (capacity, reserved int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.main.win.dec.RecordCap(), reservedRecords(g.Tracer.Out.Capacity())
+}

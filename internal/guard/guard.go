@@ -230,6 +230,11 @@ type winState struct {
 	// packet marks these, so the health classification and the
 	// SlowPathRetry tail rule consume this flag instead.
 	wrapLoss bool
+	// keep is the stream offset of the first record of the last window
+	// selectWindow found qualifying (0: none since the decoder's Reset).
+	// No later window starts before it, so trim drops the records before
+	// it along with those the ToPA no longer holds.
+	keep int
 }
 
 // Module classes selectWindow caches in ipt.TIPRecord.Mod. Zero is
@@ -356,6 +361,40 @@ type stream struct {
 	memoArt *itc.Artifact
 }
 
+// Window-cache reservation (DESIGN.md §5, zero-copy window cache): a
+// stream's record storage is set aside when the stream is built, so the
+// first checks of a fresh guard do not grow it inside the gate. The
+// storage peaks at twice the kept records plus one feed (DropBefore),
+// all within one resident buffer. Module-protected nginx, vsftpd and
+// openssh sessions peak at about 130, 470 and 850 stored records over
+// the kernel module's 2×8 KiB buffer, so one record per 16 bytes of
+// capacity (1024 there) holds each of them. Buffers larger than the
+// default are sized as the default: they serve long runs whose feeds
+// between checks grow the slice anyway, and reserving in proportion
+// would cost twice the buffer's bytes.
+const (
+	traceBytesPerReservedRecord = 16
+	maxReservedTraceBytes       = DefaultToPARegions * DefaultToPARegion
+)
+
+// reservedRecords is the record storage reserved for a stream whose
+// ToPA holds capacity bytes.
+func reservedRecords(capacity int) int {
+	return min(capacity, maxReservedTraceBytes) / traceBytesPerReservedRecord
+}
+
+// newStream is the one constructor of a checked stream over tr: the
+// guard's process stream and every further thread's demuxed stream. A
+// guard built without a tracer (tests of construction alone) reserves
+// nothing.
+func newStream(tr *ipt.Tracer) stream {
+	s := stream{tr: tr}
+	if tr != nil {
+		s.win.dec.Reserve(reservedRecords(tr.Out.Capacity()))
+	}
+	return s
+}
+
 // newGuard is the one constructor behind New, Binary.NewGuard and
 // ForkGuard.
 func newGuard(as *module.AddressSpace, ocfg *cfg.Graph, ig *itc.Graph, art *itc.Artifact, appr *ApprovalCache, tr *ipt.Tracer, pol Policy) *Guard {
@@ -364,7 +403,7 @@ func newGuard(as *module.AddressSpace, ocfg *cfg.Graph, ig *itc.Graph, art *itc.
 	}
 	return &Guard{
 		AS: as, OCFG: ocfg, ITC: ig, Tracer: tr, Policy: pol,
-		art: art, appr: appr, main: stream{tr: tr},
+		art: art, appr: appr, main: newStream(tr),
 	}
 }
 
@@ -489,6 +528,7 @@ func (g *Guard) window(s *stream) (tips []ipt.TIPRecord, psb uint64, scanned uin
 		w.src, w.total = topa, total
 		lo := total - uint64(held)
 		w.dec.Reset(int(lo))
+		w.keep = 0
 		w.prevOVF = 0
 		scanned = uint64(held)
 		// The resident span just read cannot be refused unless a writer
@@ -500,8 +540,9 @@ func (g *Guard) window(s *stream) (tips []ipt.TIPRecord, psb uint64, scanned uin
 			return nil, total, scanned, HealthMalformed, fmt.Errorf("guard: fast decode: %w", ferr)
 		}
 	}
-	// Forget history the ToPA itself no longer holds: the checker must
-	// not see deeper windows than the wrapped buffer provides.
+	// Forget history the ToPA itself no longer holds (the checker must
+	// not see deeper windows than the wrapped buffer provides) and the
+	// records before the last qualifying window, which no window reaches.
 	w.trim(total - uint64(held))
 	// Trace-health classification (§7.1.2): new OVF packets mean bytes
 	// were lost since the last check; an overflow whose resynchronizing
@@ -542,34 +583,46 @@ func (g *Guard) window(s *stream) (tips []ipt.TIPRecord, psb uint64, scanned uin
 			health = HealthResynced
 		}
 	}
-	tips, p := g.selectWindow(w.dec.Tips(), pts)
+	tips, p, ok := g.selectWindow(w.dec.Tips(), pts)
+	if ok && len(tips) > 0 {
+		w.keep = tips[0].Off
+	}
 	return tips, uint64(p), scanned, health, nil
 }
 
-// trim forgets the decoded records and sync points before stream offset
-// lo, the oldest byte the ToPA still holds, in amortized O(1) per record
-// (ipt.WindowDecoder.DropBefore). It is the one trim rule of the window
-// cache: window() applies it at every check and async drains between
-// checks. A cutoff beyond the decoded stream — a drain trailing the
-// producer by more than the buffer — is left to the next check's
-// wrap-loss rule.
+// trim forgets the sync points before stream offset lo, the oldest byte
+// the ToPA still holds, and the records before both lo and w.keep, in
+// amortized O(1) per record (ipt.WindowDecoder.DropBefore). It is the one
+// trim rule of the window cache: window() applies it at every check and
+// async drains between checks. A cutoff beyond the decoded stream — a
+// drain trailing the producer by more than the buffer — is left to the
+// next check's wrap-loss rule.
+//
+// Dropping the records before w.keep changes no window: appending
+// records only lengthens a qualifying suffix and only adds modules to
+// it, so every later qualifying suffix starts at or after this one, and
+// a later best-effort window starts at the first record after the first
+// resident sync point, which is no earlier. When residency evicts part
+// of the suffix, every record before w.keep is evicted too. The sync
+// points keep the plain residency cutoff: window() reads the first one
+// for the unwrapped-prefix-damage rule.
 //
 //fg:hotpath
 func (w *winState) trim(lo uint64) {
 	if lo <= w.total {
-		w.dec.DropBefore(int(lo))
+		w.dec.DropBefore(int(lo), w.keep)
 	}
 }
 
 // selectWindow picks the checked window from the retained records all
 // and the resident sync points pts (ascending, non-empty) in one
 // backward pass. It returns the shortest suffix of all that holds at
-// least PktCount records and satisfies the module-stride rule, and the
+// least PktCount records and satisfies the module-stride rule, the
 // offset of the latest sync point at or before that suffix (the last one
-// for an empty window), where the window region opens. Records before
-// pts[0] belong to no resident sync point and are never checked; when no
-// suffix of the rest qualifies, the window is best effort: everything
-// from pts[0] on.
+// for an empty window), where the window region opens, and true. Records
+// before pts[0] belong to no resident sync point and are never checked;
+// when no suffix of the rest qualifies, the window is best effort:
+// everything from pts[0] on, and false.
 //
 // This is the paper's rule (§5.3: walk the PSB sync points backwards
 // until the packet-count and module-stride requirements hold, then keep
@@ -582,11 +635,11 @@ func (w *winState) trim(lo uint64) {
 // a check pays lookups for the records appended since the previous one.
 //
 //fg:hotpath
-func (g *Guard) selectWindow(all []ipt.TIPRecord, pts []int) ([]ipt.TIPRecord, int) {
+func (g *Guard) selectWindow(all []ipt.TIPRecord, pts []int) ([]ipt.TIPRecord, int, bool) {
 	lo := len(all) - len(ipt.TipsFrom(all, pts[0]))
 	start := len(all) - g.Policy.PktCount
 	if start < lo {
-		return all[lo:], pts[0]
+		return all[lo:], pts[0], false
 	}
 	if g.Policy.RequireModuleStride {
 		var s modScratch
@@ -595,7 +648,7 @@ func (g *Guard) selectWindow(all []ipt.TIPRecord, pts []int) ([]ipt.TIPRecord, i
 		}
 		for !s.ok() {
 			if start == lo {
-				return all[lo:], pts[0]
+				return all[lo:], pts[0], false
 			}
 			start--
 			s.add(g.AS, &all[start])
@@ -605,7 +658,7 @@ func (g *Guard) selectWindow(all []ipt.TIPRecord, pts []int) ([]ipt.TIPRecord, i
 	for start < len(all) && pts[k] > all[start].Off {
 		k--
 	}
-	return all[start:], pts[k]
+	return all[start:], pts[k], true
 }
 
 // Check runs the hybrid flow check over the guard's process stream. It

@@ -26,7 +26,7 @@ type analyzed struct {
 	ig   *itc.Graph
 }
 
-func analyze(t *testing.T, app *apps.App) *analyzed {
+func analyze(t testing.TB, app *apps.App) *analyzed {
 	t.Helper()
 	as, err := app.Load()
 	if err != nil {
@@ -41,7 +41,7 @@ func analyze(t *testing.T, app *apps.App) *analyzed {
 
 // train replays inputs under the IPT model and labels the ITC-CFG
 // (§4.3 step 3), publishing the labels.
-func (a *analyzed) train(t *testing.T, inputs ...[]byte) {
+func (a *analyzed) train(t testing.TB, inputs ...[]byte) {
 	t.Helper()
 	a.observe(t, inputs...)
 	a.ig.RebuildCache()
@@ -49,7 +49,7 @@ func (a *analyzed) train(t *testing.T, inputs ...[]byte) {
 
 // observe is train without the publication: the labels change only on
 // the training side of the graph.
-func (a *analyzed) observe(t *testing.T, inputs ...[]byte) {
+func (a *analyzed) observe(t testing.TB, inputs ...[]byte) {
 	t.Helper()
 	for _, in := range inputs {
 		raw, st := a.recordTrace(t, in)

@@ -185,7 +185,8 @@ func (m *KernelModule) onCoreSwitch(core int, p *kernelsim.Process, t *kernelsim
 			// A clone of a protected process seen for the first time:
 			// it gets its own stream, checked against the shared guard.
 			tt.g = g
-			tt.s = &stream{tr: ipt.NewTracer(ipt.NewToPA(regionSizes()...))}
+			s := newStream(ipt.NewTracer(ipt.NewToPA(regionSizes()...)))
+			tt.s = &s
 		}
 		mc.tasks[t] = tt
 	}

@@ -97,12 +97,13 @@ func windowLayout(f *windowFixture, script []byte) (all []ipt.TIPRecord, pts []i
 // layout under the fixture guard's current policy.
 func checkWindowSelect(t *testing.T, f *windowFixture, all []ipt.TIPRecord, pts []int) {
 	t.Helper()
-	got, gotPSB := f.g.selectWindow(all, pts)
+	got, gotPSB, gotOK := f.g.selectWindow(all, pts)
 	want, wantPSB := windowReference(f.g, all, pts)
-	if len(got) != len(want) || gotPSB != wantPSB {
-		t.Fatalf("policy pkt=%d stride=%v, %d records, psbs %v: selectWindow = %d records from PSB %d, reference = %d records from PSB %d",
+	wantOK := len(want) >= f.g.Policy.PktCount && strideOKReference(f.g, want)
+	if len(got) != len(want) || gotPSB != wantPSB || gotOK != wantOK {
+		t.Fatalf("policy pkt=%d stride=%v, %d records, psbs %v: selectWindow = %d records from PSB %d (qualifying %v), reference = %d records from PSB %d (qualifying %v)",
 			f.g.Policy.PktCount, f.g.Policy.RequireModuleStride, len(all), pts,
-			len(got), gotPSB, len(want), wantPSB)
+			len(got), gotPSB, gotOK, len(want), wantPSB, wantOK)
 	}
 }
 

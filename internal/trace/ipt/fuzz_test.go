@@ -3,6 +3,8 @@ package ipt
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"flowguard/internal/asm"
@@ -76,8 +78,13 @@ func FuzzDecodeFast(f *testing.F) {
 
 // FuzzWindowDecoder cross-checks the incremental decoder against the
 // batch path over arbitrary PSB-prefixed bytes: chunked feeding must
-// never panic, and when both paths accept the stream they must agree on
-// every TIP record (including the OVF-resync Resync flags).
+// never panic, and whenever DecodeFast accepts the stream the chunked
+// WindowDecoder must accept it too and agree on every TIP record
+// (including the OVF-resync Resync flags). The one stream only the batch
+// path accepts ends in a partial PSB that no continuation could
+// complete: DecodeFast stops at it as at any truncated tail, while the
+// incremental decoder, which cannot know the stream ends there, rejects
+// it (the two dialects of internal/oracle's parse).
 func FuzzWindowDecoder(f *testing.F) {
 	f.Add([]byte{}, 3)
 	f.Add(mustTNT(f, 0b11, 2), 1)
@@ -261,6 +268,25 @@ func FuzzWindowDecoder(f *testing.F) {
 		f.Add(s, 13)
 		f.Add(s, 24)
 	}
+	{
+		// The same long runs, each ended by a one-byte TIP (suppressed
+		// IP) and a one-outcome TNT byte, so the stream stays well-formed
+		// wherever the skip lane stops: a lane that overshoots the run's
+		// end by one byte, or reads past a stop bit in the second probe
+		// word, swallows the TIP and decodes a stream with fewer
+		// records instead of rejecting it. The last run is the stream's
+		// tail, ended by a partial PSB that cannot complete.
+		s := []byte{}
+		for n := 17; n <= 40; n++ {
+			for i := 0; i < n; i++ {
+				s = append(s, 0x04|byte(i%3)<<1)
+			}
+			s = append(s, opTIP, 0x06)
+		}
+		f.Add(s, 64)
+		f.Add(s, 9)
+		f.Add(append(s, 0x02, extPSB, 0x00), 64)
+	}
 	f.Fuzz(func(t *testing.T, body []byte, chunk int) {
 		if chunk <= 0 {
 			chunk = 1
@@ -279,11 +305,11 @@ func FuzzWindowDecoder(f *testing.F) {
 			feedErr = d.Feed(buf[off:end])
 		}
 		evs, batchErr := DecodeFast(buf)
-		if feedErr != nil || batchErr != nil {
-			return // either path may reject corrupt bytes; neither may panic
+		if batchErr != nil {
+			return // corrupt bytes: the incremental decoder only must not panic
 		}
-		if d.Consumed() < len(buf) {
-			return // trailing partial packet still in the carry
+		if feedErr != nil && !unfinishablePSBTail(buf, feedErr) {
+			t.Fatalf("DecodeFast accepts the stream, chunked Feed rejects it: %v", feedErr)
 		}
 		want := ExtractTIPs(evs)
 		got := d.Tips()
@@ -294,6 +320,18 @@ func FuzzWindowDecoder(f *testing.F) {
 			t.Fatalf("incremental decode diverges from batch: %d vs %d records", len(got), len(want))
 		}
 	})
+}
+
+// unfinishablePSBTail reports whether err is the incremental decoder's
+// rejection of a PSB that the end of buf cuts off after bytes no PSB
+// continues with.
+func unfinishablePSBTail(buf []byte, err error) bool {
+	msg, ok := strings.CutPrefix(err.Error(), ErrMalformedTrace.Error()+": malformed PSB at ")
+	if !ok {
+		return false
+	}
+	at, convErr := strconv.Atoi(msg)
+	return convErr == nil && at >= 0 && at+PSBSize > len(buf) && !isPSBPrefix(buf[at:])
 }
 
 // FuzzTNTAnnotations drives TNT-annotation extraction with generated

@@ -12,8 +12,11 @@ package ipt
 // itself (the ToPA, through FeedRange and AppendSince) with them. All
 // storage is reused across feeds; a steady-state Feed performs no
 // allocations once the internal slices have grown to the working size,
-// and DropBefore is amortized O(1) per record: it advances a head index
-// and compacts only when the dropped prefix outgrows the live records.
+// or from the first Feed on when Reserve set the record storage aside
+// for it. DropBefore is amortized O(1) per record: it advances a head
+// index and compacts only when the dropped prefix outgrows the live
+// records, so the record storage holds at most twice the records the
+// caller keeps plus one feed's.
 //
 // Like DecodeFast, the decoder never consults program binaries. Unlike
 // DecodeFast it accumulates TNT-run signatures linearly across the whole
@@ -124,18 +127,22 @@ func (d *WindowDecoder) LastOVFOff() int { return d.lastOVF }
 // the tail of the stream cannot vouch for the control flow it encodes.
 func (d *WindowDecoder) Synced() bool { return d.synced && !d.skipping }
 
-// DropBefore discards TIP records and sync points with offsets below lo.
-// Decoding state is unaffected: the stream remains continuous, only
-// history is forgotten. The cut is a binary search; the dropped records
-// stay in storage behind a head index until they outnumber the live
-// ones, and only then are the live ones moved to the front, so the
-// backing storage holds at most twice the live records plus what the
-// feeds since the last DropBefore decoded, and each record is moved at
-// most once per doubling.
+// DropBefore discards the sync points with offsets below lo and the TIP
+// records with offsets below max(lo, tipLo): a caller that knows no
+// later window reaches back past tipLo keeps only the records after it,
+// while the sync points keep the plain cutoff. Decoding state is
+// unaffected: the stream remains continuous, only history is forgotten.
+// The record cut is one binary search; the dropped records stay in
+// storage behind a head index until they outnumber the live ones, and
+// only then are the live ones moved to the front, so the backing
+// storage holds at most twice the live records plus what the feeds since
+// the last DropBefore decoded, and each record is moved at most once per
+// doubling. Storage set aside by Reserve is kept: a steady stream whose
+// live records and feeds stay within half of it never grows it.
 //
 //fg:hotpath
-func (d *WindowDecoder) DropBefore(lo int) {
-	d.tipHead = len(d.tips) - len(TipsFrom(d.tips[d.tipHead:], lo))
+func (d *WindowDecoder) DropBefore(lo, tipLo int) {
+	d.tipHead = len(d.tips) - len(TipsFrom(d.tips[d.tipHead:], max(lo, tipLo)))
 	if live := len(d.tips) - d.tipHead; d.tipHead > live {
 		copy(d.tips, d.tips[d.tipHead:])
 		d.tips, d.tipHead = d.tips[:live], 0
@@ -150,6 +157,19 @@ func (d *WindowDecoder) DropBefore(lo int) {
 		d.pts, d.ptHead = d.pts[:live], 0
 	}
 }
+
+// Reserve sets aside storage for n TIP records, so that feeds whose
+// records stay within it never grow the slice. It is meant for
+// construction time; records already decoded are kept.
+func (d *WindowDecoder) Reserve(n int) {
+	if cap(d.tips) < n {
+		d.tips = append(make([]TIPRecord, 0, n), d.tips...)
+	}
+}
+
+// RecordCap returns the capacity of the record storage: what Reserve
+// set aside, unless a denser stream than it was sized for grew it.
+func (d *WindowDecoder) RecordCap() int { return cap(d.tips) }
 
 // Feed decodes one appended chunk. Chunks normally end at packet
 // boundaries (the tracer writes whole packet groups); a packet truncated

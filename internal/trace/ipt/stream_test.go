@@ -6,6 +6,7 @@ package ipt_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -132,25 +133,32 @@ func TestWindowDecoderSyncsMidStream(t *testing.T) {
 }
 
 func TestWindowDecoderDropBefore(t *testing.T) {
-	buf, all := synthStream(t, 200)
+	buf, all := synthStream(t, 2000)
 	d := ipt.NewWindowDecoder(0)
 	if err := d.Feed(buf); err != nil {
 		t.Fatal(err)
 	}
-	lo := all[len(all)/2].Off
-	d.DropBefore(lo)
-	for _, r := range d.Tips() {
-		if r.Off < lo {
-			t.Fatalf("record at %d survived DropBefore(%d)", r.Off, lo)
-		}
+	pts := append([]int(nil), d.SyncPoints()...)
+	if len(pts) < 4 {
+		t.Fatalf("%d sync points: the stream is too short to cut between them", len(pts))
 	}
-	for _, p := range d.SyncPoints() {
-		if p < lo {
-			t.Fatalf("sync point %d survived DropBefore(%d)", p, lo)
+	// A record cutoff below the sync-point cutoff drops both at lo; one
+	// above it drops only records, and the sync points keep lo's cut.
+	lo, tipLo := all[len(all)/4].Off, all[len(all)/2].Off
+	for _, cut := range []struct{ lo, tipLo, want int }{{lo, 0, lo}, {lo, lo - 1, lo}, {lo, tipLo, tipLo}} {
+		d.DropBefore(cut.lo, cut.tipLo)
+		if !reflect.DeepEqual(d.Tips(), ipt.TipsFrom(all, cut.want)) {
+			t.Fatalf("DropBefore(%d, %d) keeps %d records, want the %d from %d on", cut.lo, cut.tipLo, len(d.Tips()), len(ipt.TipsFrom(all, cut.want)), cut.want)
 		}
-	}
-	if !reflect.DeepEqual(d.Tips(), ipt.TipsFrom(all, lo)) {
-		t.Fatal("DropBefore result diverges from TipsFrom")
+		var wantPts []int
+		for _, p := range pts {
+			if p >= cut.lo {
+				wantPts = append(wantPts, p)
+			}
+		}
+		if !slices.Equal(d.SyncPoints(), wantPts) {
+			t.Fatalf("DropBefore(%d, %d) keeps sync points %v, want %v", cut.lo, cut.tipLo, d.SyncPoints(), wantPts)
+		}
 	}
 	// Decoding continues seamlessly after compaction.
 	before := len(d.Tips())
@@ -217,7 +225,7 @@ func TestWindowDecoderZeroesAnnotations(t *testing.T) {
 	requireZero("after Reset", d.Tips())
 
 	mark(d.Tips())
-	d.DropBefore(all[len(all)*3/4].Off)
+	d.DropBefore(all[len(all)*3/4].Off, 0)
 	live := len(d.Tips())
 	if stored, _ := ipt.StoredTips(d); stored != live {
 		t.Fatalf("DropBefore of three quarters did not compact: %d stored, %d live", stored, live)
@@ -345,8 +353,8 @@ func TestToPAFeedRangeMatchesAppendSince(t *testing.T) {
 		}
 		fed = total
 		lo := int(total) - held
-		direct.DropBefore(lo)
-		copied.DropBefore(lo)
+		direct.DropBefore(lo, 0)
+		copied.DropBefore(lo, 0)
 		if !reflect.DeepEqual(direct.Tips(), copied.Tips()) ||
 			!reflect.DeepEqual(direct.SyncPoints(), copied.SyncPoints()) ||
 			direct.Consumed() != copied.Consumed() {
@@ -413,7 +421,7 @@ func TestWindowDecoderTrimBoundedAcrossWraps(t *testing.T) {
 			t.Fatalf("round %d: %d records stored after a feed of %d over %d live ones", round, stored, feed, live)
 		}
 		lo := int(total) - held
-		d.DropBefore(lo)
+		d.DropBefore(lo, 0)
 		stored, _ = ipt.StoredTips(d)
 		live = len(d.Tips())
 		if stored > 2*live {

@@ -226,7 +226,7 @@ func TestToPAConcurrentRegionFullCapture(t *testing.T) {
 				}
 			}
 			fed = end
-			d.DropBefore(int(end)) // every record is checked once
+			d.DropBefore(int(end), 0) // every record is checked once
 		}
 	}()
 
