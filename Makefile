@@ -91,14 +91,19 @@ property:
 fuzz-smoke:
 	$(GO) test -run 'Fuzz' ./internal/trace/ipt/ ./internal/harness/ ./internal/perfstat/ ./internal/itc/ ./internal/cpu/ ./internal/guard/ -count=1
 
-# Short real fuzzing campaigns (one -fuzz pattern per go test invocation).
+# Short real fuzzing campaigns, one per fuzz target (one -fuzz pattern
+# per go test invocation); fuzz-smoke runs every target's seeds.
 fuzz:
+	$(GO) test -fuzz '^FuzzDecodeFast$$' -fuzztime 30s ./internal/trace/ipt/
 	$(GO) test -fuzz FuzzTNTAnnotations -fuzztime 30s ./internal/trace/ipt/
 	$(GO) test -fuzz FuzzWindowDecoder -fuzztime 30s ./internal/trace/ipt/
 	$(GO) test -fuzz FuzzDecodeFullMatchesReference -fuzztime 30s ./internal/trace/ipt/
 	$(GO) test -fuzz FuzzStepMatchesReference -fuzztime 30s ./internal/cpu/
 	$(GO) test -fuzz FuzzWindowSelectMatchesReference -fuzztime 30s ./internal/guard/
 	$(GO) test -fuzz FuzzSlowCheckMatchesEventPath -fuzztime 30s ./internal/guard/
+	$(GO) test -fuzz FuzzSlowResumeMatchesScratch -fuzztime 30s ./internal/guard/
+	$(GO) test -fuzz FuzzFlatITCRoundTrip -fuzztime 30s ./internal/itc/
+	$(GO) test -fuzz FuzzBenchArtifactRoundTrip -fuzztime 30s ./internal/perfstat/
 	$(GO) test -fuzz FuzzHybridVsOracle -fuzztime 60s ./internal/harness/
 
 # Long differential soak of the optimized hybrid pipeline against the

@@ -10,7 +10,6 @@ package guard_test
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -273,32 +272,44 @@ func TestAsyncRealWorkerPanicResolvesUnderPolicy(t *testing.T) {
 
 // TestAsyncPoolGoroutinesExit: closing a pool — directly, or through
 // KernelModule.Shutdown for a pool the module created on demand — leaves
-// none of its goroutines running. A pool starts exactly its workers.
+// none of its goroutines running. A pool starts exactly its workers. The
+// count is the pool's own (each worker counts itself in when it starts
+// and out before Close's wait returns), so goroutines of other tests
+// cannot shift it.
 func TestAsyncPoolGoroutinesExit(t *testing.T) {
-	// settled polls, with a bound, until the goroutine count is back to
-	// what it was before the pool started.
-	settled := func(t *testing.T, before int) {
+	// started polls, with a bound, until the pool's workers have all
+	// started, and fails if more than want ever run.
+	started := func(t *testing.T, p *guard.AsyncPool, want int) {
 		t.Helper()
 		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > before {
+		for {
+			n := guard.AsyncPoolWorkers(p)
+			if n > want {
+				t.Fatalf("pool runs %d workers, want %d", n, want)
+			}
+			if n == want {
+				return
+			}
 			if time.Now().After(deadline) {
-				t.Fatalf("%d goroutines still running, %d before the pool started", runtime.NumGoroutine(), before)
+				t.Fatalf("pool started %d workers in 2s, want %d", n, want)
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}
-	t.Run("Close", func(t *testing.T) {
-		before := runtime.NumGoroutine()
-		p := guard.NewAsyncPool(3)
-		if n := runtime.NumGoroutine() - before; n != 3 {
-			t.Fatalf("pool started %d goroutines, want its 3 workers", n)
+	stopped := func(t *testing.T, p *guard.AsyncPool) {
+		t.Helper()
+		if n := guard.AsyncPoolWorkers(p); n != 0 {
+			t.Fatalf("%d workers still running after the pool closed", n)
 		}
+	}
+	t.Run("Close", func(t *testing.T) {
+		p := guard.NewAsyncPool(3)
+		started(t, p, 3)
 		p.Close()
-		settled(t, before)
+		stopped(t, p)
 	})
 	t.Run("Shutdown", func(t *testing.T) {
 		a := analyze(t, apps.Vulnd())
-		before := runtime.NumGoroutine()
 		k := kernelsim.New()
 		p, err := a.app.Spawn(k, benignTraffic())
 		if err != nil {
@@ -311,13 +322,15 @@ func TestAsyncPoolGoroutinesExit(t *testing.T) {
 		if _, err := km.Protect(p, a.ocfg, a.ig, pol); err != nil {
 			t.Fatal(err)
 		}
-		if n := runtime.NumGoroutine() - before; n != 2 {
-			t.Fatalf("Protect started %d goroutines, want the module's pool of 2 workers", n)
+		pool := guard.ModuleAsyncPool(km)
+		if pool == nil {
+			t.Fatal("Protect created no async pool")
 		}
+		started(t, pool, 2)
 		if _, err := k.Run(p, 80_000_000); err != nil {
 			t.Fatal(err)
 		}
 		km.Shutdown()
-		settled(t, before)
+		stopped(t, pool)
 	})
 }

@@ -12,6 +12,7 @@ package guard
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -49,6 +50,9 @@ type AsyncPool struct {
 	wake chan *Guard
 	quit chan struct{}
 	wg   sync.WaitGroup
+	// live counts the worker goroutines running: each adds itself when
+	// it starts and removes itself before it signals wg on exit.
+	live atomic.Int32
 
 	mu     sync.Mutex
 	faults WorkerFaults
@@ -97,6 +101,8 @@ func (p *AsyncPool) Close() {
 
 func (p *AsyncPool) worker() {
 	defer p.wg.Done()
+	p.live.Add(1)
+	defer p.live.Add(-1)
 	for {
 		select {
 		case g := <-p.wake:

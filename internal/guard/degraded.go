@@ -172,7 +172,7 @@ func (g *Guard) retrySlowPath(res *Result, s *stream, detail string) {
 		g.Stats.BytesScanned += scanned
 		res.DecodeCycles += uint64(float64(scanned) * g.fastDecodeCost())
 		res.TIPs = len(tips)
-		g.slowCheck(res, tips, buf[start:])
+		g.slowCheck(res, nil, tips, buf[start:], 0)
 		return
 	}
 	g.Stats.FailClosures++

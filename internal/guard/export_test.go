@@ -58,3 +58,28 @@ func RecordStorage(g *Guard) (capacity, reserved int) {
 	defer g.mu.Unlock()
 	return g.main.win.dec.RecordCap(), reservedRecords(g.Tracer.Out.Capacity())
 }
+
+// SlowChecks returns how many checks of the guard took the slow path and
+// how many of those resumed the suspended walk of their stream's
+// previous clean slow check instead of walking their region from its
+// start.
+func SlowChecks(g *Guard) (slow, resumed uint64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if r := g.main.slow; r != nil {
+		resumed = r.resumed
+	}
+	return g.Stats.SlowChecks, resumed
+}
+
+// AsyncPoolWorkers returns how many of p's worker goroutines are running.
+func AsyncPoolWorkers(p *AsyncPool) int { return int(p.live.Load()) }
+
+// ModuleAsyncPool returns the async pool the module's protected
+// processes are drained by (nil before the first async protection and
+// after Shutdown).
+func ModuleAsyncPool(m *KernelModule) *AsyncPool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.apool
+}

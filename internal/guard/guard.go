@@ -359,6 +359,10 @@ type stream struct {
 	// that artifact vouches for: when the guard's artifact changes, the
 	// stream's marks are cleared before any is read.
 	memoArt *itc.Artifact
+	// slow is the suspended walk of the stream's last clean slow check,
+	// which the next slow check over the same region resumes (slowPath);
+	// nil until the stream's first clean slow check suspends.
+	slow *slowResume
 }
 
 // Window-cache reservation (DESIGN.md §5, zero-copy window cache): a
@@ -523,8 +527,11 @@ func (g *Guard) window(s *stream) (tips []ipt.TIPRecord, psb uint64, scanned uin
 	}
 	if fresh {
 		// Any pre-decoded async state (including a pending worker error)
-		// predates this rescan and is superseded by it.
+		// predates this rescan and is superseded by it, and so does a
+		// suspended slow-path walk: after a reset the offsets it read at
+		// name other bytes.
 		w.asyncErr = nil
+		s.dropSlowWalk()
 		w.src, w.total = topa, total
 		lo := total - uint64(held)
 		w.dec.Reset(int(lo))
@@ -707,6 +714,7 @@ func (g *Guard) check(s *stream) Result {
 //fg:hotpath
 func (g *Guard) judge(res *Result, s *stream, tips []ipt.TIPRecord, psb uint64, err error) {
 	if err != nil || res.Health != HealthClean {
+		s.dropSlowWalk()
 		g.resolveDegraded(res, s, tips, psb, err)
 	} else if len(tips) >= 2 && !g.runChecks(res, s, tips, psb, g.Policy.NaiveFullDecode) {
 		g.resolveDegraded(res, s, nil, psb, nil)

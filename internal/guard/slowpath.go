@@ -32,13 +32,20 @@ import (
 func (g *Guard) slowPath(res *Result, s *stream, tips []ipt.TIPRecord, psb uint64) bool {
 	region, ok := g.windowRegion(s, psb)
 	if !ok {
+		s.dropSlowWalk()
 		s.win.wrapLoss = true
 		s.win.src = nil
 		g.Stats.Resyncs++
 		res.Health = HealthResynced
 		return false
 	}
-	g.slowCheck(res, tips, region)
+	if res.Health != HealthClean {
+		// A degraded window's full-precision re-check (Policy.OnDegraded)
+		// neither resumes nor leaves a walk to resume: judge dropped the
+		// stream's walk already.
+		s = nil
+	}
+	g.slowCheck(res, s, tips, region, psb)
 	return true
 }
 
@@ -53,23 +60,28 @@ func (g *Guard) windowRegion(s *stream, psb uint64) ([]byte, bool) {
 }
 
 // slowCheck is the precise check over one window region that opens at a
-// PSB: slowPath's region copied out of the stream's ToPA, or a
-// SlowPathRetry recovery's snapshot suffix.
+// PSB: slowPath's region of stream s, which opens at stream offset psb,
+// copied out of the stream's ToPA, or a SlowPathRetry recovery's snapshot
+// suffix, with s nil.
+//
+// A clean check whose walk suspended where the region ended
+// (ipt.FlowWalk.Suspended) leaves the walk on s, and the next slow check
+// of s over a region that opens at the same PSB resumes it instead of
+// walking the region from its start (resumeSlowWalk). The outcome is the
+// same: the resident bytes at a stream offset never change, the walk
+// from a PSB is deterministic, and the previous check judged every edge
+// before the suspension clean with the shadow stack and resync count the
+// walk carries on with. The cost model still charges every instruction
+// from the PSB (w.Instrs counts them all).
 //
 //fg:cold the precise check runs only on non-credible windows (§5.3)
-func (g *Guard) slowCheck(res *Result, tips []ipt.TIPRecord, region []byte) {
+func (g *Guard) slowCheck(res *Result, s *stream, tips []ipt.TIPRecord, region []byte, psb uint64) {
 	res.UsedSlowPath = true
 	// Decode exactly the window the fast path inspected (§5.3:
 	// "FlowGuard only checks a specified number of TIP packets"); the
 	// region always starts at a PSB sync point.
 	if len(region) == 0 {
 		return // nothing decodable; fast-path verdict stands
-	}
-	w, err := ipt.NewFlowWalk(g.AS, region, 0)
-	if err != nil {
-		res.Verdict = VerdictViolation
-		res.Reason = fmt.Sprintf("slow path: flow reconstruction failed: %v", err)
-		return
 	}
 
 	// The walk decides direct and conditional edges with the O-CFG
@@ -79,7 +91,25 @@ func (g *Guard) slowCheck(res *Result, tips []ipt.TIPRecord, region []byte) {
 	if g.slowMemo == nil || g.slowMemo.Checker() != g.OCFG {
 		g.slowMemo = ipt.NewChainMemo(g.OCFG)
 	}
-	w.CheckDirect(g.slowMemo)
+	var frames [32]uint64
+	shadow := frames[:0]
+	resyncs := 0
+	// gen is the address space's Mprotect count before the walk first
+	// decoded code: a later Mprotect makes the walk stale.
+	gen := g.AS.ProtectGen()
+	var w ipt.FlowWalk
+	if r := g.resumeSlowWalk(s, region, psb); r != nil {
+		w, gen, resyncs = r.walk, r.gen, r.resyncs
+		shadow = append(shadow, r.shadow...)
+	} else {
+		var err error
+		if w, err = ipt.NewFlowWalk(g.AS, region, 0); err != nil {
+			res.Verdict = VerdictViolation
+			res.Reason = fmt.Sprintf("slow path: flow reconstruction failed: %v", err)
+			return
+		}
+		w.CheckDirect(g.slowMemo)
+	}
 
 	// Check every yielded edge as the walk reconstructs it, with a
 	// shadow stack over the window. The window may begin mid-execution,
@@ -90,9 +120,6 @@ func (g *Guard) slowCheck(res *Result, tips []ipt.TIPRecord, region []byte) {
 	// fault legitimate returns. After the first violation the walk still
 	// runs to its end: a flow that cannot be reconstructed is reported
 	// as such, and the decode is charged in full either way.
-	var frames [32]uint64
-	shadow := frames[:0]
-	resyncs := 0
 	violation := ""
 	for w.Next() {
 		if violation != "" {
@@ -130,7 +157,7 @@ func (g *Guard) slowCheck(res *Result, tips []ipt.TIPRecord, region []byte) {
 	// A region that breaks the packet grammar anywhere fails as a whole,
 	// with no decode charged. Otherwise the reconstructed flow left
 	// mapped executable memory: only a hijacked control flow does that.
-	err = w.Err()
+	err := w.Err()
 	if !errors.Is(err, ipt.ErrMalformedTrace) {
 		res.SlowCycles += w.Instrs() * ipt.CyclesPerDecodedInstr
 	}
@@ -143,6 +170,11 @@ func (g *Guard) slowCheck(res *Result, tips []ipt.TIPRecord, region []byte) {
 		res.Verdict = VerdictViolation
 		res.Reason = violation
 		return
+	}
+	if s != nil && w.Suspended() {
+		r := s.slowWalk()
+		r.ok, r.topa, r.psb, r.memo, r.gen = true, s.tr.Out, psb, g.slowMemo, gen
+		r.walk, r.shadow, r.resyncs = w, append(r.shadow[:0], shadow...), resyncs
 	}
 
 	// No attack: remember the suspicious edges (and, in path-sensitive
@@ -162,4 +194,70 @@ func (g *Guard) slowCheck(res *Result, tips []ipt.TIPRecord, region []byte) {
 			g.appr.ApprovePath(itc.PathKey(src, dst, tips[i+2].IP))
 		}
 	}
+}
+
+// slowResume is a stream's suspended slow-path walk: the walk of its last
+// clean slow check, stopped where that check's region ended, with the
+// shadow stack and resync count the check had reached there.
+type slowResume struct {
+	// ok is set while the walk may be resumed; every slow check of the
+	// stream takes it, and only a clean check that suspends sets it again.
+	ok bool
+	// The walk read a region that opens at stream offset psb out of
+	// topa, through memo, with the address space at Mprotect count gen.
+	topa    *ipt.ToPA
+	psb     uint64
+	memo    *ipt.ChainMemo
+	gen     uint64
+	walk    ipt.FlowWalk
+	shadow  []uint64
+	resyncs int
+	// resumed counts the slow checks that resumed a walk of the stream.
+	resumed uint64
+}
+
+// slowWalk returns the stream's suspended-walk state, allocating it at
+// the stream's first clean slow check that suspends: most streams (a
+// fleet's, a trained server's) never take the slow path.
+//
+//fg:cold runs only after a clean slow check
+func (s *stream) slowWalk() *slowResume {
+	if s.slow == nil {
+		s.slow = new(slowResume)
+	}
+	return s.slow
+}
+
+// dropSlowWalk forgets the stream's suspended slow-path walk: the
+// window was rescanned from scratch, is not clean, or its region left
+// the ToPA.
+func (s *stream) dropSlowWalk() {
+	if s.slow != nil {
+		s.slow.ok = false
+	}
+}
+
+// resumeSlowWalk takes the suspended walk of stream s (nil: none) and
+// resumes it over region, the stream's bytes [psb, s.win.total), when
+// the walk read a prefix of exactly these bytes through the guard's
+// current chain memo with no Mprotect since: the same ToPA, with no
+// rescan since (window drops the walk at every fresh rescan, which a
+// reset or a wrap past the checked bytes forces), the same PSB, the same
+// memo and the same Mprotect count. Resume itself refuses a region
+// shorter than the bytes the walk read. It returns nil when the region
+// must be walked from its start.
+//
+//fg:cold the precise check runs only on non-credible windows (§5.3)
+func (g *Guard) resumeSlowWalk(s *stream, region []byte, psb uint64) *slowResume {
+	if s == nil || s.slow == nil || !s.slow.ok {
+		return nil
+	}
+	r := s.slow
+	r.ok = false
+	if r.topa != s.tr.Out || r.psb != psb || r.memo != g.slowMemo ||
+		r.gen != g.AS.ProtectGen() || !r.walk.Resume(region) {
+		return nil
+	}
+	r.resumed++
+	return r
 }

@@ -117,7 +117,7 @@ func benchSlowPath(b *testing.B, coldMemo bool) {
 			g.slowMemo = nil
 		}
 		var res Result
-		g.slowCheck(&res, w.tips, w.region)
+		g.slowCheck(&res, nil, w.tips, w.region, 0)
 		instrs += res.SlowCycles / ipt.CyclesPerDecodedInstr
 		yielded += yields(b, g, w)
 	}
@@ -130,7 +130,7 @@ func benchSlowPath(b *testing.B, coldMemo bool) {
 			g.slowMemo = nil
 		}
 		var res Result
-		g.slowCheck(&res, w.tips, w.region)
+		g.slowCheck(&res, nil, w.tips, w.region, 0)
 		if res.Verdict != VerdictClean {
 			b.Fatalf("benign window judged %v: %s", res.Verdict, res.Reason)
 		}
@@ -147,14 +147,14 @@ func TestSlowPathAllocatesNothing(t *testing.T) {
 	g, slow := recordSlowWindows(t, app, app.MakeInput(5, 1))
 	for _, w := range slow {
 		var res Result
-		g.slowCheck(&res, w.tips, w.region)
+		g.slowCheck(&res, nil, w.tips, w.region, 0)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(2*len(slow), func() {
 		w := slow[i%len(slow)]
 		i++
 		var res Result
-		g.slowCheck(&res, w.tips, w.region)
+		g.slowCheck(&res, nil, w.tips, w.region, 0)
 		if res.Verdict != VerdictClean {
 			t.Fatalf("benign window judged %v: %s", res.Verdict, res.Reason)
 		}

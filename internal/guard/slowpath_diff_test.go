@@ -298,7 +298,7 @@ func checkSlowMatchesEventPath(t testing.TB, g *Guard, name string, tips []ipt.T
 	defer func() { g.appr = saved }()
 	var got, want Result
 	g.appr = NewApprovalCache()
-	g.slowCheck(&got, tips, region)
+	g.slowCheck(&got, nil, tips, region, 0)
 	gotEdges, gotPaths := approvals(g.appr)
 	g.appr = NewApprovalCache()
 	eventSlowCheck(g, &want, tips, region)

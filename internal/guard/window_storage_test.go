@@ -75,6 +75,43 @@ func BenchmarkGuardSessionChecks(b *testing.B) {
 	b.ReportMetric(float64(len(cuts)), "checks/op")
 }
 
+// BenchmarkGuardColdSessionChecks is BenchmarkGuardSessionChecks on
+// cold start: each op builds a fresh guard over the kernel module's 2×8
+// KiB ToPA with the untrained static labels, so the guard's first checks
+// of the openssh session take the slow path until their approvals fill
+// the cache. slow/op is the session's slow checks; resumed/op those that
+// resumed the walk of the previous clean slow check of their stream, as
+// the next check opening at the same PSB does.
+func BenchmarkGuardColdSessionChecks(b *testing.B) {
+	app := apps.OpenSSH()
+	in := app.MakeInput(30, 1000)
+	a := analyze(b, app)
+	raw, cuts := recordEndpointCuts(b, app, in, guard.DefaultPolicy().Endpoints)
+	as, err := app.Load()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var slow, resumed uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := ipt.NewTracer(ipt.NewToPA(guard.DefaultToPARegion, guard.DefaultToPARegion))
+		g := guard.New(as, a.ocfg, a.ig, tr, guard.DefaultPolicy())
+		prev := 0
+		for _, cut := range cuts {
+			tr.Out.Write(raw[prev:cut])
+			prev = cut
+			if res := g.Check(); res.Verdict != guard.VerdictClean {
+				b.Fatalf("benign session: %s", res.Reason)
+			}
+		}
+		s, r := guard.SlowChecks(g)
+		slow, resumed = slow+s, resumed+r
+	}
+	b.ReportMetric(float64(slow)/float64(b.N), "slow/op")
+	b.ReportMetric(float64(resumed)/float64(b.N), "resumed/op")
+}
+
 // recordEndpointCuts runs app on input under a tracer and returns its
 // trace and, for every call of one of the endpoints, the stream offset
 // the trace had reached (after the flush a check makes).

@@ -309,6 +309,8 @@ type AddressSpace struct {
 
 	// mapsBuilt counts the code maps built in this address space.
 	mapsBuilt atomic.Uint64
+	// protects counts the Mprotect calls made in this address space.
+	protects atomic.Uint64
 }
 
 // LoadOption customizes Load.
@@ -693,8 +695,17 @@ func (as *AddressSpace) Mprotect(addr uint64, perm Perm) error {
 	seg.Perm = perm
 	seg.code.Store(nil)
 	seg.codeMu.Unlock()
+	as.protects.Add(1)
 	return nil
 }
+
+// ProtectGen returns how many Mprotect calls this address space has
+// served. A reader that decoded code through the code maps — a suspended
+// flow walk — may rely on it only while the count stays the same: a map
+// covers a segment that is executable and not writable, whose bytes
+// nothing changes until an Mprotect makes it writable. A Clone starts
+// its own count at 0.
+func (as *AddressSpace) ProtectGen() uint64 { return as.protects.Load() }
 
 // Segments returns the mapped segments in address order.
 func (as *AddressSpace) Segments() []*Segment { return as.segs }

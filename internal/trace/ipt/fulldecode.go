@@ -67,6 +67,9 @@ type pktCursor struct {
 	// first grammar error, cut it short.
 	end bool
 	err error
+	// cut is set once a tipFollows lookahead ran into the end of the
+	// data: over longer data the FUP it probed may be asynchronous.
+	cut bool
 }
 
 // syncOnly reports whether e only carries decoder synchronization, which
@@ -130,11 +133,16 @@ func (c *pktCursor) tipFollows() bool {
 	s := c.pktScan
 	var e Event
 	for {
-		if ok, _ := s.next(&e); !ok || !syncOnly(&e) {
+		if ok, err := s.next(&e); !ok || !syncOnly(&e) {
+			c.cut = c.cut || !ok && err == nil
 			return ok && e.Kind == KindTIP
 		}
 	}
 }
+
+// dry reports whether the cursor ended because the data ran out: no
+// packet is left and the bytes it read break no grammar rule.
+func (c *pktCursor) dry() bool { return c.end && c.err == nil }
 
 // nextTNT pops the oldest pending conditional outcome; ok is false when
 // the current packet is no TNT packet, or none is left.
@@ -276,6 +284,17 @@ type FlowWalk struct {
 	edge        FlowEdge
 	err         error
 	done        bool
+
+	// held is the instruction the walk stopped at when the data ran out
+	// before its packet (see Suspended); suspended marks that stop as one
+	// Resume can continue, and resumed that Next takes held's packet
+	// before it fetches anything.
+	held      isa.Instr
+	suspended bool
+	resumed   bool
+	// raw is set once the walk decoded an instruction outside a code map,
+	// from a page whose bytes may change without an Mprotect.
+	raw bool
 }
 
 // NewFlowWalk synchronizes at the first PSB of buf, which must start at
@@ -334,6 +353,65 @@ func (w *FlowWalk) finish(err error) bool {
 	}
 	w.done, w.err = true, err
 	return false
+}
+
+// Suspended reports whether the walk ended where a walk of longer data
+// would go on: the data ran out, with no grammar error, at an instruction
+// that takes a packet (JCC, JMPR, CALLR, RET, SYSCALL) the buffer does
+// not hold yet. The walk then reports what it would have reported
+// without the suspension — Instrs counts that instruction, EndIP is its
+// address, Err is nil — and Resume can continue it. A walk is not
+// suspended when anything else ended it (HALT, the instruction cap, a
+// fetch, decode or grammar error, a resynchronization that found no PSB),
+// when a lookahead for an asynchronous FUP's TIP ran into the end of the
+// data, or when it decoded an instruction outside a code map.
+func (w *FlowWalk) Suspended() bool { return w.suspended }
+
+// Resume continues a suspended walk over region, which must hold the
+// bytes the walk read at its start, unchanged, and may hold more after
+// them. The walk then goes on exactly as a walk of region from its start
+// would go on past the instruction it stopped at: the first Next takes
+// that instruction's packet without counting the instruction again.
+//
+// Resume reports false, and the walk must be dropped, when the walk is
+// not suspended, region is shorter than the bytes read, or the packet
+// after those bytes is an asynchronous FUP. Such a FUP may name an
+// instruction the walk retired after its data ran out, where a walk of
+// region relocates instead.
+func (w *FlowWalk) Resume(region []byte) bool {
+	c := &w.cur
+	if !w.Suspended() || len(region) < len(c.buf) {
+		return false
+	}
+	w.suspended = false
+	c.buf = region
+	if c.end {
+		c.end = false
+		if c.advance(); c.async {
+			return false
+		}
+	}
+	w.done, w.resumed = false, true
+	return true
+}
+
+// suspend ends the walk at in, whose packet the dry cursor does not
+// hold: as finish(nil) does, for drain has nothing left to step.
+func (w *FlowWalk) suspend(in isa.Instr) bool {
+	w.held, w.suspended = in, !w.cur.cut && !w.raw
+	w.done = true
+	return false
+}
+
+// missing handles a packet the cursor does not hold for in, which has
+// taken none of its packets yet: at the end of the data the walk
+// suspends; a packet of another kind desynchronizes it, and it goes on
+// from the next PSB if there is one. It reports whether the walk goes on.
+func (w *FlowWalk) missing(in isa.Instr) bool {
+	if w.cur.dry() {
+		return w.suspend(in)
+	}
+	return w.resync() || w.finish(nil)
 }
 
 // emit reports one edge and moves the walk to its target.
@@ -544,10 +622,18 @@ func (w *FlowWalk) resync() bool {
 }
 
 // Next walks to the next change-of-flow edge and reports whether it found
-// one; at false the walk is over (see Err, EndIP and Instrs).
+// one; at false the walk is over (see Err, EndIP, Instrs and Suspended).
 func (w *FlowWalk) Next() bool {
 	if w.done {
 		return false
+	}
+	if w.resumed {
+		// Resume hands back the instruction the walk suspended at: it was
+		// fetched and counted then, and only its packet is taken now.
+		w.resumed = false
+		if found, more := w.take(w.held); found || !more {
+			return found
+		}
 	}
 	for {
 		if w.memo != nil && w.lane() {
@@ -592,6 +678,7 @@ func (w *FlowWalk) Next() bool {
 		if s != nil {
 			in = s.Instr
 		} else {
+			w.raw = true
 			raw, err := w.as.FetchInstr(w.ip)
 			if err != nil {
 				// The trace claims execution at an unfetchable address;
@@ -615,57 +702,76 @@ func (w *FlowWalk) Next() bool {
 				continue
 			}
 			return w.emit(isa.CoFIDirect, in.Op, t, true)
-		case isa.JCC:
-			// A packet of another kind desynchronizes the walk; with no
-			// packet left it is over.
-			taken, ok := w.cur.nextTNT()
-			if !ok {
-				if w.resync() {
-					continue
-				}
-				return w.finish(nil)
+		case isa.JCC, isa.JMPR, isa.CALLR, isa.RET, isa.SYSCALL:
+			if found, more := w.take(in); found || !more {
+				return found
 			}
-			t := w.ip + isa.InstrSize
-			if taken {
-				t = in.BranchTarget(w.ip)
-			}
-			if w.accepts(isa.CoFICond, t) {
-				w.ip = t
-				continue
-			}
-			return w.emit(isa.CoFICond, in.Op, t, taken)
-		case isa.JMPR, isa.CALLR, isa.RET:
-			class := isa.CoFIIndirect
-			if in.Op == isa.RET {
-				class = isa.CoFIRet
-			}
-			t, ok := w.cur.nextIP(KindTIP)
-			if !ok {
-				if w.resync() {
-					continue
-				}
-				return w.finish(nil)
-			}
-			return w.emit(class, in.Op, t, true)
-		case isa.SYSCALL:
-			if _, ok := w.cur.nextIP(KindFUP); !ok {
-				if w.resync() {
-					continue
-				}
-				return w.finish(nil)
-			}
-			if _, ok := w.cur.nextIP(KindTIPPGD); !ok {
-				return w.finish(nil)
-			}
-			pge, ok := w.cur.nextIP(KindTIPPGE)
-			if !ok {
-				return w.finish(nil)
-			}
-			return w.emit(isa.CoFIFarTransfer, in.Op, pge, true)
 		case isa.HALT:
 			return w.finish(nil)
 		default:
 			w.ip += isa.InstrSize
 		}
 	}
+}
+
+// take retires the packet side of in, the instruction at the IP, which
+// takes trace packets (JCC, JMPR, CALLR, RET or SYSCALL) and has been
+// counted. It reports whether it found an edge and whether the walk goes
+// on.
+func (w *FlowWalk) take(in isa.Instr) (found, more bool) {
+	switch in.Op {
+	case isa.JCC:
+		// A packet of another kind desynchronizes the walk; with no
+		// packet left it is over.
+		taken, ok := w.cur.nextTNT()
+		if !ok {
+			return false, w.missing(in)
+		}
+		t := w.ip + isa.InstrSize
+		if taken {
+			t = in.BranchTarget(w.ip)
+		}
+		if w.accepts(isa.CoFICond, t) {
+			w.ip = t
+			return false, true
+		}
+		return w.emit(isa.CoFICond, in.Op, t, taken), true
+	case isa.JMPR, isa.CALLR, isa.RET:
+		class := isa.CoFIIndirect
+		if in.Op == isa.RET {
+			class = isa.CoFIRet
+		}
+		t, ok := w.cur.nextIP(KindTIP)
+		if !ok {
+			return false, w.missing(in)
+		}
+		return w.emit(class, in.Op, t, true), true
+	}
+	// SYSCALL: a FUP, then TIP.PGD and TIP.PGE. When the data runs out
+	// after the FUP, the walk suspends with the cursor back before it, so
+	// a resumed walk takes all three.
+	at := w.cur
+	if _, ok := w.cur.nextIP(KindFUP); !ok {
+		return false, w.missing(in)
+	}
+	if _, ok := w.cur.nextIP(KindTIPPGD); !ok {
+		return false, w.truncated(in, &at)
+	}
+	pge, ok := w.cur.nextIP(KindTIPPGE)
+	if !ok {
+		return false, w.truncated(in, &at)
+	}
+	return w.emit(isa.CoFIFarTransfer, in.Op, pge, true), true
+}
+
+// truncated ends the walk at a SYSCALL whose FUP was taken but whose
+// TIP.PGD or TIP.PGE is not the current packet: it suspends, with the
+// cursor restored to at, its state before the FUP, when the data ran
+// out, and finishes otherwise.
+func (w *FlowWalk) truncated(in isa.Instr, at *pktCursor) bool {
+	if !w.cur.dry() {
+		return w.finish(nil)
+	}
+	w.cur = *at
+	return w.suspend(in)
 }
