@@ -59,9 +59,12 @@ chaos:
 # suite, the async slice of the chaos soak (worker stalls/crashes
 # under every OnDegraded mode), the per-record annotation tests, and
 # the buffer-full PMI checks, whose async rows share the ToPA's one
-# region-full hook with the capture.
+# region-full hook with the capture. It then repeats the allocation
+# count, the worker-lifetime test and the pool ledger test 50 times, so
+# a returning flake in any of them shows.
 async-smoke:
 	$(GO) test -race -short -run 'Async|ToPA|Chaos|Annotations|PMI' ./internal/guard/ ./internal/trace/ipt/ ./internal/faults/ -count=1
+	$(GO) test -run '^(TestAsyncDrainZeroAlloc|TestAsyncPoolGoroutinesExit|TestFleetCheckPoolInvariantConcurrent)$$' ./internal/guard/ -count=50
 
 # fleet-smoke is the CI fleet gate: a bounded flowguardd run under the
 # race detector (2k processes, fork storms, invariant assertions — the

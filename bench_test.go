@@ -381,15 +381,6 @@ func BenchmarkFig5c_H264ref(b *testing.B) {
 	benchProtected(b, h, guard.DefaultPolicy())
 }
 
-// BenchmarkHWDecoderAblation is the §7.2.4 variant: same server, with
-// the dedicated-decoder cost model enabled.
-func BenchmarkHWDecoderAblation(b *testing.B) {
-	setup(b)
-	pol := guard.DefaultPolicy()
-	pol.HWDecoder = true
-	benchProtected(b, fx.nginx, pol)
-}
-
 // --- Guard internals ---------------------------------------------------------
 
 // BenchmarkGuardCheck measures one endpoint flow check against a

@@ -120,15 +120,15 @@ type Policy struct {
 	// PktCount is the minimum number of TIP packets checked per
 	// endpoint trigger (the paper's lower bound is 30).
 	PktCount int
-	// CredRatio in [0,1]: the fraction of checked edges that must be
-	// credibly trained for the fast path to decide alone; 1.0 sends any
-	// low-credit edge to the slow path (the paper's setting).
+	// CredRatio is the fraction of checked edges that must be credibly
+	// trained for the fast path to decide alone; 1.0 sends any
+	// low-credit edge to the slow path (the paper's setting). A value
+	// above 1 sends every window with a checked pair to the slow path
+	// (the naive full-decode strawman of §2).
 	CredRatio float64
 	// RequireModuleStride demands the window span multiple modules with
 	// at least one packet in the executable.
 	RequireModuleStride bool
-	// HWDecoder enables the §6 dedicated-hardware-decoder cost model.
-	HWDecoder bool
 	// CredMinCount raises the high-credit bar to edges observed at least
 	// this many times during training (multi-level credits, §4.3);
 	// 0 or 1 is the paper's binary labeling.
@@ -158,7 +158,6 @@ func (p Policy) internal() guard.Policy {
 		g.CredRatio = p.CredRatio
 	}
 	g.RequireModuleStride = p.RequireModuleStride
-	g.HWDecoder = p.HWDecoder
 	g.CredMinCount = p.CredMinCount
 	g.PathSensitive = p.PathSensitive
 	g.CheckOnPMI = p.CheckOnPMI

@@ -377,17 +377,4 @@ func TestPolicyKnobs(t *testing.T) {
 	if outB.Parts.Check <= outS.Parts.Check {
 		t.Errorf("pkt_count=90 check share %.2f%% <= pkt_count=10 %.2f%%", outB.Parts.Check, outS.Parts.Check)
 	}
-	hw := flowguard.DefaultPolicy()
-	hw.HWDecoder = true
-	outHW, err := sys.RunWithPolicy(w.Input(10, 5), hw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outSW, err := sys.RunWithPolicy(w.Input(10, 5), flowguard.DefaultPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outHW.Parts.Decode >= outSW.Parts.Decode {
-		t.Errorf("HW decoder share %.3f%% >= SW %.3f%%", outHW.Parts.Decode, outSW.Parts.Decode)
-	}
 }

@@ -88,7 +88,7 @@ func (g *Guard) AsyncPending() int {
 // asyncOnRegionFull is the capture point, invoked by the process
 // stream's ToPA at every region boundary on the producer's goroutine
 // with no buffer lock held. It records where the filled window ends,
-// wakes the pool and yields once.
+// wakes the pool and, when the pool has a live worker, yields once.
 //
 //fg:hotpath runs at every filled trace region
 func (g *Guard) asyncOnRegionFull(ev ipt.RegionFull) {
@@ -109,6 +109,11 @@ func (g *Guard) asyncOnRegionFull(ev ipt.RegionFull) {
 		// holds g.mu, so yielding to workers (they need g.mu) cannot
 		// make progress. The check drops the whole queue once window()
 		// has decoded it.
+		return
+	}
+	if a.pool.live.Load() == 0 {
+		// No worker to hand off to (a closed pool): a yield would only
+		// let unrelated goroutines run on the producer's time.
 		return
 	}
 	// The PMI that signals a filled region is a scheduling point: Griffin's

@@ -107,7 +107,7 @@ func (g *Guard) resolveDegraded(res *Result, s *stream, tips []ipt.TIPRecord, ps
 		// checked, so a definite violation among the surviving records
 		// fires even in fail-open mode.
 		if len(tips) >= 2 {
-			g.runChecks(res, s, tips, psb, false)
+			g.runChecks(res, s, tips, psb)
 			if res.Verdict == VerdictViolation {
 				return
 			}
@@ -170,7 +170,7 @@ func (g *Guard) retrySlowPath(res *Result, s *stream, detail string) {
 		}
 		scanned := uint64(len(buf) - start)
 		g.Stats.BytesScanned += scanned
-		res.DecodeCycles += uint64(float64(scanned) * g.fastDecodeCost())
+		res.DecodeCycles += uint64(float64(scanned) * CyclesPerFastDecodeByte)
 		res.TIPs = len(tips)
 		g.slowCheck(res, nil, tips, buf[start:], 0)
 		return

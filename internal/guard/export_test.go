@@ -83,3 +83,12 @@ func ModuleAsyncPool(m *KernelModule) *AsyncPool {
 	defer m.mu.Unlock()
 	return m.apool
 }
+
+// FleetInflight returns how many of the tenant's checks are inside its
+// shard of f (queued or running), the count the fair-share rule reads.
+func FleetInflight(f *FleetPool, tenant string) int {
+	s := f.shardFor(tenant)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inflight[tenant]
+}

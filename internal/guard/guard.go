@@ -56,10 +56,6 @@ const (
 	// CyclesPerTIPCheck covers the two binary searches, the credit and
 	// TNT-signature assessment, and cache probes for one TIP record.
 	CyclesPerTIPCheck = 130
-	// HWDecoderSpeedup is the factor a dedicated hardware pattern-
-	// matching decoder removes from the fast-decode share (§6 suggestion
-	// 1, evaluated in §7.2.4).
-	HWDecoderSpeedup = 20
 	// CyclesPerInterception is the syscall-table detour, CR3
 	// discrimination and bookkeeping cost per intercepted endpoint (the
 	// "other" bar of Figure 5).
@@ -74,7 +70,10 @@ type Policy struct {
 	// CredRatio is the fraction of checked edges that must be
 	// high-credit with matching TNT for the fast path to pass on its
 	// own; 1.0 (the paper's setting) sends any low-credit edge to the
-	// slow path.
+	// slow path. A value above 1 is a bar no window meets: every window
+	// with a checked pair goes to the slow path — the naive full-decode
+	// strawman of §2/§3.1 (the naive-full-decode row of the harness's
+	// mode matrix).
 	CredRatio float64
 	// RequireModuleStride demands the window span more than one module
 	// with at least one TIP inside the executable, extending the window
@@ -82,8 +81,6 @@ type Policy struct {
 	RequireModuleStride bool
 	// Endpoints lists the intercepted security-sensitive syscalls.
 	Endpoints []uint64
-	// HWDecoder models the dedicated hardware decoder of §6.
-	HWDecoder bool
 	// CredMinCount raises the high-credit bar to edges observed at least
 	// this many times in training — the multi-level credit labeling §4.3
 	// sketches. Zero or one is the paper's binary labeling.
@@ -97,12 +94,6 @@ type Policy struct {
 	// the worst-case endpoint fallback §7.1.2 proposes against
 	// endpoint-pruning attacks that avoid all sensitive syscalls.
 	CheckOnPMI bool
-	// NaiveFullDecode disables the fast path entirely: every endpoint
-	// check decodes the window at the instruction-flow layer — the
-	// strawman design §2/§3.1 argues against ("decoding the traces is
-	// prohibitively slow on the fly"). Exists for the ablation that
-	// quantifies the ITC-CFG fast path's contribution.
-	NaiveFullDecode bool
 	// OnDegraded selects the fail behavior when the trace window cannot
 	// be verified — overflow, gap, grammar-level corruption — or when an
 	// overloaded CheckPool sheds the check (§7.1.2 worst cases). The
@@ -695,7 +686,7 @@ func (g *Guard) check(s *stream) Result {
 	g.Stats.Checks++
 	tips, psb, scanned, health, err := g.window(s)
 	res := Result{TIPs: len(tips), Health: health, OtherCycles: CyclesPerInterception}
-	res.DecodeCycles = uint64(float64(scanned) * g.fastDecodeCost())
+	res.DecodeCycles = uint64(float64(scanned) * CyclesPerFastDecodeByte)
 	g.Stats.BytesScanned += scanned
 	g.judge(&res, s, tips, psb, err)
 	g.finish(&res)
@@ -716,7 +707,7 @@ func (g *Guard) judge(res *Result, s *stream, tips []ipt.TIPRecord, psb uint64, 
 	if err != nil || res.Health != HealthClean {
 		s.dropSlowWalk()
 		g.resolveDegraded(res, s, tips, psb, err)
-	} else if len(tips) >= 2 && !g.runChecks(res, s, tips, psb, g.Policy.NaiveFullDecode) {
+	} else if len(tips) >= 2 && !g.runChecks(res, s, tips, psb) {
 		g.resolveDegraded(res, s, nil, psb, nil)
 	}
 }
@@ -744,18 +735,14 @@ func (w *winState) noteWindowed() { w.checkedTotal = w.total }
 // runChecks applies the hybrid verification to one TIP window of stream
 // s, whose region opens at stream offset psb: the ITC-CFG fast loop with
 // credit assessment, then the slow path when the window is suspicious
-// (or unconditionally when forceSlow is set — the NaiveFullDecode
-// ablation and degraded-mode full-precision re-checks). TIP pairs
-// straddling an overflow seam (TIPRecord.Resync) were never adjacent in
-// the real flow and are skipped rather than misjudged. It reports false
-// when the slow path found the region gone from the ToPA.
+// (a CredRatio above 1 makes every window with a checked pair
+// suspicious). TIP pairs straddling an overflow seam (TIPRecord.Resync)
+// were never adjacent in the real flow and are skipped rather than
+// misjudged. It reports false when the slow path found the region gone
+// from the ToPA.
 //
 //fg:hotpath the per-TIP fast loop
-func (g *Guard) runChecks(res *Result, s *stream, tips []ipt.TIPRecord, psb uint64, forceSlow bool) bool {
-	if forceSlow {
-		return g.slowPath(res, s, tips, psb)
-	}
-
+func (g *Guard) runChecks(res *Result, s *stream, tips []ipt.TIPRecord, psb uint64) bool {
 	res.CheckCycles += uint64(len(tips)) * CyclesPerTIPCheck
 	art := g.art
 	if s.memoArt != art {
@@ -865,14 +852,6 @@ func clearMemos(tips []ipt.TIPRecord) {
 //fg:cold formats the terminal diagnostic at most once per Check
 func (g *Guard) violationReason(src, dst uint64) string {
 	return "ITC-CFG edge mismatch: " + g.AS.SymbolFor(src) + " -> " + g.AS.SymbolFor(dst)
-}
-
-//fg:hotpath
-func (g *Guard) fastDecodeCost() float64 {
-	if g.Policy.HWDecoder {
-		return CyclesPerFastDecodeByte / HWDecoderSpeedup
-	}
-	return CyclesPerFastDecodeByte
 }
 
 //fg:hotpath

@@ -299,21 +299,6 @@ func TestHistoryFlushStillDetected(t *testing.T) {
 	t.Logf("report: %v", km.Reports[0])
 }
 
-// TestHWDecoderAblation: the §6 hardware-decoder suggestion shrinks the
-// fast-path decode share (§7.2.4).
-func TestHWDecoderAblation(t *testing.T) {
-	a := analyze(t, apps.Vulnd())
-	a.train(t, benignTraffic())
-
-	pol := guard.DefaultPolicy()
-	_, _, gSW, _ := a.protectAndRun(t, benignTraffic(), pol)
-	pol.HWDecoder = true
-	_, _, gHW, _ := a.protectAndRun(t, benignTraffic(), pol)
-	if gHW.Stats.FastCycles() >= gSW.Stats.FastCycles() {
-		t.Errorf("HW decoder fast cycles %d >= SW %d", gHW.Stats.FastCycles(), gSW.Stats.FastCycles())
-	}
-}
-
 // TestModuleStridePolicy: disabling the stride requirement still detects
 // the ROP (the edges are bogus regardless), and the policy toggles are
 // exercised.

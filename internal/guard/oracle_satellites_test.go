@@ -7,6 +7,7 @@ package guard_test
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -224,14 +225,12 @@ func TestFleetCheckPoolInvariantConcurrent(t *testing.T) {
 			t.Fatalf("pool shed %d checks but only %d for fairness; fairness is the only shed", ps.Shed, ps.FairnessSheds)
 		}
 		var sumChecks, sumShed, sumFailOpen, sumFailClosed uint64
-		modeSheds := make(map[guard.DegradedMode]uint64)
 		for i, g := range guards {
 			st := g.Stats
 			sumChecks += st.Checks
 			sumShed += st.Shed
 			sumFailOpen += st.FailOpens
 			sumFailClosed += st.FailClosures
-			modeSheds[g.Policy.OnDegraded] += st.Shed
 			if g.Policy.OnDegraded == guard.FailOpen && st.FailClosures != 0 {
 				t.Errorf("fail-open guard %d failed closed %d times", i, st.FailClosures)
 			}
@@ -250,10 +249,72 @@ func TestFleetCheckPoolInvariantConcurrent(t *testing.T) {
 			t.Fatalf("every shed check must resolve fail-open or fail-closed: %d + %d != %d",
 				sumFailOpen, sumFailClosed, ps.Shed)
 		}
-		for _, m := range modes {
-			if modeSheds[m] == 0 {
-				t.Errorf("no %v guard was shed; its shed path went unexercised (raise the stall)", m)
+	})
+
+	// The sleep-driven subtest sheds as many checks as the scheduler
+	// lets it. This one holds the tenant at exactly its fair share, so
+	// every further call is shed and every count is exact.
+	t.Run("fleet-fairness-exact", func(t *testing.T) {
+		fp := guard.NewFleetPool(1, 2)
+		entered := make(chan struct{}, 4) // one send per admitted check
+		release := make(chan struct{})
+		fp.Shards()[0].Stall = func() time.Duration {
+			entered <- struct{}{}
+			<-release
+			return 0
+		}
+		holder := newIdleGuard(t, a, guard.DefaultPolicy())
+		var wg sync.WaitGroup
+		hold := func() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fp.Do("noisy", holder)
+			}()
+		}
+		// Two checks hold both slots; two more queue behind them. With one
+		// active tenant and 2 slots the fair share is 4 in flight.
+		hold()
+		hold()
+		<-entered
+		<-entered
+		hold()
+		hold()
+		for guard.FleetInflight(fp, "noisy") != 4 {
+			runtime.Gosched()
+		}
+
+		const k = 5
+		guards := make([]*guard.Guard, len(modes))
+		for i, m := range modes {
+			pol := guard.DefaultPolicy()
+			pol.OnDegraded = m
+			guards[i] = newIdleGuard(t, a, pol)
+			for j := 0; j < k; j++ {
+				if res := fp.Do("noisy", guards[i]); !res.Degraded {
+					t.Errorf("%v guard: call %d over the fair share was admitted: %+v", m, j, res)
+				}
 			}
+		}
+		close(release)
+		wg.Wait()
+
+		for i, g := range guards {
+			st := g.Stats
+			wantOpen, wantClosed := uint64(0), uint64(k)
+			if modes[i] == guard.FailOpen {
+				wantOpen, wantClosed = k, 0
+			}
+			if st.Checks != k || st.Shed != k || st.FailOpens != wantOpen || st.FailClosures != wantClosed {
+				t.Errorf("%v guard: checks %d, shed %d, fail-opens %d, fail-closures %d; want %d, %d, %d, %d",
+					modes[i], st.Checks, st.Shed, st.FailOpens, st.FailClosures, k, k, wantOpen, wantClosed)
+			}
+		}
+		if ps := fp.Snapshot(); ps.Checks != 4 || ps.Shed != 3*k || ps.FairnessSheds != 3*k {
+			t.Fatalf("pool admitted %d and shed %d (%d for fairness); want 4 admitted, %d shed", ps.Checks, ps.Shed, ps.FairnessSheds, 3*k)
+		}
+		if holder.Stats.Checks != 4 || holder.Stats.Shed != 0 {
+			t.Fatalf("holding guard: %d checks, %d shed; want 4 admitted checks", holder.Stats.Checks, holder.Stats.Shed)
 		}
 	})
 }

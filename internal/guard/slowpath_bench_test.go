@@ -66,7 +66,7 @@ func recordSlowWindows(tb testing.TB, app *apps.App, input []byte) (*Guard, []sl
 				return err
 			}
 			var res Result
-			g.runChecks(&res, &g.main, tips, psb, false)
+			g.runChecks(&res, &g.main, tips, psb)
 			if res.Verdict != VerdictClean {
 				return fmt.Errorf("benign window judged %v: %s", res.Verdict, res.Reason)
 			}

@@ -222,13 +222,14 @@ var ovf = []byte{0x02, 0xF3}
 // offset, at sampled packet boundaries and mid-packet bytes, between
 // SYSCALLs' FUPs and TIP.PGDs and between async FUPs and their TIPs, and
 // right after an OVF spliced in halfway, under the default policy, under
-// slow-path-retry degraded checks and under the full-decode ablation,
-// whose every check takes the slow path. Every check must agree
+// slow-path-retry degraded checks and under the full-decode ablation
+// (CredRatio above 1), whose every check with a checked pair takes the
+// slow path. Every check must agree
 // (resumePair.check), and every session must resume walks.
 func TestSlowResumeMatchesScratch(t *testing.T) {
 	retry, naive := DefaultPolicy(), DefaultPolicy()
 	retry.OnDegraded = SlowPathRetry
-	naive.NaiveFullDecode = true
+	naive.CredRatio = 2
 	pols := []struct {
 		name string
 		pol  Policy
@@ -278,7 +279,8 @@ func TestSlowResumeMatchesScratch(t *testing.T) {
 // window degraded, an Mprotect in the address space, or a new O-CFG. The
 // check after the event must agree with the twin and must not resume,
 // and a degraded check must leave no walk. The checks run the
-// full-decode ablation, whose every check takes the slow path. A last
+// full-decode ablation (CredRatio above 1), whose every check with a
+// checked pair takes the slow path. A last
 // case interleaves the slow checks of two streams of one guard, as
 // multicore threads do: each resumes only its own walk.
 func TestSlowResumeDropRules(t *testing.T) {
@@ -327,10 +329,11 @@ func TestSlowResumeDropRules(t *testing.T) {
 			return i
 		}},
 	}
-	// Every check of the full-decode ablation takes the slow path, so
-	// most events fall between two slow checks that open at one PSB.
+	// Every check of the full-decode ablation (CredRatio above 1) with a
+	// checked pair takes the slow path, so most events fall between two
+	// slow checks that open at one PSB.
 	naive := DefaultPolicy()
-	naive.NaiveFullDecode = true
+	naive.CredRatio = 2
 	for _, rule := range rules {
 		t.Run(rule.name, func(t *testing.T) {
 			p := newResumePair(ss, naive)

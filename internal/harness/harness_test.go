@@ -238,7 +238,9 @@ func TestSweeps(t *testing.T) {
 	}
 }
 
-// TestHWAblation: the dedicated decoder removes a visible share.
+// TestHWAblation: the dedicated decoder removes a visible share, and
+// each hardware row is its software run with only the decode share
+// scaled by the decoder's speedup.
 func TestHWAblation(t *testing.T) {
 	rows, err := runner().HWAblation()
 	if err != nil {
@@ -248,6 +250,12 @@ func TestHWAblation(t *testing.T) {
 		t.Log(row)
 		if row.HWTotalPct >= row.SWTotalPct {
 			t.Errorf("%s: HW decoder did not reduce overhead (%.2f >= %.2f)", row.App, row.HWTotalPct, row.SWTotalPct)
+		}
+		if want := row.SWDecodePct / harness.HWDecoderSpeedup; row.HWDecodePct != want {
+			t.Errorf("%s: HW decode %v%%, want SW decode / %d = %v%%", row.App, row.HWDecodePct, harness.HWDecoderSpeedup, want)
+		}
+		if want := row.SWTotalPct - row.SWDecodePct + row.HWDecodePct; row.HWTotalPct != want {
+			t.Errorf("%s: HW total %v%%, want SW total with the HW decode share = %v%%", row.App, row.HWTotalPct, want)
 		}
 	}
 }

@@ -101,7 +101,9 @@ func (r *Runner) Modes() ([]ModeRow, error) {
 		mut  func(*guard.Policy)
 	}{
 		{"default", nil},
-		{"naive-full-decode", func(p *guard.Policy) { p.NaiveFullDecode = true }},
+		// The §2/§3.1 strawman: a credibility bar above 1 sends every
+		// window with a checked pair to the full decode.
+		{"naive-full-decode", func(p *guard.Policy) { p.CredRatio = 2 }},
 		{"cred-count>=2", func(p *guard.Policy) { p.CredMinCount = 2 }},
 		{"path-sensitive", func(p *guard.Policy) { p.PathSensitive = true }},
 		{"pmi-fallback", func(p *guard.Policy) { p.CheckOnPMI = true }},

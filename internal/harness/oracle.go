@@ -37,7 +37,6 @@ func oraclePolicy(p guard.Policy) oracle.Policy {
 		RequireModuleStride: p.RequireModuleStride,
 		CredMinCount:        p.CredMinCount,
 		PathSensitive:       p.PathSensitive,
-		NaiveFullDecode:     p.NaiveFullDecode,
 		OnDegraded:          oracle.DegradedMode(p.OnDegraded),
 	}
 }

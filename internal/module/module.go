@@ -318,7 +318,6 @@ type LoadOption func(*loadConfig)
 
 type loadConfig struct {
 	stackSize uint64
-	noVDSO    bool
 }
 
 // WithStackSize overrides the default 1 MiB stack.
@@ -381,7 +380,7 @@ func Load(exec *Module, libs map[string]*Module, vdso *Module, opts ...LoadOptio
 		base := LibBase + uint64(i)*LibStride
 		place(m, base)
 	}
-	if vdso != nil && !cfg.noVDSO {
+	if vdso != nil {
 		if err := vdso.Validate(); err != nil {
 			return nil, err
 		}

@@ -65,7 +65,6 @@ type Policy struct {
 	RequireModuleStride bool
 	CredMinCount        uint32
 	PathSensitive       bool
-	NaiveFullDecode     bool
 	OnDegraded          DegradedMode
 }
 
@@ -318,7 +317,7 @@ func (o *Oracle) Check() Result {
 	if err != nil || health != HealthClean {
 		o.resolveDegraded(&res, recs, region, err)
 	} else if len(recs) >= 2 {
-		o.runChecks(&res, recs, region, o.Policy.NaiveFullDecode)
+		o.runChecks(&res, recs, region)
 	}
 	o.finish(&res)
 	return res
@@ -327,11 +326,7 @@ func (o *Oracle) Check() Result {
 // runChecks is the fast-path analogue: classify every consecutive TIP
 // pair against the reference ITC-CFG and escalate to the slow path when
 // the high-credit ratio falls below the policy threshold.
-func (o *Oracle) runChecks(res *Result, recs []tipRec, region []byte, forceSlow bool) {
-	if forceSlow {
-		o.slowPath(res, recs, region)
-		return
-	}
+func (o *Oracle) runChecks(res *Result, recs []tipRec, region []byte) {
 	minCount := o.Policy.CredMinCount
 	if minCount == 0 {
 		minCount = 1
@@ -395,7 +390,7 @@ func (o *Oracle) resolveDegraded(res *Result, recs []tipRec, region []byte, deco
 	switch o.Policy.OnDegraded {
 	case FailOpen:
 		if len(recs) >= 2 {
-			o.runChecks(res, recs, region, false)
+			o.runChecks(res, recs, region)
 			if res.Verdict == VerdictViolation {
 				return
 			}
@@ -405,7 +400,7 @@ func (o *Oracle) resolveDegraded(res *Result, recs []tipRec, region []byte, deco
 		res.Reason = "degraded trace (" + detail + "): fail open"
 	case SlowPathRetry:
 		if res.Health == HealthResynced && o.curSynced && o.tailCovered(recs) {
-			o.runChecks(res, recs, region, true)
+			o.slowPath(res, recs, region)
 			return
 		}
 		o.retrySlowPath(res, detail)
@@ -460,7 +455,7 @@ func (o *Oracle) retrySlowPath(res *Result, detail string) {
 			continue
 		}
 		res.TIPs = len(recs)
-		o.runChecks(res, recs, buf[start:], true)
+		o.slowPath(res, recs, buf[start:])
 		return
 	}
 	o.Stats.FailClosures++

@@ -85,8 +85,4 @@ func (t *Tracer) Snapshot() []Record {
 // Cycles implements the calibrated cost model.
 func (t *Tracer) Cycles() uint64 { return t.Records * CyclesPerRecord }
 
-// ResetCycles zeroes the record counter driving the meter.
-func (t *Tracer) ResetCycles() { t.Records = 0 }
-
 var _ trace.Sink = (*Tracer)(nil)
-var _ trace.CycleMeter = (*Tracer)(nil)

@@ -348,12 +348,7 @@ func (t *Tracer) Cycles() uint64 {
 	return uint64(float64(t.Out.TotalWritten()) * CyclesPerTraceByte)
 }
 
-// ResetCycles is a no-op for the tracer (its meter derives from the
-// monotonic byte count); kept for interface symmetry.
-func (t *Tracer) ResetCycles() {}
-
 var _ trace.Sink = (*Tracer)(nil)
-var _ trace.CycleMeter = (*Tracer)(nil)
 
 func boolBit(b bool) uint8 {
 	if b {

@@ -116,8 +116,4 @@ func (t *Tracer) Depth() int { return len(t.ring) }
 // Cycles implements the calibrated cost model.
 func (t *Tracer) Cycles() uint64 { return uint64(float64(t.Branches) * CyclesPerBranch) }
 
-// ResetCycles zeroes the branch counter driving the meter.
-func (t *Tracer) ResetCycles() { t.Branches = 0 }
-
 var _ trace.Sink = (*Tracer)(nil)
-var _ trace.CycleMeter = (*Tracer)(nil)

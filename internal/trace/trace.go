@@ -48,13 +48,3 @@ func (m MultiSink) Branch(b Branch) {
 		s.Branch(b)
 	}
 }
-
-// CycleMeter is implemented by components that charge work to the
-// calibrated cycle model used for overhead accounting (see
-// EXPERIMENTS.md for the constants).
-type CycleMeter interface {
-	// Cycles returns the cycles charged so far.
-	Cycles() uint64
-	// ResetCycles zeroes the meter.
-	ResetCycles()
-}
