@@ -102,6 +102,7 @@ fuzz:
 	$(GO) test -fuzz FuzzWindowDecoder -fuzztime 30s ./internal/trace/ipt/
 	$(GO) test -fuzz FuzzDecodeFullMatchesReference -fuzztime 30s ./internal/trace/ipt/
 	$(GO) test -fuzz FuzzStepMatchesReference -fuzztime 30s ./internal/cpu/
+	$(GO) test -fuzz FuzzRunMatchesReference -fuzztime 30s ./internal/cpu/
 	$(GO) test -fuzz FuzzWindowSelectMatchesReference -fuzztime 30s ./internal/guard/
 	$(GO) test -fuzz FuzzSlowCheckMatchesEventPath -fuzztime 30s ./internal/guard/
 	$(GO) test -fuzz FuzzSlowResumeMatchesScratch -fuzztime 30s ./internal/guard/

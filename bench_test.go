@@ -688,7 +688,9 @@ func BenchmarkCPUEmulation(b *testing.B) {
 // BenchmarkCPURun reports the emulator's cost per retired instruction
 // over one nginx session, untraced and under the IPT tracer. The kernel
 // model services the session's syscalls; spawning the process is
-// outside the timer.
+// outside the timer. It is a tier-1 benchmark (perfstat.Tier1Names):
+// fgperf -short runs it, and the gate covers it once the baseline holds
+// it.
 func BenchmarkCPURun(b *testing.B) {
 	setup(b)
 	for _, traced := range []bool{false, true} {

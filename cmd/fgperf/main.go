@@ -25,8 +25,8 @@
 //	fgperf -short -metrics            # sample runtime/metrics inside the benchmarks
 //
 // The regression gate only fails on *tier-1* benchmarks (the §5.3 fast
-// path, its feeding layers and the slow path's precise check — see
-// perfstat.Tier1Names), and only on a
+// path, its feeding layers, the slow path's precise check and the
+// emulator — see perfstat.Tier1Names), and only on a
 // change that is both statistically significant (p < alpha) and larger
 // than the threshold; everything else is advisory output.
 package main
@@ -63,7 +63,7 @@ var fullSuites = []suite{
 // shortSuites is the tier-1 hot-path subset: quick enough for CI, and
 // exactly the set the regression gate protects.
 var shortSuites = []suite{
-	{pkg: ".", bench: "^(BenchmarkFastPath|BenchmarkFastDecode|BenchmarkGuardCheck|BenchmarkGuardCheckAppend|BenchmarkITCLookup|BenchmarkITCFlatSerialize|BenchmarkIPTPacketScan)$"},
+	{pkg: ".", bench: "^(BenchmarkFastPath|BenchmarkFastDecode|BenchmarkGuardCheck|BenchmarkGuardCheckAppend|BenchmarkITCLookup|BenchmarkITCFlatSerialize|BenchmarkIPTPacketScan|BenchmarkCPURun)$"},
 	{pkg: "./internal/guard", bench: "^(BenchmarkIncrementalWindow|BenchmarkApprovalCache|BenchmarkCheckPoolThroughput|BenchmarkAsyncSyscallGate|BenchmarkGuardSlowPath)$"},
 	{pkg: "./internal/trace/ipt", bench: "^BenchmarkDemux$"},
 	{pkg: "./internal/harness", bench: "^BenchmarkFleetThroughput$"},

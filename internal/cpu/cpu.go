@@ -13,10 +13,15 @@
 // wall-clock measurements (see EXPERIMENTS.md for calibration).
 //
 // Instructions come from the predecoded code map of their segment, the
-// same module.CodeMap the instruction-flow walk steps; code the map does
-// not cover (writable segments, misaligned or undecodable slots) is
-// fetched and decoded one instruction at a time. Either way Step
-// retires, charges and reports exactly the same thing.
+// same module.CodeMap the instruction-flow walk steps. Retire executes a
+// block at a time — a straight-line run and the stop that ends it —
+// checking the map once per block and chaining to the next block while
+// the target stays in the same live map, as QEMU chains translation
+// blocks. Code the map does not cover (writable segments, misaligned or
+// undecodable slots) is fetched and decoded one instruction at a time.
+// Step is Retire(1), and Run is Retire with an instruction budget; each
+// retires, charges and reports exactly what one instruction at a time
+// would.
 package cpu
 
 import (
@@ -53,7 +58,9 @@ func (f *Fault) Unwrap() error { return f.Err }
 // Per-opcode cycle costs of the calibrated model. The base unit is "one
 // simple ALU op = 1 cycle"; memory operations and multiplies cost more,
 // matching the relative weights used to calibrate Table 1 (EXPERIMENTS.md).
-var opCycles = [...]uint64{
+// The table spans every byte value so indexing it by Op needs no bounds
+// check.
+var opCycles = [256]uint64{
 	isa.NOP: 1, isa.HALT: 1, isa.MOV: 1, isa.MOVI: 1, isa.MOVIH: 1,
 	isa.LEA: 1, isa.ADD: 1, isa.SUB: 1, isa.MUL: 3, isa.DIV: 20,
 	isa.MOD: 20, isa.AND: 1, isa.OR: 1, isa.XOR: 1, isa.SHL: 1,
@@ -123,19 +130,22 @@ func (c *CPU) SP() uint64 { return c.Regs[isa.SP] }
 
 func (c *CPU) fault(pc uint64, err error) error { return &Fault{PC: pc, Err: err} }
 
-func (c *CPU) push(pc, v uint64) error {
+// errDivideByZero is the cause of a DIV or MOD fault.
+var errDivideByZero = errors.New("divide by zero")
+
+func (c *CPU) push(v uint64) error {
 	sp := c.Regs[isa.SP] - 8
 	if err := c.data.WriteU64(c.AS, sp, v); err != nil {
-		return c.fault(pc, err)
+		return err
 	}
 	c.Regs[isa.SP] = sp
 	return nil
 }
 
-func (c *CPU) pop(pc uint64) (uint64, error) {
+func (c *CPU) pop() (uint64, error) {
 	v, err := c.data.ReadU64(c.AS, c.Regs[isa.SP])
 	if err != nil {
-		return 0, c.fault(pc, err)
+		return 0, err
 	}
 	c.Regs[isa.SP] += 8
 	return v, nil
@@ -171,14 +181,9 @@ func (c *CPU) emit(b trace.Branch) {
 	}
 }
 
-// fetch returns the instruction at pc where the fetch cursor's cached
-// map does not hold it: from the code map of pc's segment where one
-// applies, otherwise fetched and decoded, which raises the exact fault
-// of an unfetchable or undecodable pc.
-func (c *CPU) fetch(pc uint64) (isa.Instr, error) {
-	if s := c.code.Slot(c.AS, pc); s != nil {
-		return s.Instr, nil
-	}
+// decode fetches and decodes the instruction at pc where no code map
+// holds it, raising the exact fault of an unfetchable or undecodable pc.
+func (c *CPU) decode(pc uint64) (isa.Instr, error) {
 	raw, err := c.AS.FetchInstr(pc)
 	if err != nil {
 		return isa.Instr{}, c.fault(pc, err)
@@ -190,167 +195,212 @@ func (c *CPU) fetch(pc uint64) (isa.Instr, error) {
 	return in, nil
 }
 
-// Step retires one instruction.
+// Step retires one instruction: it is Retire(1) with the count dropped.
 func (c *CPU) Step() error {
-	if c.halted {
-		return ErrHalted
-	}
-	if c.PendingTrap != nil {
-		err := c.PendingTrap
-		c.PendingTrap = nil
-		return err
-	}
-	pc := c.PC
-	var in isa.Instr
-	if s := c.code.Cached(c.AS, pc); s != nil {
-		in = s.Instr
-	} else {
-		var err error
-		if in, err = c.fetch(pc); err != nil {
-			return err
-		}
-	}
-	c.Instrs++
-	c.CycleCount += opCycles[in.Op]
-	next := pc + isa.InstrSize
+	_, err := c.Retire(1)
+	return err
+}
+
+// Retire retires at most n instructions and returns how many of them
+// completed without error. It stops early where Step would return an
+// error — HALT, a fault, a syscall handler's error or a pending trap —
+// and returns that error; the instruction that raised it is not in the
+// count. Retire(n) leaves the CPU, its address space and its branch sink
+// exactly as n calls of Step stopping at the first error would.
+//
+// Retire executes a block at a time: the straight-line run at PC and the
+// stop that ends it, taken from the slots of PC's code map. It checks
+// the map once per block (module.FetchCursor.Live), and chains to the
+// next block without a lookup while the next PC stays in the same live
+// map; only a PC outside it takes a full cursor lookup. Every
+// instruction is still counted and charged one at a time, and a fault
+// inside a run leaves PC at the faulting instruction. Code no map serves
+// is fetched and decoded one instruction at a time.
+func (c *CPU) Retire(n uint64) (uint64, error) {
+	// span is the code map of the last block, as the cursor's Span
+	// returned it for address space as, and base the address of its
+	// slot 0; it is nil after a block the maps do not serve.
+	var (
+		span    []module.CodeSlot
+		base    uint64
+		as      *module.AddressSpace
+		one     [1]module.CodeSlot
+		retired uint64
+	)
 	r := &c.Regs
+blocks:
+	for retired < n {
+		if c.halted {
+			return retired, ErrHalted
+		}
+		// Only a branch sink sets PendingTrap (the PMI hook), and every
+		// instruction that calls a sink or the syscall handler ends its
+		// block, so checking before each block stops the CPU before the
+		// next instruction.
+		if err := c.PendingTrap; err != nil {
+			c.PendingTrap = nil
+			return retired, err
+		}
+		pc := c.PC
+		var blk []module.CodeSlot
+		if off := pc - base; off%isa.InstrSize == 0 && off/isa.InstrSize < uint64(len(span)) &&
+			c.AS == as && c.code.Live() {
+			// Chained: the block lies in the live map of the last one.
+			blk = module.BlockAt(span, off/isa.InstrSize)
+		} else if span, base, _ = c.code.Span(c.AS, pc); span != nil {
+			as = c.AS
+			blk = module.BlockAt(span, (pc-base)/isa.InstrSize)
+		}
+		if blk == nil {
+			in, err := c.decode(pc)
+			if err != nil {
+				return retired, err
+			}
+			one[0].Instr = in
+			blk = one[:]
+		}
+		if left := n - retired; uint64(len(blk)) > left {
+			blk = blk[:left]
+		}
+		for i := range blk {
+			in := &blk[i].Instr
+			c.Instrs++
+			c.CycleCount += opCycles[in.Op]
+			next := pc + isa.InstrSize
+			var err error
+			switch in.Op {
+			case isa.NOP:
+			case isa.HALT:
+				c.halted = true
+				c.PC = next
+				return retired, ErrHalted
+			case isa.MOV:
+				r[in.Rd] = r[in.Rs]
+			case isa.MOVI:
+				r[in.Rd] = uint64(int64(in.Imm))
+			case isa.MOVIH:
+				r[in.Rd] = r[in.Rd]&0xffffffff | uint64(uint32(in.Imm))<<32
+			case isa.LEA:
+				r[in.Rd] = next + uint64(int64(in.Imm))
+			case isa.ADD:
+				r[in.Rd] += r[in.Rs]
+			case isa.SUB:
+				r[in.Rd] -= r[in.Rs]
+			case isa.MUL:
+				r[in.Rd] *= r[in.Rs]
+			case isa.DIV:
+				if r[in.Rs] == 0 {
+					err = errDivideByZero
+					break
+				}
+				r[in.Rd] /= r[in.Rs]
+			case isa.MOD:
+				if r[in.Rs] == 0 {
+					err = errDivideByZero
+					break
+				}
+				r[in.Rd] %= r[in.Rs]
+			case isa.AND:
+				r[in.Rd] &= r[in.Rs]
+			case isa.OR:
+				r[in.Rd] |= r[in.Rs]
+			case isa.XOR:
+				r[in.Rd] ^= r[in.Rs]
+			case isa.SHL:
+				r[in.Rd] <<= r[in.Rs] & 63
+			case isa.SHR:
+				r[in.Rd] >>= r[in.Rs] & 63
+			case isa.ADDI:
+				r[in.Rd] += uint64(int64(in.Imm))
+			case isa.CMP:
+				c.setFlags(r[in.Rd], r[in.Rs])
+			case isa.CMPI:
+				c.setFlags(r[in.Rd], uint64(int64(in.Imm)))
+			case isa.LD:
+				var v uint64
+				if v, err = c.data.ReadU64(c.AS, r[in.Rs]+uint64(int64(in.Imm))); err == nil {
+					r[in.Rd] = v
+				}
+			case isa.ST:
+				err = c.data.WriteU64(c.AS, r[in.Rd]+uint64(int64(in.Imm)), r[in.Rs])
+			case isa.LDB:
+				var v byte
+				if v, err = c.data.ReadU8(c.AS, r[in.Rs]+uint64(int64(in.Imm))); err == nil {
+					r[in.Rd] = uint64(v)
+				}
+			case isa.STB:
+				err = c.data.WriteU8(c.AS, r[in.Rd]+uint64(int64(in.Imm)), byte(r[in.Rs]))
+			case isa.PUSH:
+				err = c.push(r[in.Rs])
+			case isa.POP:
+				var v uint64
+				if v, err = c.pop(); err == nil {
+					r[in.Rd] = v
+				}
 
-	switch in.Op {
-	case isa.NOP:
-	case isa.HALT:
-		c.halted = true
-		c.PC = next
-		return ErrHalted
-	case isa.MOV:
-		r[in.Rd] = r[in.Rs]
-	case isa.MOVI:
-		r[in.Rd] = uint64(int64(in.Imm))
-	case isa.MOVIH:
-		r[in.Rd] = r[in.Rd]&0xffffffff | uint64(uint32(in.Imm))<<32
-	case isa.LEA:
-		r[in.Rd] = next + uint64(int64(in.Imm))
-	case isa.ADD:
-		r[in.Rd] += r[in.Rs]
-	case isa.SUB:
-		r[in.Rd] -= r[in.Rs]
-	case isa.MUL:
-		r[in.Rd] *= r[in.Rs]
-	case isa.DIV:
-		if r[in.Rs] == 0 {
-			return c.fault(pc, errors.New("divide by zero"))
+			// A change of flow ends its block. PC is the branch's own
+			// address while the sink observes it, as it is for every
+			// instruction that has not retired yet.
+			case isa.JMP:
+				next = in.BranchTarget(pc)
+				c.PC = pc
+				c.emit(trace.Branch{Class: isa.CoFIDirect, Source: pc, Target: next, Taken: true})
+			case isa.JCC:
+				taken := c.cond(in.Cond())
+				if taken {
+					next = in.BranchTarget(pc)
+				}
+				c.PC = pc
+				c.emit(trace.Branch{Class: isa.CoFICond, Source: pc, Target: next, Taken: taken})
+			case isa.CALL:
+				if err = c.push(next); err == nil {
+					next = in.BranchTarget(pc)
+					c.PC = pc
+					c.emit(trace.Branch{Class: isa.CoFIDirect, Source: pc, Target: next, Taken: true})
+				}
+			case isa.JMPR:
+				next = r[in.Rs]
+				c.PC = pc
+				c.emit(trace.Branch{Class: isa.CoFIIndirect, Source: pc, Target: next, Taken: true})
+			case isa.CALLR:
+				if err = c.push(next); err == nil {
+					next = r[in.Rs]
+					c.PC = pc
+					c.emit(trace.Branch{Class: isa.CoFIIndirect, Source: pc, Target: next, Taken: true})
+				}
+			case isa.RET:
+				if next, err = c.pop(); err == nil {
+					c.PC = pc
+					c.emit(trace.Branch{Class: isa.CoFIRet, Source: pc, Target: next, Taken: true})
+				}
+			case isa.SYSCALL:
+				// Far transfer: user-only tracing sees the kernel entry/exit
+				// boundary (FUP + TIP pair). PC is advanced first so handlers
+				// observe the resume address and may overwrite it (sigreturn).
+				c.PC = pc
+				c.emit(trace.Branch{Class: isa.CoFIFarTransfer, Source: pc, Target: next, Taken: true})
+				c.PC = next
+				if c.Sys == nil {
+					return retired, c.fault(pc, errors.New("syscall with no handler"))
+				}
+				if err := c.Sys.Syscall(c); err != nil {
+					return retired, err
+				}
+				retired++
+				continue blocks
+			default:
+				err = fmt.Errorf("unimplemented opcode %v", in.Op)
+			}
+			if err != nil {
+				c.PC = pc
+				return retired, c.fault(pc, err)
+			}
+			pc = next
+			retired++
 		}
-		r[in.Rd] /= r[in.Rs]
-	case isa.MOD:
-		if r[in.Rs] == 0 {
-			return c.fault(pc, errors.New("divide by zero"))
-		}
-		r[in.Rd] %= r[in.Rs]
-	case isa.AND:
-		r[in.Rd] &= r[in.Rs]
-	case isa.OR:
-		r[in.Rd] |= r[in.Rs]
-	case isa.XOR:
-		r[in.Rd] ^= r[in.Rs]
-	case isa.SHL:
-		r[in.Rd] <<= r[in.Rs] & 63
-	case isa.SHR:
-		r[in.Rd] >>= r[in.Rs] & 63
-	case isa.ADDI:
-		r[in.Rd] += uint64(int64(in.Imm))
-	case isa.CMP:
-		c.setFlags(r[in.Rd], r[in.Rs])
-	case isa.CMPI:
-		c.setFlags(r[in.Rd], uint64(int64(in.Imm)))
-	case isa.LD:
-		v, err := c.data.ReadU64(c.AS, r[in.Rs]+uint64(int64(in.Imm)))
-		if err != nil {
-			return c.fault(pc, err)
-		}
-		r[in.Rd] = v
-	case isa.ST:
-		if err := c.data.WriteU64(c.AS, r[in.Rd]+uint64(int64(in.Imm)), r[in.Rs]); err != nil {
-			return c.fault(pc, err)
-		}
-	case isa.LDB:
-		v, err := c.data.ReadU8(c.AS, r[in.Rs]+uint64(int64(in.Imm)))
-		if err != nil {
-			return c.fault(pc, err)
-		}
-		r[in.Rd] = uint64(v)
-	case isa.STB:
-		if err := c.data.WriteU8(c.AS, r[in.Rd]+uint64(int64(in.Imm)), byte(r[in.Rs])); err != nil {
-			return c.fault(pc, err)
-		}
-	case isa.PUSH:
-		if err := c.push(pc, r[in.Rs]); err != nil {
-			return err
-		}
-	case isa.POP:
-		v, err := c.pop(pc)
-		if err != nil {
-			return err
-		}
-		r[in.Rd] = v
-
-	case isa.JMP:
-		t := in.BranchTarget(pc)
-		c.emit(trace.Branch{Class: isa.CoFIDirect, Source: pc, Target: t, Taken: true})
-		c.PC = t
-		return nil
-	case isa.JCC:
-		taken := c.cond(in.Cond())
-		t := next
-		if taken {
-			t = in.BranchTarget(pc)
-		}
-		c.emit(trace.Branch{Class: isa.CoFICond, Source: pc, Target: t, Taken: taken})
-		c.PC = t
-		return nil
-	case isa.CALL:
-		if err := c.push(pc, next); err != nil {
-			return err
-		}
-		t := in.BranchTarget(pc)
-		c.emit(trace.Branch{Class: isa.CoFIDirect, Source: pc, Target: t, Taken: true})
-		c.PC = t
-		return nil
-	case isa.JMPR:
-		t := r[in.Rs]
-		c.emit(trace.Branch{Class: isa.CoFIIndirect, Source: pc, Target: t, Taken: true})
-		c.PC = t
-		return nil
-	case isa.CALLR:
-		if err := c.push(pc, next); err != nil {
-			return err
-		}
-		t := r[in.Rs]
-		c.emit(trace.Branch{Class: isa.CoFIIndirect, Source: pc, Target: t, Taken: true})
-		c.PC = t
-		return nil
-	case isa.RET:
-		t, err := c.pop(pc)
-		if err != nil {
-			return err
-		}
-		c.emit(trace.Branch{Class: isa.CoFIRet, Source: pc, Target: t, Taken: true})
-		c.PC = t
-		return nil
-	case isa.SYSCALL:
-		// Far transfer: user-only tracing sees the kernel entry/exit
-		// boundary (FUP + TIP pair). PC is advanced first so handlers
-		// observe the resume address and may overwrite it (sigreturn).
-		c.emit(trace.Branch{Class: isa.CoFIFarTransfer, Source: pc, Target: next, Taken: true})
-		c.PC = next
-		if c.Sys == nil {
-			return c.fault(pc, errors.New("syscall with no handler"))
-		}
-		return c.Sys.Syscall(c)
-	default:
-		return c.fault(pc, fmt.Errorf("unimplemented opcode %v", in.Op))
+		c.PC = pc
 	}
-
-	c.PC = next
-	return nil
+	return retired, nil
 }
 
 // Run retires instructions until the program halts, a fault or syscall
@@ -358,11 +408,15 @@ func (c *CPU) Step() error {
 // the number of instructions retired in this call.
 func (c *CPU) Run(maxInstrs uint64) (uint64, error) {
 	start := c.Instrs
+	n := maxInstrs
+	if n == 0 {
+		n = ^uint64(0)
+	}
 	for {
-		if err := c.Step(); err != nil {
+		if _, err := c.Retire(n); err != nil {
 			return c.Instrs - start, err
 		}
-		if maxInstrs > 0 && c.Instrs-start >= maxInstrs {
+		if maxInstrs > 0 {
 			return c.Instrs - start, fmt.Errorf("cpu: instruction budget %d exhausted", maxInstrs)
 		}
 	}

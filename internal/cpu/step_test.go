@@ -23,7 +23,14 @@ import (
 type side struct {
 	c        *cpu.CPU
 	step     func() error
-	branches []trace.Branch
+	branches []seen
+}
+
+// seen is one emitted branch and the CPU's PC and counters as the sink
+// observed them.
+type seen struct {
+	trace.Branch
+	pc, instrs, cycles uint64
 }
 
 // newSide attaches a branch recorder to c; ref selects StepReference
@@ -33,7 +40,9 @@ func newSide(c *cpu.CPU, ref bool) *side {
 	if ref {
 		s.step = c.StepReference
 	}
-	c.Branch = trace.SinkFunc(func(b trace.Branch) { s.branches = append(s.branches, b) })
+	c.Branch = trace.SinkFunc(func(b trace.Branch) {
+		s.branches = append(s.branches, seen{b, c.PC, c.Instrs, c.CycleCount})
+	})
 	return s
 }
 
@@ -48,6 +57,15 @@ func stepBoth(t testing.TB, what string, a, b *side) error {
 	if !reflect.DeepEqual(ea, eb) {
 		t.Fatalf("%s: step at %#x: error %v, reference %v", what, pc, ea, eb)
 	}
+	sameState(t, what, pc, a, b)
+	return ea
+}
+
+// sameState fails the test unless the two sides agree on the
+// architectural state, the counters and the branches emitted since
+// their recorders were last cleared; pc names where the step began.
+func sameState(t testing.TB, what string, pc uint64, a, b *side) {
+	t.Helper()
 	ca, cb := a.c, b.c
 	if ca.Regs != cb.Regs || ca.PC != cb.PC || ca.FlagZ != cb.FlagZ || ca.FlagN != cb.FlagN ||
 		ca.Instrs != cb.Instrs || ca.CycleCount != cb.CycleCount || ca.Halted() != cb.Halted() {
@@ -58,7 +76,6 @@ func stepBoth(t testing.TB, what string, a, b *side) error {
 	if !reflect.DeepEqual(a.branches, b.branches) {
 		t.Fatalf("%s: step at %#x: emitted %v, reference %v", what, pc, a.branches, b.branches)
 	}
-	return ea
 }
 
 // sameMemory fails unless the two address spaces map the same segments
@@ -135,6 +152,23 @@ func TestStepMatchesReference(t *testing.T) {
 	if testing.Short() {
 		budget, seeds = 60_000, 4
 	}
+	for _, fx := range processFixtures(t, seeds) {
+		lockstepProcess(t, fx.name, fx.spawn, budget)
+	}
+}
+
+// fixture is a process the differential tests spawn on both sides.
+type fixture struct {
+	name  string
+	spawn func(*kernelsim.Kernel) (*kernelsim.Process, error)
+}
+
+// processFixtures returns seeds random programs, every application
+// (benign sessions), the signal and thread servers, and the vulnd
+// exploits.
+func processFixtures(t *testing.T, seeds int) []fixture {
+	t.Helper()
+	var out []fixture
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		cfg := progen.DefaultConfig(seed)
 		if seed%2 == 1 {
@@ -144,9 +178,9 @@ func TestStepMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lockstepProcess(t, fmt.Sprintf("progen-%d", seed), func(k *kernelsim.Kernel) (*kernelsim.Process, error) {
+		out = append(out, fixture{fmt.Sprintf("progen-%d", seed), func(k *kernelsim.Kernel) (*kernelsim.Process, error) {
 			return k.Spawn("randprog", prog.Exec, prog.Libs, nil, nil)
-		}, budget)
+		}})
 	}
 
 	all := append(apps.All(), apps.Vulnd(), apps.Signald(), apps.Threadd())
@@ -155,9 +189,9 @@ func TestStepMatchesReference(t *testing.T) {
 		if a.Name == "signald" {
 			in = append([]byte("aSbS"), in...)
 		}
-		lockstepProcess(t, a.Name, func(k *kernelsim.Kernel) (*kernelsim.Process, error) {
+		out = append(out, fixture{a.Name, func(k *kernelsim.Kernel) (*kernelsim.Process, error) {
 			return a.Spawn(k, in)
-		}, budget)
+		}})
 	}
 
 	vulnd := apps.Vulnd()
@@ -165,23 +199,27 @@ func TestStepMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exploits := map[string]func(*module.AddressSpace) ([]byte, error){
-		"rop":     attack.BuildROPWrite,
-		"srop":    attack.BuildSROP,
-		"ret2lib": attack.BuildRet2Lib,
-		"history-flush": func(as *module.AddressSpace) ([]byte, error) {
+	exploits := []struct {
+		name  string
+		build func(*module.AddressSpace) ([]byte, error)
+	}{
+		{"rop", attack.BuildROPWrite},
+		{"srop", attack.BuildSROP},
+		{"ret2lib", attack.BuildRet2Lib},
+		{"history-flush", func(as *module.AddressSpace) ([]byte, error) {
 			return attack.BuildHistoryFlush(as, 48)
-		},
+		}},
 	}
-	for name, build := range exploits {
-		payload, err := build(vas)
+	for _, x := range exploits {
+		payload, err := x.build(vas)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lockstepProcess(t, "vulnd-"+name, func(k *kernelsim.Kernel) (*kernelsim.Process, error) {
+		out = append(out, fixture{"vulnd-" + x.name, func(k *kernelsim.Kernel) (*kernelsim.Process, error) {
 			return vulnd.Spawn(k, payload)
-		}, budget)
+		}})
 	}
+	return out
 }
 
 // mprotectSyscalls services every SYSCALL as mprotect(R0, R1&7),

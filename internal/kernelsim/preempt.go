@@ -223,14 +223,17 @@ func (k *Kernel) RunMulticore(procs []*Process, cores int, quantum, maxTotal uin
 			}
 			err := k.deliverPending(tk.p, tk.t)
 			if err == nil {
-				for n := uint64(0); n < quantum; n++ {
-					if err = tk.t.CPU.Step(); err != nil {
-						break
-					}
-					total++
-					if maxTotal > 0 && total >= maxTotal {
-						return statuses, fmt.Errorf("kernelsim: multicore budget %d exhausted", maxTotal)
-					}
+				// The slice ends after quantum instructions, or at the one
+				// that exhausts the total budget.
+				n := quantum
+				if maxTotal > 0 {
+					n = min(n, maxTotal-total)
+				}
+				var retired uint64
+				retired, err = tk.t.CPU.Retire(n)
+				total += retired
+				if err == nil && maxTotal > 0 && total >= maxTotal {
+					return statuses, fmt.Errorf("kernelsim: multicore budget %d exhausted", maxTotal)
 				}
 			}
 			if err == nil {

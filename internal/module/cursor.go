@@ -8,17 +8,17 @@ import (
 
 // FetchCursor caches the code map of the segment its owner last fetched
 // from, so consecutive fetches in one segment skip the segment search.
-// The CPU fetches every instruction it retires through one, and the
-// instruction-flow walk steps its blocks through one; both read the same
-// per-segment map.
+// The CPU executes its blocks through one, and the instruction-flow walk
+// steps its blocks through one; both read the same per-segment map.
 //
 // A cursor is bound to the address space it is used with: a fetch from
 // another address space (a CPU whose AS was replaced) refills it. It
 // never serves a map that Mprotect has dropped, whoever made the call —
 // another thread sharing the address space included — because every
-// fetch checks that the cached map is still the segment's published one.
-// The zero value is ready to use; a cursor is not safe for concurrent
-// use.
+// lookup checks that the cached map is still the segment's published
+// one; a caller that steps a map's slots itself checks once per block
+// (see Span). The zero value is ready to use; a cursor is not
+// safe for concurrent use.
 type FetchCursor struct {
 	as  *AddressSpace
 	seg *Segment
@@ -55,7 +55,10 @@ func (c *FetchCursor) Cached(as *AddressSpace, pc uint64) *CodeSlot {
 // Span returns the slots of the code map holding pc and the address of
 // slot 0, refilling the cursor as Slot does; ok is false where Slot
 // returns nil. A caller that steps the slots itself, by index, keeps the
-// cursor's contract by checking Live before every step.
+// cursor's contract by checking Live once before each block it steps
+// (see BlockAt): a block calls out of its caller only at its stop, so no
+// Mprotect the caller makes can drop the map inside a block, and one
+// made by another thread is seen at the next block.
 func (c *FetchCursor) Span(as *AddressSpace, pc uint64) (slots []CodeSlot, base uint64, ok bool) {
 	if c.Slot(as, pc) == nil {
 		return nil, 0, false
@@ -67,6 +70,22 @@ func (c *FetchCursor) Span(as *AddressSpace, pc uint64) (slots []CodeSlot, base 
 // still its segment's published map, that is, Mprotect has not dropped
 // it since. Call it only after a Span that returned ok.
 func (c *FetchCursor) Live() bool { return c.seg.code.Load() == c.m }
+
+// BlockAt returns the block at slot i of a map's slots, as Span returns
+// them: slot i's straight-line run of Run instructions and then the stop
+// that ends it. Where the run reaches the end of the map, or its stop is
+// an undecodable slot, the block is the run alone. It returns nil where
+// slot i is undecodable.
+func BlockAt(slots []CodeSlot, i uint64) []CodeSlot {
+	if slots[i].Instr.Op == undecodable {
+		return nil
+	}
+	end := i + uint64(slots[i].Run)
+	if end < uint64(len(slots)) && slots[end].Instr.Op != undecodable {
+		end++
+	}
+	return slots[i:end]
+}
 
 // Map returns the map the last successful Span returned. A map's
 // identity names its contents: Mprotect replaces a dropped map with a

@@ -140,12 +140,15 @@ func MissingTier1(benches []Benchmark, names []string) []string {
 
 // Tier1Names is the hot-path benchmark set the CI regression gate
 // protects: the §5.3 fast path and its feeding layers, the endpoint
-// check over a growing trace (BenchmarkGuardCheckAppend), and the
-// precise check over a cold-start window (BenchmarkGuardSlowPath). The
-// last two are gated once a baseline holds them. Sub-benchmarks of a
+// check over a growing trace (BenchmarkGuardCheckAppend), the precise
+// check over a cold-start window (BenchmarkGuardSlowPath), and the
+// emulator's cost per retired instruction (BenchmarkCPURun, untraced
+// and under the IPT tracer), which bounds every emulating workload. The
+// last three are gated once a baseline holds them. Sub-benchmarks of a
 // listed name are included.
 func Tier1Names() []string {
 	names := []string{
+		"BenchmarkCPURun",
 		"BenchmarkGuardSlowPath",
 		"BenchmarkFastPath",
 		"BenchmarkFastDecode",
