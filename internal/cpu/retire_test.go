@@ -140,7 +140,7 @@ func TestRunMatchesReference(t *testing.T) {
 		retireProcess(t, fx.name, fx.spawn, budget, int64(i))
 	}
 	for _, rc := range runCases() {
-		runCaseMatches(t, rc, 1)
+		runCaseMatches(t, rc)
 	}
 }
 
@@ -268,7 +268,7 @@ func runCases() []runCase {
 // from 1 to two past its longest block, so the first Retire call ends at
 // every slot of the first block and beyond, then continues with a
 // cutter's budgets until the program stops; a trap does not stop it.
-func runCaseMatches(t testing.TB, rc runCase, seed int64) {
+func runCaseMatches(t testing.TB, rc runCase) {
 	t.Helper()
 	as, _, ok := fuzzSpace(rc.code, rc.data, rc.mode)
 	if !ok {
@@ -290,7 +290,7 @@ func runCaseMatches(t testing.TB, rc runCase, seed int64) {
 				rc.setup(c)
 			}
 		}
-		cut := newCutter(longest, seed)
+		cut := newCutter(longest, 1)
 		n := first
 		for calls := 0; calls < 1000; calls++ {
 			if _, err := retireBoth(t, what, sides[0], sides[1], n); err != nil && err != errTrap {

@@ -17,8 +17,8 @@ import (
 // another thread sharing the address space included — because every
 // lookup checks that the cached map is still the segment's published
 // one; a caller that steps a map's slots itself checks once per block
-// (see Span). The zero value is ready to use; a cursor is not
-// safe for concurrent use.
+// (see Span). The zero value is ready to use; a cursor is not safe for
+// concurrent use.
 type FetchCursor struct {
 	as  *AddressSpace
 	seg *Segment
