@@ -115,12 +115,14 @@ fuzz:
 oracle-soak:
 	$(GO) run ./cmd/fgbench -oracle 10000
 
-# Coverage ratchet for the packages the oracle suite exercises hardest.
+# Coverage ratchet for the packages the oracle suite exercises hardest,
+# and for the labeled ITC-CFG (internal/itc) the fast path reads.
 # Raise the floors when coverage grows; never lower them.
 COVER_FLOOR_GUARD     ?= 92.0
 COVER_FLOOR_IPT       ?= 92.0
 COVER_FLOOR_KERNELSIM ?= 77.0
 COVER_FLOOR_HARNESS   ?= 75.0
+COVER_FLOOR_ITC       ?= 94.0
 # The analysis tree's framework is exercised mostly by the analyzer
 # subpackages' fixture tests, so its floor is measured as the union
 # profile across the whole ./internal/analysis/... tree.
@@ -144,6 +146,7 @@ cover-ratchet:
 	check ./internal/trace/ipt/ $(COVER_FLOOR_IPT) && \
 	check ./internal/kernelsim/ $(COVER_FLOOR_KERNELSIM) && \
 	check ./internal/harness/ $(COVER_FLOOR_HARNESS) && \
+	check ./internal/itc/ $(COVER_FLOOR_ITC) && \
 	checkunion ./internal/analysis/... $(COVER_FLOOR_ANALYSIS)
 
 # vet is the pre-commit gate (and part of `make all`): the stock go vet

@@ -220,12 +220,13 @@ func TestFastPathZeroAlloc(t *testing.T) {
 	tips := dec.Tips()
 	ig.ObserveWindow(tips) // train the edges the window itself exercises
 	ig.RebuildCache()
+	art := ig.Artifact()
 	allocs = testing.AllocsPerRun(50, func() {
 		for j := 0; j+1 < len(tips); j++ {
 			ig.Lookup(tips[j].IP, tips[j+1].IP, tips[j+1].TNTSig)
-			ig.CacheLookup(tips[j].IP, tips[j+1].IP, tips[j+1].TNTSig)
+			art.CacheLookup(tips[j].IP, tips[j+1].IP, tips[j+1].TNTSig)
 			if j+2 < len(tips) {
-				ig.PathTrained(tips[j].IP, tips[j+1].IP, tips[j+2].IP)
+				art.PathTrained(itc.PathKey(tips[j].IP, tips[j+1].IP, tips[j+2].IP))
 			}
 		}
 	})

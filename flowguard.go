@@ -118,7 +118,9 @@ func (m DegradedMode) internal() guard.DegradedMode {
 // Policy holds the runtime-protection knobs of §7.1.1.
 type Policy struct {
 	// PktCount is the minimum number of TIP packets checked per
-	// endpoint trigger (the paper's lower bound is 30).
+	// endpoint trigger (the paper's lower bound is 30). The checked
+	// window always also spans multiple modules with at least one packet
+	// in the executable (§5.3).
 	PktCount int
 	// CredRatio is the fraction of checked edges that must be credibly
 	// trained for the fast path to decide alone; 1.0 sends any
@@ -126,9 +128,6 @@ type Policy struct {
 	// above 1 sends every window with a checked pair to the slow path
 	// (the naive full-decode strawman of §2).
 	CredRatio float64
-	// RequireModuleStride demands the window span multiple modules with
-	// at least one packet in the executable.
-	RequireModuleStride bool
 	// CredMinCount raises the high-credit bar to edges observed at least
 	// this many times during training (multi-level credits, §4.3);
 	// 0 or 1 is the paper's binary labeling.
@@ -146,7 +145,7 @@ type Policy struct {
 
 // DefaultPolicy returns the configuration the paper evaluates.
 func DefaultPolicy() Policy {
-	return Policy{PktCount: 30, CredRatio: 1.0, RequireModuleStride: true}
+	return Policy{PktCount: 30, CredRatio: 1.0}
 }
 
 func (p Policy) internal() guard.Policy {
@@ -157,7 +156,6 @@ func (p Policy) internal() guard.Policy {
 	if p.CredRatio > 0 {
 		g.CredRatio = p.CredRatio
 	}
-	g.RequireModuleStride = p.RequireModuleStride
 	g.CredMinCount = p.CredMinCount
 	g.PathSensitive = p.PathSensitive
 	g.CheckOnPMI = p.CheckOnPMI

@@ -38,13 +38,7 @@ var asyncGateBench struct {
 // executable and library sites — the same mix the training pass
 // observed, so steady-state checks stay on the fast loop.
 func emitGatePattern(f *windowFixture, n int) {
-	for i := 0; i < n; i++ {
-		addr := f.exec
-		if i%3 == 1 {
-			addr = f.lib
-		}
-		f.emitTIP(addr)
-	}
+	f.emitSpan(n)
 	f.tr.Flush()
 }
 
@@ -80,7 +74,6 @@ func BenchmarkAsyncSyscallGate(b *testing.B) {
 	run := func(b *testing.B, workers int) {
 		pol := DefaultPolicy()
 		pol.PktCount = 8
-		pol.RequireModuleStride = false
 		pol.Async = workers > 0
 		f := newWindowFixture(b, pol)
 		if f.exec != asyncGateBench.exec || f.lib != asyncGateBench.lib {

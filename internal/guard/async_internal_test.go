@@ -42,7 +42,6 @@ func newAsyncFixture(t *testing.T, pol Policy, region int) *windowFixture {
 func asyncPolicy() Policy {
 	pol := DefaultPolicy()
 	pol.PktCount = 4
-	pol.RequireModuleStride = false
 	pol.Async = true
 	return pol
 }
@@ -52,9 +51,7 @@ func asyncPolicy() Policy {
 // and discards the captures.
 func TestAsyncCaptureAndFlush(t *testing.T) {
 	f := newAsyncFixture(t, asyncPolicy(), 512)
-	for i := 0; i < 1000; i++ {
-		f.emitTIP(f.exec)
-	}
+	f.emitSpan(1000)
 	f.tr.Flush()
 	pend := f.g.AsyncPending()
 	if pend == 0 {
@@ -78,9 +75,7 @@ func TestAsyncCaptureAndFlush(t *testing.T) {
 // without re-scanning what workers already fed.
 func TestAsyncDrainFeedsSharedWindow(t *testing.T) {
 	f := newAsyncFixture(t, asyncPolicy(), 512)
-	for i := 0; i < 100; i++ {
-		f.emitTIP(f.exec)
-	}
+	f.emitSpan(30)
 	if _, _, _, h, err := f.g.window(&f.g.main); err != nil || h != HealthClean {
 		t.Fatalf("establishing window: health %v, err %v", h, err)
 	}
@@ -89,9 +84,7 @@ func TestAsyncDrainFeedsSharedWindow(t *testing.T) {
 	f.g.asyncSettleLocked(f.g.main.async)
 	f.g.mu.Unlock()
 
-	for i := 0; i < 700; i++ {
-		f.emitTIP(f.exec)
-	}
+	f.emitSpan(150)
 	f.tr.Flush()
 	if f.g.AsyncPending() == 0 {
 		t.Fatal("no captures to drain")
@@ -134,7 +127,6 @@ func TestAsyncGateDecodesUndrainedBacklog(t *testing.T) {
 	fixture := func(async bool) *windowFixture {
 		pol := DefaultPolicy()
 		pol.PktCount = 8
-		pol.RequireModuleStride = false
 		pol.Async = async
 		f := newWindowFixture(t, pol)
 		f.g.OCFG, f.g.ITC = asyncGateBench.ocfg, asyncGateBench.ig
@@ -239,15 +231,13 @@ func TestAsyncGateDecodesUndrainedBacklog(t *testing.T) {
 // and the one after that recovers from a fresh snapshot.
 func TestAsyncPoisonedWindowReplaysMalformedPath(t *testing.T) {
 	f := newAsyncFixture(t, asyncPolicy(), 1<<16)
-	for i := 0; i < 10; i++ {
-		f.emitTIP(f.exec)
-	}
+	f.emitSpan(10)
 	if _, _, _, h, err := f.g.window(&f.g.main); err != nil || h != HealthClean {
 		t.Fatalf("establishing window: health %v, err %v", h, err)
 	}
 
 	f.g.asyncMarkPanicked(errors.New("worker died mid-feed"))
-	f.emitTIP(f.exec)
+	f.emitSpan(1)
 	_, _, _, h, err := f.g.window(&f.g.main)
 	if h != HealthMalformed {
 		t.Fatalf("poisoned window health = %v, want malformed", h)
@@ -268,7 +258,7 @@ func TestAsyncPoisonedWindowReplaysMalformedPath(t *testing.T) {
 
 	// Recovery: the trace itself is intact, so a fresh snapshot decodes
 	// clean — the poison does not stick past one resolution.
-	f.emitTIP(f.exec)
+	f.emitSpan(1)
 	if _, _, _, h, err := f.g.window(&f.g.main); err != nil || h != HealthClean {
 		t.Fatalf("recovery window: health %v, err %v", h, err)
 	}
@@ -311,9 +301,7 @@ func TestAsyncWrapLossMatchesSyncClassification(t *testing.T) {
 		for _, step := range sched {
 			switch {
 			case step > 0:
-				for i := 0; i < step; i++ {
-					f.emitTIP(f.exec)
-				}
+				f.emitSpan(step)
 				f.tr.Flush()
 			case step == drain && async:
 				fedAtDrain, _ = AsyncDrainCounts(f.g)
@@ -340,8 +328,8 @@ func TestAsyncWrapLossMatchesSyncClassification(t *testing.T) {
 		// evicted: the drain step runs after the wrap evicted s.win.total.
 		evicted bool
 	}{
-		{"predecode-then-wrap", []int{100, check, 300, drain, 1200, check, 50, check}, false},
-		{"drain-after-wrap", []int{100, check, 1500, drain, check, 50, check}, true},
+		{"predecode-then-wrap", []int{30, check, 90, drain, 350, check, 15, check}, false},
+		{"drain-after-wrap", []int{30, check, 440, drain, check, 15, check}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gs, ws, _ := run(false, tc.sched)
@@ -375,9 +363,7 @@ func TestAsyncWrapLossMatchesSyncClassification(t *testing.T) {
 // average rounded down.
 func TestAsyncDrainZeroAlloc(t *testing.T) {
 	f := newAsyncFixture(t, asyncPolicy(), 512)
-	for i := 0; i < 10; i++ {
-		f.emitTIP(f.exec)
-	}
+	f.emitSpan(10)
 	if _, _, _, h, err := f.g.window(&f.g.main); err != nil || h != HealthClean {
 		t.Fatalf("establishing window: health %v, err %v", h, err)
 	}
@@ -385,7 +371,7 @@ func TestAsyncDrainZeroAlloc(t *testing.T) {
 	run := func() {
 		for i := 0; i < cycles; i++ {
 			for f.g.AsyncPending() == 0 {
-				f.emitTIP(f.exec)
+				f.emitSpan(1)
 			}
 			f.tr.Flush()
 			for f.g.AsyncDrainOne() {

@@ -36,18 +36,15 @@ var ovfBytes = []byte{0x02, 0xF3}
 func TestWindowHealthResyncedOnOVF(t *testing.T) {
 	pol := DefaultPolicy()
 	pol.PktCount = 4
-	pol.RequireModuleStride = false
 	f := newWindowFixture(t, pol)
-	for i := 0; i < 10; i++ {
-		f.emitTIP(f.exec)
-	}
+	f.emitSpan(10)
 	if _, _, _, health, err := f.g.window(&f.g.main); err != nil || health != HealthClean {
 		t.Fatalf("pre-fault window: health %v, err %v", health, err)
 	}
 
 	f.tr.Fault = &onceFault{extra: ovfBytes}
-	f.emitTIP(f.exec) // this write carries the injected OVF
-	f.emitTIP(f.exec)
+	f.emitSpan(1) // this write carries the injected OVF
+	f.emitSpan(1)
 	_, _, _, health, err := f.g.window(&f.g.main)
 	if err != nil {
 		t.Fatal(err)
@@ -62,17 +59,15 @@ func TestWindowHealthResyncedOnOVF(t *testing.T) {
 	// The overflow stays unresynchronized — and the health degraded —
 	// until the next PSB; the default period is 2048 bytes, so a couple
 	// more records do not clear it.
-	f.emitTIP(f.exec)
+	f.emitSpan(1)
 	if _, _, _, health, _ := f.g.window(&f.g.main); health != HealthResynced {
 		t.Fatalf("health before resynchronizing PSB = %v, want resynced", health)
 	}
 
 	// Crossing the PSB period resynchronizes: health returns to clean
-	// with no new overflow counted. (Repeated same-target TIPs compress
-	// to ~1 byte, so this spans the 2048-byte default period.)
-	for i := 0; i < 3000; i++ {
-		f.emitTIP(f.exec)
-	}
+	// with no new overflow counted. (Each TIP takes at least one byte, so
+	// this spans the 2048-byte default period.)
+	f.emitSpan(3000)
 	_, _, _, health, err = f.g.window(&f.g.main)
 	if err != nil {
 		t.Fatal(err)
@@ -88,15 +83,12 @@ func TestWindowHealthResyncedOnOVF(t *testing.T) {
 func TestWindowHealthGapWhenWrapOutrunsSyncPoints(t *testing.T) {
 	pol := DefaultPolicy()
 	pol.PktCount = 4
-	pol.RequireModuleStride = false
 	f := newWindowFixture(t, pol)
 	// Tiny buffer, and no recurring sync points: once the initial PSB
 	// wraps away, nothing resident can be attributed.
 	f.tr.Out = ipt.NewToPA(256, 256)
 	f.tr.PSBPeriod = 1 << 30
-	for i := 0; i < 2000; i++ {
-		f.emitTIP(f.exec)
-	}
+	f.emitSpan(2000)
 	if !f.tr.Out.Wrapped() {
 		t.Fatal("setup: buffer did not wrap")
 	}
@@ -118,16 +110,13 @@ func TestWindowHealthGapWhenWrapOutrunsSyncPoints(t *testing.T) {
 func TestWindowHealthMalformedDropsCache(t *testing.T) {
 	pol := DefaultPolicy()
 	pol.PktCount = 4
-	pol.RequireModuleStride = false
 	f := newWindowFixture(t, pol)
-	for i := 0; i < 10; i++ {
-		f.emitTIP(f.exec)
-	}
+	f.emitSpan(10)
 	if _, _, _, _, err := f.g.window(&f.g.main); err != nil {
 		t.Fatal(err)
 	}
 	f.tr.Fault = &onceFault{extra: []byte{0x02, 0xFF}} // unknown extended opcode
-	f.emitTIP(f.exec)
+	f.emitSpan(1)
 	_, _, _, health, err := f.g.window(&f.g.main)
 	if health != HealthMalformed {
 		t.Fatalf("health = %v, want malformed", health)
@@ -150,14 +139,11 @@ func TestCheckDegradedPolicyOnGap(t *testing.T) {
 	mk := func(mode DegradedMode) *windowFixture {
 		pol := DefaultPolicy()
 		pol.PktCount = 4
-		pol.RequireModuleStride = false
 		pol.OnDegraded = mode
 		f := newWindowFixture(t, pol)
 		f.tr.Out = ipt.NewToPA(256, 256)
 		f.tr.PSBPeriod = 1 << 30
-		for i := 0; i < 2000; i++ {
-			f.emitTIP(f.exec)
-		}
+		f.emitSpan(2000)
 		return f
 	}
 

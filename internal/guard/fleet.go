@@ -43,8 +43,8 @@ type Binary struct {
 }
 
 // NewBinary bundles the shared state of one protected binary. The
-// artifact is typically graph.Artifact() after training, or
-// itc.ArtifactFromFlat over shipped FGITCFL1 bytes.
+// artifact is graph.Artifact() after training, or the Artifact of the
+// graph itc.Decode loads from shipped FGITCFL1 bytes.
 func NewBinary(as *module.AddressSpace, ocfg *cfg.Graph, art *itc.Artifact) *Binary {
 	return &Binary{AS: as, OCFG: ocfg, Art: art, Appr: NewApprovalCache()}
 }

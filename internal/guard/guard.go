@@ -66,6 +66,10 @@ const (
 type Policy struct {
 	// PktCount is the minimum number of TIP packets checked per trigger
 	// (lower bound 30 in the paper, defeating history-flushing attacks).
+	// The checked window always also spans more than one module with at
+	// least one TIP inside the executable, extending backwards if needed
+	// (the §5.3 module-stride rule against return-to-lib history
+	// flushing).
 	PktCount int
 	// CredRatio is the fraction of checked edges that must be
 	// high-credit with matching TNT for the fast path to pass on its
@@ -75,10 +79,6 @@ type Policy struct {
 	// strawman of §2/§3.1 (the naive-full-decode row of the harness's
 	// mode matrix).
 	CredRatio float64
-	// RequireModuleStride demands the window span more than one module
-	// with at least one TIP inside the executable, extending the window
-	// backwards if needed (anti return-to-lib history flushing).
-	RequireModuleStride bool
 	// Endpoints lists the intercepted security-sensitive syscalls.
 	Endpoints []uint64
 	// CredMinCount raises the high-credit bar to edges observed at least
@@ -127,10 +127,9 @@ func DefaultEndpoints() []uint64 {
 // DefaultPolicy returns the paper's evaluated configuration.
 func DefaultPolicy() Policy {
 	return Policy{
-		PktCount:            30,
-		CredRatio:           1.0,
-		RequireModuleStride: true,
-		Endpoints:           DefaultEndpoints(),
+		PktCount:  30,
+		CredRatio: 1.0,
+		Endpoints: DefaultEndpoints(),
 	}
 }
 
@@ -639,18 +638,16 @@ func (g *Guard) selectWindow(all []ipt.TIPRecord, pts []int) ([]ipt.TIPRecord, i
 	if start < lo {
 		return all[lo:], pts[0], false
 	}
-	if g.Policy.RequireModuleStride {
-		var s modScratch
-		for i := start; i < len(all); i++ {
-			s.add(g.AS, &all[i])
+	var s modScratch
+	for i := start; i < len(all); i++ {
+		s.add(g.AS, &all[i])
+	}
+	for !s.ok() {
+		if start == lo {
+			return all[lo:], pts[0], false
 		}
-		for !s.ok() {
-			if start == lo {
-				return all[lo:], pts[0], false
-			}
-			start--
-			s.add(g.AS, &all[start])
-		}
+		start--
+		s.add(g.AS, &all[start])
 	}
 	k := len(pts) - 1
 	for start < len(all) && pts[k] > all[start].Off {

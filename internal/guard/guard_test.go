@@ -312,8 +312,8 @@ func TestPolicyVariants(t *testing.T) {
 	}
 	for _, pol := range []guard.Policy{
 		{PktCount: 10, CredRatio: 1, Endpoints: guard.DefaultEndpoints()},
-		{PktCount: 30, CredRatio: 0.5, RequireModuleStride: true, Endpoints: guard.DefaultEndpoints()},
-		{PktCount: 60, CredRatio: 1, RequireModuleStride: true, Endpoints: guard.DefaultEndpoints()},
+		{PktCount: 30, CredRatio: 0.5, Endpoints: guard.DefaultEndpoints()},
+		{PktCount: 60, CredRatio: 1, Endpoints: guard.DefaultEndpoints()},
 	} {
 		st, _, _, _ := a.protectAndRun(t, payload, pol)
 		if !st.Killed {

@@ -8,6 +8,7 @@ package guard_test
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -146,6 +147,39 @@ func TestStatsMergeZeroAlloc(t *testing.T) {
 	b.Checks, b.AsyncMaxLag = 3, 7
 	if allocs := testing.AllocsPerRun(100, func() { a.Merge(&b) }); allocs != 0 {
 		t.Fatalf("Stats.Merge allocated %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestStatsCheckLedger: a ledger that keeps every accounting identity
+// passes, and pushing any one identity past its bound fails the check
+// with that identity named.
+func TestStatsCheckLedger(t *testing.T) {
+	ok := guard.Stats{
+		Checks: 10, SlowChecks: 4, Violations: 3, HighEdges: 20, CacheHits: 20,
+		DegradedChecks: 5, FailOpens: 2, FailClosures: 3, Shed: 5,
+		Retries: 5 * guard.DefaultRetryMax,
+	}
+	if err := ok.CheckLedger(); err != nil {
+		t.Fatalf("consistent ledger rejected: %v", err)
+	}
+	for _, c := range []struct {
+		rule    string
+		perturb func(*guard.Stats)
+	}{
+		{"CacheHits <= HighEdges", func(s *guard.Stats) { s.CacheHits++ }},
+		{"FailOpens+FailClosures <= DegradedChecks", func(s *guard.Stats) { s.FailOpens++ }},
+		{"DegradedChecks <= Checks", func(s *guard.Stats) { s.Checks = s.DegradedChecks - 1 }},
+		{"FailClosures <= Violations", func(s *guard.Stats) { s.Violations-- }},
+		{"Shed <= DegradedChecks", func(s *guard.Stats) { s.Shed++ }},
+		{"SlowChecks <= Checks", func(s *guard.Stats) { s.SlowChecks = s.Checks + 1 }},
+		{"Retries <= DefaultRetryMax*DegradedChecks", func(s *guard.Stats) { s.Retries++ }},
+	} {
+		s := ok
+		c.perturb(&s)
+		err := s.CheckLedger()
+		if err == nil || !strings.Contains(err.Error(), c.rule) {
+			t.Errorf("breaking %s: CheckLedger = %v", c.rule, err)
+		}
 	}
 }
 

@@ -182,7 +182,7 @@ func runRewritten(t *testing.T, exec *module.Module, fn string, tc rewriteCase, 
 	pol := guard.DefaultPolicy()
 	g := guard.New(p.AS, ocfg, itc.FromCFG(ocfg), tr, pol)
 	o := oracle.New(p.AS, ocfg, oracle.NewRef(ocfg), tr.Out, oracle.Policy{
-		PktCount: pol.PktCount, CredRatio: pol.CredRatio, RequireModuleStride: pol.RequireModuleStride,
+		PktCount: pol.PktCount, CredRatio: pol.CredRatio,
 	})
 	var last guard.Result
 	writes := 0

@@ -1,6 +1,9 @@
 package guard
 
-import "reflect"
+import (
+	"fmt"
+	"reflect"
+)
 
 // Stats accumulates across checks. Its declaration is the one list of
 // counters: Merge, Fields and the differential oracle's comparison walk
@@ -34,7 +37,12 @@ type Stats struct {
 
 	// Asynchronous-pipeline accounting (Policy.Async, DESIGN.md §9).
 	AsyncWindows uint64 // region-full captures handed to the worker pool
-	AsyncMaxLag  uint64 `merge:"max"` // high-water mark of captured-but-unchecked windows
+	// AsyncMaxLag is the high-water mark of the capture backlog: captures
+	// no worker has drained yet and no check has covered yet (a drain
+	// pops its capture, a check drops the rest). How deep it gets
+	// depends on when the workers ran, so it follows goroutine
+	// scheduling, not the seed (ROADMAP item 5).
+	AsyncMaxLag uint64 `merge:"max"`
 	// BackpressureStalls and WatchdogSheds are always zero: the pipeline
 	// has no producer stall and no watchdog, because the gate decodes
 	// any backlog itself (DESIGN.md §9). They stay because perfbench
@@ -99,6 +107,32 @@ func (s *Stats) Fields() []StatField {
 		out[i] = StatField{Name: v.Type().Field(i).Name, Value: v.Field(i).Uint()}
 	}
 	return out
+}
+
+// CheckLedger reports the first accounting identity s breaks, or nil.
+// Every cache hit is a high-credit edge; every fail-open or fail-closed
+// resolution, and every fairness shed, is one degraded check; every
+// fail-closure is a violation; and a degraded check makes at most
+// DefaultRetryMax recovery attempts. The identities are sums over
+// checks, so they also hold for merged ledgers.
+func (s *Stats) CheckLedger() error {
+	for _, c := range [...]struct {
+		rule   string
+		lo, hi uint64
+	}{
+		{"CacheHits <= HighEdges", s.CacheHits, s.HighEdges},
+		{"FailOpens+FailClosures <= DegradedChecks", s.FailOpens + s.FailClosures, s.DegradedChecks},
+		{"DegradedChecks <= Checks", s.DegradedChecks, s.Checks},
+		{"FailClosures <= Violations", s.FailClosures, s.Violations},
+		{"Shed <= DegradedChecks", s.Shed, s.DegradedChecks},
+		{"SlowChecks <= Checks", s.SlowChecks, s.Checks},
+		{"Retries <= DefaultRetryMax*DegradedChecks", s.Retries, DefaultRetryMax * s.DegradedChecks},
+	} {
+		if c.lo > c.hi {
+			return fmt.Errorf("guard: stats ledger breaks %s (%d > %d)", c.rule, c.lo, c.hi)
+		}
+	}
+	return nil
 }
 
 // CredRatioRuntime returns the runtime fraction of credible edges

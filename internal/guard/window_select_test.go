@@ -8,7 +8,6 @@ package guard
 // suffix.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -16,25 +15,18 @@ import (
 	"flowguard/internal/trace/ipt"
 )
 
-// windowReference is the per-PSB strideOK+trim selection, recomputing
+// windowReference is the per-PSB stride-check+trim selection, recomputing
 // module membership from scratch per candidate (no incremental
 // scratch). It returns the checked records and the offset of the sync
 // point the window region opens at.
 func windowReference(g *Guard, all []ipt.TIPRecord, pts []int) ([]ipt.TIPRecord, int) {
 	for k := len(pts) - 1; k >= 0; k-- {
 		sub := ipt.TipsFrom(all, pts[k])
-		if (len(sub) >= g.Policy.PktCount && strideOKReference(g, sub)) || k == 0 {
+		if (len(sub) >= g.Policy.PktCount && spansModulesReference(g.AS, sub)) || k == 0 {
 			return trimReference(g, sub), pts[k]
 		}
 	}
 	panic("windowReference: no sync points")
-}
-
-func strideOKReference(g *Guard, tips []ipt.TIPRecord) bool {
-	if !g.Policy.RequireModuleStride {
-		return true
-	}
-	return spansModulesReference(g.AS, tips)
 }
 
 func spansModulesReference(as *module.AddressSpace, tips []ipt.TIPRecord) bool {
@@ -58,9 +50,6 @@ func trimReference(g *Guard, tips []ipt.TIPRecord) []ipt.TIPRecord {
 		return tips
 	}
 	start := len(tips) - g.Policy.PktCount
-	if !g.Policy.RequireModuleStride {
-		return tips[start:]
-	}
 	for start > 0 && !spansModulesReference(g.AS, tips[start:]) {
 		start--
 	}
@@ -99,10 +88,10 @@ func checkWindowSelect(t *testing.T, f *windowFixture, all []ipt.TIPRecord, pts 
 	t.Helper()
 	got, gotPSB, gotOK := f.g.selectWindow(all, pts)
 	want, wantPSB := windowReference(f.g, all, pts)
-	wantOK := len(want) >= f.g.Policy.PktCount && strideOKReference(f.g, want)
+	wantOK := len(want) >= f.g.Policy.PktCount && spansModulesReference(f.g.AS, want)
 	if len(got) != len(want) || gotPSB != wantPSB || gotOK != wantOK {
-		t.Fatalf("policy pkt=%d stride=%v, %d records, psbs %v: selectWindow = %d records from PSB %d (qualifying %v), reference = %d records from PSB %d (qualifying %v)",
-			f.g.Policy.PktCount, f.g.Policy.RequireModuleStride, len(all), pts,
+		t.Fatalf("policy pkt=%d, %d records, psbs %v: selectWindow = %d records from PSB %d (qualifying %v), reference = %d records from PSB %d (qualifying %v)",
+			f.g.Policy.PktCount, len(all), pts,
 			len(got), gotPSB, gotOK, len(want), wantPSB, wantOK)
 	}
 }
@@ -154,8 +143,8 @@ func checkWindowSelectGrowing(t *testing.T, f *windowFixture, all []ipt.TIPRecor
 }
 
 // TestWindowSelectMatchesReference is the property: over random record,
-// sync-point and module layouts, with the stride rule on and off and
-// packet counts from 0 to past the record count, the one-pass selection
+// sync-point and module layouts, and packet counts from 0 to past the
+// record count, the one-pass selection
 // returns exactly the reference's record slice and region offset.
 // Named cases pin the edges the random layouts reach only by chance.
 func TestWindowSelectMatchesReference(t *testing.T) {
@@ -177,11 +166,9 @@ func TestWindowSelectMatchesReference(t *testing.T) {
 		{"non-code-targets", []byte{psb, exe, data, lib, none, data, data}, 2},
 	}
 	for _, c := range cases {
-		for _, stride := range []bool{false, true} {
-			f.g.Policy.PktCount, f.g.Policy.RequireModuleStride = c.pkt, stride
-			all, pts := windowLayout(f, c.script)
-			t.Run(fmt.Sprintf("%s/stride=%v", c.name, stride), func(t *testing.T) { checkWindowSelect(t, f, all, pts) })
-		}
+		f.g.Policy.PktCount = c.pkt
+		all, pts := windowLayout(f, c.script)
+		t.Run(c.name+"/stride=true", func(t *testing.T) { checkWindowSelect(t, f, all, pts) })
 	}
 
 	rng := rand.New(rand.NewSource(1))
@@ -193,7 +180,6 @@ func TestWindowSelectMatchesReference(t *testing.T) {
 			continue
 		}
 		f.g.Policy.PktCount = rng.Intn(len(all) + 4)
-		f.g.Policy.RequireModuleStride = rng.Intn(2) == 0
 		checkWindowSelect(t, f, all, pts)
 		if it%8 == 0 {
 			// The same layout again, grown and trimmed step by step over
@@ -205,7 +191,7 @@ func TestWindowSelectMatchesReference(t *testing.T) {
 }
 
 // FuzzWindowSelectMatchesReference is the fuzzing twin of the property:
-// the first script byte chooses the policy, the rest the layout, which
+// the first script byte chooses the packet count, the rest the layout, which
 // is then also grown and trimmed step by step (the same bytes choose the
 // steps), with selectWindow called after every step over one record
 // storage.
@@ -225,7 +211,6 @@ func FuzzWindowSelectMatchesReference(f *testing.F) {
 			return
 		}
 		fx.g.Policy.PktCount = int(script[0] >> 1)
-		fx.g.Policy.RequireModuleStride = script[0]&1 == 0
 		checkWindowSelectGrowing(t, fx, all, pts, script[1:])
 		checkWindowSelect(t, fx, all, pts)
 	})

@@ -21,11 +21,12 @@ import (
 // windowFixture builds a two-module address space (exec + one lib) and a
 // tracer fed with synthetic indirect branches at chosen addresses.
 type windowFixture struct {
-	as   *module.AddressSpace
-	tr   *ipt.Tracer
-	g    *Guard
-	exec uint64 // a code address inside the executable
-	lib  uint64 // a code address inside the library
+	as    *module.AddressSpace
+	tr    *ipt.Tracer
+	g     *Guard
+	exec  uint64 // a code address inside the executable
+	lib   uint64 // a code address inside the library
+	spans int    // branches emitSpan has pushed so far
 }
 
 func newWindowFixture(t testing.TB, pol Policy) *windowFixture {
@@ -76,6 +77,21 @@ func (w *windowFixture) emitTIP(addr uint64) {
 	w.tr.Branch(trace.Branch{Class: isa.CoFIIndirect, Source: addr, Target: addr, Taken: true})
 }
 
+// emitSpan pushes n synthetic indirect branches in the repeating pattern
+// exec, lib, exec, continued across calls. Any three consecutive ones
+// span the executable and the library, so with PktCount ≥ 3 a window
+// meets the module-stride rule at exactly PktCount records.
+func (w *windowFixture) emitSpan(n int) {
+	for i := 0; i < n; i++ {
+		addr := w.exec
+		if w.spans%3 == 1 {
+			addr = w.lib
+		}
+		w.spans++
+		w.emitTIP(addr)
+	}
+}
+
 func tipsOf(t *testing.T, g *Guard) []ipt.TIPRecord {
 	t.Helper()
 	tips, _, _, _, err := g.window(&g.main)
@@ -95,14 +111,11 @@ func TestWindowEmptyTrace(t *testing.T) {
 func TestWindowHonorsPktCount(t *testing.T) {
 	pol := DefaultPolicy()
 	pol.PktCount = 8
-	pol.RequireModuleStride = false
 	f := newWindowFixture(t, pol)
-	for i := 0; i < 100; i++ {
-		f.emitTIP(f.exec)
-	}
+	f.emitSpan(100)
 	tips := tipsOf(t, f.g)
 	if len(tips) != 8 {
-		t.Fatalf("window = %d TIPs, want exactly pkt_count 8 when stride is off", len(tips))
+		t.Fatalf("window = %d TIPs, want exactly pkt_count 8 when its tail spans both modules", len(tips))
 	}
 }
 
@@ -277,23 +290,18 @@ func TestIncrementalWindowMatchesFullRescan(t *testing.T) {
 func TestWrapPastWindowResyncs(t *testing.T) {
 	pol := DefaultPolicy()
 	pol.PktCount = 8
-	pol.RequireModuleStride = false
 	f := newWindowFixture(t, pol)
 	f.tr.Out = ipt.NewToPA(2048, 2048)
 
 	// Prime the incremental cache.
-	for i := 0; i < 50; i++ {
-		f.emitTIP(f.exec)
-	}
+	f.emitSpan(50)
 	tipsOf(t, f.g)
 	if f.g.Stats.Resyncs != 0 {
 		t.Fatalf("Resyncs = %d before any wrap", f.g.Stats.Resyncs)
 	}
 
 	// Outrun the cache: more new bytes than the whole buffer holds.
-	for i := 0; i < 6000; i++ {
-		f.emitTIP(f.exec)
-	}
+	f.emitSpan(6000)
 	inc, incPSB, _, health, err := f.g.window(&f.g.main)
 	if err != nil {
 		t.Fatal(err)
@@ -323,9 +331,7 @@ func TestWrapPastWindowResyncs(t *testing.T) {
 	}
 
 	// Small appends amortize again: no further resync, health clean.
-	for i := 0; i < 5; i++ {
-		f.emitTIP(f.exec)
-	}
+	f.emitSpan(5)
 	if _, _, _, health, err := f.g.window(&f.g.main); err != nil || health != HealthClean {
 		t.Fatalf("after a servable delta: health %v, err %v", health, err)
 	}
@@ -347,13 +353,10 @@ func TestWrapPastWindowResyncs(t *testing.T) {
 func TestWindowSurvivesToPAWrap(t *testing.T) {
 	pol := DefaultPolicy()
 	pol.PktCount = 8
-	pol.RequireModuleStride = false
 	f := newWindowFixture(t, pol)
 	// Swap in a tiny two-region ToPA and overfill it several times.
 	f.tr.Out = ipt.NewToPA(2048, 2048)
-	for i := 0; i < 8000; i++ {
-		f.emitTIP(f.exec)
-	}
+	f.emitSpan(8000)
 	if f.tr.Out.TotalWritten() <= uint64(f.tr.Out.Capacity()) {
 		t.Fatal("buffer did not wrap; test setup broken")
 	}

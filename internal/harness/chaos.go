@@ -58,7 +58,8 @@ func faultCounts(plan *faults.Plan) (stream, worker uint64) {
 // internal/faults).
 // It reports per-mode aggregates; an attack a non-fail-open mode let
 // through is an error — the security half of the degraded-mode
-// contract, enforced here just as in the tests.
+// contract, enforced here just as in the tests — and so is a guard
+// ledger that breaks one of its accounting identities.
 func (r *Runner) Chaos(n int) ([]ChaosRow, error) {
 	a := apps.Vulnd()
 	an, err := r.Analyze(a)
@@ -153,6 +154,9 @@ func (r *Runner) Chaos(n int) ([]ChaosRow, error) {
 			if st.Exited {
 				row.Survived++
 			}
+		}
+		if err := g.Stats.CheckLedger(); err != nil {
+			return nil, fmt.Errorf("harness: chaos seed %d mode %v: %w", seed, mode, err)
 		}
 		row.Stats.Merge(&g.Stats)
 	}

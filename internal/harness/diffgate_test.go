@@ -61,7 +61,10 @@ func gateRun(t *testing.T) (*diffGate, kernelsim.ExitStatus) {
 // clone's check over the wrong records.
 func TestDiffGateOraclePerThread(t *testing.T) {
 	d, st := gateRun(t)
-	out := d.finish(st)
+	out, err := d.finish(st)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, div := range out.Divergences {
 		t.Error(div)
 	}
@@ -79,7 +82,10 @@ func TestDiffGateOraclePerThread(t *testing.T) {
 func TestDiffGateComparesStats(t *testing.T) {
 	d, st := gateRun(t)
 	d.out.Guard.Stats.SlowChecks++
-	out := d.finish(st)
+	out, err := d.finish(st)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out.Divergences) != 1 || !strings.HasPrefix(out.Divergences[0], "stats SlowChecks: guard=") {
 		t.Fatalf("divergences %v, want exactly the perturbed SlowChecks", out.Divergences)
 	}

@@ -146,12 +146,12 @@ func TestFlatITCMatchesOracleRef(t *testing.T) {
 					t.Fatalf("round %d %s: Lookup(%#x,%#x,%#x) = %+v, ref (%v,%d,%v)",
 						round, stage, src, dst, sig, l, exists, count, sigOK)
 				}
-				hit, sm := g.CacheLookup(src, dst, sig)
+				hit, sm := g.Artifact().CacheLookup(src, dst, sig)
 				if hit != (l.Exists && l.HighCredit) || (hit && sm != l.SigMatch) {
 					t.Fatalf("round %d %s: cache (%v,%v) vs lookup %+v", round, stage, hit, sm, l)
 				}
 				a, b, c := pick(), pick(), pick()
-				if got, want := g.PathTrained(a, b, c), ref.PathObserved(a, b, c); got != want {
+				if got, want := g.Artifact().PathTrained(itc.PathKey(a, b, c)), ref.PathObserved(a, b, c); got != want {
 					t.Fatalf("round %d %s: PathTrained(%#x,%#x,%#x) = %v, ref %v", round, stage, a, b, c, got, want)
 				}
 			}
@@ -163,10 +163,10 @@ func TestFlatITCMatchesOracleRef(t *testing.T) {
 		}
 		train(60)
 		check("pre-rebuild (construction's labels)")
-		gen := g.LabelGen()
+		gen := g.Artifact().Gen()
 		rebuild()
-		if g.LabelGen() != gen+1 {
-			t.Fatalf("round %d: LabelGen did not advance on RebuildCache", round)
+		if g.Artifact().Gen() != gen+1 {
+			t.Fatalf("round %d: label generation did not advance on RebuildCache", round)
 		}
 		check("post-rebuild")
 
@@ -176,8 +176,8 @@ func TestFlatITCMatchesOracleRef(t *testing.T) {
 		check("unpublished retraining")
 		rebuild()
 		check("second generation")
-		if g.LabelGen() != gen+2 {
-			t.Fatalf("round %d: LabelGen %d after two rebuilds, want %d", round, g.LabelGen(), gen+2)
+		if g.Artifact().Gen() != gen+2 {
+			t.Fatalf("round %d: label generation %d after two rebuilds, want %d", round, g.Artifact().Gen(), gen+2)
 		}
 	}
 }
@@ -200,7 +200,7 @@ func TestFlatCacheLookupStaleUntilRebuild(t *testing.T) {
 		sig := randSig(rng)
 
 		// FromCFG published the empty-label generation.
-		if hit, _ := g.CacheLookup(e[0], e[1], sig); hit {
+		if hit, _ := g.Artifact().CacheLookup(e[0], e[1], sig); hit {
 			t.Fatalf("round %d: cache hit before any training", round)
 		}
 		if !g.Observe(e[0], e[1], sig) {
@@ -209,14 +209,14 @@ func TestFlatCacheLookupStaleUntilRebuild(t *testing.T) {
 		if l := g.Lookup(e[0], e[1], sig); !l.Exists || l.HighCredit {
 			t.Fatalf("round %d: unrebuilt observation leaked into Lookup: %+v", round, l)
 		}
-		if hit, _ := g.CacheLookup(e[0], e[1], sig); hit {
+		if hit, _ := g.Artifact().CacheLookup(e[0], e[1], sig); hit {
 			t.Fatalf("round %d: unrebuilt observation leaked into the cache", round)
 		}
 		g.RebuildCache()
 		if l := g.Lookup(e[0], e[1], sig); !l.HighCredit || !l.SigMatch {
 			t.Fatalf("round %d: Lookup missed the published observation: %+v", round, l)
 		}
-		hit, sm := g.CacheLookup(e[0], e[1], sig)
+		hit, sm := g.Artifact().CacheLookup(e[0], e[1], sig)
 		if !hit || !sm {
 			t.Fatalf("round %d: cache missed trained edge after rebuild (%v,%v)", round, hit, sm)
 		}

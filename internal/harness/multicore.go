@@ -51,7 +51,10 @@ func diffMulticoreRun(fx *DiffFixture, input []byte, pol guard.Policy,
 	if err != nil {
 		return nil, err
 	}
-	out := d.finish(sts[0])
+	out, err := d.finish(sts[0])
+	if err != nil {
+		return nil, err
+	}
 	if dx := km.DemuxStats(); dx.Resyncs != 0 || dx.UnmarkedLosses != 0 {
 		out.Divergences = append(out.Divergences, fmt.Sprintf(
 			"fault-free multicore run: demux Resyncs=%d UnmarkedLosses=%d",

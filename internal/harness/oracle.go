@@ -32,12 +32,11 @@ import (
 // on is asserted by TestDegradedModeEnumsAgree.
 func oraclePolicy(p guard.Policy) oracle.Policy {
 	return oracle.Policy{
-		PktCount:            p.PktCount,
-		CredRatio:           p.CredRatio,
-		RequireModuleStride: p.RequireModuleStride,
-		CredMinCount:        p.CredMinCount,
-		PathSensitive:       p.PathSensitive,
-		OnDegraded:          oracle.DegradedMode(p.OnDegraded),
+		PktCount:      p.PktCount,
+		CredRatio:     p.CredRatio,
+		CredMinCount:  p.CredMinCount,
+		PathSensitive: p.PathSensitive,
+		OnDegraded:    oracle.DegradedMode(p.OnDegraded),
 	}
 }
 
@@ -277,16 +276,17 @@ func (d *diffGate) check(cp *kernelsim.Process, sysno uint64) error {
 
 // finish records the target's exit and compares the guard's statistics
 // with the sum of its oracles' (per-sink oracle counters add up to one
-// process-level view, as the guard's streams share one Stats). Call it
-// after the module's Shutdown has flushed the pipeline counters.
-func (d *diffGate) finish(st kernelsim.ExitStatus) *DiffOutcome {
+// process-level view, as the guard's streams share one Stats). A guard
+// ledger that breaks one of its accounting identities fails the run.
+// Call it after the module's Shutdown has flushed the pipeline counters.
+func (d *diffGate) finish(st kernelsim.ExitStatus) (*DiffOutcome, error) {
 	d.out.Killed, d.out.Exited = st.Killed, st.Exited
 	var osum oracle.Stats
 	for _, o := range d.oracles {
 		addOracleStats(&osum, &o.Stats)
 	}
 	d.out.Divergences = append(d.out.Divergences, compareStats(&d.out.Guard.Stats, &osum)...)
-	return &d.out
+	return &d.out, d.out.Guard.Stats.CheckLedger()
 }
 
 // diffProtectedRun executes the app on input protected by the kernel
@@ -324,7 +324,7 @@ func diffProtectedRun(fx *DiffFixture, input []byte, pol guard.Policy, plan *fau
 	if err != nil {
 		return nil, err
 	}
-	return d.finish(st), nil
+	return d.finish(st)
 }
 
 // injectEdge widens every IP-bearing packet of a well-formed stream to

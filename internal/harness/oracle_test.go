@@ -311,7 +311,10 @@ func warmVerdicts(t *testing.T, fx *DiffFixture, chunks int, prevG *guard.Guard,
 		g.ShareApprovals(prevG.Approvals())
 		o.AdoptApprovals(prevO)
 	}
-	out := replayStream(g, o, topa, fx.BenignTrace, chunks)
+	out, err := replayStream(g, o, topa, fx.BenignTrace, chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range out.Divergences {
 		t.Errorf("warm-cache: %s", d)
 	}

@@ -25,7 +25,7 @@ func diffRawStream(fx *DiffFixture, pol guard.Policy, raw []byte, chunks, region
 		defer ap.Close()
 		g.EnableAsync(ap)
 	}
-	return replayStream(g, o, topa, raw, chunks), nil
+	return replayStream(g, o, topa, raw, chunks)
 }
 
 // diffFleetStream is the fleet workload class of the soak: an
@@ -53,7 +53,10 @@ func diffFleetStream(fx *DiffFixture, pol guard.Policy, parentRaw, childRaw []by
 		defer ap.Close()
 		parent.EnableAsync(ap)
 	}
-	out := replayStream(parent, po, ptopa, parentRaw, chunks)
+	out, err := replayStream(parent, po, ptopa, parentRaw, chunks)
+	if err != nil {
+		return nil, err
+	}
 
 	ctopa := ipt.NewToPA(region, region)
 	ctr := ipt.NewTracer(ctopa)
@@ -66,7 +69,10 @@ func diffFleetStream(fx *DiffFixture, pol guard.Policy, parentRaw, childRaw []by
 	}
 	co := oracle.New(fx.An.OCFG.AS, fx.An.OCFG, fx.Ref, ctopa, oraclePolicy(pol))
 	co.AdoptApprovals(po)
-	cout := replayStream(child, co, ctopa, childRaw, chunks)
+	cout, err := replayStream(child, co, ctopa, childRaw, chunks)
+	if err != nil {
+		return nil, err
+	}
 
 	out.GuardViolation = out.GuardViolation || cout.GuardViolation
 	out.Results = append(out.Results, cout.Results...)
@@ -92,8 +98,9 @@ func newDiffPair(fx *DiffFixture, pol guard.Policy, region int) (*guard.Guard, *
 }
 
 // replayStream writes raw into the buffer in chunks, checking with both
-// pipelines after each.
-func replayStream(g *guard.Guard, o *oracle.Oracle, topa *ipt.ToPA, raw []byte, chunks int) *DiffOutcome {
+// pipelines after each. A guard ledger that breaks one of its accounting
+// identities fails the replay.
+func replayStream(g *guard.Guard, o *oracle.Oracle, topa *ipt.ToPA, raw []byte, chunks int) (*DiffOutcome, error) {
 	if chunks < 1 {
 		chunks = 1
 	}
@@ -104,5 +111,5 @@ func replayStream(g *guard.Guard, o *oracle.Oracle, topa *ipt.ToPA, raw []byte, 
 		out.record(g.Check(), o.Check())
 	}
 	out.Divergences = append(out.Divergences, compareStats(&g.Stats, &o.Stats)...)
-	return out
+	return out, g.Stats.CheckLedger()
 }

@@ -9,17 +9,17 @@ package itc
 // {window cursor, approval generation, stats}, all of which live in the
 // guard, none of which duplicate the graph.
 //
-// An Artifact is obtained either from a Graph (Graph.Artifact returns
-// the one its last RebuildCache published) or from
-// serialized FGITCFL1 bytes (ArtifactFromFlat over LoadFlat): the PR 6
-// wire format doubles as the zero-copy in-memory form, so a fleet
-// controller can mmap one trained artifact per binary and hand the same
-// pointer to every process it protects.
+// An Artifact is always obtained from a Graph: Graph.Artifact returns
+// the one its last RebuildCache published. Shipped FGITCFL1 bytes load
+// through Decode, which rebuilds the graph and publishes both arenas the
+// way every trained graph does, so a fleet controller decodes one
+// trained artifact per binary and hands the same pointer to every
+// process it protects.
 type Artifact struct {
 	full *Flat
-	// high is the separate high-credit memory. It is nil when the
-	// artifact was adopted from serialized full-graph bytes; CacheLookup
-	// then derives the cache verdict from the full arena (see below).
+	// high is the separate high-credit memory (§5.3): only the
+	// high-credit edges, so the fast path's cache probe searches a
+	// smaller arena than the full graph.
 	high *Flat
 	// gen is the label generation the artifact was published at. It is
 	// fixed for the artifact's lifetime; guards key their approval-cache
@@ -34,16 +34,6 @@ type Artifact struct {
 // RebuildCache makes Artifact return a new one of a later generation.
 func (g *Graph) Artifact() *Artifact { return g.art.Load() }
 
-// ArtifactFromFlat adopts a loaded full-graph arena (LoadFlat over
-// FGITCFL1 bytes) as a shared artifact. The serialized format carries
-// the full labeled graph only; the high-credit cache verdict is derived
-// from it on probe, which is semantically identical — the high arena
-// contains exactly the count>0 edges with the same signature sets, so
-// presence-in-high equals HighCredit-in-full and the sig matches agree.
-func ArtifactFromFlat(f *Flat) *Artifact {
-	return &Artifact{full: f, gen: 1}
-}
-
 // Lookup is the artifact form of Graph.Lookup: membership, credit, and
 // TNT-signature match. Lock-free always.
 //
@@ -56,11 +46,7 @@ func (a *Artifact) Lookup(src, dst, sig uint64) EdgeLabel {
 //
 //fg:hotpath
 func (a *Artifact) CacheLookup(src, dst, sig uint64) (hit, sigMatch bool) {
-	if a.high != nil {
-		return a.high.CacheLookup(src, dst, sig)
-	}
-	l := a.full.Lookup(src, dst, sig)
-	return l.HighCredit, l.SigMatch
+	return a.high.CacheLookup(src, dst, sig)
 }
 
 // PathTrained reports whether the PathKey value was recorded in
@@ -80,6 +66,3 @@ func (a *Artifact) Bytes() []byte { return a.full.Bytes() }
 
 // Size returns the serialized size of the full arena in bytes.
 func (a *Artifact) Size() int { return a.full.Size() }
-
-// Full returns the full labeled flat graph the artifact wraps.
-func (a *Artifact) Full() *Flat { return a.full }

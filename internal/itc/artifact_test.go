@@ -6,6 +6,7 @@ package itc_test
 // training and republishing snapshots underneath it.
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -14,9 +15,9 @@ import (
 )
 
 // TestArtifactZeroCopyFromSnapshot pins the no-copy contract: an
-// Artifact aliases the label snapshot's own flat arenas, so publishing
-// one (and publishing it again without intervening training) allocates
-// no new graph memory.
+// Artifact aliases the label snapshot's own flat arenas, so reading the
+// published one again without intervening training allocates no new
+// graph memory, and Bytes hands out the arena itself.
 func TestArtifactZeroCopyFromSnapshot(t *testing.T) {
 	as := figure4Program(t)
 	_, ig := buildBoth(t, as)
@@ -28,11 +29,15 @@ func TestArtifactZeroCopyFromSnapshot(t *testing.T) {
 
 	a1 := ig.Artifact()
 	a2 := ig.Artifact()
-	if a1.Full() != a2.Full() {
-		t.Fatal("two artifacts of one quiescent graph hold different full arenas: a copy was made")
+	if a1 != a2 || &a1.Bytes()[0] != &a2.Bytes()[0] {
+		t.Fatal("two reads of one quiescent graph's artifact hold different full arenas: a copy was made")
 	}
-	if &a1.Bytes()[0] != &a1.Full().Bytes()[0] {
-		t.Fatal("Artifact.Bytes does not alias the flat arena")
+	var buf bytes.Buffer
+	if err := ig.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), a1.Bytes()) {
+		t.Fatal("Artifact.Bytes differs from the encoded arena")
 	}
 	if a1.Size() == 0 {
 		t.Fatal("trained artifact serialized to zero bytes")
@@ -131,12 +136,12 @@ func TestArtifactImmutableUnderRetraining(t *testing.T) {
 	}
 }
 
-// TestArtifactFromFlatAgrees pins the serialized round trip at the
-// artifact level: an artifact adopted from FGITCFL1 bytes must answer
-// every Lookup/CacheLookup/PathTrained probe exactly like the artifact
-// that produced the bytes, even though it derives cache verdicts from
-// the full arena instead of a separate high-credit memory.
-func TestArtifactFromFlatAgrees(t *testing.T) {
+// TestDecodedArtifactAgrees pins the serialized round trip at the
+// artifact level: the artifact of a graph decoded from FGITCFL1 bytes
+// must answer every Lookup/CacheLookup/PathTrained probe exactly like
+// the artifact that produced the bytes, its separate high-credit memory
+// rebuilt from the full arena.
+func TestDecodedArtifactAgrees(t *testing.T) {
 	as := figure4Program(t)
 	_, ig := buildBoth(t, as)
 	edges := graphEdges(ig)
@@ -149,11 +154,11 @@ func TestArtifactFromFlatAgrees(t *testing.T) {
 	ig.RebuildCache()
 	orig := ig.Artifact()
 
-	f, err := itc.LoadFlat(append([]byte(nil), orig.Bytes()...))
+	dg, err := itc.Decode(bytes.NewReader(orig.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	adopted := itc.ArtifactFromFlat(f)
+	adopted := dg.Artifact()
 	for _, e := range edges {
 		for _, sig := range []uint64{ipt.TNTSigEmpty, 3, uint64(e[0] % 7)} {
 			if got, want := adopted.Lookup(e[0], e[1], sig), orig.Lookup(e[0], e[1], sig); got != want {

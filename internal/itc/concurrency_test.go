@@ -48,8 +48,9 @@ func TestConcurrentLookupsDuringTraining(t *testing.T) {
 				}
 				e := edges[i%len(edges)]
 				ig.Lookup(e[0], e[1], ipt.TNTSigEmpty)
-				ig.CacheLookup(e[0], e[1], ipt.TNTSigEmpty)
-				ig.PathTrained(e[0], e[1], e[0])
+				art := ig.Artifact()
+				art.CacheLookup(e[0], e[1], ipt.TNTSigEmpty)
+				art.PathTrained(itc.PathKey(e[0], e[1], e[0]))
 				i++
 			}
 		}(w)
@@ -71,7 +72,7 @@ func TestConcurrentLookupsDuringTraining(t *testing.T) {
 		if !l.Exists || !l.HighCredit || l.Count < 100 {
 			t.Fatalf("edge %#x->%#x after training: %+v", e[0], e[1], l)
 		}
-		if !ig.PathTrained(e[0], e[1], e[0]) {
+		if !ig.Artifact().PathTrained(itc.PathKey(e[0], e[1], e[0])) {
 			t.Fatalf("path %#x->%#x->%#x lost", e[0], e[1], e[0])
 		}
 	}
@@ -88,7 +89,7 @@ func TestObserveVisibleAtRebuild(t *testing.T) {
 	edges := graphEdges(ig)
 	e := edges[0]
 	pub := ig.Artifact()
-	gen := ig.LabelGen()
+	gen := pub.Gen()
 
 	if !ig.Observe(e[0], e[1], 7) {
 		t.Fatal("Observe rejected a graph edge")
@@ -97,27 +98,28 @@ func TestObserveVisibleAtRebuild(t *testing.T) {
 	if l := ig.Lookup(e[0], e[1], 7); !l.Exists || l.HighCredit || l.Count != 0 {
 		t.Fatalf("unpublished observation visible to Lookup: %+v", l)
 	}
-	if hit, _ := ig.CacheLookup(e[0], e[1], 7); hit {
+	if hit, _ := ig.Artifact().CacheLookup(e[0], e[1], 7); hit {
 		t.Fatal("unpublished observation visible to CacheLookup")
 	}
-	if ig.PathTrained(e[0], e[1], e[0]) {
+	if ig.Artifact().PathTrained(itc.PathKey(e[0], e[1], e[0])) {
 		t.Fatal("unpublished path visible to PathTrained")
 	}
-	if ig.Artifact() != pub || ig.LabelGen() != gen {
+	if ig.Artifact() != pub || ig.Artifact().Gen() != gen {
 		t.Fatal("Observe published a new artifact")
 	}
 
 	ig.RebuildCache()
-	if ig.LabelGen() != gen+1 {
-		t.Fatalf("LabelGen = %d after RebuildCache, want %d", ig.LabelGen(), gen+1)
+	art := ig.Artifact()
+	if art.Gen() != gen+1 {
+		t.Fatalf("generation = %d after RebuildCache, want %d", art.Gen(), gen+1)
 	}
 	if l := ig.Lookup(e[0], e[1], 7); !l.HighCredit || !l.SigMatch || l.Count != 1 {
 		t.Fatalf("observation not published by RebuildCache: %+v", l)
 	}
-	if hit, sigOK := ig.CacheLookup(e[0], e[1], 7); !hit || !sigOK {
+	if hit, sigOK := art.CacheLookup(e[0], e[1], 7); !hit || !sigOK {
 		t.Fatal("high-credit cache missing the edge after RebuildCache")
 	}
-	if !ig.PathTrained(e[0], e[1], e[0]) {
+	if !art.PathTrained(itc.PathKey(e[0], e[1], e[0])) {
 		t.Fatal("path not published by RebuildCache")
 	}
 	if l := pub.Lookup(e[0], e[1], 7); l.HighCredit {

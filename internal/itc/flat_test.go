@@ -131,7 +131,7 @@ func TestFlatAgreesWithMeta(t *testing.T) {
 				t.Fatalf("round %d: flat Lookup(%#x,%#x,%#x) = %+v, want %+v",
 					round, p.src, p.dst, p.sig, got, p.want)
 			}
-			hit, sm := g.CacheLookup(p.src, p.dst, p.sig)
+			hit, sm := g.Artifact().CacheLookup(p.src, p.dst, p.sig)
 			wantHit := p.want.Exists && p.want.HighCredit
 			wantSM := wantHit && p.want.SigMatch
 			if hit != wantHit || sm != wantSM {
@@ -296,7 +296,7 @@ func TestFlatEmptyGraph(t *testing.T) {
 	if l := g2.Lookup(1, 2, 3); l.Exists {
 		t.Fatal("lookup on empty graph reported an edge")
 	}
-	if hit, _ := g2.CacheLookup(1, 2, 3); hit {
+	if hit, _ := g2.Artifact().CacheLookup(1, 2, 3); hit {
 		t.Fatal("cache lookup on empty graph reported a hit")
 	}
 }

@@ -50,8 +50,8 @@ type edgeMeta struct {
 // Concurrency: the graph topology (nodes, succs) is immutable after
 // construction. The training labels are mutable and private to training:
 // checkers never read them. RebuildCache publishes them as an immutable
-// Artifact, and Lookup, CacheLookup and PathTrained answer from the
-// currently published artifact, lock-free — the checker-facing hot path
+// Artifact; Lookup and the artifact's CacheLookup and PathTrained answer
+// from the currently published artifact, lock-free — the checker-facing hot path
 // never contends even with many guards checking in parallel (the §6
 // offloaded-checking shape). A label therefore becomes visible to
 // checkers when it is published, not when it is observed. Every graph
@@ -315,18 +315,6 @@ func (g *Graph) RebuildCache() {
 		high: g.buildFlatLocked(true),
 		gen:  gen + 1,
 	})
-}
-
-// LabelGen returns the label generation: the number of RebuildCache
-// publications so far, construction's included. Lock-free.
-func (g *Graph) LabelGen() uint64 { return g.art.Load().gen }
-
-// CacheLookup probes the published high-credit cache only; a miss does
-// not imply a violation (fall back to Lookup). Lock-free.
-//
-//fg:hotpath
-func (g *Graph) CacheLookup(src, dst uint64, sig uint64) (hit, sigMatch bool) {
-	return g.art.Load().CacheLookup(src, dst, sig)
 }
 
 // CredStats summarizes credit labeling after training.

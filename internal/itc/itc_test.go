@@ -275,11 +275,11 @@ func TestLookupAndCache(t *testing.T) {
 	if !l.Exists || !l.HighCredit || !l.SigMatch || l.Count == 0 {
 		t.Fatalf("Lookup(trained edge) = %+v", l)
 	}
-	hit, sigOK := ig.CacheLookup(src, dst, sig)
+	hit, sigOK := ig.Artifact().CacheLookup(src, dst, sig)
 	if !hit || !sigOK {
 		t.Fatalf("CacheLookup(trained edge) = %v, %v", hit, sigOK)
 	}
-	if hit, _ := ig.CacheLookup(src, 0xdead, sig); hit {
+	if hit, _ := ig.Artifact().CacheLookup(src, 0xdead, sig); hit {
 		t.Error("cache hit for absent edge")
 	}
 	if l := ig.Lookup(0xdead, dst, sig); l.Exists {

@@ -44,8 +44,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got.Lookup(fork, bb4, sig) != ig.Lookup(fork, bb4, sig) {
 		t.Error("Lookup differs after round trip")
 	}
-	h1, s1 := ig.CacheLookup(fork, bb4, sig)
-	h2, s2 := got.CacheLookup(fork, bb4, sig)
+	h1, s1 := ig.Artifact().CacheLookup(fork, bb4, sig)
+	h2, s2 := got.Artifact().CacheLookup(fork, bb4, sig)
 	if h1 != h2 || s1 != s2 {
 		t.Error("CacheLookup differs after round trip")
 	}
@@ -67,7 +67,7 @@ func TestPathKeyDistinguishesOrder(t *testing.T) {
 	}
 }
 
-// TestCreditLevels: counts accumulate and the threshold predicate works.
+// TestCreditLevels: counts accumulate and reach the published labels.
 func TestCreditLevels(t *testing.T) {
 	as := figure4Program(t)
 	_, ig := buildBoth(t, as)
@@ -75,23 +75,13 @@ func TestCreditLevels(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ig.ObserveWindow(tips)
 	}
+	ig.RebuildCache()
 	src, dst := tips[0].IP, tips[1].IP
-	if !ig.CreditAtLeast(src, dst, 3) {
-		t.Error("edge should have 3 observations")
+	if l := ig.Lookup(src, dst, tips[1].TNTSig); l.Count != 3 || !l.HighCredit {
+		t.Errorf("edge label %+v, want 3 observations", l)
 	}
-	if ig.CreditAtLeast(src, dst, 4) {
-		t.Error("edge should not have 4 observations")
-	}
-	if ig.CreditAtLeast(0xdead, dst, 1) {
-		t.Error("absent edge has credit")
-	}
-	hist := ig.CreditHistogram()
-	if hist[2] == 0 { // bucket for 2..9 observations
-		t.Errorf("histogram missing the trained bucket: %v", hist)
-	}
-	top := ig.TopEdges(5)
-	if len(top) == 0 || top[0].Count < 3 {
-		t.Errorf("TopEdges = %+v", top)
+	if l := ig.Lookup(0xdead, dst, 0); l.Count != 0 || l.HighCredit {
+		t.Errorf("absent edge has credit: %+v", l)
 	}
 }
 

@@ -60,12 +60,11 @@ const DefaultRetryMax = 3
 // Policy mirrors the checking-relevant production policy knobs (cost
 // modeling and endpoint selection are out of the oracle's scope).
 type Policy struct {
-	PktCount            int
-	CredRatio           float64
-	RequireModuleStride bool
-	CredMinCount        uint32
-	PathSensitive       bool
-	OnDegraded          DegradedMode
+	PktCount      int
+	CredRatio     float64
+	CredMinCount  uint32
+	PathSensitive bool
+	OnDegraded    DegradedMode
 }
 
 // Result of one reference check.
@@ -253,22 +252,15 @@ func (o *Oracle) window() (recs []tipRec, region []byte, health Health, err erro
 
 	for k := len(pts) - 1; k >= 0; k-- {
 		sub := recsFrom(all, pts[k])
-		if (len(sub) >= o.Policy.PktCount && o.strideOK(sub)) || k == 0 {
+		if (len(sub) >= o.Policy.PktCount && o.spansModules(sub)) || k == 0 {
 			return o.trim(sub), o.stream[uint64(pts[k])-o.streamBase:], health, nil
 		}
 	}
 	return nil, nil, health, nil
 }
 
-// strideOK applies the module-stride rule: the window must span more
+// spansModules applies the module-stride rule: the window must span more
 // than one module and touch the executable.
-func (o *Oracle) strideOK(recs []tipRec) bool {
-	if !o.Policy.RequireModuleStride {
-		return true
-	}
-	return o.spansModules(recs)
-}
-
 func (o *Oracle) spansModules(recs []tipRec) bool {
 	mods := make(map[*module.Loaded]bool)
 	inExec := false
@@ -293,9 +285,6 @@ func (o *Oracle) trim(recs []tipRec) []tipRec {
 		return recs
 	}
 	start := len(recs) - o.Policy.PktCount
-	if !o.Policy.RequireModuleStride {
-		return recs[start:]
-	}
 	for start > 0 && !o.spansModules(recs[start:]) {
 		start--
 	}
