@@ -224,6 +224,11 @@ func (s *System) TrainWithInputs(inputs ...[]byte) error {
 			return err
 		}
 		tr.Flush()
+		if tr.Out.Wrapped() {
+			// What a wrap leaves starts mid-packet: training on it would
+			// miss the run's start unnoticed.
+			return fmt.Errorf("flowguard: training trace of %s outgrew its %d-byte buffer", s.w.Name(), tr.Out.Capacity())
+		}
 		evs, err := ipt.DecodeFast(tr.Out.Snapshot())
 		if err != nil {
 			return err

@@ -7,7 +7,6 @@ import (
 	"flowguard/internal/fuzz"
 	"flowguard/internal/guard"
 	"flowguard/internal/kernelsim"
-	"flowguard/internal/trace/ipt"
 )
 
 // OverheadRow is one bar of Figure 5(a)-(c): the total FlowGuard
@@ -172,7 +171,7 @@ func (r *Runner) Fig5d(checkpoints []int) ([]Fig5dPoint, error) {
 		for _, input := range f.Corpus() {
 			// A crashing corpus entry still trains on the trace it left;
 			// one that fails to run or decode trains nothing.
-			if raw, err := r.traceBytesBounded(a, input, 3_000_000); err == nil {
+			if raw, _, err := recordTrace(a, input, 3_000_000, 32<<20); err == nil {
 				_ = observeTrace(an.ITC, raw)
 			}
 		}
@@ -189,26 +188,6 @@ func (r *Runner) Fig5d(checkpoints []int) ([]Fig5dPoint, error) {
 		})
 	}
 	return points, nil
-}
-
-// traceBytesBounded is traceBytes with an instruction budget tolerant of
-// crashing inputs: whatever trace exists up to the stop is returned.
-func (r *Runner) traceBytesBounded(a *apps.App, input []byte, budget uint64) ([]byte, error) {
-	k := kernelsim.New()
-	p, err := a.Spawn(k, input)
-	if err != nil {
-		return nil, err
-	}
-	tr := ipt.NewTracer(ipt.NewToPA(32 << 20))
-	if err := tr.WriteMSR(ipt.MSRRTITCtl, ctlTrace); err != nil {
-		return nil, err
-	}
-	p.CPU.Branch = tr
-	if _, err := k.Run(p, budget); err != nil {
-		return nil, err
-	}
-	tr.Flush()
-	return tr.Out.Snapshot(), nil
 }
 
 // HWDecoderSpeedup is the factor a dedicated hardware pattern-matching

@@ -8,6 +8,14 @@ import "sync"
 // regions) or raises the buffer-full PMI that §7.1.2 proposes as the
 // worst-case endpoint.
 //
+// A region's configured size (its share of Capacity) is distinct from
+// the memory backing it. A region of at most eagerRegionBytes is backed
+// in full when the table is made, so the deployed tables (the kernel
+// module's 2×8 KiB, the fleet's and the multicore cores' regions) never
+// allocate on Write. A larger region starts with eagerRegionBytes of
+// backing and grows as bytes reach it: a "record everything" table of
+// hundreds of MiB costs only what its trace writes.
+//
 // Incremental readers (the guard's amortized window decoder) address the
 // stream by its monotonic byte offset: TotalWritten is the offset one
 // past the newest byte, Held is how many trailing bytes are still
@@ -24,7 +32,13 @@ import "sync"
 type ToPA struct {
 	mu sync.Mutex
 
+	// regions holds each region's backing: a prefix of its configured
+	// size, sizes[i], that covers every byte written to it. A region
+	// that has filled once is backed in full.
 	regions [][]byte
+	sizes   []int
+	// capBytes is the sum of sizes.
+	capBytes int
 	// cur/pos locate the write cursor.
 	cur, pos int
 	// wrapped reports that at least one full pass has occurred, i.e. the
@@ -63,7 +77,11 @@ type RegionFull struct {
 	Wrapped bool
 }
 
-// NewToPA allocates a table with the given region sizes. The paper's
+// eagerRegionBytes is the backing a region gets when the table is made:
+// all of it for a region no larger, the start of it for a larger one.
+const eagerRegionBytes = 64 << 10
+
+// NewToPA makes a table with the given region sizes. The paper's
 // default configuration is two regions (§5.1). Non-positive region sizes
 // are dropped — a zero-capacity region can never absorb a write, and a
 // table made only of them would spin Write forever — and a table left
@@ -72,11 +90,16 @@ func NewToPA(regionSizes ...int) *ToPA {
 	t := &ToPA{}
 	for _, n := range regionSizes {
 		if n > 0 {
-			t.regions = append(t.regions, make([]byte, n))
+			t.sizes = append(t.sizes, n)
 		}
 	}
-	if len(t.regions) == 0 {
-		t.regions = [][]byte{make([]byte, 8<<10), make([]byte, 8<<10)}
+	if len(t.sizes) == 0 {
+		t.sizes = []int{8 << 10, 8 << 10}
+	}
+	t.regions = make([][]byte, len(t.sizes))
+	for i, n := range t.sizes {
+		t.regions[i] = make([]byte, min(n, eagerRegionBytes))
+		t.capBytes += n
 	}
 	return t
 }
@@ -88,13 +111,7 @@ func (t *ToPA) Capacity() int {
 	return t.capacity()
 }
 
-func (t *ToPA) capacity() int {
-	n := 0
-	for _, r := range t.regions {
-		n += len(r)
-	}
-	return n
-}
+func (t *ToPA) capacity() int { return t.capBytes }
 
 // TotalWritten returns the monotonic count of bytes ever written.
 func (t *ToPA) TotalWritten() uint64 {
@@ -155,12 +172,15 @@ func (t *ToPA) Write(p []byte) {
 	for len(p) > 0 {
 		t.mu.Lock()
 		r := t.regions[t.cur]
+		if len(r)-t.pos < len(p) && len(r) < t.sizes[t.cur] {
+			r = t.grow(t.pos + len(p))
+		}
 		n := copy(r[t.pos:], p)
 		t.pos += n
 		t.total += uint64(n)
 		t.gen++
 		p = p[n:]
-		filled := t.pos == len(r)
+		filled := t.pos == t.sizes[t.cur]
 		var ev RegionFull
 		if filled {
 			ev = RegionFull{Region: t.cur, Gen: t.gen, Total: t.total}
@@ -179,6 +199,20 @@ func (t *ToPA) Write(p []byte) {
 	}
 }
 
+// grow backs the current region through at least need bytes (capped at
+// its size), at least doubling its backing. A region grows only before
+// its first fill, when all its resident bytes lie in the old backing, so
+// copying that keeps them. Caller holds mu.
+//
+//fg:cold a region larger than eagerRegionBytes grows at most log2(size/eagerRegionBytes) times, and deployed regions are backed in full
+func (t *ToPA) grow(need int) []byte {
+	old := t.regions[t.cur]
+	r := make([]byte, min(max(need, 2*len(old)), t.sizes[t.cur]))
+	copy(r, old)
+	t.regions[t.cur] = r
+	return r
+}
+
 // AppendSince appends the logical stream bytes in [from, TotalWritten())
 // to dst and returns the extended slice. It reports false — returning
 // dst unchanged — when that range is no longer fully resident (the
@@ -195,7 +229,7 @@ func (t *ToPA) AppendSince(dst []byte, from uint64) ([]byte, bool) {
 	for off := from; off < t.total; {
 		ri, rp := t.locate(off)
 		r := t.regions[ri]
-		end := uint64(len(r) - rp)
+		end := uint64(t.sizes[ri] - rp)
 		if rem := t.total - off; rem < end {
 			end = rem
 		}
@@ -222,7 +256,7 @@ func (t *ToPA) FeedRange(d *WindowDecoder, from, to uint64) (bool, error) {
 	for off := from; off < to; {
 		ri, rp := t.locate(off)
 		r := t.regions[ri]
-		n := uint64(len(r) - rp)
+		n := uint64(t.sizes[ri] - rp)
 		if rem := to - off; rem < n {
 			n = rem
 		}
@@ -240,11 +274,11 @@ func (t *ToPA) FeedRange(d *WindowDecoder, from, to uint64) (bool, error) {
 //fg:hotpath
 func (t *ToPA) locate(off uint64) (int, int) {
 	phys := int((off - t.resetTotal) % uint64(t.capacity()))
-	for i, r := range t.regions {
-		if phys < len(r) {
+	for i, n := range t.sizes {
+		if phys < n {
 			return i, phys
 		}
-		phys -= len(r)
+		phys -= n
 	}
 	return 0, 0 // unreachable: phys < capacity
 }
