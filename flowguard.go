@@ -40,6 +40,7 @@ import (
 	"flowguard/internal/itc"
 	"flowguard/internal/kernelsim"
 	"flowguard/internal/trace/ipt"
+	"flowguard/internal/tracerec"
 )
 
 // Workload is a protected program: an executable with its shared
@@ -210,26 +211,11 @@ const ctlTrace = ipt.CtlTraceEn | ipt.CtlBranchEn | ipt.CtlUser | ipt.CtlToPA
 // (§4.3 step 3).
 func (s *System) TrainWithInputs(inputs ...[]byte) error {
 	for _, in := range inputs {
-		k := kernelsim.New()
-		p, err := s.w.app.Spawn(k, in)
+		raw, _, err := tracerec.Record(s.w.app, in, 500_000_000, 64<<20)
 		if err != nil {
 			return err
 		}
-		tr := ipt.NewTracer(ipt.NewToPA(64 << 20))
-		if err := tr.WriteMSR(ipt.MSRRTITCtl, ctlTrace); err != nil {
-			return err
-		}
-		p.CPU.Branch = tr
-		if _, err := k.Run(p, 500_000_000); err != nil {
-			return err
-		}
-		tr.Flush()
-		if tr.Out.Wrapped() {
-			// What a wrap leaves starts mid-packet: training on it would
-			// miss the run's start unnoticed.
-			return fmt.Errorf("flowguard: training trace of %s outgrew its %d-byte buffer", s.w.Name(), tr.Out.Capacity())
-		}
-		evs, err := ipt.DecodeFast(tr.Out.Snapshot())
+		evs, err := ipt.DecodeFast(raw)
 		if err != nil {
 			return err
 		}

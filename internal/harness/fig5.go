@@ -7,6 +7,7 @@ import (
 	"flowguard/internal/fuzz"
 	"flowguard/internal/guard"
 	"flowguard/internal/kernelsim"
+	"flowguard/internal/tracerec"
 )
 
 // OverheadRow is one bar of Figure 5(a)-(c): the total FlowGuard
@@ -171,7 +172,7 @@ func (r *Runner) Fig5d(checkpoints []int) ([]Fig5dPoint, error) {
 		for _, input := range f.Corpus() {
 			// A crashing corpus entry still trains on the trace it left;
 			// one that fails to run or decode trains nothing.
-			if raw, _, err := recordTrace(a, input, 3_000_000, 32<<20); err == nil {
+			if raw, _, err := tracerec.Record(a, input, 3_000_000, 32<<20); err == nil {
 				_ = observeTrace(an.ITC, raw)
 			}
 		}

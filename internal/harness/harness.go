@@ -25,6 +25,7 @@ import (
 	"flowguard/internal/itc"
 	"flowguard/internal/kernelsim"
 	"flowguard/internal/trace/ipt"
+	"flowguard/internal/tracerec"
 )
 
 // Runner fixes the experiment parameters.
@@ -115,7 +116,7 @@ func observeTrace(ig *itc.Graph, raw []byte) error {
 // raw trace stream (the differential oracle trains both pipelines from
 // the identical bytes).
 func (r *Runner) traceBytes(a *apps.App, input []byte) ([]byte, error) {
-	raw, st, err := recordTrace(a, input, 500_000_000, 64<<20)
+	raw, st, err := tracerec.Record(a, input, 500_000_000, 64<<20)
 	if err != nil {
 		return nil, err
 	}
@@ -123,34 +124,6 @@ func (r *Runner) traceBytes(a *apps.App, input []byte) ([]byte, error) {
 		return nil, fmt.Errorf("harness: training run of %s: %v", a.Name, st)
 	}
 	return raw, nil
-}
-
-// recordTrace executes the app on input with IPT attached, for at most
-// budget instructions, into a one-region ToPA of capacity bytes, and
-// returns the whole trace and the exit status. A run stopped early (a
-// crash or the budget) still returns what it traced. A trace that
-// outgrew the buffer is an error: what a wrap leaves starts mid-packet,
-// and labels learned from it would miss the run's start unnoticed.
-func recordTrace(a *apps.App, input []byte, budget uint64, capacity int) ([]byte, kernelsim.ExitStatus, error) {
-	k := kernelsim.New()
-	p, err := a.Spawn(k, input)
-	if err != nil {
-		return nil, kernelsim.ExitStatus{}, err
-	}
-	tr := ipt.NewTracer(ipt.NewToPA(capacity))
-	if err := tr.WriteMSR(ipt.MSRRTITCtl, ctlTrace); err != nil {
-		return nil, kernelsim.ExitStatus{}, err
-	}
-	p.CPU.Branch = tr
-	st, err := k.Run(p, budget)
-	if err != nil {
-		return nil, st, err
-	}
-	tr.Flush()
-	if tr.Out.Wrapped() {
-		return nil, st, fmt.Errorf("harness: trace of %s outgrew its %d-byte buffer", a.Name, capacity)
-	}
-	return tr.Out.Snapshot(), st, nil
 }
 
 // Baseline runs the app unprotected and untraced, returning execution

@@ -180,7 +180,10 @@ func (t *ToPA) Write(p []byte) {
 		t.total += uint64(n)
 		t.gen++
 		p = p[n:]
-		filled := t.pos == t.sizes[t.cur]
+		// A region is full once backed in full and written to its end;
+		// the first test alone settles a write that stops short of the
+		// backing's end.
+		filled := t.pos == len(r) && len(r) == t.sizes[t.cur]
 		var ev RegionFull
 		if filled {
 			ev = RegionFull{Region: t.cur, Gen: t.gen, Total: t.total}

@@ -67,7 +67,10 @@ func backingStream(t *testing.T, n int) []byte {
 // another after several. After every write both tables must agree on
 // State, Snapshot, AppendSince and FeedRange decodes at random resident
 // offsets, and on the RegionFull events since the previous write; the
-// on-demand table's backing must never exceed a region's size.
+// on-demand table's backing must never exceed a region's size. Under
+// -short (make async-smoke races it) the byte-level reads are compared
+// only after writes that filled a region, grew one or reset the table,
+// and after every eighth write.
 func TestToPAOnDemandMatchesEager(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -112,6 +115,7 @@ func checkOnDemandMatchesEager(t *testing.T, sizes []int, grows bool, seed int64
 	resets := []int{capacity * 2 / 5, capacity * 5 / 2}
 	var wraps, records int
 	var scratchL, scratchE []byte
+	backed := make([]int, len(sizes))
 	for off, step := 0, 0; off < 5*capacity; step++ {
 		var n int
 		switch k := rng.Intn(10); {
@@ -125,10 +129,12 @@ func checkOnDemandMatchesEager(t *testing.T, sizes []int, grows bool, seed int64
 		lazy.Write(src[off : off+n])
 		eager.Write(src[off : off+n])
 		off += n
+		deep := !testing.Short() || step%8 == 0 || len(lazyEvs) > 0
 		if len(resets) > 0 && off >= resets[0] {
 			lazy.Reset()
 			eager.Reset()
 			resets = resets[1:]
+			deep = true
 		}
 		where := fmt.Sprintf("step %d (%d bytes written)", step, off)
 
@@ -148,13 +154,20 @@ func checkOnDemandMatchesEager(t *testing.T, sizes []int, grows bool, seed int64
 			t.Fatalf("%s: State (%d, %d, %v) gen %d, eager twin (%d, %d, %v) gen %d",
 				where, total, held, wrapped, lazy.Gen(), et, eh, ew, eager.Gen())
 		}
-		if !bytes.Equal(lazy.Snapshot(), eager.Snapshot()) {
-			t.Fatalf("%s: Snapshot differs from the eager twin's", where)
-		}
 		for i, r := range lazy.regions {
 			if len(r) > lazy.sizes[i] {
 				t.Fatalf("%s: region %d backs %d B of a %d B region", where, i, len(r), lazy.sizes[i])
 			}
+			if len(r) != backed[i] {
+				backed[i] = len(r)
+				deep = true
+			}
+		}
+		if !deep {
+			continue
+		}
+		if !bytes.Equal(lazy.Snapshot(), eager.Snapshot()) {
+			t.Fatalf("%s: Snapshot differs from the eager twin's", where)
 		}
 
 		// Random resident offsets, one just outside the resident span.

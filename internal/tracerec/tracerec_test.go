@@ -1,4 +1,4 @@
-package harness
+package tracerec
 
 import (
 	"strconv"
@@ -8,21 +8,21 @@ import (
 	"flowguard/internal/apps"
 )
 
-// TestRecordTraceRefusesWrappedTrace: a training trace that outgrows its
+// TestRecordRefusesWrappedTrace: a training trace that outgrows its
 // buffer is an error naming the app and the capacity, never the suffix
 // a wrap leaves; with room, the same run returns its whole trace.
-func TestRecordTraceRefusesWrappedTrace(t *testing.T) {
+func TestRecordRefusesWrappedTrace(t *testing.T) {
 	a, err := apps.ByName("nginx")
 	if err != nil {
 		t.Fatal(err)
 	}
 	input := a.MakeInput(10, 1)
-	raw, st, err := recordTrace(a, input, 500_000_000, 64<<20)
+	raw, st, err := Record(a, input, 500_000_000, 64<<20)
 	if err != nil || !st.Exited || len(raw) == 0 {
 		t.Fatalf("recording with room: %d bytes, %v, %v", len(raw), st, err)
 	}
 	small := len(raw) / 2
-	got, _, err := recordTrace(a, input, 500_000_000, small)
+	got, _, err := Record(a, input, 500_000_000, small)
 	if err == nil {
 		t.Fatalf("a %d-byte trace in a %d-byte buffer returned %d bytes and no error", len(raw), small, len(got))
 	}
