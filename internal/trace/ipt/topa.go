@@ -36,9 +36,6 @@ type ToPA struct {
 	// size, sizes[i], that covers every byte written to it. A region
 	// that has filled once is backed in full.
 	regions [][]byte
-	sizes   []int
-	// capBytes is the sum of sizes.
-	capBytes int
 	// cur/pos locate the write cursor.
 	cur, pos int
 	// wrapped reports that at least one full pass has occurred, i.e. the
@@ -59,6 +56,11 @@ type ToPA struct {
 	// final region's fill (RegionFull.Wrapped) is the buffer-full PMI;
 	// the buffer wraps regardless.
 	OnRegionFull func(RegionFull)
+
+	// sizes holds each region's configured size, and capBytes their sum.
+	// They follow the fields a check reads, which keep their offsets.
+	sizes    []int
+	capBytes int
 }
 
 // RegionFull describes one region-boundary crossing for OnRegionFull
@@ -232,7 +234,7 @@ func (t *ToPA) AppendSince(dst []byte, from uint64) ([]byte, bool) {
 	for off := from; off < t.total; {
 		ri, rp := t.locate(off)
 		r := t.regions[ri]
-		end := uint64(t.sizes[ri] - rp)
+		end := uint64(len(r) - rp)
 		if rem := t.total - off; rem < end {
 			end = rem
 		}
@@ -259,7 +261,7 @@ func (t *ToPA) FeedRange(d *WindowDecoder, from, to uint64) (bool, error) {
 	for off := from; off < to; {
 		ri, rp := t.locate(off)
 		r := t.regions[ri]
-		n := uint64(t.sizes[ri] - rp)
+		n := uint64(len(r) - rp)
 		if rem := to - off; rem < n {
 			n = rem
 		}
@@ -272,16 +274,21 @@ func (t *ToPA) FeedRange(d *WindowDecoder, from, to uint64) (bool, error) {
 }
 
 // locate maps a resident logical offset to (region index, offset within
-// region). Caller holds mu.
+// region). Caller holds mu. The backing lengths stand in for the region
+// sizes: every region before a resident byte's region has filled since
+// the last Reset, so it is backed in full, and the resident bytes of a
+// region lie within its backing. AppendSince and FeedRange bound their
+// reads by the backing for the same reason, and so touch only what a
+// table backed in full would.
 //
 //fg:hotpath
 func (t *ToPA) locate(off uint64) (int, int) {
 	phys := int((off - t.resetTotal) % uint64(t.capacity()))
-	for i, n := range t.sizes {
-		if phys < n {
+	for i, r := range t.regions {
+		if phys < len(r) {
 			return i, phys
 		}
-		phys -= n
+		phys -= len(r)
 	}
 	return 0, 0 // unreachable: phys < capacity
 }
