@@ -67,10 +67,12 @@ func backingStream(t *testing.T, n int) []byte {
 // another after several. After every write both tables must agree on
 // State, Snapshot, AppendSince and FeedRange decodes at random resident
 // offsets, and on the RegionFull events since the previous write; the
-// on-demand table's backing must never exceed a region's size. Under
-// -short (make async-smoke races it) the byte-level reads are compared
-// only after writes that filled a region, grew one or reset the table,
-// and after every eighth write.
+// on-demand table's backing must never exceed a region's size. The
+// byte-level reads (Snapshot, AppendSince, FeedRange) are compared after
+// every write that filled a region, grew one or reset the table, and
+// after every eighth write; comparing them after all writes made the
+// test cost about five times as much, mostly in copies of the whole
+// table.
 func TestToPAOnDemandMatchesEager(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -129,7 +131,7 @@ func checkOnDemandMatchesEager(t *testing.T, sizes []int, grows bool, seed int64
 		lazy.Write(src[off : off+n])
 		eager.Write(src[off : off+n])
 		off += n
-		deep := !testing.Short() || step%8 == 0 || len(lazyEvs) > 0
+		deep := step%8 == 0 || len(lazyEvs) > 0
 		if len(resets) > 0 && off >= resets[0] {
 			lazy.Reset()
 			eager.Reset()
