@@ -32,10 +32,7 @@ import "sync"
 type ToPA struct {
 	mu sync.Mutex
 
-	// regions holds each region's backing: a prefix of its configured
-	// size, sizes[i], that covers every byte written to it. A region
-	// that has filled once is backed in full.
-	regions [][]byte
+	regions []region
 	// cur/pos locate the write cursor.
 	cur, pos int
 	// wrapped reports that at least one full pass has occurred, i.e. the
@@ -56,11 +53,16 @@ type ToPA struct {
 	// final region's fill (RegionFull.Wrapped) is the buffer-full PMI;
 	// the buffer wraps regardless.
 	OnRegionFull func(RegionFull)
+}
 
-	// sizes holds each region's configured size, and capBytes their sum.
-	// They follow the fields a check reads, which keep their offsets.
-	sizes    []int
-	capBytes int
+// region is one ToPA output region: its configured size and its
+// backing, a prefix of that size covering every byte written to it. A
+// region that has filled once is backed in full. Keeping the size next
+// to the slice header leaves ToPA at the size it had when every region
+// was backed in full, and a check reads the same cache lines.
+type region struct {
+	buf  []byte
+	size int
 }
 
 // RegionFull describes one region-boundary crossing for OnRegionFull
@@ -92,16 +94,14 @@ func NewToPA(regionSizes ...int) *ToPA {
 	t := &ToPA{}
 	for _, n := range regionSizes {
 		if n > 0 {
-			t.sizes = append(t.sizes, n)
+			t.regions = append(t.regions, region{size: n})
 		}
 	}
-	if len(t.sizes) == 0 {
-		t.sizes = []int{8 << 10, 8 << 10}
+	if len(t.regions) == 0 {
+		t.regions = []region{{size: 8 << 10}, {size: 8 << 10}}
 	}
-	t.regions = make([][]byte, len(t.sizes))
-	for i, n := range t.sizes {
-		t.regions[i] = make([]byte, min(n, eagerRegionBytes))
-		t.capBytes += n
+	for i := range t.regions {
+		t.regions[i].buf = make([]byte, min(t.regions[i].size, eagerRegionBytes))
 	}
 	return t
 }
@@ -113,7 +113,13 @@ func (t *ToPA) Capacity() int {
 	return t.capacity()
 }
 
-func (t *ToPA) capacity() int { return t.capBytes }
+func (t *ToPA) capacity() int {
+	n := 0
+	for i := range t.regions {
+		n += t.regions[i].size
+	}
+	return n
+}
 
 // TotalWritten returns the monotonic count of bytes ever written.
 func (t *ToPA) TotalWritten() uint64 {
@@ -173,9 +179,10 @@ func (t *ToPA) held() int {
 func (t *ToPA) Write(p []byte) {
 	for len(p) > 0 {
 		t.mu.Lock()
-		r := t.regions[t.cur]
-		if len(r)-t.pos < len(p) && len(r) < t.sizes[t.cur] {
-			r = t.grow(t.pos + len(p))
+		rg := &t.regions[t.cur]
+		r := rg.buf
+		if len(r)-t.pos < len(p) && len(r) < rg.size {
+			r = t.grow(rg, t.pos+len(p))
 		}
 		n := copy(r[t.pos:], p)
 		t.pos += n
@@ -185,7 +192,7 @@ func (t *ToPA) Write(p []byte) {
 		// A region is full once backed in full and written to its end;
 		// the first test alone settles a write that stops short of the
 		// backing's end.
-		filled := t.pos == len(r) && len(r) == t.sizes[t.cur]
+		filled := t.pos == len(r) && len(r) == rg.size
 		var ev RegionFull
 		if filled {
 			ev = RegionFull{Region: t.cur, Gen: t.gen, Total: t.total}
@@ -204,17 +211,16 @@ func (t *ToPA) Write(p []byte) {
 	}
 }
 
-// grow backs the current region through at least need bytes (capped at
-// its size), at least doubling its backing. A region grows only before
-// its first fill, when all its resident bytes lie in the old backing, so
-// copying that keeps them. Caller holds mu.
+// grow backs the current region rg through at least need bytes (capped
+// at its size), at least doubling its backing. A region grows only
+// before its first fill, when all its resident bytes lie in the old
+// backing, so copying that keeps them. Caller holds mu.
 //
 //fg:cold a region larger than eagerRegionBytes grows at most log2(size/eagerRegionBytes) times, and deployed regions are backed in full
-func (t *ToPA) grow(need int) []byte {
-	old := t.regions[t.cur]
-	r := make([]byte, min(max(need, 2*len(old)), t.sizes[t.cur]))
-	copy(r, old)
-	t.regions[t.cur] = r
+func (t *ToPA) grow(rg *region, need int) []byte {
+	r := make([]byte, min(max(need, 2*len(rg.buf)), rg.size))
+	copy(r, rg.buf)
+	rg.buf = r
 	return r
 }
 
@@ -234,11 +240,11 @@ func (t *ToPA) AppendSince(dst []byte, from uint64) ([]byte, bool) {
 	for off := from; off < t.total; {
 		ri, rp := t.locate(off)
 		r := t.regions[ri]
-		end := uint64(len(r) - rp)
+		end := uint64(r.size - rp)
 		if rem := t.total - off; rem < end {
 			end = rem
 		}
-		dst = append(dst, r[rp:rp+int(end)]...)
+		dst = append(dst, r.buf[rp:rp+int(end)]...)
 		off += end
 	}
 	return dst, true
@@ -261,11 +267,11 @@ func (t *ToPA) FeedRange(d *WindowDecoder, from, to uint64) (bool, error) {
 	for off := from; off < to; {
 		ri, rp := t.locate(off)
 		r := t.regions[ri]
-		n := uint64(len(r) - rp)
+		n := uint64(r.size - rp)
 		if rem := to - off; rem < n {
 			n = rem
 		}
-		if err := d.Feed(r[rp : rp+int(n)]); err != nil {
+		if err := d.Feed(r.buf[rp : rp+int(n)]); err != nil {
 			return true, err
 		}
 		off += n
@@ -274,21 +280,17 @@ func (t *ToPA) FeedRange(d *WindowDecoder, from, to uint64) (bool, error) {
 }
 
 // locate maps a resident logical offset to (region index, offset within
-// region). Caller holds mu. The backing lengths stand in for the region
-// sizes: every region before a resident byte's region has filled since
-// the last Reset, so it is backed in full, and the resident bytes of a
-// region lie within its backing. AppendSince and FeedRange bound their
-// reads by the backing for the same reason, and so touch only what a
-// table backed in full would.
+// region). Caller holds mu.
 //
 //fg:hotpath
 func (t *ToPA) locate(off uint64) (int, int) {
 	phys := int((off - t.resetTotal) % uint64(t.capacity()))
-	for i, r := range t.regions {
-		if phys < len(r) {
+	for i := range t.regions {
+		n := t.regions[i].size
+		if phys < n {
 			return i, phys
 		}
-		phys -= len(r)
+		phys -= n
 	}
 	return 0, 0 // unreachable: phys < capacity
 }
@@ -307,17 +309,17 @@ func (t *ToPA) SnapshotInto(dst []byte) []byte {
 	defer t.mu.Unlock()
 	if !t.wrapped {
 		for i := 0; i < t.cur; i++ {
-			dst = append(dst, t.regions[i]...)
+			dst = append(dst, t.regions[i].buf...)
 		}
-		return append(dst, t.regions[t.cur][:t.pos]...)
+		return append(dst, t.regions[t.cur].buf[:t.pos]...)
 	}
-	dst = append(dst, t.regions[t.cur][t.pos:]...)
+	dst = append(dst, t.regions[t.cur].buf[t.pos:]...)
 	for i := 1; i <= len(t.regions); i++ {
 		r := (t.cur + i) % len(t.regions)
 		if r == t.cur {
-			dst = append(dst, t.regions[r][:t.pos]...)
+			dst = append(dst, t.regions[r].buf[:t.pos]...)
 		} else {
-			dst = append(dst, t.regions[r]...)
+			dst = append(dst, t.regions[r].buf...)
 		}
 	}
 	return dst

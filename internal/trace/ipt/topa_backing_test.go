@@ -16,8 +16,8 @@ import (
 // every region backed in full from the start, so Write never grows one.
 func eagerToPA(sizes ...int) *ToPA {
 	t := NewToPA(sizes...)
-	for i, n := range t.sizes {
-		t.regions[i] = make([]byte, n)
+	for i := range t.regions {
+		t.regions[i].buf = make([]byte, t.regions[i].size)
 	}
 	return t
 }
@@ -104,8 +104,8 @@ func checkOnDemandMatchesEager(t *testing.T, sizes []int, grows bool, seed int64
 		t.Fatalf("capacity %d, eager twin %d", capacity, eager.Capacity())
 	}
 	for i, n := range sizes {
-		if want := min(n, eagerRegionBytes); len(lazy.regions[i]) != want {
-			t.Fatalf("region %d (%d B) starts with %d B of backing, want %d", i, n, len(lazy.regions[i]), want)
+		if want := min(n, eagerRegionBytes); len(lazy.regions[i].buf) != want {
+			t.Fatalf("region %d (%d B) starts with %d B of backing, want %d", i, n, len(lazy.regions[i].buf), want)
 		}
 	}
 	var lazyEvs, eagerEvs []RegionFull
@@ -157,11 +157,11 @@ func checkOnDemandMatchesEager(t *testing.T, sizes []int, grows bool, seed int64
 				where, total, held, wrapped, lazy.Gen(), et, eh, ew, eager.Gen())
 		}
 		for i, r := range lazy.regions {
-			if len(r) > lazy.sizes[i] {
-				t.Fatalf("%s: region %d backs %d B of a %d B region", where, i, len(r), lazy.sizes[i])
+			if len(r.buf) > r.size {
+				t.Fatalf("%s: region %d backs %d B of a %d B region", where, i, len(r.buf), r.size)
 			}
-			if len(r) != backed[i] {
-				backed[i] = len(r)
+			if len(r.buf) != backed[i] {
+				backed[i] = len(r.buf)
 				deep = true
 			}
 		}
@@ -204,8 +204,8 @@ func checkOnDemandMatchesEager(t *testing.T, sizes []int, grows bool, seed int64
 		t.Fatalf("degenerate run: %d resets left, %d wraps, %d records decoded", len(resets), wraps, records)
 	}
 	grew := false
-	for i, r := range lazy.regions {
-		grew = grew || len(r) > min(lazy.sizes[i], eagerRegionBytes)
+	for _, r := range lazy.regions {
+		grew = grew || len(r.buf) > min(r.size, eagerRegionBytes)
 	}
 	if grew != grows {
 		t.Fatalf("backing grew = %v, want %v", grew, grows)
