@@ -70,10 +70,13 @@ async-smoke:
 # race detector (2k processes, fork storms, invariant assertions — the
 # process exits non-zero on any ledger/sharing/inheritance breach),
 # plus the raced fleet test wall (fork-inheritance conformance, sharded
-# admission fairness, artifact sharing, fleet chaos scenarios).
+# admission fairness, artifact sharing, fleet chaos scenarios). It then
+# races the admission tests that hold their slots through FleetPool.Hold
+# 20 more times: their exact counts must not follow the scheduler.
 fleet-smoke:
 	$(GO) run -race ./cmd/flowguardd -smoke
 	$(GO) test -race -short -run 'Fleet|Fork|Artifact|BinaryGuards' ./internal/harness/ ./internal/guard/ ./internal/itc/ ./internal/kernelsim/ ./internal/faults/ -count=1
+	$(GO) test -race -run '^(TestFleetCheckPoolInvariantConcurrent|TestFleetPoolFairnessIsolation|TestFleetShedCyclesReachStats)$$' ./internal/guard/ -count=20
 
 # sched-smoke races the preemptive multi-core world end to end: the
 # time-sliced scheduler (threads, signals, core affinity), the PIP/CR3

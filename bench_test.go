@@ -9,6 +9,7 @@ package flowguard_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -522,8 +523,8 @@ func TestGuardCheckAppendZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkCheckParallel measures checking a fleet of protected
-// processes, serially versus through the bounded CheckPool (§6: flow
-// checks offloaded to spare cores). Every check re-collects its window
+// processes, serially versus through a bounded one-shard FleetPool (§6:
+// flow checks offloaded to spare cores), each process its own tenant. Every check re-collects its window
 // from scratch (InvalidateWindow) so each operation carries the full
 // multi-process checking load. The pooled leg also reports the modeled
 // §6 speedup: total checking cycles over the slowest single process's
@@ -566,22 +567,24 @@ func BenchmarkCheckParallel(b *testing.B) {
 	})
 	b.Run("pooled", func(b *testing.B) {
 		b.ReportAllocs()
-		pool := guard.NewCheckPool(fleet)
+		pool := guard.NewFleetPool(1, fleet)
+		tenants := make([]string, fleet)
 		before := make([]uint64, fleet)
 		for i, g := range guards {
+			tenants[i] = fmt.Sprintf("nginx-%d", i)
 			before[i] = cycles(g)
 		}
 		for i := 0; i < b.N; i++ {
 			var wg sync.WaitGroup
-			for _, g := range guards {
+			for j, g := range guards {
 				wg.Add(1)
-				go func(g *guard.Guard) {
+				go func() {
 					defer wg.Done()
 					g.InvalidateWindow()
-					if res := pool.Do(g); res.Verdict != guard.VerdictClean {
+					if res := pool.Do(tenants[j], g); res.Verdict != guard.VerdictClean {
 						b.Errorf("benign buffer flagged: %s", res.Reason)
 					}
-				}(g)
+				}()
 			}
 			wg.Wait()
 		}

@@ -1,14 +1,15 @@
 // Package lockorder enforces the checker's locking rules: no blocking
 // or foreign code under a lock, and one global acquisition order.
-// Guard.Check serializes on g.mu and CheckPool's accounting uses p.mu;
-// both sit on the endpoint-check critical path, where a mutex held
-// across a blocking operation turns one slow process into a fleet-wide
-// stall (the §6 offloading argument assumes checks of different
-// processes never wait on each other's bookkeeping). The AsyncPool and
-// the FleetPool route every check through several mutexes (g.mu → a.mu,
-// genMu → stripe.mu, shard.mu); a single call path that takes two of
-// them in the opposite order is a latent fleet-wide deadlock that no
-// test reliably reproduces. The analyzer:
+// Guard.Check serializes on g.mu and each FleetPool shard's admission
+// and accounting use its mu; both sit on the endpoint-check critical
+// path, where a mutex held across a blocking operation — the shard's
+// slot channel, its Hold hook — turns one slow process into a
+// fleet-wide stall (the §6 offloading argument assumes checks of
+// different processes never wait on each other's bookkeeping). The
+// AsyncPool and the FleetPool route every check through several
+// mutexes (g.mu → a.mu, genMu → stripe.mu, shard.mu); a single call
+// path that takes two of them in the opposite order is a latent
+// fleet-wide deadlock that no test reliably reproduces. The analyzer:
 //
 //   - flags, inside any function (function literals included, each
 //     with its own lock regions), a channel send or receive, a

@@ -17,7 +17,7 @@ type pool struct {
 
 func (p *pool) bump() { p.n++ }
 
-// sleepAfterUnlock releases before blocking — the CheckPool backoff
+// sleepAfterUnlock releases before blocking — the FleetPool.Hold stall
 // pattern.
 func sleepAfterUnlock(p *pool) {
 	p.mu.Lock()

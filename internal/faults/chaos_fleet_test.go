@@ -199,9 +199,7 @@ func TestChaosFleetTenantFlood(t *testing.T) {
 			StallFor: time.Duration(100+seed*150) * time.Microsecond,
 		})
 		fp := guard.NewFleetPool(shards, workers)
-		for _, p := range fp.Shards() {
-			p.Stall = plan.Stall
-		}
+		fp.Hold = func(int) { time.Sleep(plan.Stall()) }
 
 		offered := make([]atomic.Uint64, shards)
 		var guards []*guard.Guard
@@ -306,8 +304,11 @@ func TestChaosFleetShardStall(t *testing.T) {
 		Rates:    stallAlways(),
 		StallFor: 2 * time.Millisecond,
 	})
-	wp := fp.Shards()[wedged]
-	wp.Stall = plan.Stall
+	fp.Hold = func(shard int) {
+		if shard == wedged {
+			time.Sleep(plan.Stall())
+		}
+	}
 
 	offered := make([]atomic.Uint64, shards)
 	var cleanGuards []*guard.Guard

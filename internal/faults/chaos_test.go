@@ -5,11 +5,12 @@ package faults_test
 // module. The soak pins the two robustness guarantees of the degraded
 // checking design: no fault plan can panic the guard, and injected
 // attacks are still detected in every degraded mode except an explicit
-// fail-open window. A companion test saturates a one-slot CheckPool and
+// fail-open window. A companion test saturates a one-slot FleetPool and
 // verifies that every check waits for its slot and is fully accounted —
 // never shed, never silent.
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -271,27 +272,28 @@ func recordTrace(t *testing.T, f *fixture, input []byte) []byte {
 	return tr.Out.Snapshot()
 }
 
-// TestChaosPoolOverload saturates a single-slot CheckPool with stalled
-// checks from concurrently checking processes: each goroutine replays a
-// recorded trace into its own guard's ToPA in 512-byte chunks and checks
-// through the shared pool after every chunk, stopping at its first
-// violation as a SIGKILL would. A pooled check waits for its slot
-// however long the stalls make it, so the pool must neither deadlock
-// nor shed: every chunk offered is admitted and checked, the guards'
-// statistics agree with the pool's, and the attacks are detected.
+// TestChaosPoolOverload saturates a one-shard, one-slot FleetPool with
+// stalled checks from concurrently checking processes: each goroutine
+// replays a recorded trace into its own guard's ToPA in 512-byte chunks
+// and checks through the shared pool after every chunk, as its own
+// tenant, stopping at its first violation as a SIGKILL would. A check
+// within its tenant's fair share waits for its slot however long the
+// stalls make it, so the pool must neither deadlock nor shed: every
+// chunk offered is admitted and checked, the guards' statistics agree
+// with the pool's, and the attacks are detected.
 func TestChaosPoolOverload(t *testing.T) {
 	f := chaosFixture(t)
 	bin := guard.NewBinary(f.ocfg.AS, f.ocfg, f.ig.Artifact())
 	benign := recordTrace(t, f, benignTraffic())
 	hijacked := recordTrace(t, f, f.rop)
 	const chunk = 512
-	pool := guard.NewCheckPool(1)
+	pool := guard.NewFleetPool(1, 1)
 	stallPlan := faults.New(faults.Config{
 		Seed:     42,
 		Rates:    stallAlways(),
 		StallFor: 2 * time.Millisecond,
 	})
-	pool.Stall = stallPlan.Stall
+	pool.Hold = func(int) { time.Sleep(stallPlan.Stall()) }
 
 	const procsN = 6
 	guards := make([]*guard.Guard, procsN)
@@ -308,10 +310,11 @@ func TestChaosPoolOverload(t *testing.T) {
 		wg.Add(1)
 		go func(i int, g *guard.Guard, raw []byte) {
 			defer wg.Done()
+			tenant := fmt.Sprintf("proc-%d", i)
 			for lo := 0; lo < len(raw) && !killed[i]; lo += chunk {
 				g.Tracer.Out.Write(raw[lo:min(lo+chunk, len(raw))])
 				offered[i]++
-				killed[i] = pool.Do(g).Verdict == guard.VerdictViolation
+				killed[i] = pool.Do(tenant, g).Verdict == guard.VerdictViolation
 			}
 		}(i, guards[i], raw)
 	}
@@ -338,7 +341,7 @@ func TestChaosPoolOverload(t *testing.T) {
 		chunks += offered[i]
 	}
 	if ps.Shed != 0 {
-		t.Errorf("a bare pool shed %d checks; a pooled check must wait for its slot", ps.Shed)
+		t.Errorf("the pool shed %d checks; a check within its fair share must wait for its slot", ps.Shed)
 	}
 	if ps.Checks != chunks || guardChecks != chunks {
 		t.Errorf("%d chunks offered, %d admitted, %d guard checks: checks dropped silently",

@@ -2,9 +2,10 @@
 // seeded, deterministic plans that damage the trace stream the way real
 // deployments do — lost ToPA output, corrupted buffer bytes, overflow
 // desynchronization, wrap floods — plus checker-side stalls that wedge
-// a guard.CheckPool's slots. A Plan plugs into ipt.Tracer via the
-// ipt.WriteFault hook and into the pool via its Stall method; the guard
-// under test is never modified, only its inputs are.
+// a guard.FleetPool's slots. A Plan plugs into ipt.Tracer via the
+// ipt.WriteFault hook, and a test sleeps for its Stall draw in the
+// pool's Hold hook; the guard under test is never modified, only its
+// inputs are.
 //
 // The fault model follows the hardware's failure semantics: faults that
 // lose output (Drop, Truncate, Delay) leave an in-band OVF packet, as
@@ -282,8 +283,9 @@ func (pl *Plan) Corrupt(p []byte, off uint64) []byte {
 	return append(held, out...)
 }
 
-// Stall implements the checker-pool stall hook: the returned duration is
-// how long the acquired slot stays wedged (zero = no fault this time).
+// Stall draws one checker-pool stall: the returned duration is how long
+// the acquired slot stays wedged (zero = no fault this time). A test
+// sleeps for it in guard.FleetPool.Hold.
 func (pl *Plan) Stall() time.Duration {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()

@@ -54,7 +54,7 @@ func BenchmarkApprovalCache(b *testing.B) {
 	})
 	// Contended profile: every goroutine reads, and ~1/64 ops record a
 	// fresh approval — the shape of pooled checkers sharing one cache
-	// (CheckPool, FleetPool) while occasional slow paths write through.
+	// (FleetPool) while occasional slow paths write through.
 	b.Run("parallel-mixed", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()

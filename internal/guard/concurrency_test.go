@@ -4,10 +4,12 @@ package guard_test
 // check simultaneously — the §6 deployment, where flow checks for
 // different processes run on spare cores. Each goroutine stands in for
 // one process: it replays a recorded trace into its own guard's ToPA in
-// chunks and checks through one shared CheckPool after every chunk,
-// while the guards share one label artifact and one ApprovalCache.
+// chunks and checks through one shared one-shard FleetPool after every
+// chunk, as its own tenant so that fairness never sheds it, while the
+// guards share one label artifact and one ApprovalCache.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -58,12 +60,12 @@ func (a *analyzed) recordTrace(t testing.TB, input []byte) ([]byte, kernelsim.Ex
 const replayChunk = 512
 
 // replayChecked feeds raw into g's ToPA replayChunk bytes at a time and
-// checks through pool after every chunk, stopping at the first
-// violation as a SIGKILL would. It returns that violation, if any.
-func replayChecked(pool *guard.CheckPool, g *guard.Guard, raw []byte) (guard.Result, bool) {
+// checks through pool as tenant after every chunk, stopping at the
+// first violation as a SIGKILL would. It returns that violation, if any.
+func replayChecked(pool *guard.FleetPool, tenant string, g *guard.Guard, raw []byte) (guard.Result, bool) {
 	for lo := 0; lo < len(raw); lo += replayChunk {
 		g.Tracer.Out.Write(raw[lo:min(lo+replayChunk, len(raw))])
-		if res := pool.Do(g); res.Verdict == guard.VerdictViolation {
+		if res := pool.Do(tenant, g); res.Verdict == guard.VerdictViolation {
 			return res, true
 		}
 	}
@@ -79,9 +81,9 @@ func replayGuard(bin *guard.Binary) *guard.Guard {
 }
 
 // replayConcurrently replays traces[i] into guards[i], one goroutine
-// per guard, all checking through pool. It returns each guard's first
-// violation and whether it had one.
-func replayConcurrently(pool *guard.CheckPool, guards []*guard.Guard, traces [][]byte) ([]guard.Result, []bool) {
+// and one tenant per guard, all checking through pool. It returns each
+// guard's first violation and whether it had one.
+func replayConcurrently(pool *guard.FleetPool, guards []*guard.Guard, traces [][]byte) ([]guard.Result, []bool) {
 	res := make([]guard.Result, len(guards))
 	hit := make([]bool, len(guards))
 	var wg sync.WaitGroup
@@ -89,7 +91,7 @@ func replayConcurrently(pool *guard.CheckPool, guards []*guard.Guard, traces [][
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res[i], hit[i] = replayChecked(pool, guards[i], traces[i])
+			res[i], hit[i] = replayChecked(pool, fmt.Sprintf("proc-%d", i), guards[i], traces[i])
 		}(i)
 	}
 	wg.Wait()
@@ -106,7 +108,7 @@ func TestParallelProtectedProcesses(t *testing.T) {
 	bin := guard.NewBinary(a.ocfg.AS, a.ocfg, a.ig.Artifact())
 	benign, _ := a.recordTrace(t, heavyTraffic())
 
-	pool := guard.NewCheckPool(2)
+	pool := guard.NewFleetPool(1, 2)
 	const procsN = 6
 	guards := make([]*guard.Guard, procsN)
 	traces := make([][]byte, procsN)
@@ -156,7 +158,7 @@ func TestParallelAttackIsolation(t *testing.T) {
 	for i := range guards {
 		guards[i] = replayGuard(bin)
 	}
-	res, hit := replayConcurrently(guard.NewCheckPool(3), guards, traces)
+	res, hit := replayConcurrently(guard.NewFleetPool(1, 3), guards, traces)
 	if !hit[1] || res[1].Degraded {
 		t.Fatalf("hijacked process not flagged by a clean check: hit=%v %+v", hit[1], res[1])
 	}

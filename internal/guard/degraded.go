@@ -219,9 +219,9 @@ func recoveredTailOK(evs []ipt.Event, tips []ipt.TIPRecord) bool {
 }
 
 // noteFairnessShed accounts for a check FleetPool shed because its
-// tenant was over its fair share: the result was synthesized by
-// CheckPool.ShedFair under Policy.OnDegraded, and the guard's statistics
-// must reflect it so nothing is dropped silently.
+// tenant was over its fair share: the result was synthesized under
+// Policy.OnDegraded, and the guard's statistics must reflect it — its
+// interception cycles included — so nothing is dropped silently.
 func (g *Guard) noteFairnessShed(res *Result) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -229,9 +229,9 @@ func (g *Guard) noteFairnessShed(res *Result) {
 	g.Stats.DegradedChecks++
 	g.Stats.Shed++
 	if res.Verdict == VerdictViolation {
-		g.Stats.Violations++
 		g.Stats.FailClosures++
 	} else {
 		g.Stats.FailOpens++
 	}
+	g.finish(res)
 }

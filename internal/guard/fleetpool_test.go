@@ -4,9 +4,11 @@ package guard_test
 // sharded FleetPool concurrently and every offered check must land in
 // exactly one ledger bucket — admitted or shed — per shard and in the
 // merged aggregate, with per-tenant fairness confining a noisy tenant's
-// losses to itself.
+// losses to itself. Apart from the skewed-load stress test, each test
+// holds its slots through FleetPool.Hold, so every count is exact.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,6 +29,56 @@ func newIdleGuard(t *testing.T, a *analyzed, pol guard.Policy) *guard.Guard {
 		t.Fatal(err)
 	}
 	return guard.New(nil, a.ocfg, a.ig, tr, pol)
+}
+
+// heldFleet is a FleetPool whose admitted checks wait in Hold until the
+// test releases them, so the test decides when each slot frees and
+// every admission outcome is exact, with no sleep.
+type heldFleet struct {
+	*guard.FleetPool
+	held    atomic.Int32 // admitted checks that reached Hold
+	release chan struct{}
+	wg      sync.WaitGroup
+}
+
+func newHeldFleet(shards, workersPerShard int) *heldFleet {
+	h := &heldFleet{FleetPool: guard.NewFleetPool(shards, workersPerShard), release: make(chan struct{})}
+	h.Hold = func(int) {
+		h.held.Add(1)
+		<-h.release
+	}
+	return h
+}
+
+// start runs n checks of tenant through g, each on its own goroutine.
+func (h *heldFleet) start(tenant string, g *guard.Guard, n int) {
+	for i := 0; i < n; i++ {
+		h.wg.Add(1)
+		go func() {
+			defer h.wg.Done()
+			h.Do(tenant, g)
+		}()
+	}
+}
+
+// waitHeld waits until n admitted checks hold a slot in Hold.
+func (h *heldFleet) waitHeld(n int32) {
+	for h.held.Load() < n {
+		runtime.Gosched()
+	}
+}
+
+// waitInflight waits until n of tenant's checks are inside its shard.
+func (h *heldFleet) waitInflight(tenant string, n int) {
+	for guard.FleetInflight(h.FleetPool, tenant) != n {
+		runtime.Gosched()
+	}
+}
+
+// finish releases every held check and waits for the started ones.
+func (h *heldFleet) finish() {
+	close(h.release)
+	h.wg.Wait()
 }
 
 func TestFleetPoolShardIndexDeterministic(t *testing.T) {
@@ -67,11 +119,10 @@ func TestFleetPoolLedgerSkewed(t *testing.T) {
 		rounds  = 40
 	)
 	fp := guard.NewFleetPool(shards, workers)
-	// A small stall keeps slots occupied so the over-share path (TryDo
-	// then ShedFair) is actually exercised, not just the blocking one.
-	for _, p := range fp.Shards() {
-		p.Stall = func() time.Duration { return 200 * time.Microsecond }
-	}
+	// A small stall keeps slots occupied so the over-share path (the
+	// non-blocking try, then the shed) is actually exercised, not just
+	// the blocking one.
+	fp.Hold = func(int) { time.Sleep(200 * time.Microsecond) }
 
 	offered := make([]atomic.Uint64, shards)
 	names := make([]string, tenants)
@@ -145,77 +196,123 @@ func TestFleetPoolLedgerSkewed(t *testing.T) {
 }
 
 // TestFleetPoolFairnessIsolation pins the fairness property itself: on
-// one shard with stalled checker slots, a tenant running 8 concurrent
-// check loops is demoted to best-effort admission and sheds, while
-// sequential (within-fair-share) tenants are never fairness-shed —
-// their checks all block, admit, and come back clean.
+// one shard whose two slots are held, a tenant running 8 concurrent
+// check loops is demoted to best-effort admission and sheds every
+// check, while sequential (within-fair-share) tenants are never
+// fairness-shed — their checks all wait, admit once the slots free, and
+// come back clean.
 func TestFleetPoolFairnessIsolation(t *testing.T) {
 	a := analyze(t, apps.Vulnd())
 	a.train(t, benignTraffic())
-
-	fp := guard.NewFleetPool(1, 2)
-	fp.Shards()[0].Stall = func() time.Duration { return time.Millisecond }
 
 	const (
 		noisyWorkers = 8
 		noisyRounds  = 12
 		quietTenants = 5
 		quietRounds  = 8
+		holders      = 2 // the noisy tenant's checks holding both slots
 	)
-	noisy := make([]*guard.Guard, noisyWorkers)
-	for i := range noisy {
-		noisy[i] = newIdleGuard(t, a, guard.DefaultPolicy())
-	}
+	h := newHeldFleet(1, 2)
+	holder := newIdleGuard(t, a, guard.DefaultPolicy())
+	h.start("noisy", holder, holders)
+	h.waitHeld(holders)
+
+	// Each quiet tenant's first check queues behind the held slots, so
+	// six tenants are active and the fair share is one check in flight.
 	quiet := make([]*guard.Guard, quietTenants)
+	var quietWG sync.WaitGroup
 	for i := range quiet {
 		quiet[i] = newIdleGuard(t, a, guard.DefaultPolicy())
-	}
-
-	var wg sync.WaitGroup
-	for i := range noisy {
-		wg.Add(1)
+		tenant := string(rune('a' + i))
+		quietWG.Add(1)
 		go func(g *guard.Guard) {
-			defer wg.Done()
-			for r := 0; r < noisyRounds; r++ {
-				fp.Do("noisy", g)
-			}
-		}(noisy[i])
-	}
-	for i := range quiet {
-		wg.Add(1)
-		go func(tenant string, g *guard.Guard) {
-			defer wg.Done()
+			defer quietWG.Done()
 			for r := 0; r < quietRounds; r++ {
-				if res := fp.Do(tenant, g); res.Degraded {
+				if res := h.Do(tenant, g); res.Degraded {
 					t.Errorf("tenant %s degraded within its fair share: %s", tenant, res.Reason)
 				}
 			}
-		}(string(rune('a'+i)), quiet[i])
+		}(quiet[i])
+		h.waitInflight(tenant, 1)
 	}
-	wg.Wait()
 
-	var noisyStats, quietStats guard.Stats
-	for _, g := range noisy {
-		noisyStats.Merge(&g.Stats)
+	// Every noisy check is over that share and finds no free slot.
+	noisy := make([]*guard.Guard, noisyWorkers)
+	var noisyWG sync.WaitGroup
+	for i := range noisy {
+		noisy[i] = newIdleGuard(t, a, guard.DefaultPolicy())
+		noisyWG.Add(1)
+		go func(g *guard.Guard) {
+			defer noisyWG.Done()
+			for r := 0; r < noisyRounds; r++ {
+				if res := h.Do("noisy", g); !res.Degraded {
+					t.Errorf("noisy check %d over its fair share was admitted: %+v", r, res)
+				}
+			}
+		}(noisy[i])
 	}
-	for _, g := range quiet {
-		quietStats.Merge(&g.Stats)
+	noisyWG.Wait()
+	h.finish()
+	quietWG.Wait()
+
+	for i, g := range noisy {
+		if st := g.Stats; st.Checks != noisyRounds || st.Shed != noisyRounds || st.FailClosures != noisyRounds {
+			t.Errorf("noisy guard %d: %d checks, %d shed, %d fail-closures; want %d of each",
+				i, st.Checks, st.Shed, st.FailClosures, noisyRounds)
+		}
 	}
-	if noisyStats.Shed == 0 {
-		t.Error("an 8-way tenant on a stalled 2-slot shard was never fairness-shed")
+	for i, g := range quiet {
+		if st := g.Stats; st.Checks != quietRounds || st.Shed != 0 || st.DegradedChecks != 0 {
+			t.Errorf("quiet guard %d: %d checks, %d shed, %d degraded; want %d clean checks",
+				i, st.Checks, st.Shed, st.DegradedChecks, quietRounds)
+		}
 	}
-	if quietStats.Shed != 0 {
-		t.Errorf("within-share tenants were shed %d times", quietStats.Shed)
+	if st := holder.Stats; st.Checks != holders || st.Shed != 0 {
+		t.Errorf("holding guard: %d checks, %d shed; want %d admitted checks", st.Checks, st.Shed, holders)
 	}
-	if quietStats.Checks != quietTenants*quietRounds {
-		t.Errorf("quiet tenants ran %d of %d checks", quietStats.Checks, quietTenants*quietRounds)
+	const admitted, shed = holders + quietTenants*quietRounds, noisyWorkers * noisyRounds
+	if ps := h.Snapshot(); ps.Checks != admitted || ps.Shed != shed || ps.FairnessSheds != shed {
+		t.Errorf("pool admitted %d and shed %d (%d for fairness); want %d admitted, %d shed",
+			ps.Checks, ps.Shed, ps.FairnessSheds, admitted, shed)
 	}
-	ps := fp.Snapshot()
-	want := uint64(noisyWorkers*noisyRounds + quietTenants*quietRounds)
-	if ps.Checks+ps.Shed != want {
-		t.Errorf("ledger: admitted %d + shed %d != offered %d", ps.Checks, ps.Shed, want)
-	}
-	if ps.FairnessSheds != noisyStats.Shed {
-		t.Errorf("pool fairness sheds %d != noisy tenant's sheds %d", ps.FairnessSheds, noisyStats.Shed)
+}
+
+// TestFleetShedCyclesReachStats: a shed check's Result charges the
+// interception, and the guard's Stats must carry that charge, so that
+// Stats.OtherCycles stays the sum of the Results' OtherCycles under
+// every OnDegraded mode. One check is shed per mode: its tenant holds
+// the shard's one slot and has one more check queued, the fair share of
+// a lone tenant on one slot.
+func TestFleetShedCyclesReachStats(t *testing.T) {
+	a := analyze(t, apps.Vulnd())
+	a.train(t, benignTraffic())
+
+	for _, mode := range []guard.DegradedMode{guard.FailClosed, guard.FailOpen, guard.SlowPathRetry} {
+		h := newHeldFleet(1, 1)
+		holder := newIdleGuard(t, a, guard.DefaultPolicy())
+		h.start("noisy", holder, 1)
+		h.waitHeld(1)
+		h.start("noisy", holder, 1)
+		h.waitInflight("noisy", 2)
+
+		pol := guard.DefaultPolicy()
+		pol.OnDegraded = mode
+		g := newIdleGuard(t, a, pol)
+		before := g.Stats.OtherCycles
+		res := h.Do("noisy", g)
+		h.finish()
+
+		if !res.Degraded || res.OtherCycles == 0 {
+			t.Fatalf("%v: over-share check was not shed with an interception charge: %+v", mode, res)
+		}
+		if got := g.Stats.OtherCycles - before; got != res.OtherCycles {
+			t.Errorf("%v: shed Result charges %d other cycles, Stats gained %d", mode, res.OtherCycles, got)
+		}
+		if g.Stats.Checks != 1 || g.Stats.Shed != 1 {
+			t.Errorf("%v: %d checks, %d shed; want one shed check", mode, g.Stats.Checks, g.Stats.Shed)
+		}
+		if err := g.Stats.CheckLedger(); err != nil {
+			t.Errorf("%v: %v", mode, err)
+		}
 	}
 }

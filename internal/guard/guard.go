@@ -29,7 +29,7 @@
 // check fast-decodes only the bytes appended since the previous one
 // instead of re-scanning the buffered suffix. The steady-state check
 // path performs no allocations. Guards for different processes may run
-// checks concurrently (see CheckPool); slow-path verdict caches are
+// checks concurrently (see FleetPool); slow-path verdict caches are
 // striped for that purpose and may be shared between the guards of
 // processes running the same binaries.
 package guard
@@ -95,9 +95,9 @@ type Policy struct {
 	// endpoint-pruning attacks that avoid all sensitive syscalls.
 	CheckOnPMI bool
 	// OnDegraded selects the fail behavior when the trace window cannot
-	// be verified — overflow, gap, grammar-level corruption — or when an
-	// overloaded CheckPool sheds the check (§7.1.2 worst cases). The
-	// zero value FailClosed treats unverifiable as a violation.
+	// be verified — overflow, gap, grammar-level corruption — or when
+	// FleetPool sheds an over-share tenant's check (§7.1.2 worst cases).
+	// The zero value FailClosed treats unverifiable as a violation.
 	OnDegraded DegradedMode
 	// Async enables the asynchronous checking pipeline (§6 offloading,
 	// DESIGN.md §9): ToPA region-full events capture filled trace

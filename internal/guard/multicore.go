@@ -229,7 +229,7 @@ func (m *KernelModule) onAsyncFlow(p *kernelsim.Process, from, to uint64) {
 // mcCheck runs an endpoint check in multicore mode: flush the running
 // core's pending TNT bits, route every core's bytes, then check the
 // calling thread's stream — the process stream when no slice of g is
-// on-core (an endpoint outside RunMulticore). The CheckPool is bypassed
+// on-core (an endpoint outside RunMulticore). The FleetPool is bypassed
 // — the scheduler is serial, so there is no concurrency to bound.
 func (m *KernelModule) mcCheck(g *Guard) Result {
 	mc := m.mc

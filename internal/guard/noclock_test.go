@@ -14,10 +14,12 @@ import (
 // never depend on wall time: no non-test file in this package reads the
 // clock or arms a timer. A pooled check waits for its slot and the
 // async gate never waits for the workers, so both replay exactly.
-// time.Sleep stays allowed: the CheckPool.Stall and async WorkerStall
-// fault hooks use it to wedge a checker.
+// time.Sleep is allowed only in asyncworker.go, where the WorkerStall
+// fault hook wedges an async worker; FleetPool's Hold hook leaves any
+// sleep to the test that sets it.
 func TestGuardReadsNoClock(t *testing.T) {
 	banned := map[string]bool{"Now": true, "Since": true, "NewTimer": true, "After": true, "Tick": true}
+	sleepOK := map[string]bool{"asyncworker.go": true}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +52,13 @@ func TestGuardReadsNoClock(t *testing.T) {
 			if !ok {
 				return true
 			}
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == timePkg && banned[sel.Sel.Name] {
-				t.Errorf("%s: time.%s reads the clock", fset.Position(sel.Pos()), sel.Sel.Name)
+			if id, ok := sel.X.(*ast.Ident); ok && id.Name == timePkg {
+				if banned[sel.Sel.Name] {
+					t.Errorf("%s: time.%s reads the clock", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+				if sel.Sel.Name == "Sleep" && !sleepOK[name] {
+					t.Errorf("%s: time.Sleep outside the async WorkerStall hook", fset.Position(sel.Pos()))
+				}
 			}
 			return true
 		})

@@ -2,16 +2,14 @@ package guard_test
 
 // Satellite tests riding the differential-oracle PR: slow-path verdict
 // caching across processes and retraining (the §7.1.1 approval cache
-// end to end), Stats.Merge completeness, and the CheckPool/FleetPool
-// accounting invariant under concurrent use (run with -race).
+// end to end), Stats.Merge completeness, and the FleetPool accounting
+// invariant under concurrent use (run with -race).
 
 import (
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"flowguard/internal/apps"
 	"flowguard/internal/guard"
@@ -183,14 +181,14 @@ func TestStatsCheckLedger(t *testing.T) {
 	}
 }
 
-// TestFleetCheckPoolInvariantConcurrent saturates small pools from many
-// goroutines and asserts the no-silent-drop invariant: every Do call is
-// either admitted or shed (pool accounting), every one of them lands in
-// some guard's Stats.Checks (guard accounting), and the shed counts
-// agree between the two ledgers. Guards cycle through all three
-// OnDegraded modes. A bare CheckPool never sheds: its checks wait for
-// a slot. Only FleetPool's fairness rule sheds, so the shed ledger is
-// carried by one over-share tenant on a one-shard FleetPool.
+// TestFleetCheckPoolInvariantConcurrent saturates a one-shard FleetPool
+// from many goroutines and asserts the no-silent-drop invariant with
+// exact counts: every Do call is either admitted or shed (pool
+// accounting), every one of them lands in some guard's Stats.Checks
+// (guard accounting), and the shed counts agree between the two
+// ledgers. Guards cycle through all three OnDegraded modes. Both
+// subtests hold the shard's slots through FleetPool.Hold, so which
+// calls wait and which are shed does not depend on the scheduler.
 func TestFleetCheckPoolInvariantConcurrent(t *testing.T) {
 	a := analyze(t, apps.Vulnd())
 	a.train(t, benignTraffic())
@@ -198,10 +196,9 @@ func TestFleetCheckPoolInvariantConcurrent(t *testing.T) {
 	modes := []guard.DegradedMode{guard.FailClosed, guard.FailOpen, guard.SlowPathRetry}
 	const goroutines, iters = 9, 25
 	const total = uint64(goroutines * iters)
-	stall := func() time.Duration { return 200 * time.Microsecond }
-	// drive runs every guard's check loop through do concurrently and
-	// returns the guards once all loops are done.
-	drive := func(t *testing.T, do func(*guard.Guard) guard.Result) []*guard.Guard {
+	// drive runs every guard's check loop (goroutine i calls do(i, g))
+	// concurrently and returns the guards once all loops are done.
+	drive := func(t *testing.T, do func(int, *guard.Guard) guard.Result) []*guard.Guard {
 		guards := make([]*guard.Guard, goroutines)
 		for i := range guards {
 			pol := guard.DefaultPolicy()
@@ -209,30 +206,40 @@ func TestFleetCheckPoolInvariantConcurrent(t *testing.T) {
 			guards[i] = newIdleGuard(t, a, pol)
 		}
 		var wg sync.WaitGroup
-		for _, g := range guards {
+		for i, g := range guards {
 			wg.Add(1)
-			go func(g *guard.Guard) {
+			go func() {
 				defer wg.Done()
 				for j := 0; j < iters; j++ {
-					res := do(g)
+					res := do(i, g)
 					// The tracers never record anything, so the only
 					// possible violations are shed fail-closed verdicts.
 					if res.Verdict == guard.VerdictViolation && !res.Degraded {
 						t.Errorf("non-degraded violation over an empty trace: %+v", res)
 					}
 				}
-			}(g)
+			}()
 		}
 		wg.Wait()
 		return guards
 	}
 
+	// Each guard is its own tenant, within its fair share, so every call
+	// waits for a slot and runs. The slots stay held until every tenant's
+	// first check is inside the shard, so seven of them certainly wait.
 	t.Run("bare-pool", func(t *testing.T) {
-		pool := guard.NewCheckPool(2)
-		pool.Stall = stall
-		guards := drive(t, pool.Do)
-		if ps := pool.Snapshot(); ps.Checks != total || ps.Shed != 0 {
-			t.Fatalf("bare pool admitted %d and shed %d of %d Do calls; every call must wait and run", ps.Checks, ps.Shed, total)
+		h := newHeldFleet(1, 2)
+		tenant := func(i int) string { return string(rune('a' + i)) }
+		go func() {
+			h.waitHeld(2)
+			for i := 0; i < goroutines; i++ {
+				h.waitInflight(tenant(i), 1)
+			}
+			h.finish()
+		}()
+		guards := drive(t, func(i int, g *guard.Guard) guard.Result { return h.Do(tenant(i), g) })
+		if ps := h.Snapshot(); ps.Checks != total || ps.Shed != 0 {
+			t.Fatalf("pool admitted %d and shed %d of %d Do calls; every call must wait and run", ps.Checks, ps.Shed, total)
 		}
 		var agg guard.Stats
 		for _, g := range guards {
@@ -244,108 +251,40 @@ func TestFleetCheckPoolInvariantConcurrent(t *testing.T) {
 		}
 	})
 
-	t.Run("fleet-fairness", func(t *testing.T) {
-		fp := guard.NewFleetPool(1, 2)
-		fp.Shards()[0].Stall = stall
-		// Every guard belongs to one tenant whose 9 check loops exceed
-		// its fair share of the shard's 2 slots.
-		guards := drive(t, func(g *guard.Guard) guard.Result { return fp.Do("noisy", g) })
-
-		ps := fp.Snapshot()
-		if ps.Checks+ps.Shed != total {
-			t.Fatalf("pool ledger leaks: admitted %d + shed %d != %d Do calls", ps.Checks, ps.Shed, total)
-		}
-		if ps.FairnessSheds != ps.Shed {
-			t.Fatalf("pool shed %d checks but only %d for fairness; fairness is the only shed", ps.Shed, ps.FairnessSheds)
-		}
-		var sumChecks, sumShed, sumFailOpen, sumFailClosed uint64
-		for i, g := range guards {
-			st := g.Stats
-			sumChecks += st.Checks
-			sumShed += st.Shed
-			sumFailOpen += st.FailOpens
-			sumFailClosed += st.FailClosures
-			if g.Policy.OnDegraded == guard.FailOpen && st.FailClosures != 0 {
-				t.Errorf("fail-open guard %d failed closed %d times", i, st.FailClosures)
-			}
-			if g.Policy.OnDegraded != guard.FailOpen && st.FailOpens != 0 {
-				t.Errorf("%v guard %d failed open %d times", g.Policy.OnDegraded, i, st.FailOpens)
-			}
-		}
-		if sumChecks != ps.Checks+ps.Shed {
-			t.Fatalf("guard ledger disagrees with pool: %d guard checks vs %d admitted + %d shed",
-				sumChecks, ps.Checks, ps.Shed)
-		}
-		if sumShed != ps.Shed {
-			t.Fatalf("shed counts disagree: guards say %d, pool says %d", sumShed, ps.Shed)
-		}
-		if sumFailOpen+sumFailClosed != ps.Shed {
-			t.Fatalf("every shed check must resolve fail-open or fail-closed: %d + %d != %d",
-				sumFailOpen, sumFailClosed, ps.Shed)
-		}
-	})
-
-	// The sleep-driven subtest sheds as many checks as the scheduler
-	// lets it. This one holds the tenant at exactly its fair share, so
-	// every further call is shed and every count is exact.
+	// One tenant holds both slots and has two more checks queued: with
+	// one active tenant and 2 slots its fair share is 4 in flight. Every
+	// further call of it is over that share, finds no free slot and is
+	// shed, however the nine loops interleave.
 	t.Run("fleet-fairness-exact", func(t *testing.T) {
-		fp := guard.NewFleetPool(1, 2)
-		entered := make(chan struct{}, 4) // one send per admitted check
-		release := make(chan struct{})
-		fp.Shards()[0].Stall = func() time.Duration {
-			entered <- struct{}{}
-			<-release
-			return 0
-		}
+		h := newHeldFleet(1, 2)
 		holder := newIdleGuard(t, a, guard.DefaultPolicy())
-		var wg sync.WaitGroup
-		hold := func() {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				fp.Do("noisy", holder)
-			}()
-		}
-		// Two checks hold both slots; two more queue behind them. With one
-		// active tenant and 2 slots the fair share is 4 in flight.
-		hold()
-		hold()
-		<-entered
-		<-entered
-		hold()
-		hold()
-		for guard.FleetInflight(fp, "noisy") != 4 {
-			runtime.Gosched()
-		}
+		h.start("noisy", holder, 2)
+		h.waitHeld(2)
+		h.start("noisy", holder, 2)
+		h.waitInflight("noisy", 4)
 
-		const k = 5
-		guards := make([]*guard.Guard, len(modes))
-		for i, m := range modes {
-			pol := guard.DefaultPolicy()
-			pol.OnDegraded = m
-			guards[i] = newIdleGuard(t, a, pol)
-			for j := 0; j < k; j++ {
-				if res := fp.Do("noisy", guards[i]); !res.Degraded {
-					t.Errorf("%v guard: call %d over the fair share was admitted: %+v", m, j, res)
-				}
+		guards := drive(t, func(_ int, g *guard.Guard) guard.Result {
+			res := h.Do("noisy", g)
+			if !res.Degraded {
+				t.Errorf("%v guard: a call over the fair share was admitted: %+v", g.Policy.OnDegraded, res)
 			}
-		}
-		close(release)
-		wg.Wait()
+			return res
+		})
+		h.finish()
 
 		for i, g := range guards {
 			st := g.Stats
-			wantOpen, wantClosed := uint64(0), uint64(k)
-			if modes[i] == guard.FailOpen {
-				wantOpen, wantClosed = k, 0
+			wantOpen, wantClosed := uint64(0), uint64(iters)
+			if g.Policy.OnDegraded == guard.FailOpen {
+				wantOpen, wantClosed = iters, 0
 			}
-			if st.Checks != k || st.Shed != k || st.FailOpens != wantOpen || st.FailClosures != wantClosed {
-				t.Errorf("%v guard: checks %d, shed %d, fail-opens %d, fail-closures %d; want %d, %d, %d, %d",
-					modes[i], st.Checks, st.Shed, st.FailOpens, st.FailClosures, k, k, wantOpen, wantClosed)
+			if st.Checks != iters || st.Shed != iters || st.FailOpens != wantOpen || st.FailClosures != wantClosed {
+				t.Errorf("%v guard %d: checks %d, shed %d, fail-opens %d, fail-closures %d; want %d, %d, %d, %d",
+					g.Policy.OnDegraded, i, st.Checks, st.Shed, st.FailOpens, st.FailClosures, iters, iters, wantOpen, wantClosed)
 			}
 		}
-		if ps := fp.Snapshot(); ps.Checks != 4 || ps.Shed != 3*k || ps.FairnessSheds != 3*k {
-			t.Fatalf("pool admitted %d and shed %d (%d for fairness); want 4 admitted, %d shed", ps.Checks, ps.Shed, ps.FairnessSheds, 3*k)
+		if ps := h.Snapshot(); ps.Checks != 4 || ps.Shed != total || ps.FairnessSheds != total {
+			t.Fatalf("pool admitted %d and shed %d (%d for fairness); want 4 admitted, %d shed", ps.Checks, ps.Shed, ps.FairnessSheds, total)
 		}
 		if holder.Stats.Checks != 4 || holder.Stats.Shed != 0 {
 			t.Fatalf("holding guard: %d checks, %d shed; want 4 admitted checks", holder.Stats.Checks, holder.Stats.Shed)

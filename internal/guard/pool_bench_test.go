@@ -2,11 +2,12 @@ package guard_test
 
 // Throughput benchmark of the bounded checker-core pool (§6): guards
 // for a fleet of traced vulnd processes push steady-state endpoint
-// checks through one CheckPool, and the workers axis shows how checking
+// checks through a one-shard FleetPool, each guard its own tenant so
+// that fairness never sheds, and the workers axis shows how checking
 // capacity scales with dedicated cores. Tier-1 in fgperf's regression
 // gate: a regression here means the pool's admission machinery (slot
-// channel, accounting mutex) got more expensive relative to the checks
-// it schedules.
+// channel, shard mutex) got more expensive relative to the checks it
+// schedules.
 
 import (
 	"fmt"
@@ -118,10 +119,14 @@ func BenchmarkCheckPoolThroughput(b *testing.B) {
 		// indistinguishable from the -GOMAXPROCS suffix fgperf's
 		// parser strips to keep artifacts machine-portable.
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			pool := guard.NewCheckPool(workers)
+			pool := guard.NewFleetPool(1, workers)
 			shared := guard.NewApprovalCache()
 			fleet := runtime.GOMAXPROCS(0)
-			guards := make(chan *guard.Guard, fleet)
+			type proc struct {
+				tenant string
+				g      *guard.Guard
+			}
+			procs := make(chan proc, fleet)
 			for i := 0; i < fleet; i++ {
 				g := newTracedGuard(b)
 				g.ShareApprovals(shared)
@@ -130,15 +135,15 @@ func BenchmarkCheckPoolThroughput(b *testing.B) {
 				if res := g.Check(); res.Verdict != guard.VerdictClean {
 					b.Fatalf("priming check: %+v", res)
 				}
-				guards <- g
+				procs <- proc{fmt.Sprintf("proc-%d", i), g}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				g := <-guards
-				defer func() { guards <- g }()
+				p := <-procs
+				defer func() { procs <- p }()
 				for pb.Next() {
-					if res := pool.Do(g); res.Verdict != guard.VerdictClean {
+					if res := pool.Do(p.tenant, p.g); res.Verdict != guard.VerdictClean {
 						b.Errorf("benign steady-state check: %+v", res)
 						return
 					}
@@ -147,7 +152,7 @@ func BenchmarkCheckPoolThroughput(b *testing.B) {
 			b.StopTimer()
 			ps := pool.Snapshot()
 			if ps.Shed != 0 {
-				b.Fatalf("unbounded pool shed %d checks", ps.Shed)
+				b.Fatalf("pool shed %d checks of tenants within their fair share", ps.Shed)
 			}
 		})
 	}

@@ -8,9 +8,9 @@ import (
 
 // TestFleetGoroutinesExit pins the fleet's goroutine lifetime: Run's
 // driver goroutines all return before Run does, and the admission layer
-// (FleetPool over plain CheckPools) starts none of its own, so after a
-// run with fork storms the goroutine count is back to where it was
-// before the fleet was built.
+// (FleetPool) starts none of its own, so after a run with fork storms
+// the goroutine count is back to where it was before the fleet was
+// built.
 func TestFleetGoroutinesExit(t *testing.T) {
 	// settled polls, with a bound, until the goroutine count is back to
 	// what it was before the fleet was built.

@@ -2,8 +2,8 @@ package itc_test
 
 // Concurrency tests (run them under -race): checker goroutines keep
 // issuing lookups while training observes edges and rebuilds the
-// high-credit cache, mirroring pooled checkers (guard.CheckPool,
-// guard.FleetPool) over a shared graph.
+// high-credit cache, mirroring pooled checkers (guard.FleetPool) over a
+// shared graph.
 
 import (
 	"sync"
